@@ -21,7 +21,6 @@ from .errors import EmptyEvalSet, InvalidThreshold, TaxonomyMismatch
 from .inference import (
     aggregate_avg,
     aggregate_vote,
-    decide,
     score_track,
     select_image,
 )
@@ -55,7 +54,7 @@ class EvalReport:
     units: dict[str, UnitReport]
 
 
-def _precision(pred: np.ndarray, truth: np.ndarray, names, lookup) -> dict:
+def _precision(pred: np.ndarray, truth: np.ndarray, names) -> dict:
     out = {}
     for idx, name in enumerate(names):
         mask = pred == idx
@@ -105,12 +104,9 @@ class _UnitRecords:
             stopped=int(stopped_mask.sum()),
             proceeded=int(n - stopped_mask.sum()),
             tau=tau,
-            per_group_precision_level1=_precision(
-                coarse_sel, y1, taxonomy.groups, taxonomy.group_index),
-            per_species_precision_2a=_precision(
-                sel_2a, y2, taxonomy.species_names, taxonomy.species_index),
-            per_species_precision_2b=_precision(
-                sel_2b, y2, taxonomy.species_names, taxonomy.species_index),
+            per_group_precision_level1=_precision(coarse_sel, y1, taxonomy.groups),
+            per_species_precision_2a=_precision(sel_2a, y2, taxonomy.species_names),
+            per_species_precision_2b=_precision(sel_2b, y2, taxonomy.species_names),
             per_species_stop_fraction=stop_frac,
         )
 
@@ -173,8 +169,7 @@ def evaluate_flat(params: ModelParams, eval_split: Dataset,
         stopped=None,
         proceeded=None,
         tau=None,
-        per_species_precision_2b=_precision(
-            preds, truth, taxonomy.species_names, taxonomy.species_index),
+        per_species_precision_2b=_precision(preds, truth, taxonomy.species_names),
     )
     return EvalReport(scheme="baseline", tau=None, units={"image": unit})
 

@@ -10,7 +10,7 @@ the joint vector is itself a probability distribution over all species.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,14 @@ MODE_PRECOMPUTED = "precomputed"
 
 @dataclass
 class ModelParams:
+    """Every weight array of the network in one contiguous float64 vector.
+
+    The named fields are views into `vector`, laid out in `fields()`
+    order, so an optimizer can update all of them with whole-vector
+    operations. Write into the arrays (`arr[...] = x`); assigning a new
+    array to a field detaches it from `vector` until the next `copy()`.
+    """
+
     mode: str
     # trunk: input -> shallow -> deep
     W1: np.ndarray
@@ -49,6 +57,20 @@ class ModelParams:
     bl1: np.ndarray
     Wl2: np.ndarray
     bl2: np.ndarray
+    vector: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.Wf, self.bf = list(self.Wf), list(self.bf)
+        keyed = [(key, np.asarray(arr, dtype=np.float64)) for key, arr in self.fields()]
+        self.vector = np.concatenate([arr.ravel() for _, arr in keyed])
+        start = 0
+        for key, arr in keyed:
+            view = self.vector[start:start + arr.size].reshape(arr.shape)
+            start += arr.size
+            if isinstance(key, tuple):
+                getattr(self, key[0])[key[1]] = view
+            else:
+                setattr(self, key, view)
 
     @property
     def d_in(self) -> int:
@@ -75,10 +97,10 @@ class ModelParams:
         return self.Wl2.shape[1]
 
     def fields(self):
-        """Iterate (key, array) over every parameter array.
+        """Iterate (key, array) over every parameter array, in `vector` order.
 
         Keys are either attribute names or ('Wf', g) / ('bf', g) pairs;
-        used by the optimizer and the finite-difference gradient check.
+        used by checkpoints and the finite-difference gradient check.
         """
         for name in ("W1", "b1", "W2", "b2", "Wc1", "bc1", "Wc2", "bc2",
                      "Wl1", "bl1", "Wl2", "bl2"):
@@ -94,29 +116,12 @@ class ModelParams:
             return getattr(self, name)[g]
         return getattr(self, key)
 
-    def set(self, key, value):
-        if isinstance(key, tuple):
-            name, g = key
-            getattr(self, name)[g] = value
-        else:
-            setattr(self, key, value)
-
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            mode=self.mode,
-            W1=self.W1.copy(), b1=self.b1.copy(),
-            W2=self.W2.copy(), b2=self.b2.copy(),
-            Wc1=self.Wc1.copy(), bc1=self.bc1.copy(),
-            Wc2=self.Wc2.copy(), bc2=self.bc2.copy(),
-            Wf=[w.copy() for w in self.Wf], bf=[b.copy() for b in self.bf],
-            Wl1=self.Wl1.copy(), bl1=self.bl1.copy(),
-            Wl2=self.Wl2.copy(), bl2=self.bl2.copy(),
-        )
+        return replace(self)
 
     def zeros_like(self) -> "ModelParams":
         z = self.copy()
-        for key, arr in z.fields():
-            arr[...] = 0.0
+        z.vector.fill(0.0)
         return z
 
 
@@ -166,11 +171,11 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.size == 0 or logits.shape[-1] == 0:
         raise EmptyInput("softmax over an empty vector")
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NonFiniteInput("non-finite logits")
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def joint_scores(coarse: np.ndarray, fine_local: list[np.ndarray]) -> np.ndarray:
@@ -190,7 +195,7 @@ def joint_scores(coarse: np.ndarray, fine_local: list[np.ndarray]) -> np.ndarray
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteActivation(f"non-finite values in {name}")
 
 

@@ -22,8 +22,13 @@ from .errors import (
 class Taxonomy:
     groups: tuple[str, ...]
     species_by_group: tuple[tuple[str, ...], ...]
-    # group-major offsets, computed once at construction
+    # lookup tables, computed once at construction: group-major offsets,
+    # species names in global order, name -> global index, global index
+    # -> group
     _offsets: tuple[int, ...] = field(init=False, repr=False)
+    _species_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _species_ids: dict = field(init=False, repr=False, compare=False)
+    _group_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.groups) == 0:
@@ -35,7 +40,7 @@ class Taxonomy:
                 raise EmptyTaxonomy(f"group {g!r} has no species")
         if len(set(self.groups)) != len(self.groups):
             raise DuplicateName("duplicate group name")
-        all_species = [s for sp in self.species_by_group for s in sp]
+        all_species = tuple(s for sp in self.species_by_group for s in sp)
         if len(set(all_species)) != len(all_species):
             raise DuplicateName("duplicate species name")
         offsets = []
@@ -44,6 +49,11 @@ class Taxonomy:
             offsets.append(acc)
             acc += len(sp)
         object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "_species_names", all_species)
+        object.__setattr__(self, "_species_ids",
+                           {name: s for s, name in enumerate(all_species)})
+        object.__setattr__(self, "_group_of", tuple(
+            g for g, sp in enumerate(self.species_by_group) for _ in sp))
 
     @property
     def G(self) -> int:
@@ -67,10 +77,8 @@ class Taxonomy:
     def to_local(self, s: int) -> tuple[int, int]:
         if not (0 <= s < self.S):
             raise IndexOutOfRange(f"global species index {s} out of range")
-        for g in range(self.G - 1, -1, -1):
-            if s >= self._offsets[g]:
-                return g, s - self._offsets[g]
-        raise IndexOutOfRange(s)  # unreachable
+        g = self._group_of[s]
+        return g, s - self._offsets[g]
 
     def group_of(self, s: int) -> int:
         return self.to_local(s)[0]
@@ -81,7 +89,7 @@ class Taxonomy:
 
     @property
     def species_names(self) -> tuple[str, ...]:
-        return tuple(s for sp in self.species_by_group for s in sp)
+        return self._species_names
 
     def group_index(self, name: str) -> int:
         try:
@@ -91,8 +99,8 @@ class Taxonomy:
 
     def species_index(self, name: str) -> int:
         try:
-            return self.species_names.index(name)
-        except ValueError:
+            return self._species_ids[name]
+        except (KeyError, TypeError):  # TypeError: unhashable name
             raise IndexOutOfRange(f"unknown species {name!r}") from None
 
     def to_json(self) -> str:

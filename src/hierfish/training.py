@@ -6,29 +6,47 @@ Schemes:
   scheme1  - cross entropy on the coarse head plus cross entropy on the
              ground-truth group's local fine head (no score product).
   scheme2  - coarse cross entropy plus cross entropy on the joint
-             (product) score of the true species, indexed within the
-             ground-truth head.
-  scheme3  - same two terms, with the joint term indexed over the full
-             species simplex. For one-hot labels this is numerically
-             identical to scheme2; both are kept as distinct config
-             values and the identity is asserted in tests.
+             (product) score of the true species.
+  scheme3  - the same two terms. For one-hot labels indexing the joint
+             score within the ground-truth head (scheme2's definition)
+             and over the full species simplex (scheme3's) pick the same
+             element, so both config values share one code path; the
+             identity is asserted in tests.
+
+One kernel, `_loss_and_grads`, computes the batch loss and its gradient
+for every scheme; `compute_gradients` (the finite-difference oracle's
+subject), `batch_loss` and `train` all call it.
+
+Parameter layout: `ModelParams` keeps every weight in one contiguous
+float64 vector, `params.vector`, with the named fields as views into it
+in `ModelParams.fields()` order:
+  W1, b1, W2, b2 | Wc1, bc1, Wc2, bc2 | Wl1, bl1, Wl2, bl2 | Wf[0..G-1] | bf[0..G-1]
+(each matrix row-major). The gradient buffer has the same layout, so the
+kernel writes each gradient into its view and `train` applies the mean
+and momentum to the whole vector at once.
+
+`train` validates the data once per call: it turns the labels into
+integer arrays, checks each frame's input layout and finiteness, and
+gathers each step's inputs from the frames into a preallocated buffer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as M
 from .data import MODE_FEATURES, MODE_PRECOMPUTED, Dataset
 from .errors import (
+    DimensionMismatch,
     DivergedTraining,
     EmptyDataset,
     InconsistentLabels,
     LabelOutOfRange,
     MalformedDocument,
     NonFiniteActivation,
+    NonFiniteInput,
 )
 from .model import ModelParams
 from .taxonomy import Taxonomy
@@ -96,164 +114,194 @@ def compute_loss(scheme: str, outputs, example: LabeledExample, taxonomy: Taxono
     coarse_term = -np.log(outputs.coarse[g])
     if scheme == "scheme1":
         return float(coarse_term - np.log(outputs.fine_local[g][i]))
-    if scheme == "scheme2":
-        # joint term indexed within the ground-truth head's block
-        start = taxonomy.to_global(g, 0)
-        return float(coarse_term - np.log(outputs.joint[start + i]))
-    if scheme == "scheme3":
+    if scheme in ("scheme2", "scheme3"):
         return float(coarse_term - np.log(outputs.joint[example.fine_label]))
     raise MalformedDocument(f"unknown scheme {scheme!r}")
 
 
-def _batch_losses(scheme, coarse, fine_local, flat, joint, y1, y2, taxonomy):
+def _batch_losses(scheme, coarse, fine_local, joint, y1, y2, local, members):
+    """Per-example losses of a hierarchical scheme; `members[g]` holds
+    the batch rows labelled with group g."""
     # a zero probability yields an inf loss; the train loop turns that
     # into DivergedTraining rather than warning here
     with np.errstate(divide="ignore"):
-        n = y1.shape[0]
-        rows = np.arange(n)
-        if scheme == "baseline":
-            return -np.log(flat[rows, y2])
+        rows = np.arange(y1.shape[0])
         coarse_term = -np.log(coarse[rows, y1])
         if scheme == "scheme1":
-            offsets = np.array([taxonomy.to_global(g, 0) for g in range(taxonomy.G)])
-            local = y2 - offsets[y1]
-            fine_p = np.empty(n)
-            for g in range(taxonomy.G):
-                mask = y1 == g
-                if mask.any():
-                    fine_p[mask] = fine_local[g][mask, local[mask]]
+            fine_p = np.empty(y1.shape[0])
+            for g, idx in enumerate(members):
+                fine_p[idx] = fine_local[g][idx, local[idx]]
             return coarse_term - np.log(fine_p)
-        # scheme2 and scheme3 read the same joint element; both paths kept
-        if scheme == "scheme2":
-            offsets = np.array([taxonomy.to_global(g, 0) for g in range(taxonomy.G)])
-            local = y2 - offsets[y1]
-            idx = offsets[y1] + local
-            return coarse_term - np.log(joint[rows, idx])
         return coarse_term - np.log(joint[rows, y2])
 
 
-def _loss_and_grads(params: ModelParams, X, shallow_in, deep_in, y1, y2,
-                    scheme: str, taxonomy: Taxonomy):
-    """Mean batch loss and its gradient w.r.t. every parameter array.
+def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
+                    local, scheme: str) -> float:
+    """Mean batch loss; overwrites `grads` with its gradient.
 
-    X is (B, d_in) in trunk mode; otherwise shallow_in/deep_in are used.
+    `inputs` is (X,) with X of shape (B, d_in) in trunk mode, or the
+    (shallow, deep) pair in precomputed mode. y1/y2 are the coarse and
+    global fine labels and `local` the fine label's index within its
+    group. `grads` has the layout of `params`.
     """
     B = y1.shape[0]
     rows = np.arange(B)
-    grads = params.zeros_like()
-    if params.mode == M.MODE_TRUNK:
+    trunk = params.mode == M.MODE_TRUNK
+    grads.vector.fill(0.0)
+    if trunk:
+        X, = inputs
         z1, A1, z2, A2 = M.trunk_features(params, X)
     else:
-        A1, A2 = shallow_in, deep_in
+        A1, A2 = inputs
 
+    dA1 = dA2 = None
     if scheme == "baseline":
         cache, flat = M.flat_forward(params, A2)
-        losses = -np.log(flat[rows, y2])
-        Gl = flat.copy()
+        with np.errstate(divide="ignore"):
+            losses = -np.log(flat[rows, y2])
+        Gl = flat   # the probabilities become the logit gradient in place
         Gl[rows, y2] -= 1.0
-        Hl, zl1 = cache["Hl"], cache["zl1"]
-        grads.Wl2 = Hl.T @ Gl
-        grads.bl2 = Gl.sum(axis=0)
-        dzl1 = (Gl @ params.Wl2.T) * (zl1 > 0)
-        grads.Wl1 = A2.T @ dzl1
-        grads.bl1 = dzl1.sum(axis=0)
-        dA2 = dzl1 @ params.Wl1.T
-        dA1 = np.zeros_like(A1)
+        np.matmul(cache["Hl"].T, Gl, out=grads.Wl2)
+        np.add.reduce(Gl, axis=0, out=grads.bl2)
+        dzl1 = (Gl @ params.Wl2.T) * (cache["zl1"] > 0)
+        np.matmul(A2.T, dzl1, out=grads.Wl1)
+        np.add.reduce(dzl1, axis=0, out=grads.bl1)
+        if trunk:
+            dA2 = dzl1 @ params.Wl1.T
     else:
         cache, coarse, fine_local, joint = M.heads_forward(params, A1, A2)
-        losses = _batch_losses(scheme, coarse, fine_local, None, joint, y1, y2, taxonomy)
+        # batch rows sorted by group, ascending within a group; group g
+        # owns the rows by_group[a:b] for (a, b) = spans[g]
+        by_group = np.argsort(y1, kind="stable")
+        ends = np.bincount(y1, minlength=params.G).cumsum().tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        members = [by_group[a:b] for a, b in spans]
+        losses = _batch_losses(scheme, coarse, fine_local, joint, y1, y2, local, members)
         # coarse-logit gradient: the joint term contributes a second
         # (coarse - onehot) for schemes 2/3 since log joint splits into
         # log coarse + log fine_local
-        coef = 1.0 if scheme == "scheme1" else 2.0
-        Gc = coarse.copy()
+        Gc = coarse   # joint and the losses are computed; reuse in place
         Gc[rows, y1] -= 1.0
-        Gc *= coef
-        Hc, zc1 = cache["Hc"], cache["zc1"]
-        grads.Wc2 = Hc.T @ Gc
-        grads.bc2 = Gc.sum(axis=0)
-        dzc1 = (Gc @ params.Wc2.T) * (zc1 > 0)
-        grads.Wc1 = A1.T @ dzc1
-        grads.bc1 = dzc1.sum(axis=0)
-        dA1 = dzc1 @ params.Wc1.T
-        dA2 = np.zeros_like(A2)
-        offsets = np.array([taxonomy.to_global(g, 0) for g in range(taxonomy.G)])
-        local = y2 - offsets[y1]
-        for g in range(taxonomy.G):
-            mask = y1 == g
-            if not mask.any():
+        if scheme != "scheme1":
+            Gc *= 2.0
+        np.matmul(cache["Hc"].T, Gc, out=grads.Wc2)
+        np.add.reduce(Gc, axis=0, out=grads.bc2)
+        dzc1 = (Gc @ params.Wc2.T) * (cache["zc1"] > 0)
+        np.matmul(A1.T, dzc1, out=grads.Wc1)
+        np.add.reduce(dzc1, axis=0, out=grads.bc1)
+        local_s, A2_s = local[by_group], A2[by_group]
+        if trunk:
+            dA1 = dzc1 @ params.Wc1.T
+            dA2_s = np.zeros_like(A2)
+        for g, (a, b) in enumerate(spans):
+            if a == b:
                 continue
-            Gf = fine_local[g][mask].copy()
-            Gf[np.arange(mask.sum()), local[mask]] -= 1.0
-            grads.Wf[g] = A2[mask].T @ Gf
-            grads.bf[g] = Gf.sum(axis=0)
-            dA2[mask] += Gf @ params.Wf[g].T
+            Gf = fine_local[g][members[g]]
+            Gf[rows[:b - a], local_s[a:b]] -= 1.0
+            np.matmul(A2_s[a:b].T, Gf, out=grads.Wf[g])
+            np.add.reduce(Gf, axis=0, out=grads.bf[g])
+            if trunk:
+                dA2_s[a:b] += Gf @ params.Wf[g].T
+        if trunk:
+            dA2 = np.empty_like(A2)
+            dA2[by_group] = dA2_s
 
-    if params.mode == M.MODE_TRUNK:
+    if trunk:
         dz2 = dA2 * (z2 > 0)
-        grads.W2 = A1.T @ dz2
-        grads.b2 = dz2.sum(axis=0)
-        dA1 = dA1 + dz2 @ params.W2.T
+        np.matmul(A1.T, dz2, out=grads.W2)
+        np.add.reduce(dz2, axis=0, out=grads.b2)
+        back = dz2 @ params.W2.T
+        dA1 = back if dA1 is None else dA1 + back
         dz1 = dA1 * (z1 > 0)
-        grads.W1 = X.T @ dz1
-        grads.b1 = dz1.sum(axis=0)
+        np.matmul(X.T, dz1, out=grads.W1)
+        np.add.reduce(dz1, axis=0, out=grads.b1)
 
-    for _, arr in grads.fields():
-        arr /= B
-    return float(np.mean(losses)), grads
+    grads.vector /= B
+    return float(losses.mean())
 
 
 def _batch_arrays(batch: list[LabeledExample], params: ModelParams, taxonomy: Taxonomy):
-    y1 = np.empty(len(batch), dtype=int)
-    y2 = np.empty(len(batch), dtype=int)
-    for k, ex in enumerate(batch):
-        check_example(ex, taxonomy)
-        y1[k] = ex.coarse_label
-        y2[k] = ex.fine_label
+    if not batch:
+        raise EmptyDataset("empty batch")
+    local = np.array([check_example(ex, taxonomy)[1] for ex in batch])
+    y1 = np.array([ex.coarse_label for ex in batch])
+    y2 = np.array([ex.fine_label for ex in batch])
     if params.mode == M.MODE_TRUNK:
-        X = np.stack([np.asarray(ex.features, dtype=np.float64) for ex in batch])
-        return X, None, None, y1, y2
-    shallow = np.stack([np.asarray(ex.features[0], dtype=np.float64) for ex in batch])
-    deep = np.stack([np.asarray(ex.features[1], dtype=np.float64) for ex in batch])
-    return None, shallow, deep, y1, y2
+        inputs = (np.stack([np.asarray(ex.features, dtype=np.float64) for ex in batch]),)
+    else:
+        inputs = tuple(
+            np.stack([np.asarray(ex.features[k], dtype=np.float64) for ex in batch])
+            for k in (0, 1)
+        )
+    return inputs, y1, y2, local
 
 
 def compute_gradients(params: ModelParams, batch: list[LabeledExample],
                       scheme: str, taxonomy: Taxonomy) -> ModelParams:
     """Gradient of the mean batch loss, shaped like the parameters."""
-    if not batch:
-        raise EmptyDataset("empty batch")
-    X, shallow, deep, y1, y2 = _batch_arrays(batch, params, taxonomy)
-    _, grads = _loss_and_grads(params, X, shallow, deep, y1, y2, scheme, taxonomy)
+    inputs, y1, y2, local = _batch_arrays(batch, params, taxonomy)
+    grads = params.zeros_like()
+    _loss_and_grads(params, grads, inputs, y1, y2, local, scheme)
     return grads
 
 
 def batch_loss(params: ModelParams, batch: list[LabeledExample],
                scheme: str, taxonomy: Taxonomy) -> float:
     """Mean batch loss only; used by the finite-difference check."""
-    if not batch:
-        raise EmptyDataset("empty batch")
-    X, shallow, deep, y1, y2 = _batch_arrays(batch, params, taxonomy)
-    if params.mode == M.MODE_TRUNK:
-        _, A1, _, A2 = M.trunk_features(params, X)
+    inputs, y1, y2, local = _batch_arrays(batch, params, taxonomy)
+    return _loss_and_grads(params, params.zeros_like(), inputs, y1, y2, local, scheme)
+
+
+def _where(frame) -> str:
+    return f"track {frame.track_id!r} frame {frame.frame_index}"
+
+
+def _stage(frames, mode: str, taxonomy: Taxonomy):
+    """Validate every frame once and return (columns, y1, y2, local).
+
+    `columns` holds one list of per-frame float64 vectors per model
+    input: (features,) in features mode, (shallow, deep) in precomputed
+    mode.
+    """
+    if mode == MODE_FEATURES:
+        attrs, other = ("features",), MODE_PRECOMPUTED
     else:
-        A1, A2 = shallow, deep
-    if scheme == "baseline":
-        _, flat = M.flat_forward(params, A2)
-        return float(np.mean(-np.log(flat[np.arange(len(batch)), y2])))
-    _, coarse, fine_local, joint = M.heads_forward(params, A1, A2)
-    return float(np.mean(
-        _batch_losses(scheme, coarse, fine_local, None, joint, y1, y2, taxonomy)
-    ))
+        attrs, other = ("shallow", "deep"), MODE_FEATURES
+    columns = tuple([] for _ in attrs)
+    n = len(frames)
+    y1 = np.empty(n, dtype=np.intp)
+    y2 = np.empty(n, dtype=np.intp)
+    local = np.empty(n, dtype=np.intp)
+    checked: dict[tuple[int, int], int] = {}
+    for k, fr in enumerate(frames):
+        s = taxonomy.species_index(fr.species)
+        g = taxonomy.group_index(fr.group)
+        if (g, s) not in checked:
+            checked[g, s] = check_example(LabeledExample(None, g, s), taxonomy)[1]
+        y1[k], y2[k], local[k] = g, s, checked[g, s]
+        for attr, column in zip(attrs, columns):
+            value = getattr(fr, attr)
+            if value is None:
+                raise DimensionMismatch(
+                    f"{_where(fr)}: no {attr} vector, which train mode {mode!r} "
+                    f"needs; this data needs train mode {other!r}"
+                )
+            vec = np.asarray(value, dtype=np.float64)
+            if vec.ndim != 1 or (column and vec.shape != column[0].shape):
+                raise DimensionMismatch(
+                    f"{_where(fr)}: {attr} has shape {vec.shape}, expected "
+                    f"{column[0].shape if column else '(d,)'}"
+                )
+            if not np.isfinite(vec).all():
+                raise NonFiniteInput(f"{_where(fr)}: non-finite values in {attr}")
+            column.append(vec)
+    return columns, y1, y2, local
 
 
-def dataset_examples(dataset: Dataset, taxonomy: Taxonomy) -> list[LabeledExample]:
-    out = []
-    for frame in dataset.frames():
-        s = taxonomy.species_index(frame.species)
-        g = taxonomy.group_index(frame.group)
-        out.append(LabeledExample(features=frame.model_input(),
-                                  coarse_label=g, fine_label=s))
+def _gather(buffer: np.ndarray, column: list, idx: np.ndarray) -> np.ndarray:
+    """Copy the rows `idx` of a staged column into the head of `buffer`."""
+    out = buffer[:idx.shape[0]]
+    out[...] = [column[j] for j in idx.tolist()]
     return out
 
 
@@ -263,35 +311,35 @@ def train(config: TrainConfig, train_split: Dataset,
 
     Returns the trained parameters and the per-epoch mean training loss.
     """
-    examples = dataset_examples(train_split, taxonomy)
-    if not examples:
+    frames = list(train_split.frames())
+    if not frames:
         raise EmptyDataset("train split has no frames")
-    mode = M.MODE_TRUNK if config.mode == MODE_FEATURES else M.MODE_PRECOMPUTED
-    if mode == M.MODE_PRECOMPUTED:
-        d1 = examples[0].features[0].shape[0]
-        d2 = examples[0].features[1].shape[0]
-        params = M.init_params(taxonomy, d_in=config.d_in, d1=d1,
-                               hidden=config.hidden, d2=d2,
-                               seed=config.seed, mode=mode)
+    columns, y1, y2, local = _stage(frames, config.mode, taxonomy)
+    if config.mode == MODE_PRECOMPUTED:
+        params = M.init_params(taxonomy, d_in=config.d_in,
+                               d1=columns[0][0].shape[0], hidden=config.hidden,
+                               d2=columns[1][0].shape[0],
+                               seed=config.seed, mode=M.MODE_PRECOMPUTED)
     else:
-        d_in = np.asarray(examples[0].features).shape[0]
-        params = M.init_params(taxonomy, d_in=d_in, d1=config.d1,
+        params = M.init_params(taxonomy, d_in=columns[0][0].shape[0], d1=config.d1,
                                hidden=config.hidden, d2=config.d2,
-                               seed=config.seed, mode=mode)
-    velocity = params.zeros_like()
+                               seed=config.seed, mode=M.MODE_TRUNK)
+    grads = params.zeros_like()
+    velocity = np.zeros_like(params.vector)
+    n = len(frames)
+    B = config.batch_size
+    buffers = [np.empty((min(B, n), column[0].shape[0])) for column in columns]
     history: list[float] = []
-    n = len(examples)
     for epoch in range(config.epochs):
         rng = np.random.default_rng([config.seed, 1, epoch])
         order = rng.permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = [examples[j] for j in order[start:start + config.batch_size]]
-            X, shallow, deep, y1, y2 = _batch_arrays(batch, params, taxonomy)
+        for start in range(0, n, B):
+            idx = order[start:start + B]
+            inputs = [_gather(buf, col, idx) for buf, col in zip(buffers, columns)]
             try:
-                loss, grads = _loss_and_grads(
-                    params, X, shallow, deep, y1, y2, config.scheme, taxonomy
-                )
+                loss = _loss_and_grads(params, grads, inputs, y1[idx], y2[idx],
+                                       local[idx], config.scheme)
             except NonFiniteActivation as e:
                 raise DivergedTraining(
                     f"exploded activations at epoch {epoch}; lower the learning rate"
@@ -300,11 +348,9 @@ def train(config: TrainConfig, train_split: Dataset,
                 raise DivergedTraining(
                     f"non-finite loss at epoch {epoch}; lower the learning rate"
                 )
-            loss_sum += loss * len(batch)
-            for key, v in velocity.fields():
-                g = grads.get(key)
-                v *= config.momentum
-                v -= config.learning_rate * g
-                params.get(key)[...] += v
+            loss_sum += loss * idx.shape[0]
+            velocity *= config.momentum
+            velocity -= config.learning_rate * grads.vector
+            params.vector += velocity
         history.append(loss_sum / n)
     return params, history

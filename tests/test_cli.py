@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hierfish import cli
+from hierfish import data as D
 from hierfish import model as M
 from hierfish.taxonomy import Taxonomy, load_taxonomy
 
@@ -173,3 +174,31 @@ class TestErrors:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["gen", "--config", bad, "--out", tmp_path / "x"]) == 1
+
+    def _train_on(self, ws, dataset):
+        D.save_jsonl(dataset, str(ws / "frames.jsonl"))
+        return run(["train", "--config", ws / "config.json",
+                    "--taxonomy", ws / "taxonomy.json",
+                    "--data", ws / "frames.jsonl", "--out", ws / "run"])
+
+    def test_precomputed_data_in_features_mode(self, workspace, capsys):
+        rng = np.random.default_rng(0)
+        frames = [D.Frame(track_id=f"t{k}", frame_index=0, group="A", species="a1",
+                          shallow=rng.normal(size=5), deep=rng.normal(size=4))
+                  for k in range(3)]
+        dataset = D.Dataset(tracks=[D.Track(fr.track_id, [fr]) for fr in frames],
+                            mode=D.MODE_PRECOMPUTED)
+        assert self._train_on(workspace, dataset) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'features'" in err and "'precomputed'" in err
+
+    def test_nan_feature(self, workspace, capsys):
+        dataset = D.generate(D.GenConfig(taxonomy=TAXONOMY, tracks_total=10,
+                                         frames_min=2, frames_max=3, dim=6, seed=1))
+        dataset.tracks[4].frames[1].features[0] = np.nan
+        assert self._train_on(workspace, dataset) == 1
+        err = capsys.readouterr().err
+        tid = dataset.tracks[4].track_id
+        assert err.startswith(f"error: track '{tid}' frame 1: non-finite")
+        assert "learning rate" not in err

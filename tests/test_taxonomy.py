@@ -51,6 +51,19 @@ def test_index_out_of_range(tiny_taxonomy):
         tiny_taxonomy.to_local(-1)
 
 
+def test_unknown_species_names(tiny_taxonomy):
+    for name in ("z9", "", ["x1"], {"x1": 1}, None):
+        with pytest.raises(IndexOutOfRange):
+            tiny_taxonomy.species_index(name)
+    assert tiny_taxonomy.species_names == ("x1", "x2", "y1")
+
+
+def test_lookup_tables_leave_equality_and_hash_alone(tiny_taxonomy):
+    twin = Taxonomy(groups=("X", "Y"), species_by_group=(("x1", "x2"), ("y1",)))
+    assert twin == tiny_taxonomy
+    assert hash(twin) == hash(tiny_taxonomy)
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(DuplicateName):
         load_taxonomy('{"groups":[{"name":"A","species":["a"]},{"name":"A","species":["b"]}]}')

@@ -7,11 +7,13 @@ from hierfish import data as D
 from hierfish import model as M
 from hierfish import training as T
 from hierfish.errors import (
+    DimensionMismatch,
     DivergedTraining,
     EmptyDataset,
     InconsistentLabels,
     LabelOutOfRange,
     MalformedDocument,
+    NonFiniteInput,
 )
 from hierfish.taxonomy import Taxonomy
 
@@ -210,21 +212,120 @@ class TestTrain:
             T.train(cfg, ds, toy_taxonomy)
 
     def test_precomputed_mode(self, toy_taxonomy):
-        # hand-build a precomputed dataset from trunk features
-        raw = _tiny_dataset(toy_taxonomy)
-        probe = M.init_params(toy_taxonomy, d_in=6, d1=4, hidden=4, d2=3, seed=1)
-        tracks = []
-        for t in raw.tracks:
-            frames = []
-            for fr in t.frames:
-                _, sh, _, dp = M.trunk_features(probe, fr.features)
-                frames.append(D.Frame(track_id=fr.track_id, frame_index=fr.frame_index,
-                                      group=fr.group, species=fr.species,
-                                      shallow=sh, deep=dp))
-            tracks.append(D.Track(track_id=t.track_id, frames=frames))
-        ds = D.Dataset(tracks=tracks, mode=D.MODE_PRECOMPUTED)
+        ds = _precomputed_dataset(toy_taxonomy)
         cfg = T.TrainConfig(epochs=2, seed=0, mode=D.MODE_PRECOMPUTED, hidden=4)
         params, history = T.train(cfg, ds, toy_taxonomy)
         assert params.mode == M.MODE_PRECOMPUTED
         assert len(history) == 2
         assert all(np.isfinite(h) for h in history)
+
+    def test_nan_feature_is_an_input_error(self, toy_taxonomy):
+        ds = _tiny_dataset(toy_taxonomy)
+        frame = ds.tracks[3].frames[1]
+        frame.features[2] = np.nan
+        cfg = T.TrainConfig(epochs=1, seed=0, d1=4, hidden=4, d2=3)
+        with pytest.raises(NonFiniteInput,
+                           match=rf"track '{frame.track_id}' frame {frame.frame_index}"):
+            T.train(cfg, ds, toy_taxonomy)
+
+    def test_nan_deep_feature_is_an_input_error(self, toy_taxonomy):
+        ds = _precomputed_dataset(toy_taxonomy)
+        frame = ds.tracks[0].frames[0]
+        frame.deep[0] = np.inf
+        cfg = T.TrainConfig(epochs=1, seed=0, mode=D.MODE_PRECOMPUTED, hidden=4)
+        with pytest.raises(NonFiniteInput, match="non-finite values in deep"):
+            T.train(cfg, ds, toy_taxonomy)
+
+    @pytest.mark.parametrize("data_mode, train_mode", [
+        (D.MODE_PRECOMPUTED, D.MODE_FEATURES),
+        (D.MODE_FEATURES, D.MODE_PRECOMPUTED),
+    ])
+    def test_data_in_the_other_mode(self, toy_taxonomy, data_mode, train_mode):
+        ds = (_precomputed_dataset(toy_taxonomy) if data_mode == D.MODE_PRECOMPUTED
+              else _tiny_dataset(toy_taxonomy))
+        cfg = T.TrainConfig(epochs=1, seed=0, mode=train_mode, d1=4, hidden=4, d2=3)
+        with pytest.raises(DimensionMismatch) as err:
+            T.train(cfg, ds, toy_taxonomy)
+        assert D.MODE_FEATURES in str(err.value)
+        assert D.MODE_PRECOMPUTED in str(err.value)
+
+    def test_ragged_feature_dims(self, toy_taxonomy):
+        ds = _tiny_dataset(toy_taxonomy)
+        ds.tracks[-1].frames[0].features = np.zeros(5)
+        cfg = T.TrainConfig(epochs=1, seed=0, d1=4, hidden=4, d2=3)
+        with pytest.raises(DimensionMismatch):
+            T.train(cfg, ds, toy_taxonomy)
+
+    def test_inconsistent_labels_rejected(self, toy_taxonomy):
+        ds = _tiny_dataset(toy_taxonomy)
+        for fr in ds.tracks[0].frames:
+            fr.group = "B" if fr.group == "A" else "A"
+        with pytest.raises(InconsistentLabels):
+            T.train(T.TrainConfig(epochs=1, d1=4, hidden=4, d2=3), ds, toy_taxonomy)
+
+
+def _precomputed_dataset(taxonomy):
+    """A precomputed (shallow, deep) dataset made from trunk features."""
+    raw = _tiny_dataset(taxonomy)
+    probe = M.init_params(taxonomy, d_in=6, d1=4, hidden=4, d2=3, seed=1)
+    tracks = []
+    for t in raw.tracks:
+        frames = []
+        for fr in t.frames:
+            _, sh, _, dp = M.trunk_features(probe, fr.features)
+            frames.append(D.Frame(track_id=fr.track_id, frame_index=fr.frame_index,
+                                  group=fr.group, species=fr.species,
+                                  shallow=sh, deep=dp))
+        tracks.append(D.Track(track_id=t.track_id, frames=frames))
+    return D.Dataset(tracks=tracks, mode=D.MODE_PRECOMPUTED)
+
+
+def _reference_train(cfg, ds, taxonomy):
+    """Plain SGD with momentum, one parameter array at a time, driven by
+    compute_gradients and batch_loss on LabeledExample batches."""
+    examples = [
+        T.LabeledExample(features=fr.model_input(),
+                         coarse_label=taxonomy.group_index(fr.group),
+                         fine_label=taxonomy.species_index(fr.species))
+        for fr in ds.frames()
+    ]
+    first = examples[0].features
+    if cfg.mode == D.MODE_PRECOMPUTED:
+        params = M.init_params(taxonomy, d_in=cfg.d_in, d1=first[0].shape[0],
+                               hidden=cfg.hidden, d2=first[1].shape[0],
+                               seed=cfg.seed, mode=M.MODE_PRECOMPUTED)
+    else:
+        params = M.init_params(taxonomy, d_in=first.shape[0], d1=cfg.d1,
+                               hidden=cfg.hidden, d2=cfg.d2, seed=cfg.seed)
+    velocity = {key: np.zeros_like(arr) for key, arr in params.fields()}
+    history = []
+    n = len(examples)
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng([cfg.seed, 1, epoch]).permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = [examples[j] for j in order[start:start + cfg.batch_size]]
+            grads = T.compute_gradients(params, batch, cfg.scheme, taxonomy)
+            loss_sum += T.batch_loss(params, batch, cfg.scheme, taxonomy) * len(batch)
+            for key, arr in params.fields():
+                v = velocity[key]
+                v *= cfg.momentum
+                v -= cfg.learning_rate * grads.get(key)
+                arr += v
+        history.append(loss_sum / n)
+    return params, history
+
+
+@pytest.mark.parametrize("scheme", T.SCHEMES)
+@pytest.mark.parametrize("mode", [D.MODE_FEATURES, D.MODE_PRECOMPUTED])
+def test_train_is_bit_identical_to_reference_loop(toy_taxonomy, scheme, mode):
+    ds = (_precomputed_dataset(toy_taxonomy) if mode == D.MODE_PRECOMPUTED
+          else _tiny_dataset(toy_taxonomy))
+    cfg = T.TrainConfig(scheme=scheme, epochs=3, batch_size=7, seed=5, mode=mode,
+                        d1=4, hidden=4, d2=3)
+    assert ds.n_frames % cfg.batch_size != 0  # the last batch is ragged
+    params, history = T.train(cfg, ds, toy_taxonomy)
+    ref, ref_history = _reference_train(cfg, ds, toy_taxonomy)
+    assert history == ref_history
+    for key, arr in ref.fields():
+        assert np.array_equal(params.get(key), arr), key
