@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EmptyTrack,
     InconsistentLabels,
     InfeasibleConfig,
     MalformedRecord,
@@ -61,6 +62,16 @@ class Track:
 
     def __len__(self) -> int:
         return len(self.frames)
+
+    def model_input(self):
+        """Every frame's `model_input`, stacked on a leading frame axis:
+        (T, d) features, or a (T, d1) / (T, d2) pair."""
+        if not self.frames:
+            raise EmptyTrack(f"track {self.track_id!r} has no frames")
+        if self.frames[0].features is not None:
+            return np.stack([fr.features for fr in self.frames])
+        return (np.stack([fr.shallow for fr in self.frames]),
+                np.stack([fr.deep for fr in self.frames]))
 
 
 @dataclass
@@ -220,9 +231,20 @@ def save_jsonl(dataset: Dataset, path: str) -> None:
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
+def _vector(rec: dict, key: str, frame: Frame, lineno: int) -> np.ndarray:
+    vec = np.asarray(rec[key], dtype=np.float64)
+    if vec.ndim != 1:
+        raise ValueError(f"{key!r} must be a flat list of numbers")
+    if not np.isfinite(vec).all():
+        raise MalformedRecord(
+            f"track {frame.track_id!r} frame {frame.frame_index}: "
+            f"non-finite values in {key} on line {lineno}"
+        )
+    return vec
+
+
 def load_jsonl(path: str) -> Dataset:
-    frames_by_track: dict[str, list[Frame]] = {}
-    track_order: list[str] = []
+    frames_by_track: dict[str, list[Frame]] = {}   # in first-seen order
     mode = None
     dims = None
     with open(path, "r", encoding="utf-8") as f:
@@ -241,21 +263,22 @@ def load_jsonl(path: str) -> Dataset:
                     group=rec["group"],
                     species=rec["species"],
                 )
+                if "features" in rec:
+                    frame.features = _vector(rec, "features", frame, lineno)
+                    rec_mode = MODE_FEATURES
+                    rec_dims = (frame.features.shape[0],)
+                elif "shallow" in rec and "deep" in rec:
+                    frame.shallow = _vector(rec, "shallow", frame, lineno)
+                    frame.deep = _vector(rec, "deep", frame, lineno)
+                    rec_mode = MODE_PRECOMPUTED
+                    rec_dims = (frame.shallow.shape[0], frame.deep.shape[0])
+                else:
+                    raise MalformedRecord(
+                        f"line {lineno}: needs 'features' or 'shallow'+'deep'"
+                    )
+                prev = frames_by_track.get(frame.track_id)   # TypeError if unhashable
             except (KeyError, TypeError, ValueError) as e:
                 raise MalformedRecord(f"line {lineno}: {e}") from e
-            if "features" in rec:
-                frame.features = np.asarray(rec["features"], dtype=np.float64)
-                rec_mode = MODE_FEATURES
-                rec_dims = (frame.features.shape[0],)
-            elif "shallow" in rec and "deep" in rec:
-                frame.shallow = np.asarray(rec["shallow"], dtype=np.float64)
-                frame.deep = np.asarray(rec["deep"], dtype=np.float64)
-                rec_mode = MODE_PRECOMPUTED
-                rec_dims = (frame.shallow.shape[0], frame.deep.shape[0])
-            else:
-                raise MalformedRecord(
-                    f"line {lineno}: needs 'features' or 'shallow'+'deep'"
-                )
             if mode is None:
                 mode, dims = rec_mode, rec_dims
             elif rec_mode != mode or rec_dims != dims:
@@ -264,18 +287,23 @@ def load_jsonl(path: str) -> Dataset:
                     f"disagrees with {mode}{dims}"
                 )
             tid = frame.track_id
-            if tid not in frames_by_track:
-                frames_by_track[tid] = []
-                track_order.append(tid)
-            prev = frames_by_track[tid]
+            if prev is None:
+                prev = frames_by_track[tid] = []
             if prev and (prev[0].group != frame.group or prev[0].species != frame.species):
                 raise InconsistentLabels(
                     f"line {lineno}: track {tid!r} frames carry different labels"
                 )
+            # files list frames in order, so only a frame that does not
+            # follow its predecessor needs the scan
+            if prev and prev[-1].frame_index >= frame.frame_index and any(
+                    fr.frame_index == frame.frame_index for fr in prev):
+                raise MalformedRecord(
+                    f"line {lineno}: track {tid!r} repeats frame {frame.frame_index}"
+                )
             prev.append(frame)
     tracks = [
-        Track(track_id=tid, frames=sorted(frames_by_track[tid], key=lambda fr: fr.frame_index))
-        for tid in track_order
+        Track(track_id=tid, frames=sorted(frames, key=lambda fr: fr.frame_index))
+        for tid, frames in frames_by_track.items()
     ]
     return Dataset(tracks=tracks, mode=mode or MODE_FEATURES)
 

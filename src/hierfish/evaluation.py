@@ -5,6 +5,10 @@ for the image unit and both video units, plus per-class precision and
 per-species coarse-stop rates.
 
 Accuracies are micro accuracy over units, reported as percentages.
+
+Each track is scored once, as a (T, ·) stack; the image unit reads it
+through one `select_image` call, and each unit's per-track rows are
+concatenated once.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyEvalSet, InvalidThreshold, TaxonomyMismatch
+from .errors import EmptyEvalSet, IndexOutOfRange, InvalidThreshold, TaxonomyMismatch
 from .inference import (
+    UNITS,
     aggregate_avg,
     aggregate_vote,
     score_track,
@@ -62,53 +67,39 @@ def _precision(pred: np.ndarray, truth: np.ndarray, names) -> dict:
     return out
 
 
-@dataclass
-class _UnitRecords:
-    """Per-unit raw decisions, one row per evaluation unit."""
-    y1: list = field(default_factory=list)
-    y2: list = field(default_factory=list)
-    coarse_sel: list = field(default_factory=list)
-    sel_2a: list = field(default_factory=list)
-    sel_2b: list = field(default_factory=list)
-    conf_2b: list = field(default_factory=list)
+def _unit_report(unit: str, rows: list, tau: float, taxonomy: Taxonomy) -> UnitReport:
+    """Metrics of one unit from per-track rows (y1, y2, coarse_sel,
+    sel_2a, sel_2b, conf_2b): scalars, or (T,) arrays for the image unit."""
+    y1, y2, coarse_sel, sel_2a, sel_2b, conf_2b = (np.hstack(col) for col in zip(*rows))
+    n = y1.shape[0]
+    stopped_mask = conf_2b < tau
+    correct_2c = np.where(stopped_mask, coarse_sel == y1, sel_2b == y2)
+    stop_frac = {}
+    for s, name in enumerate(taxonomy.species_names):
+        mask = y2 == s
+        stop_frac[name] = float(np.mean(stopped_mask[mask])) if mask.any() else None
+    return UnitReport(
+        unit=unit,
+        n_units=n,
+        level1_acc=float(100.0 * np.mean(coarse_sel == y1)),
+        level2a_acc=float(100.0 * np.mean(sel_2a == y2)),
+        level2b_acc=float(100.0 * np.mean(sel_2b == y2)),
+        level2c_acc=float(100.0 * np.mean(correct_2c)),
+        stopped=int(stopped_mask.sum()),
+        proceeded=int(n - stopped_mask.sum()),
+        tau=tau,
+        per_group_precision_level1=_precision(coarse_sel, y1, taxonomy.groups),
+        per_species_precision_2a=_precision(sel_2a, y2, taxonomy.species_names),
+        per_species_precision_2b=_precision(sel_2b, y2, taxonomy.species_names),
+        per_species_stop_fraction=stop_frac,
+    )
 
-    def add(self, y1, y2, coarse_sel, sel_2a, sel_2b, conf_2b):
-        self.y1.append(y1)
-        self.y2.append(y2)
-        self.coarse_sel.append(coarse_sel)
-        self.sel_2a.append(sel_2a)
-        self.sel_2b.append(sel_2b)
-        self.conf_2b.append(conf_2b)
 
-    def report(self, unit: str, tau: float, taxonomy: Taxonomy) -> UnitReport:
-        y1 = np.asarray(self.y1)
-        y2 = np.asarray(self.y2)
-        coarse_sel = np.asarray(self.coarse_sel)
-        sel_2a = np.asarray(self.sel_2a)
-        sel_2b = np.asarray(self.sel_2b)
-        conf_2b = np.asarray(self.conf_2b)
-        n = y1.shape[0]
-        stopped_mask = conf_2b < tau
-        correct_2c = np.where(stopped_mask, coarse_sel == y1, sel_2b == y2)
-        stop_frac = {}
-        for s, name in enumerate(taxonomy.species_names):
-            mask = y2 == s
-            stop_frac[name] = float(np.mean(stopped_mask[mask])) if mask.any() else None
-        return UnitReport(
-            unit=unit,
-            n_units=n,
-            level1_acc=float(100.0 * np.mean(coarse_sel == y1)),
-            level2a_acc=float(100.0 * np.mean(sel_2a == y2)),
-            level2b_acc=float(100.0 * np.mean(sel_2b == y2)),
-            level2c_acc=float(100.0 * np.mean(correct_2c)),
-            stopped=int(stopped_mask.sum()),
-            proceeded=int(n - stopped_mask.sum()),
-            tau=tau,
-            per_group_precision_level1=_precision(coarse_sel, y1, taxonomy.groups),
-            per_species_precision_2a=_precision(sel_2a, y2, taxonomy.species_names),
-            per_species_precision_2b=_precision(sel_2b, y2, taxonomy.species_names),
-            per_species_stop_fraction=stop_frac,
-        )
+def _labels(track, taxonomy: Taxonomy) -> tuple[int, int]:
+    try:
+        return taxonomy.group_index(track.group), taxonomy.species_index(track.species)
+    except IndexOutOfRange as e:
+        raise TaxonomyMismatch(str(e)) from e
 
 
 def evaluate(params: ModelParams, eval_split: Dataset, taxonomy: Taxonomy,
@@ -122,25 +113,21 @@ def evaluate(params: ModelParams, eval_split: Dataset, taxonomy: Taxonomy,
         raise EmptyEvalSet("evaluation split has no tracks")
     if not np.isfinite(tau) or tau < 0.0:
         raise InvalidThreshold(f"threshold {tau}")
-    records = {u: _UnitRecords() for u in ("image", "video_avg", "video_vote")}
+    rows = {u: [] for u in UNITS}
     for track in eval_split.tracks:
-        try:
-            y1 = taxonomy.group_index(track.group)
-            y2 = taxonomy.species_index(track.species)
-        except Exception as e:
-            raise TaxonomyMismatch(str(e)) from e
+        y1, y2 = _labels(track, taxonomy)
         ts = score_track(params, track)
-        for out in ts.frames:
-            sel = select_image(out, taxonomy)
-            records["image"].add(y1, y2, sel.coarse_group, sel.level2a,
-                                 sel.level2b, sel.level2b_confidence)
+        img = select_image(ts.frames, taxonomy)
+        rows["image"].append((np.full(len(track), y1), np.full(len(track), y2),
+                              img.coarse_group, img.level2a, img.level2b,
+                              img.level2b_confidence))
         avg = aggregate_avg(ts, taxonomy)
-        records["video_avg"].add(y1, y2, avg.coarse_selection, avg.level2a,
-                                 avg.selection, avg.confidence)
+        rows["video_avg"].append((y1, y2, avg.coarse_selection, avg.level2a,
+                                  avg.selection, avg.confidence))
         vote = aggregate_vote(ts, taxonomy)
-        records["video_vote"].add(y1, y2, vote.coarse_selection, vote.level2a,
-                                  vote.selection, vote.confidence)
-    units = {u: rec.report(u, tau, taxonomy) for u, rec in records.items()}
+        rows["video_vote"].append((y1, y2, vote.coarse_selection, vote.level2a,
+                                   vote.selection, vote.confidence))
+    units = {u: _unit_report(u, r, tau, taxonomy) for u, r in rows.items()}
     return EvalReport(scheme=scheme, tau=tau, units=units)
 
 
@@ -152,13 +139,12 @@ def evaluate_flat(params: ModelParams, eval_split: Dataset,
     preds = []
     truth = []
     for track in eval_split.tracks:
-        y2 = taxonomy.species_index(track.species)
-        for fr in track.frames:
-            probs = forward_flat(params, fr.model_input())
-            preds.append(int(np.argmax(probs)))
-            truth.append(y2)
-    preds = np.asarray(preds)
-    truth = np.asarray(truth)
+        _, y2 = _labels(track, taxonomy)
+        probs = forward_flat(params, track.model_input())
+        preds.append(probs.argmax(axis=-1))
+        truth.append(np.full(len(track), y2))
+    preds = np.concatenate(preds)
+    truth = np.concatenate(truth)
     unit = UnitReport(
         unit="image",
         n_units=len(preds),

@@ -1,5 +1,9 @@
 """Image- and track-based prediction rules.
 
+A track is scored in one forward pass: `TrackScores` holds one
+`HeadOutputs` whose arrays carry a leading frame axis (T, ·), which
+`select_image` and both aggregates read directly.
+
 Track-level aggregation comes in two flavours: averaging per-frame
 score vectors, and per-frame argmax voting with confidence averaged
 over the supporting frames. Either way the selected confidence can be
@@ -30,30 +34,28 @@ class Prediction:
 
 @dataclass
 class TrackScores:
-    """Ordered per-frame head outputs for one track."""
-    frames: list[HeadOutputs]
+    """Head outputs of one track's frames, in order, on a leading frame
+    axis. A list of per-frame `HeadOutputs` is stacked on construction."""
+    frames: HeadOutputs
 
     def __post_init__(self):
-        if len(self.frames) == 0:
-            raise EmptyTrack("track has no frames")
-
-    @property
-    def T(self) -> int:
-        return len(self.frames)
-
-    def coarse_matrix(self) -> np.ndarray:
-        return np.stack([f.coarse for f in self.frames])
-
-    def joint_matrix(self) -> np.ndarray:
-        return np.stack([f.joint for f in self.frames])
+        if isinstance(self.frames, list):
+            if not self.frames:
+                raise EmptyTrack("track has no frames")
+            self.frames = HeadOutputs(
+                coarse=np.stack([f.coarse for f in self.frames]),
+                fine_local=list(map(np.stack, zip(*(f.fine_local for f in self.frames)))),
+                joint=np.stack([f.joint for f in self.frames]))
 
 
 def score_track(params: ModelParams, track) -> TrackScores:
-    return TrackScores(frames=[forward(params, fr.model_input()) for fr in track.frames])
+    """Every frame of `track` in one forward pass."""
+    return TrackScores(frames=forward(params, track.model_input()))
 
 
 @dataclass
 class ImageSelection:
+    """Scalars for one frame; (T,) arrays, one entry per frame, for a stack."""
     coarse_group: int
     coarse_confidence: float
     level2a: int              # fine argmax within the coarse-argmax group
@@ -62,19 +64,28 @@ class ImageSelection:
     level2b_confidence: float
 
 
+def _at(a: np.ndarray, idx) -> np.ndarray:
+    """`a[..., idx]` frame by frame: a scalar for one frame, (T,) for a stack."""
+    return np.take_along_axis(a, idx[..., None], axis=-1)[..., 0][()]
+
+
 def select_image(outputs: HeadOutputs, taxonomy: Taxonomy) -> ImageSelection:
-    """Image-based selections; ties broken by lowest index (np.argmax)."""
-    g = int(np.argmax(outputs.coarse))
-    i = int(np.argmax(outputs.fine_local[g]))
-    s2a = taxonomy.to_global(g, i)
-    s2b = int(np.argmax(outputs.joint))
+    """Image-based selections for one frame or a stack of frames; ties
+    broken by lowest index (np.argmax)."""
+    g = outputs.coarse.argmax(axis=-1)
+    # per group, the global index of its local fine argmax; 2A takes the
+    # coarse winner's
+    picks = np.stack([taxonomy.to_global(h, 0) + f.argmax(axis=-1)
+                      for h, f in enumerate(outputs.fine_local)], axis=-1)
+    s2a = _at(picks, g)
+    s2b = outputs.joint.argmax(axis=-1)
     return ImageSelection(
         coarse_group=g,
-        coarse_confidence=float(outputs.coarse[g]),
+        coarse_confidence=outputs.coarse.max(axis=-1),
         level2a=s2a,
-        level2a_confidence=float(outputs.joint[s2a]),
+        level2a_confidence=_at(outputs.joint, s2a),
         level2b=s2b,
-        level2b_confidence=float(outputs.joint[s2b]),
+        level2b_confidence=outputs.joint.max(axis=-1),
     )
 
 
@@ -91,8 +102,8 @@ class AvgAggregate:
 
 def aggregate_avg(track: TrackScores, taxonomy: Taxonomy) -> AvgAggregate:
     """Average per-frame score vectors over the track, then select."""
-    p1 = track.coarse_matrix().mean(axis=0)
-    p2 = track.joint_matrix().mean(axis=0)
+    p1 = track.frames.coarse.mean(axis=0)
+    p2 = track.frames.joint.mean(axis=0)
     sel = int(np.argmax(p2))
     g = int(np.argmax(p1))
     start = taxonomy.to_global(g, 0)
@@ -136,14 +147,14 @@ def aggregate_vote(track: TrackScores, taxonomy: Taxonomy) -> VoteAggregate:
     frames that agree with the winning coarse group, which keeps a
     correct 2A prediction implying a correct coarse one.
     """
-    coarse = track.coarse_matrix()
-    joint = track.joint_matrix()
+    coarse = track.frames.coarse
+    joint = track.frames.joint
     fine_votes = np.argmax(joint, axis=1)
-    fine_conf = joint[np.arange(track.T), fine_votes]
+    fine_conf = joint.max(axis=1)
     sel, conf = _majority(fine_votes, fine_conf)
 
     coarse_votes = np.argmax(coarse, axis=1)
-    coarse_conf = coarse[np.arange(track.T), coarse_votes]
+    coarse_conf = coarse.max(axis=1)
     gsel, gconf = _majority(coarse_votes, coarse_conf)
 
     support = coarse_votes == gsel
@@ -151,7 +162,7 @@ def aggregate_vote(track: TrackScores, taxonomy: Taxonomy) -> VoteAggregate:
     size = taxonomy.group_sizes[gsel]
     block = joint[np.ix_(support, range(start, start + size))]
     votes_2a = start + np.argmax(block, axis=1)
-    conf_2a = block[np.arange(block.shape[0]), votes_2a - start]
+    conf_2a = block.max(axis=1)
     sel_2a, _ = _majority(votes_2a, conf_2a)
 
     return VoteAggregate(

@@ -127,6 +127,7 @@ class ModelParams:
 
 @dataclass
 class HeadOutputs:
+    """One example's head probabilities; a batch adds a leading axis."""
     coarse: np.ndarray              # (G,) probability vector
     fine_local: list[np.ndarray]    # per group, (|S_g|,) probability vector
     joint: np.ndarray               # (S,) probability vector, group-major
@@ -181,16 +182,17 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
 def joint_scores(coarse: np.ndarray, fine_local: list[np.ndarray]) -> np.ndarray:
     """Product of each group's coarse score with its local fine scores.
 
-    The concatenated result sums to 1 because each local vector does.
+    One example or a batch; the concatenated result sums to 1 because
+    each local vector does.
     """
     coarse = np.asarray(coarse, dtype=np.float64)
-    if coarse.ndim != 1 or len(fine_local) != coarse.shape[0]:
+    if coarse.ndim == 0 or len(fine_local) != coarse.shape[-1]:
         raise DimensionMismatch(
             f"coarse has {coarse.shape} entries but {len(fine_local)} fine heads given"
         )
     return np.concatenate(
-        [coarse[g] * np.asarray(fine_local[g], dtype=np.float64)
-         for g in range(coarse.shape[0])]
+        [coarse[..., g:g + 1] * np.asarray(fine_local[g], dtype=np.float64)
+         for g in range(coarse.shape[-1])], axis=-1
     )
 
 
@@ -214,10 +216,10 @@ def trunk_features(params: ModelParams, X: np.ndarray):
 
 
 def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
-    """Batched hierarchical heads. Returns (cache, coarse, fine_local, joint).
+    """Hierarchical heads. Returns (cache, coarse, fine_local, joint).
 
     shallow: (B, d1), deep: (B, d2); probabilities are (B, G), list of
-    (B, |S_g|), and (B, S).
+    (B, |S_g|), and (B, S). Without the batch axis, one example.
     """
     if shallow.shape[-1] != params.d1 or deep.shape[-1] != params.d2:
         raise DimensionMismatch(
@@ -234,15 +236,12 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
         zf = deep @ params.Wf[g] + params.bf[g]
         _check_finite(f"fine head {g}", zf)
         fine_local.append(stable_softmax(zf))
-    joint = np.concatenate(
-        [coarse[..., g:g + 1] * fine_local[g] for g in range(params.G)], axis=-1
-    )
     cache = {"zc1": zc1, "Hc": Hc}
-    return cache, coarse, fine_local, joint
+    return cache, coarse, fine_local, joint_scores(coarse, fine_local)
 
 
 def flat_forward(params: ModelParams, deep: np.ndarray):
-    """Batched flat baseline head. Returns (cache, probs (B, S))."""
+    """Flat baseline head. Returns (cache, probs (B, S)); (S,) for one example."""
     if deep.shape[-1] != params.d2:
         raise DimensionMismatch(
             f"deep dim {deep.shape[-1]} != model d2 {params.d2}"
@@ -255,10 +254,10 @@ def flat_forward(params: ModelParams, deep: np.ndarray):
 
 
 def _resolve_features(params: ModelParams, x):
-    """Map a raw vector or a (shallow, deep) pair to trunk outputs per mode."""
+    """Map raw input or a (shallow, deep) pair to trunk outputs per mode."""
     if params.mode == MODE_TRUNK:
         if isinstance(x, tuple):
-            raise DimensionMismatch("trunk mode expects a raw feature vector")
+            raise DimensionMismatch("trunk mode expects raw feature input")
         x = np.asarray(x, dtype=np.float64)
         _, shallow, _, deep = trunk_features(params, x)
     else:
@@ -270,27 +269,26 @@ def _resolve_features(params: ModelParams, x):
 
 
 def forward(params: ModelParams, x) -> HeadOutputs:
-    """Single-example hierarchical forward pass.
+    """Hierarchical forward pass over one example or a batch.
 
-    `x` is a raw feature vector in trunk mode, or a (shallow, deep) pair
-    in precomputed mode.
+    `x` is raw features, (d_in,) or (B, d_in), in trunk mode, or a
+    (shallow, deep) pair of (d1,)/(d2,) vectors or (B, d1)/(B, d2)
+    batches in precomputed mode. The outputs keep the batch axis.
     """
     shallow, deep = _resolve_features(params, x)
-    _, coarse, fine_local, joint = heads_forward(
-        params, shallow[None, :], deep[None, :]
-    )
-    return HeadOutputs(
-        coarse=coarse[0],
-        fine_local=[f[0] for f in fine_local],
-        joint=joint[0],
-    )
+    _, coarse, fine_local, joint = heads_forward(params, shallow, deep)
+    return HeadOutputs(coarse=coarse, fine_local=fine_local, joint=joint)
 
 
 def forward_flat(params: ModelParams, x) -> np.ndarray:
-    """Single-example flat baseline pass; probability vector over all species."""
+    """Flat baseline pass over one example or a batch (as in `forward`);
+    probabilities over all species."""
     _, deep = _resolve_features(params, x)
-    _, probs = flat_forward(params, deep[None, :])
-    return probs[0]
+    return flat_forward(params, deep)[1]
+
+
+def _weight_name(key) -> str:
+    return key if isinstance(key, str) else f"{key[0]}{key[1]}"
 
 
 def save_checkpoint(params: ModelParams, taxonomy: Taxonomy, path: str) -> None:
@@ -306,31 +304,52 @@ def save_checkpoint(params: ModelParams, taxonomy: Taxonomy, path: str) -> None:
         "weights": {},
     }
     for key, arr in params.fields():
-        name = key if isinstance(key, str) else f"{key[0]}{key[1]}"
-        doc["weights"][name] = arr.tolist()
+        doc["weights"][_weight_name(key)] = arr.tolist()
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
 
 
+DIM_KEYS = ("d_in", "d1", "hidden", "d2")
+
+
 def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
+    """Read a checkpoint, checking it against the network its mode, dims
+    and the taxonomy describe: every weight present, of the shape
+    `init_params` builds, and finite."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise MalformedDocument(f"invalid checkpoint JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise MalformedDocument("checkpoint must hold a JSON object")
     if doc.get("taxonomy_digest") != taxonomy.digest():
         raise TaxonomyMismatch("checkpoint was trained against a different taxonomy")
-    w = doc["weights"]
-
-    def arr(name):
-        return np.asarray(w[name], dtype=np.float64)
-
-    G = taxonomy.G
-    return ModelParams(
-        mode=doc["mode"],
-        W1=arr("W1"), b1=arr("b1"), W2=arr("W2"), b2=arr("b2"),
-        Wc1=arr("Wc1"), bc1=arr("bc1"), Wc2=arr("Wc2"), bc2=arr("bc2"),
-        Wf=[arr(f"Wf{g}") for g in range(G)],
-        bf=[arr(f"bf{g}") for g in range(G)],
-        Wl1=arr("Wl1"), bl1=arr("bl1"), Wl2=arr("Wl2"), bl2=arr("bl2"),
-    )
+    for key in ("mode", "dims", "weights"):
+        if key not in doc:
+            raise MalformedDocument(f"checkpoint has no {key!r}")
+    dims, weights = doc["dims"], doc["weights"]
+    if not (isinstance(dims, dict) and sorted(dims) == sorted(DIM_KEYS)
+            and all(type(v) is int and v > 0 for v in dims.values())):
+        raise MalformedDocument(
+            f"checkpoint 'dims' must map {', '.join(DIM_KEYS)} to positive integers"
+        )
+    if not isinstance(weights, dict):
+        raise MalformedDocument("checkpoint 'weights' must be an object")
+    params = init_params(taxonomy, **dims, mode=doc["mode"])
+    for key, expected in params.fields():
+        name = _weight_name(key)
+        if name not in weights:
+            raise MalformedDocument(f"checkpoint has no weight {name!r}")
+        try:
+            arr = np.asarray(weights[name], dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise MalformedDocument(f"checkpoint weight {name!r}: {e}") from e
+        if arr.shape != expected.shape:
+            raise MalformedDocument(
+                f"checkpoint weight {name!r} has shape {arr.shape}, expected {expected.shape}"
+            )
+        if not np.isfinite(arr).all():
+            raise MalformedDocument(f"checkpoint weight {name!r} has non-finite values")
+        expected[...] = arr
+    return params

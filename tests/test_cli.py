@@ -202,3 +202,20 @@ class TestErrors:
         tid = dataset.tracks[4].track_id
         assert err.startswith(f"error: track '{tid}' frame 1: non-finite")
         assert "learning rate" not in err
+
+    def test_malformed_checkpoint(self, workspace, capsys):
+        ws = workspace
+        dataset = D.generate(D.GenConfig(taxonomy=TAXONOMY, tracks_total=10,
+                                         frames_min=2, frames_max=3, dim=6, seed=1))
+        D.save_jsonl(dataset, str(ws / "frames.jsonl"))
+        params = M.init_params(TAXONOMY, d_in=6, d1=5, hidden=4, d2=4, seed=1)
+        M.save_checkpoint(params, TAXONOMY, str(ws / "model.json"))
+        doc = json.loads((ws / "model.json").read_text())
+        del doc["weights"]["Wf1"]
+        (ws / "model.json").write_text(json.dumps(doc))
+        assert run(["eval", "--taxonomy", ws / "taxonomy.json",
+                    "--model", ws / "model.json", "--data", ws / "frames.jsonl",
+                    "--out", ws / "report"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'Wf1'" in err
+        assert "Traceback" not in err

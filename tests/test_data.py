@@ -193,3 +193,43 @@ class TestJsonl:
         )
         ds = D.load_jsonl(str(path))
         assert [fr.frame_index for fr in ds.tracks[0].frames] == [0, 1]
+
+    @pytest.mark.parametrize("fields, match", [
+        ('"features":["a",1.0]', "line 2: could not convert"),
+        ('"features":5', "line 2: 'features' must be a flat list"),
+        ('"features":[[0.0],[1.0]]', "line 2: 'features' must be a flat list"),
+        ('"features":null', "line 2"),
+        ('"shallow":[0.1],"deep":{"a":1}', "line 2"),
+        ('"features":[NaN]', "track 't0' frame 1: non-finite values in features on line 2"),
+        ('"shallow":[0.1],"deep":[Infinity]',
+         "track 't0' frame 1: non-finite values in deep on line 2"),
+    ])
+    def test_bad_vector_values(self, tmp_path, fields, match):
+        path = tmp_path / "bad.jsonl"
+        first = ('"shallow":[0.0],"deep":[0.0]' if "shallow" in fields
+                 else '"features":[0.0]')
+        path.write_text(
+            '{"track_id":"t0","frame_index":0,"group":"X","species":"x1",%s}\n'
+            '{"track_id":"t0","frame_index":1,"group":"X","species":"x1",%s}\n'
+            % (first, fields)
+        )
+        with pytest.raises(MalformedRecord, match=match):
+            D.load_jsonl(str(path))
+
+    def test_repeated_frame(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        path.write_text(
+            '{"track_id":"t0","frame_index":0,"group":"X","species":"x1","features":[0.0]}\n'
+            '{"track_id":"t1","frame_index":0,"group":"X","species":"x1","features":[0.0]}\n'
+            '{"track_id":"t0","frame_index":0,"group":"X","species":"x1","features":[1.0]}\n'
+        )
+        with pytest.raises(MalformedRecord, match="line 3: track 't0' repeats frame 0"):
+            D.load_jsonl(str(path))
+
+    def test_unhashable_track_id(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"track_id":["t0"],"frame_index":0,"group":"X","species":"x1","features":[0.0]}\n'
+        )
+        with pytest.raises(MalformedRecord, match="line 1"):
+            D.load_jsonl(str(path))

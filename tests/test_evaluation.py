@@ -8,7 +8,7 @@ from hierfish import data as D
 from hierfish import evaluation as E
 from hierfish import inference as I
 from hierfish import model as M
-from hierfish.errors import EmptyEvalSet
+from hierfish.errors import EmptyEvalSet, TaxonomyMismatch
 from hierfish.taxonomy import Taxonomy
 
 from conftest import make_outputs
@@ -164,6 +164,16 @@ class TestEvaluate:
     def test_empty_eval_set(self, toy_taxonomy):
         with pytest.raises(EmptyEvalSet):
             E.evaluate(None, D.Dataset(tracks=[]), toy_taxonomy, 0.0)
+
+    def test_species_outside_taxonomy(self, toy_taxonomy):
+        params = _random_model(toy_taxonomy, seed=5)
+        ds = _dataset(toy_taxonomy, 16, seed=5)
+        for fr in ds.tracks[3].frames:
+            fr.species = "not-a-species"
+        with pytest.raises(TaxonomyMismatch, match="not-a-species"):
+            E.evaluate(params, ds, toy_taxonomy, 0.0)
+        with pytest.raises(TaxonomyMismatch, match="not-a-species"):
+            E.evaluate_flat(params, ds, toy_taxonomy)
 
 
 def _frac(ds, tax, unit, pred):

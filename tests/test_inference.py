@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -71,9 +73,54 @@ class TestAggregateAvg:
         assert abs(agg.p1.sum() - 1.0) <= 1e-9
         assert abs(agg.p2.sum() - 1.0) <= 1e-9
 
-    def test_empty_track(self):
+    def test_empty_track(self, toy_taxonomy):
         with pytest.raises(EmptyTrack):
             I.TrackScores(frames=[])
+        params, _ = _track_and_model(toy_taxonomy, M.MODE_TRUNK, 1)
+        with pytest.raises(EmptyTrack):
+            I.score_track(params, D.Track(track_id="t0", frames=[]))
+
+
+def _track_and_model(taxonomy, mode, T, seed=17):
+    """A perturbed random model and one T-frame track for `mode`."""
+    params = M.init_params(taxonomy, d_in=6, d1=5, hidden=4, d2=4, seed=seed, mode=mode)
+    rng = np.random.default_rng(seed)
+    for _, arr in params.fields():
+        arr += rng.normal(0, 0.5, arr.shape)
+    frames = []
+    for k in range(T):
+        inputs = ({"features": rng.normal(0, 2, 6)} if mode == M.MODE_TRUNK else
+                  {"shallow": rng.random(5) * 2, "deep": rng.random(4) * 2})
+        frames.append(D.Frame(track_id="t0", frame_index=k, group="A",
+                              species="a1", **inputs))
+    return params, D.Track(track_id="t0", frames=frames)
+
+
+@pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
+@pytest.mark.parametrize("T", [1, 5])
+class TestStackedTrack:
+    def test_score_track_matches_per_frame_forward(self, toy_taxonomy, mode, T):
+        params, track = _track_and_model(toy_taxonomy, mode, T)
+        got = I.score_track(params, track).frames
+        want = I.TrackScores(
+            frames=[M.forward(params, fr.model_input()) for fr in track.frames]).frames
+        pairs = [(got.coarse, want.coarse), (got.joint, want.joint),
+                 *zip(got.fine_local, want.fine_local)]
+        for a, b in pairs:
+            assert a.shape == b.shape and a.shape[0] == T
+            # one GEMM over the frames may round differently from per-frame
+            # products, so values get a tolerance and decisions none
+            assert np.array_equal(a.argmax(axis=-1), b.argmax(axis=-1))
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_select_image_on_stack_matches_per_frame(self, toy_taxonomy, mode, T):
+        params, track = _track_and_model(toy_taxonomy, mode, T)
+        per_frame = [M.forward(params, fr.model_input()) for fr in track.frames]
+        stacked = I.select_image(I.TrackScores(frames=per_frame).frames, toy_taxonomy)
+        for k, out in enumerate(per_frame):
+            one = I.select_image(out, toy_taxonomy)
+            for f in fields(I.ImageSelection):
+                assert getattr(stacked, f.name)[k] == getattr(one, f.name), f.name
 
 
 def _frame_with_argmax(tiny_taxonomy, species, conf):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hierfish import model as M
 from hierfish.errors import (
     DimensionMismatch,
     EmptyInput,
+    MalformedDocument,
     NonFiniteInput,
     TaxonomyMismatch,
 )
@@ -202,3 +205,47 @@ class TestCheckpoint:
         M.save_checkpoint(p, toy_taxonomy, path)
         with pytest.raises(TaxonomyMismatch):
             M.load_checkpoint(path, tiny_taxonomy)
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda doc: doc["weights"].pop("Wf1"), "'Wf1'"),
+        (lambda doc: doc["weights"].pop("bl2"), "'bl2'"),
+        (lambda doc: doc.pop("weights"), "'weights'"),
+        (lambda doc: doc.pop("mode"), "'mode'"),
+        (lambda doc: doc.pop("dims"), "'dims'"),
+        (lambda doc: doc["dims"].pop("d2"), "'dims'"),
+        (lambda doc: doc["dims"].update(d2=-1), "'dims'"),
+        (lambda doc: doc.update(weights=[]), "'weights'"),
+        (lambda doc: doc.update(mode="bogus"), "mode 'bogus'"),
+        (lambda doc: doc["weights"].update(Wc2=[[0.0]]), r"'Wc2' has shape \(1, 1\)"),
+        (lambda doc: doc["weights"].update(b1="x"), "'b1'"),
+        (lambda doc: doc["dims"].update(d1=7), "'W1' has shape"),
+        (lambda doc: doc["weights"]["W2"][1].__setitem__(0, float("nan")),
+         "'W2' has non-finite"),
+        (lambda doc: doc["weights"]["bf0"].__setitem__(0, float("inf")),
+         "'bf0' has non-finite"),
+    ])
+    def test_malformed_checkpoint_names_the_key(self, tmp_path, toy_taxonomy,
+                                                  mutate, match):
+        p = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=9)
+        path = tmp_path / "ckpt.json"
+        M.save_checkpoint(p, toy_taxonomy, str(path))
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedDocument, match=match):
+            M.load_checkpoint(str(path), toy_taxonomy)
+
+    def test_not_an_object(self, tmp_path, toy_taxonomy):
+        path = tmp_path / "ckpt.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(MalformedDocument):
+            M.load_checkpoint(str(path), toy_taxonomy)
+
+    def test_precomputed_round_trip(self, tmp_path, toy_taxonomy):
+        p = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=9,
+                          mode=M.MODE_PRECOMPUTED)
+        path = str(tmp_path / "ckpt.json")
+        M.save_checkpoint(p, toy_taxonomy, path)
+        q = M.load_checkpoint(path, toy_taxonomy)
+        assert q.mode == M.MODE_PRECOMPUTED
+        assert np.array_equal(p.vector, q.vector)
