@@ -2,8 +2,9 @@
 -> evaluate -> report, plus an `ablation` command running every
 configured scheme and emitting one combined results table.
 
-Precedence: command-line flags override config-file values override
-built-in defaults. All randomness derives from one top-level seed.
+Every command takes its settings from `resolve`: command-line flags
+override config-file values override built-in defaults. All randomness
+derives from one seed: `--seed`, else the config's `seed`, else 0.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from . import evaluation as E
 from . import inference as I
 from . import model as M
 from . import training as T
-from .errors import ConfigError, HierfishError
+from .errors import ConfigError, HierfishError, MalformedDocument
 from .taxonomy import Taxonomy, default_taxonomy, load_taxonomy
 
 DEFAULT_SCHEMES = ["baseline", "scheme1", "scheme2", "scheme3"]
 DEFAULT_SPLIT_RATIO = 0.8
+CONFIG_KEYS = ("seed", "split_ratio", "schemes", "gen", "train")
+# the JSON values a field of each type accepts; a bool is no number
+JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def _load_config(path: str | None) -> dict:
@@ -37,75 +41,131 @@ def _load_config(path: str | None) -> dict:
             doc = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:   # invalid JSON or not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = set(doc) - set(CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return doc
 
 
 def _read_taxonomy(path: str | None) -> Taxonomy:
     if path is None:
         return default_taxonomy()
-    with open(path, "r", encoding="utf-8") as f:
-        return load_taxonomy(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return load_taxonomy(f.read())
+    except UnicodeDecodeError as e:
+        raise MalformedDocument(f"taxonomy {path} is not UTF-8: {e}") from e
 
 
-def _gen_config(cfg: dict, taxonomy: Taxonomy, seed: int | None) -> D.GenConfig:
-    section = dict(cfg.get("gen", {}))
-    if seed is not None:
-        section["seed"] = seed
-    allowed = {f.name for f in dataclasses.fields(D.GenConfig)} - {"taxonomy"}
-    unknown = set(section) - allowed
+def _checked(key: str, value, type_name: str):
+    if isinstance(value, bool) or not isinstance(value, JSON_TYPES[type_name]):
+        raise ConfigError(f"config key {key!r} must be of type {type_name}, not {value!r}")
+    return value
+
+
+def _section(cfg: dict, name: str, cls, overrides: dict) -> dict:
+    """The config's `name` object checked against the fields of `cls`
+    (their taxonomy and seed are not config keys), with `overrides` on top."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config key {name!r} must be an object")
+    types = {f.name: getattr(f.type, "__name__", f.type) for f in dataclasses.fields(cls)
+             if f.name not in ("taxonomy", "seed")}
+    unknown = set(section) - set(types)
     if unknown:
-        raise ConfigError(f"unknown gen config keys: {sorted(unknown)}")
-    return D.GenConfig(taxonomy=taxonomy, **section)
+        raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
+    return {**{key: _checked(f"{name}.{key}", value, types[key])
+               for key, value in section.items()}, **overrides}
 
 
-def _train_config(cfg: dict, args) -> T.TrainConfig:
-    section = dict(cfg.get("train", {}))
-    if getattr(args, "scheme", None):
-        section["scheme"] = args.scheme
-    if getattr(args, "epochs", None) is not None:
-        section["epochs"] = args.epochs
-    if getattr(args, "seed", None) is not None:
-        section["seed"] = args.seed
-    allowed = {f.name for f in dataclasses.fields(T.TrainConfig)}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    return T.TrainConfig(**section)
+@dataclasses.dataclass
+class Settings:
+    """What a command runs with, after flag > config > default precedence."""
+    taxonomy: Taxonomy
+    seed: int
+    split_ratio: float
+    schemes: list
+    gen: D.GenConfig
+    train: T.TrainConfig
 
 
-def _write_loss_csv(history, path):
-    with open(path, "w", encoding="utf-8", newline="") as f:
+def resolve(args) -> Settings:
+    """The one settings path of every command."""
+    cfg = _load_config(getattr(args, "config", None))
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    seed = flags.get("seed", _checked("seed", cfg.get("seed", 0), "int"))
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, not {seed}")
+    ratio = flags.get("ratio", _checked("split_ratio",
+                                        cfg.get("split_ratio", DEFAULT_SPLIT_RATIO), "float"))
+    schemes = (flags["schemes"].split(",") if flags.get("schemes")
+               else cfg.get("schemes", DEFAULT_SCHEMES))
+    if not isinstance(schemes, list):
+        raise ConfigError(f"config key 'schemes' must be a list, not {schemes!r}")
+    for scheme in schemes:
+        if scheme not in T.SCHEMES:
+            raise ConfigError(f"unknown scheme {scheme!r}")
+    taxonomy = _read_taxonomy(args.taxonomy)
+    gen = _section(cfg, "gen", D.GenConfig, {})
+    train = _section(cfg, "train", T.TrainConfig,
+                     {key: flags[key] for key in ("scheme", "epochs") if key in flags})
+    return Settings(taxonomy, seed, ratio, schemes, D.GenConfig(taxonomy, seed=seed, **gen),
+                    T.TrainConfig(seed=seed, **train))
+
+
+# one body per stage, shared by the single-stage commands and `run_scheme`
+
+def _train_stage(train_cfg: T.TrainConfig, dataset: D.Dataset, taxonomy: Taxonomy,
+                 out_dir: str):
+    params, history = T.train(train_cfg, dataset, taxonomy)
+    os.makedirs(out_dir, exist_ok=True)
+    M.save_checkpoint(params, taxonomy, os.path.join(out_dir, "model.json"))
+    with open(os.path.join(out_dir, "loss.csv"), "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "mean_loss"])
-        for epoch, loss in enumerate(history):
-            writer.writerow([epoch, repr(loss)])
+        writer.writerows([epoch, repr(loss)] for epoch, loss in enumerate(history))
+    return params, history
+
+
+def _threshold_stage(params, dataset: D.Dataset, taxonomy: Taxonomy, out_dir: str) -> float:
+    tau = I.search_threshold(params, dataset.tracks, taxonomy)
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "threshold.json"), "w", encoding="utf-8") as f:
+        json.dump({"tau": tau}, f)
+    return tau
+
+
+def _eval_stage(params, dataset: D.Dataset, taxonomy: Taxonomy, tau, scheme: str,
+                out_dir: str) -> E.EvalReport:
+    """The baseline is evaluated on its flat head alone."""
+    if scheme == "baseline":
+        report = E.evaluate_flat(params, dataset, taxonomy)
+    else:
+        report = E.evaluate(params, dataset, taxonomy, tau, scheme=scheme)
+    E.write_report(report, out_dir)
+    return report
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_config(args.config)
-    taxonomy = _read_taxonomy(args.taxonomy)
-    gen_cfg = _gen_config(cfg, taxonomy, args.seed)
-    dataset = D.generate(gen_cfg)
+    s = resolve(args)
+    dataset = D.generate(s.gen)
     os.makedirs(args.out, exist_ok=True)
     D.save_jsonl(dataset, os.path.join(args.out, "dataset.jsonl"))
     with open(os.path.join(args.out, "taxonomy.json"), "w", encoding="utf-8") as f:
-        f.write(taxonomy.to_json() + "\n")
+        f.write(s.taxonomy.to_json() + "\n")
     print(f"wrote {len(dataset)} tracks / {dataset.n_frames} frames to {args.out}")
     return 0
 
 
 def cmd_split(args) -> int:
-    cfg = _load_config(args.config)
-    taxonomy = _read_taxonomy(args.taxonomy)
+    s = resolve(args)
     dataset = D.load_jsonl(args.data)
-    D.check_labels(dataset, taxonomy)
-    ratio = args.ratio if args.ratio is not None else cfg.get("split_ratio", DEFAULT_SPLIT_RATIO)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    train, evaln = D.split_by_track(dataset, ratio, seed)
+    D.check_labels(dataset, s.taxonomy)
+    train, evaln = D.split_by_track(dataset, s.split_ratio, s.seed)
     os.makedirs(args.out, exist_ok=True)
     D.save_jsonl(train, os.path.join(args.out, "train.jsonl"))
     D.save_jsonl(evaln, os.path.join(args.out, "eval.jsonl"))
@@ -114,59 +174,41 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    taxonomy = _read_taxonomy(args.taxonomy)
-    train_cfg = _train_config(cfg, args)
+    s = resolve(args)
     dataset = D.load_jsonl(args.data)
-    D.check_labels(dataset, taxonomy)
-    params, history = T.train(train_cfg, dataset, taxonomy)
-    os.makedirs(args.out, exist_ok=True)
-    M.save_checkpoint(params, taxonomy, os.path.join(args.out, "model.json"))
-    _write_loss_csv(history, os.path.join(args.out, "loss.csv"))
+    D.check_labels(dataset, s.taxonomy)
+    _, history = _train_stage(s.train, dataset, s.taxonomy, args.out)
     final = f"{history[-1]:.4f}" if history else "n/a"
-    print(f"trained {train_cfg.scheme} for {train_cfg.epochs} epochs, final loss {final}")
+    print(f"trained {s.train.scheme} for {s.train.epochs} epochs, final loss {final}")
     return 0
 
 
 def cmd_search_threshold(args) -> int:
-    taxonomy = _read_taxonomy(args.taxonomy)
+    taxonomy = resolve(args).taxonomy
     params = M.load_checkpoint(args.model, taxonomy)
     dataset = D.load_jsonl(args.data)
     D.check_labels(dataset, taxonomy)
-    tau = I.search_threshold(params, dataset.tracks, taxonomy)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "threshold.json"), "w", encoding="utf-8") as f:
-        json.dump({"tau": tau}, f)
-    print(f"tau = {tau!r}")
+    print(f"tau = {_threshold_stage(params, dataset, taxonomy, args.out)!r}")
     return 0
 
 
-def _resolve_threshold(args) -> float:
-    if args.threshold is not None:
-        return args.threshold
-    return 0.0
-
-
 def cmd_eval(args) -> int:
-    taxonomy = _read_taxonomy(args.taxonomy)
-    params = M.load_checkpoint(args.model, taxonomy)
+    s = resolve(args)
+    params = M.load_checkpoint(args.model, s.taxonomy)
     dataset = D.load_jsonl(args.data)
-    D.check_labels(dataset, taxonomy)
-    tau = _resolve_threshold(args)
-    report = E.evaluate(params, dataset, taxonomy, tau, scheme=args.scheme or "scheme3")
-    E.write_report(report, args.out)
+    D.check_labels(dataset, s.taxonomy)
+    report = _eval_stage(params, dataset, s.taxonomy, args.threshold, s.train.scheme, args.out)
     for row in E.table_rows(report):
         print(",".join(row))
     return 0
 
 
 def cmd_infer(args) -> int:
-    taxonomy = _read_taxonomy(args.taxonomy)
+    taxonomy = resolve(args).taxonomy
     params = M.load_checkpoint(args.model, taxonomy)
     dataset = D.load_jsonl(args.data)
     D.check_labels(dataset, taxonomy)
-    tau = _resolve_threshold(args)
-    unit = args.unit
+    tau, unit = args.threshold, args.unit
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "predictions.jsonl")
     with open(out_path, "w", encoding="utf-8") as f:
@@ -199,44 +241,20 @@ def run_scheme(scheme: str, train_split: D.Dataset, eval_split: D.Dataset,
                out_dir: str) -> E.EvalReport:
     """Train one scheme, search its threshold, evaluate, write artifacts."""
     cfg = dataclasses.replace(train_cfg, scheme=scheme)
-    params, history = T.train(cfg, train_split, taxonomy)
-    os.makedirs(out_dir, exist_ok=True)
-    M.save_checkpoint(params, taxonomy, os.path.join(out_dir, "model.json"))
-    _write_loss_csv(history, os.path.join(out_dir, "loss.csv"))
-    if scheme == "baseline":
-        report = E.evaluate_flat(params, eval_split, taxonomy)
-    else:
-        tau = I.search_threshold(params, eval_split.tracks, taxonomy)
-        with open(os.path.join(out_dir, "threshold.json"), "w", encoding="utf-8") as f:
-            json.dump({"tau": tau}, f)
-        report = E.evaluate(params, eval_split, taxonomy, tau, scheme=scheme)
-    E.write_report(report, out_dir)
-    return report
+    params, _ = _train_stage(cfg, train_split, taxonomy, out_dir)
+    tau = None if scheme == "baseline" else _threshold_stage(params, eval_split, taxonomy,
+                                                             out_dir)
+    return _eval_stage(params, eval_split, taxonomy, tau, scheme, out_dir)
 
 
 def cmd_ablation(args) -> int:
-    cfg = _load_config(args.config)
-    taxonomy = _read_taxonomy(args.taxonomy)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    schemes = args.schemes.split(",") if args.schemes else cfg.get("schemes", DEFAULT_SCHEMES)
-    for scheme in schemes:
-        if scheme not in T.SCHEMES:
-            raise ConfigError(f"unknown scheme {scheme!r}")
-    gen_cfg = _gen_config(cfg, taxonomy, seed)
-    dataset = D.generate(gen_cfg)
-    ratio = cfg.get("split_ratio", DEFAULT_SPLIT_RATIO)
-    train_split, eval_split = D.split_by_track(dataset, ratio, seed)
-    section = dict(cfg.get("train", {}))
-    section["seed"] = seed
-    if args.epochs is not None:
-        section["epochs"] = args.epochs
-    train_cfg = T.TrainConfig(**section)
+    s = resolve(args)
+    dataset = D.generate(s.gen)
+    train_split, eval_split = D.split_by_track(dataset, s.split_ratio, s.seed)
     os.makedirs(args.out, exist_ok=True)
-    reports = []
-    for scheme in schemes:
-        report = run_scheme(scheme, train_split, eval_split, taxonomy,
-                            train_cfg, os.path.join(args.out, scheme))
-        reports.append(report)
+    reports = [run_scheme(scheme, train_split, eval_split, s.taxonomy, s.train,
+                          os.path.join(args.out, scheme))
+               for scheme in s.schemes]
     E.write_table_csv(reports, os.path.join(args.out, "ablation_table.csv"))
     for report in reports:
         for row in E.table_rows(report):
@@ -252,17 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, data=False, model=False, threshold=False):
-        p.add_argument("--config", default=None, help="JSON config file")
+        if not model:   # a command reading a checkpoint draws no random numbers
+            p.add_argument("--config", default=None, help="JSON config file")
+            p.add_argument("--seed", type=int, default=None,
+                           help="default: the config's seed, else 0")
         p.add_argument("--taxonomy", default=None,
                        help="taxonomy JSON (default: built-in 6/31 taxonomy)")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=True, help="output directory")
         if data:
             p.add_argument("--data", required=True, help="frames JSONL")
         if model:
             p.add_argument("--model", required=True, help="model checkpoint JSON")
         if threshold:
-            p.add_argument("--threshold", type=float, default=None)
+            p.add_argument("--threshold", type=float, default=0.0)
 
     common(sub.add_parser("gen", help="generate a synthetic dataset"))
 

@@ -25,10 +25,8 @@ from .errors import (
     MalformedRecord,
     SpeciesTooSmall,
 )
+from .model import MODE_PRECOMPUTED, MODE_TRUNK
 from .taxonomy import Taxonomy
-
-MODE_FEATURES = "features"        # raw vectors, fed to the trunk
-MODE_PRECOMPUTED = "precomputed"  # (shallow, deep) pairs, trunk bypassed
 
 
 @dataclass
@@ -77,7 +75,7 @@ class Track:
 @dataclass
 class Dataset:
     tracks: list[Track]
-    mode: str = MODE_FEATURES
+    mode: str = MODE_TRUNK   # raw feature vectors; MODE_PRECOMPUTED: (shallow, deep) pairs
 
     def frames(self):
         for t in self.tracks:
@@ -138,6 +136,8 @@ def generate(config: GenConfig) -> Dataset:
     tax = config.taxonomy
     if config.frames_min < 1 or config.frames_max < config.frames_min:
         raise InfeasibleConfig("bad frames_per_track range")
+    if config.dim < 1:
+        raise InfeasibleConfig(f"dim={config.dim} < 1")
     counts = species_track_counts(config)
     rng = np.random.default_rng([config.seed, 100])
     dim = config.dim
@@ -168,7 +168,7 @@ def generate(config: GenConfig) -> Dataset:
                     )
                 )
             tracks.append(Track(track_id=track_id, frames=frames))
-    return Dataset(tracks=tracks, mode=MODE_FEATURES)
+    return Dataset(tracks=tracks, mode=MODE_TRUNK)
 
 
 def split_by_track(
@@ -243,6 +243,11 @@ def _vector(rec: dict, key: str, frame: Frame, lineno: int) -> np.ndarray:
     return vec
 
 
+# the JSON type each label field of a frame record must have
+_LABEL_TYPES = {"track_id": (str, "a string"), "frame_index": (int, "an integer"),
+                "group": (str, "a string"), "species": (str, "a string")}
+
+
 def load_jsonl(path: str) -> Dataset:
     frames_by_track: dict[str, list[Frame]] = {}   # in first-seen order
     mode = None
@@ -257,15 +262,20 @@ def load_jsonl(path: str) -> Dataset:
             except json.JSONDecodeError as e:
                 raise MalformedRecord(f"line {lineno}: invalid JSON: {e}") from e
             try:
+                for key, (kind, name) in _LABEL_TYPES.items():
+                    if type(rec[key]) is not kind:   # a bool is no integer
+                        raise MalformedRecord(
+                            f"line {lineno}: {key} must be {name}, not {rec[key]!r}"
+                        )
                 frame = Frame(
                     track_id=rec["track_id"],
-                    frame_index=int(rec["frame_index"]),
+                    frame_index=rec["frame_index"],
                     group=rec["group"],
                     species=rec["species"],
                 )
                 if "features" in rec:
                     frame.features = _vector(rec, "features", frame, lineno)
-                    rec_mode = MODE_FEATURES
+                    rec_mode = MODE_TRUNK
                     rec_dims = (frame.features.shape[0],)
                 elif "shallow" in rec and "deep" in rec:
                     frame.shallow = _vector(rec, "shallow", frame, lineno)
@@ -276,8 +286,7 @@ def load_jsonl(path: str) -> Dataset:
                     raise MalformedRecord(
                         f"line {lineno}: needs 'features' or 'shallow'+'deep'"
                     )
-                prev = frames_by_track.get(frame.track_id)   # TypeError if unhashable
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise MalformedRecord(f"line {lineno}: {e}") from e
             if mode is None:
                 mode, dims = rec_mode, rec_dims
@@ -287,6 +296,7 @@ def load_jsonl(path: str) -> Dataset:
                     f"disagrees with {mode}{dims}"
                 )
             tid = frame.track_id
+            prev = frames_by_track.get(tid)
             if prev is None:
                 prev = frames_by_track[tid] = []
             if prev and (prev[0].group != frame.group or prev[0].species != frame.species):
@@ -305,7 +315,7 @@ def load_jsonl(path: str) -> Dataset:
         Track(track_id=tid, frames=sorted(frames, key=lambda fr: fr.frame_index))
         for tid, frames in frames_by_track.items()
     ]
-    return Dataset(tracks=tracks, mode=mode or MODE_FEATURES)
+    return Dataset(tracks=tracks, mode=mode or MODE_TRUNK)
 
 
 def check_labels(dataset: Dataset, taxonomy: Taxonomy) -> None:

@@ -312,14 +312,27 @@ def save_checkpoint(params: ModelParams, taxonomy: Taxonomy, path: str) -> None:
 DIM_KEYS = ("d_in", "d1", "hidden", "d2")
 
 
+def weight_shapes(taxonomy: Taxonomy, d_in: int, d1: int, hidden: int, d2: int) -> dict:
+    """Checkpoint name -> shape of every weight `init_params` builds for
+    these dims, in `ModelParams.fields()` order."""
+    G, S = taxonomy.G, taxonomy.S
+    shapes = {"W1": (d_in, d1), "b1": (d1,), "W2": (d1, d2), "b2": (d2,),
+              "Wc1": (d1, hidden), "bc1": (hidden,), "Wc2": (hidden, G), "bc2": (G,),
+              "Wl1": (d2, hidden), "bl1": (hidden,), "Wl2": (hidden, S), "bl2": (S,)}
+    shapes.update({f"Wf{g}": (d2, n) for g, n in enumerate(taxonomy.group_sizes)})
+    shapes.update({f"bf{g}": (n,) for g, n in enumerate(taxonomy.group_sizes)})
+    return shapes
+
+
 def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
     """Read a checkpoint, checking it against the network its mode, dims
     and the taxonomy describe: every weight present, of the shape
-    `init_params` builds, and finite."""
+    `init_params` builds, and finite. Nothing is allocated beyond the
+    document's own weights, whatever its dims claim."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:   # invalid JSON or not UTF-8
             raise MalformedDocument(f"invalid checkpoint JSON: {e}") from e
     if not isinstance(doc, dict):
         raise MalformedDocument("checkpoint must hold a JSON object")
@@ -328,7 +341,7 @@ def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
     for key in ("mode", "dims", "weights"):
         if key not in doc:
             raise MalformedDocument(f"checkpoint has no {key!r}")
-    dims, weights = doc["dims"], doc["weights"]
+    mode, dims, weights = doc["mode"], doc["dims"], doc["weights"]
     if not (isinstance(dims, dict) and sorted(dims) == sorted(DIM_KEYS)
             and all(type(v) is int and v > 0 for v in dims.values())):
         raise MalformedDocument(
@@ -336,20 +349,23 @@ def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
         )
     if not isinstance(weights, dict):
         raise MalformedDocument("checkpoint 'weights' must be an object")
-    params = init_params(taxonomy, **dims, mode=doc["mode"])
-    for key, expected in params.fields():
-        name = _weight_name(key)
+    if mode not in (MODE_TRUNK, MODE_PRECOMPUTED):
+        raise MalformedDocument(f"unknown mode {mode!r}")
+    arrays = {}
+    for name, shape in weight_shapes(taxonomy, **dims).items():
         if name not in weights:
             raise MalformedDocument(f"checkpoint has no weight {name!r}")
         try:
             arr = np.asarray(weights[name], dtype=np.float64)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise MalformedDocument(f"checkpoint weight {name!r}: {e}") from e
-        if arr.shape != expected.shape:
+        if arr.shape != shape:
             raise MalformedDocument(
-                f"checkpoint weight {name!r} has shape {arr.shape}, expected {expected.shape}"
+                f"checkpoint weight {name!r} has shape {arr.shape}, expected {shape}"
             )
         if not np.isfinite(arr).all():
             raise MalformedDocument(f"checkpoint weight {name!r} has non-finite values")
-        expected[...] = arr
-    return params
+        arrays[name] = arr
+    G = taxonomy.G
+    return ModelParams(mode=mode, Wf=[arrays.pop(f"Wf{g}") for g in range(G)],
+                       bf=[arrays.pop(f"bf{g}") for g in range(G)], **arrays)

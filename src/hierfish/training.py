@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .data import MODE_FEATURES, MODE_PRECOMPUTED, Dataset
+from .data import Dataset
 from .errors import (
     DimensionMismatch,
     DivergedTraining,
@@ -62,8 +62,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
-    mode: str = MODE_FEATURES
-    d_in: int = 32
     d1: int = 24
     hidden: int = 24
     d2: int = 16
@@ -77,8 +75,6 @@ class TrainConfig:
             raise MalformedDocument("momentum must be in [0, 1)")
         if self.epochs < 0 or self.batch_size < 1:
             raise MalformedDocument("bad epochs/batch_size")
-        if self.mode not in (MODE_FEATURES, MODE_PRECOMPUTED):
-            raise MalformedDocument(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -260,13 +256,10 @@ def _stage(frames, mode: str, taxonomy: Taxonomy):
     """Validate every frame once and return (columns, y1, y2, local).
 
     `columns` holds one list of per-frame float64 vectors per model
-    input: (features,) in features mode, (shallow, deep) in precomputed
+    input: (features,) in trunk mode, (shallow, deep) in precomputed
     mode.
     """
-    if mode == MODE_FEATURES:
-        attrs, other = ("features",), MODE_PRECOMPUTED
-    else:
-        attrs, other = ("shallow", "deep"), MODE_FEATURES
+    attrs = ("features",) if mode == M.MODE_TRUNK else ("shallow", "deep")
     columns = tuple([] for _ in attrs)
     n = len(frames)
     y1 = np.empty(n, dtype=np.intp)
@@ -283,8 +276,7 @@ def _stage(frames, mode: str, taxonomy: Taxonomy):
             value = getattr(fr, attr)
             if value is None:
                 raise DimensionMismatch(
-                    f"{_where(fr)}: no {attr} vector, which train mode {mode!r} "
-                    f"needs; this data needs train mode {other!r}"
+                    f"{_where(fr)}: no {attr} vector, which a {mode!r} dataset needs"
                 )
             vec = np.asarray(value, dtype=np.float64)
             if vec.ndim != 1 or (column and vec.shape != column[0].shape):
@@ -309,21 +301,21 @@ def train(config: TrainConfig, train_split: Dataset,
           taxonomy: Taxonomy) -> tuple[ModelParams, list[float]]:
     """Image-based mini-batch SGD with momentum; deterministic for a seed.
 
-    Returns the trained parameters and the per-epoch mean training loss.
+    The data decides the network's input side: `train_split.mode` picks
+    trunk or precomputed mode, and the frames' widths set d_in (trunk)
+    or d1 and d2 (precomputed). Returns the trained parameters and the
+    per-epoch mean training loss.
     """
     frames = list(train_split.frames())
     if not frames:
         raise EmptyDataset("train split has no frames")
-    columns, y1, y2, local = _stage(frames, config.mode, taxonomy)
-    if config.mode == MODE_PRECOMPUTED:
-        params = M.init_params(taxonomy, d_in=config.d_in,
-                               d1=columns[0][0].shape[0], hidden=config.hidden,
-                               d2=columns[1][0].shape[0],
-                               seed=config.seed, mode=M.MODE_PRECOMPUTED)
-    else:
-        params = M.init_params(taxonomy, d_in=columns[0][0].shape[0], d1=config.d1,
-                               hidden=config.hidden, d2=config.d2,
-                               seed=config.seed, mode=M.MODE_TRUNK)
+    mode = train_split.mode
+    columns, y1, y2, local = _stage(frames, mode, taxonomy)
+    widths = [column[0].shape[0] for column in columns]
+    dims = (dict(d_in=widths[0], d1=config.d1, d2=config.d2) if mode == M.MODE_TRUNK
+            else dict(d1=widths[0], d2=widths[1]))
+    params = M.init_params(taxonomy, hidden=config.hidden, seed=config.seed,
+                           mode=mode, **dims)
     grads = params.zeros_like()
     velocity = np.zeros_like(params.vector)
     n = len(frames)

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierfish import cli
 from hierfish import data as D
@@ -126,6 +130,28 @@ class TestPipeline:
         for key, arr in ref.fields():
             assert np.array_equal(arr, got.get(key))
 
+    def test_seed_rule(self, workspace):
+        """--seed, else the config's top-level seed, else 0, for gen and train."""
+        ws = workspace
+        cfg = {**SMALL_CONFIG, "seed": 7}
+        (ws / "seeded.json").write_text(json.dumps(cfg))
+        del cfg["seed"]
+        (ws / "unseeded.json").write_text(json.dumps(cfg))
+        tax = ws / "taxonomy.json"
+        outs = {}
+        for name, args in [("config", ["--config", ws / "seeded.json"]),
+                           ("flag", ["--config", ws / "unseeded.json", "--seed", 7]),
+                           ("flag_wins", ["--config", ws / "seeded.json", "--seed", 0]),
+                           ("default", ["--config", ws / "unseeded.json"])]:
+            assert run(["gen", *args, "--taxonomy", tax, "--out", ws / name]) == 0
+            assert run(["train", *args, "--taxonomy", tax, "--out", ws / name,
+                        "--data", ws / name / "dataset.jsonl"]) == 0
+            outs[name] = [(ws / name / f).read_bytes() for f in ("dataset.jsonl", "model.json")]
+        assert outs["config"] == outs["flag"]
+        assert outs["flag_wins"] == outs["default"]
+        assert outs["config"][0] != outs["default"][0]
+        assert outs["config"][1] != outs["default"][1]
+
 
 def _tree_bytes(root):
     out = {}
@@ -181,17 +207,25 @@ class TestErrors:
                     "--taxonomy", ws / "taxonomy.json",
                     "--data", ws / "frames.jsonl", "--out", ws / "run"])
 
-    def test_precomputed_data_in_features_mode(self, workspace, capsys):
-        rng = np.random.default_rng(0)
-        frames = [D.Frame(track_id=f"t{k}", frame_index=0, group="A", species="a1",
-                          shallow=rng.normal(size=5), deep=rng.normal(size=4))
-                  for k in range(3)]
-        dataset = D.Dataset(tracks=[D.Track(fr.track_id, [fr]) for fr in frames],
-                            mode=D.MODE_PRECOMPUTED)
-        assert self._train_on(workspace, dataset) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "'features'" in err and "'precomputed'" in err
+    def test_precomputed_data_without_config(self, workspace):
+        """The data sets the input layout: precomputed pairs train and
+        evaluate with no config."""
+        ws = workspace
+        raw = D.generate(D.GenConfig(taxonomy=TAXONOMY, tracks_total=10,
+                                     frames_min=2, frames_max=3, dim=6, seed=1))
+        probe = M.init_params(TAXONOMY, d_in=6, d1=5, hidden=4, d2=3, seed=2)
+        for fr in raw.frames():
+            _, fr.shallow, _, fr.deep = M.trunk_features(probe, fr.features)
+            fr.features = None
+        D.save_jsonl(raw, str(ws / "frames.jsonl"))
+        common = ["--taxonomy", ws / "taxonomy.json", "--data", ws / "frames.jsonl"]
+        assert run(["train", *common, "--epochs", 2, "--out", ws / "run"]) == 0
+        params = M.load_checkpoint(str(ws / "run" / "model.json"), TAXONOMY)
+        assert params.mode == M.MODE_PRECOMPUTED
+        assert (params.d1, params.d2) == (5, 3)
+        assert run(["eval", *common, "--model", ws / "run" / "model.json",
+                    "--out", ws / "report"]) == 0
+        assert (ws / "report" / "report.json").exists()
 
     def test_nan_feature(self, workspace, capsys):
         dataset = D.generate(D.GenConfig(taxonomy=TAXONOMY, tracks_total=10,
@@ -219,3 +253,92 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'Wf1'" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config, match", [
+    ("gen", {"gen": {"tracks_total": "70"}}, "'gen.tracks_total' must be of type int"),
+    ("gen", {"gen": {"sigma_frame": "3"}}, "'gen.sigma_frame' must be of type float"),
+    ("gen", {"gen": []}, "'gen' must be an object"),
+    ("gen", {"gen": {"dim": 0}}, "dim=0 < 1"),
+    ("train", {"train": {"epochs": "2"}}, "'train.epochs' must be of type int"),
+    ("train", {"train": {"batch_size": True}}, "'train.batch_size' must be of type int"),
+    ("train", {"train": {"scheme": 3}}, "'train.scheme' must be of type str"),
+    ("ablation", {"split_ratio": "0.8"}, "'split_ratio' must be of type float"),
+    ("ablation", {"train": {"bogus": 3}}, "unknown train config keys: ['bogus']"),
+    ("ablation", {"seed": "3"}, "'seed' must be of type int"),
+    ("ablation", {"seed": True}, "'seed' must be of type int"),
+    ("ablation", {"seed": -1}, "seed must be >= 0"),
+    ("ablation", {"schemes": "scheme1"}, "'schemes' must be a list"),
+    ("split", {"split_ration": 0.5}, "unknown config keys: ['split_ration']"),
+    # keys that the data or the seed rule now decide
+    ("train", {"train": {"mode": "precomputed"}}, "unknown train config keys: ['mode']"),
+    ("train", {"train": {"d_in": 6}}, "unknown train config keys: ['d_in']"),
+    ("train", {"train": {"seed": 4}}, "unknown train config keys: ['seed']"),
+    ("gen", {"gen": {"seed": 4}}, "unknown gen config keys: ['seed']"),
+    ("gen", b"\xff{}", "is not valid JSON"),
+    ("gen", "taxonomy", "is not UTF-8"),
+])
+def test_malformed_config_is_an_error(workspace, capsys, command, config, match):
+    ws = workspace
+    cfg, tax = ws / "config.json", ws / "taxonomy.json"
+    if config == "taxonomy":
+        tax.write_bytes(b"\xff" + tax.read_bytes())
+    elif isinstance(config, bytes):
+        cfg.write_bytes(config)
+    else:
+        cfg.write_text(json.dumps(config))
+    data = ["--data", ws / "nope.jsonl"] if command in ("split", "train") else []
+    assert run([command, "--config", cfg, "--taxonomy", tax, *data,
+                "--out", ws / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["search-threshold", "eval", "infer"])
+@pytest.mark.parametrize("flag", [["--seed", 3], ["--config", "/nonexistent.json"]])
+def test_checkpoint_commands_take_no_settings_flags(workspace, capsys, command, flag):
+    ws = workspace
+    with pytest.raises(SystemExit) as exit_:
+        run([command, "--model", ws / "m.json", "--data", ws / "d.jsonl",
+             *flag, "--out", ws / "out"])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+# one valid JSONL file: 2 species x 2 tracks x 2 frames
+FUZZ_LINES = [
+    {"track_id": f"t{k}", "frame_index": i, "group": group, "species": species,
+     "features": [0.5 * k, -0.25 * i]}
+    for k, (group, species) in enumerate([("A", "a1"), ("A", "a1"), ("B", "b1"), ("B", "b1")])
+    for i in range(2)
+]
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=10**300)
+                | st.floats() | st.text(max_size=4))
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+                        st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2))
+
+
+@given(line=st.integers(0, len(FUZZ_LINES) - 1),
+       field=st.sampled_from(sorted(FUZZ_LINES[0])),
+       value=st.just(None) | st.tuples(JSON_VALUES))   # None drops the field
+@settings(max_examples=150, deadline=None)
+def test_split_on_fuzzed_jsonl(tmp_path_factory, line, field, value):
+    ws = tmp_path_factory.getbasetemp() / "fuzz"
+    ws.mkdir(exist_ok=True)
+    (ws / "taxonomy.json").write_text(TAXONOMY.to_json())
+    records = [dict(rec) for rec in FUZZ_LINES]
+    if value is None:
+        del records[line][field]
+    else:
+        records[line][field] = value[0]
+    (ws / "frames.jsonl").write_text(
+        "".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run(["split", "--taxonomy", ws / "taxonomy.json",
+                  "--data", ws / "frames.jsonl", "--out", ws / "out"])
+    assert rc in (0, 1)
+    if rc == 1:
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hierfish import data as D
+from hierfish import model as M
 from hierfish.errors import (
     DimensionMismatch,
     InconsistentLabels,
@@ -176,11 +177,11 @@ class TestJsonl:
                     shallow=np.array([0.1, 0.2]), deep=np.array([0.3])),
         ]
         ds = D.Dataset(tracks=[D.Track(track_id="t0", frames=frames)],
-                       mode=D.MODE_PRECOMPUTED)
+                       mode=M.MODE_PRECOMPUTED)
         path = str(tmp_path / "p.jsonl")
         D.save_jsonl(ds, path)
         loaded = D.load_jsonl(path)
-        assert loaded.mode == D.MODE_PRECOMPUTED
+        assert loaded.mode == M.MODE_PRECOMPUTED
         fr = loaded.tracks[0].frames[0]
         assert np.array_equal(fr.shallow, [0.1, 0.2])
         assert np.array_equal(fr.deep, [0.3])
@@ -203,6 +204,9 @@ class TestJsonl:
         ('"features":[NaN]', "track 't0' frame 1: non-finite values in features on line 2"),
         ('"shallow":[0.1],"deep":[Infinity]',
          "track 't0' frame 1: non-finite values in deep on line 2"),
+        ('"features":[0.0],"frame_index":1.7', "line 2: frame_index must be an integer, not 1.7"),
+        ('"features":[0.0],"frame_index":"2"', "line 2: frame_index must be an integer, not '2'"),
+        ('"features":[0.0],"frame_index":true', "line 2: frame_index must be an integer, not True"),
     ])
     def test_bad_vector_values(self, tmp_path, fields, match):
         path = tmp_path / "bad.jsonl"

@@ -235,6 +235,27 @@ class TestCheckpoint:
         with pytest.raises(MalformedDocument, match=match):
             M.load_checkpoint(str(path), toy_taxonomy)
 
+    def test_absurd_dims_allocate_nothing(self, tmp_path, toy_taxonomy, monkeypatch):
+        p = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=9)
+        path = tmp_path / "ckpt.json"
+        M.save_checkpoint(p, toy_taxonomy, str(path))
+        doc = json.loads(path.read_text())
+        doc["dims"]["d_in"] = 10**9
+        path.write_text(json.dumps(doc))
+
+        def no_template(*args, **kwargs):
+            raise AssertionError("load_checkpoint built an init_params template")
+
+        monkeypatch.setattr(M, "init_params", no_template)
+        with pytest.raises(MalformedDocument, match=r"'W1' has shape \(5, 4\)"):
+            M.load_checkpoint(str(path), toy_taxonomy)
+
+    def test_weight_shapes_match_init_params(self, toy_taxonomy):
+        dims = dict(d_in=5, d1=4, hidden=3, d2=2)
+        p = M.init_params(toy_taxonomy, **dims, seed=0)
+        assert list(M.weight_shapes(toy_taxonomy, **dims).items()) == [
+            (M._weight_name(key), arr.shape) for key, arr in p.fields()]
+
     def test_not_an_object(self, tmp_path, toy_taxonomy):
         path = tmp_path / "ckpt.json"
         path.write_text("[1, 2]")

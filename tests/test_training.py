@@ -178,7 +178,7 @@ def _tiny_dataset(taxonomy, seed=0, tracks=30):
 class TestTrain:
     def test_zero_epochs_returns_seeded_init(self, toy_taxonomy):
         ds = _tiny_dataset(toy_taxonomy)
-        cfg = T.TrainConfig(epochs=0, seed=4, d_in=6, d1=4, hidden=4, d2=3)
+        cfg = T.TrainConfig(epochs=0, seed=4, d1=4, hidden=4, d2=3)
         params, history = T.train(cfg, ds, toy_taxonomy)
         assert history == []
         ref = M.init_params(toy_taxonomy, d_in=6, d1=4, hidden=4, d2=3, seed=4)
@@ -213,7 +213,7 @@ class TestTrain:
 
     def test_precomputed_mode(self, toy_taxonomy):
         ds = _precomputed_dataset(toy_taxonomy)
-        cfg = T.TrainConfig(epochs=2, seed=0, mode=D.MODE_PRECOMPUTED, hidden=4)
+        cfg = T.TrainConfig(epochs=2, seed=0, hidden=4)
         params, history = T.train(cfg, ds, toy_taxonomy)
         assert params.mode == M.MODE_PRECOMPUTED
         assert len(history) == 2
@@ -232,22 +232,24 @@ class TestTrain:
         ds = _precomputed_dataset(toy_taxonomy)
         frame = ds.tracks[0].frames[0]
         frame.deep[0] = np.inf
-        cfg = T.TrainConfig(epochs=1, seed=0, mode=D.MODE_PRECOMPUTED, hidden=4)
+        cfg = T.TrainConfig(epochs=1, seed=0, hidden=4)
         with pytest.raises(NonFiniteInput, match="non-finite values in deep"):
             T.train(cfg, ds, toy_taxonomy)
 
-    @pytest.mark.parametrize("data_mode, train_mode", [
-        (D.MODE_PRECOMPUTED, D.MODE_FEATURES),
-        (D.MODE_FEATURES, D.MODE_PRECOMPUTED),
+    @pytest.mark.parametrize("data, mode", [
+        ("precomputed", M.MODE_TRUNK),
+        ("features", M.MODE_PRECOMPUTED),
     ])
-    def test_data_in_the_other_mode(self, toy_taxonomy, data_mode, train_mode):
-        ds = (_precomputed_dataset(toy_taxonomy) if data_mode == D.MODE_PRECOMPUTED
-              else _tiny_dataset(toy_taxonomy))
-        cfg = T.TrainConfig(epochs=1, seed=0, mode=train_mode, d1=4, hidden=4, d2=3)
+    def test_data_in_the_other_mode(self, toy_taxonomy, data, mode):
+        """A Dataset.mode that disagrees with its frames names the frame."""
+        ds = _dataset(toy_taxonomy, data)
+        ds.mode = mode
+        frame = ds.tracks[0].frames[0]
+        cfg = T.TrainConfig(epochs=1, seed=0, d1=4, hidden=4, d2=3)
         with pytest.raises(DimensionMismatch) as err:
             T.train(cfg, ds, toy_taxonomy)
-        assert D.MODE_FEATURES in str(err.value)
-        assert D.MODE_PRECOMPUTED in str(err.value)
+        assert f"track '{frame.track_id}' frame {frame.frame_index}" in str(err.value)
+        assert repr(mode) in str(err.value)
 
     def test_ragged_feature_dims(self, toy_taxonomy):
         ds = _tiny_dataset(toy_taxonomy)
@@ -277,7 +279,13 @@ def _precomputed_dataset(taxonomy):
                                   group=fr.group, species=fr.species,
                                   shallow=sh, deep=dp))
         tracks.append(D.Track(track_id=t.track_id, frames=frames))
-    return D.Dataset(tracks=tracks, mode=D.MODE_PRECOMPUTED)
+    return D.Dataset(tracks=tracks, mode=M.MODE_PRECOMPUTED)
+
+
+def _dataset(taxonomy, data):
+    """The tiny dataset as raw "features" or as "precomputed" pairs."""
+    return (_precomputed_dataset(taxonomy) if data == "precomputed"
+            else _tiny_dataset(taxonomy))
 
 
 def _reference_train(cfg, ds, taxonomy):
@@ -290,8 +298,8 @@ def _reference_train(cfg, ds, taxonomy):
         for fr in ds.frames()
     ]
     first = examples[0].features
-    if cfg.mode == D.MODE_PRECOMPUTED:
-        params = M.init_params(taxonomy, d_in=cfg.d_in, d1=first[0].shape[0],
+    if ds.mode == M.MODE_PRECOMPUTED:
+        params = M.init_params(taxonomy, d1=first[0].shape[0],
                                hidden=cfg.hidden, d2=first[1].shape[0],
                                seed=cfg.seed, mode=M.MODE_PRECOMPUTED)
     else:
@@ -317,11 +325,10 @@ def _reference_train(cfg, ds, taxonomy):
 
 
 @pytest.mark.parametrize("scheme", T.SCHEMES)
-@pytest.mark.parametrize("mode", [D.MODE_FEATURES, D.MODE_PRECOMPUTED])
-def test_train_is_bit_identical_to_reference_loop(toy_taxonomy, scheme, mode):
-    ds = (_precomputed_dataset(toy_taxonomy) if mode == D.MODE_PRECOMPUTED
-          else _tiny_dataset(toy_taxonomy))
-    cfg = T.TrainConfig(scheme=scheme, epochs=3, batch_size=7, seed=5, mode=mode,
+@pytest.mark.parametrize("data", ["features", "precomputed"])
+def test_train_is_bit_identical_to_reference_loop(toy_taxonomy, scheme, data):
+    ds = _dataset(toy_taxonomy, data)
+    cfg = T.TrainConfig(scheme=scheme, epochs=3, batch_size=7, seed=5,
                         d1=4, hidden=4, d2=3)
     assert ds.n_frames % cfg.batch_size != 0  # the last batch is ragged
     params, history = T.train(cfg, ds, toy_taxonomy)
