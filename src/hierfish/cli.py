@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -106,9 +107,11 @@ def resolve(args) -> Settings:
                else cfg.get("schemes", DEFAULT_SCHEMES))
     if not isinstance(schemes, list):
         raise ConfigError(f"config key 'schemes' must be a list, not {schemes!r}")
-    for scheme in schemes:
+    for k, scheme in enumerate(schemes):
         if scheme not in T.SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}")
+        if scheme in schemes[:k]:
+            raise ConfigError(f"scheme {scheme!r} is listed twice")
     taxonomy = _read_taxonomy(args.taxonomy)
     gen = _section(cfg, "gen", D.GenConfig, {})
     train = _section(cfg, "train", T.TrainConfig,
@@ -252,9 +255,24 @@ def cmd_ablation(args) -> int:
     dataset = D.generate(s.gen)
     train_split, eval_split = D.split_by_track(dataset, s.split_ratio, s.seed)
     os.makedirs(args.out, exist_ok=True)
-    reports = [run_scheme(scheme, train_split, eval_split, s.taxonomy, s.train,
-                          os.path.join(args.out, scheme))
-               for scheme in s.schemes]
+    # a scheme whose loss an earlier one already trained gets that run's
+    # files and report: the training, threshold and scores are the same
+    first = {}   # loss -> (scheme, report) of its first run
+    reports = []
+    for scheme in s.schemes:
+        out_dir = os.path.join(args.out, scheme)
+        loss = T.LOSSES[scheme]
+        if loss in first:
+            done, report = first[loss]
+            os.makedirs(out_dir, exist_ok=True)
+            for name in ("model.json", "loss.csv", "threshold.json"):
+                shutil.copyfile(os.path.join(args.out, done, name), os.path.join(out_dir, name))
+            report = dataclasses.replace(report, scheme=scheme)
+            E.write_report(report, out_dir)
+        else:
+            report = run_scheme(scheme, train_split, eval_split, s.taxonomy, s.train, out_dir)
+            first[loss] = scheme, report
+        reports.append(report)
     E.write_table_csv(reports, os.path.join(args.out, "ablation_table.csv"))
     for report in reports:
         for row in E.table_rows(report):

@@ -231,10 +231,19 @@ def save_jsonl(dataset: Dataset, path: str) -> None:
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
+_NUMBERS = frozenset({int, float})   # the JSON number types; a bool is no number
+
+
 def _vector(rec: dict, key: str, frame: Frame, lineno: int) -> np.ndarray:
-    vec = np.asarray(rec[key], dtype=np.float64)
-    if vec.ndim != 1:
+    values = rec[key]
+    if type(values) is not list:
         raise ValueError(f"{key!r} must be a flat list of numbers")
+    if not _NUMBERS.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _NUMBERS)
+        if type(bad) is list:
+            raise ValueError(f"{key!r} must be a flat list of numbers")
+        raise ValueError(f"could not convert {bad!r} in {key!r} to a number")
+    vec = np.array(values, dtype=np.float64)
     if not np.isfinite(vec).all():
         raise MalformedRecord(
             f"track {frame.track_id!r} frame {frame.frame_index}: "
@@ -252,9 +261,14 @@ def load_jsonl(path: str) -> Dataset:
     frames_by_track: dict[str, list[Frame]] = {}   # in first-seen order
     mode = None
     dims = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+    # read as bytes and decode line by line, so a line that is not UTF-8
+    # is reported with its number
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise MalformedRecord(f"line {lineno}: not UTF-8: {e}") from e
             if not line:
                 continue
             try:

@@ -35,7 +35,9 @@ class ModelParams:
     The named fields are views into `vector`, laid out in `fields()`
     order, so an optimizer can update all of them with whole-vector
     operations. Write into the arrays (`arr[...] = x`); assigning a new
-    array to a field detaches it from `vector` until the next `copy()`.
+    array to a field detaches it from `vector` (and, for `bf`, from the
+    forward pass, which reads the fine biases as one block of `vector`)
+    until the next `copy()`.
     """
 
     mode: str
@@ -58,6 +60,11 @@ class ModelParams:
     Wl2: np.ndarray
     bl2: np.ndarray
     vector: np.ndarray = field(init=False, repr=False)
+    # the fine heads share one axis of S columns; group g owns fine_spans[g]
+    fine_bias: np.ndarray = field(init=False, repr=False)    # (S,), bf[0..G-1]
+    fine_spans: list = field(init=False, repr=False)         # (a, b) per group
+    fine_starts: np.ndarray = field(init=False, repr=False)  # (G,) column starts
+    fine_group: np.ndarray = field(init=False, repr=False)   # (S,) column -> group
 
     def __post_init__(self):
         self.Wf, self.bf = list(self.Wf), list(self.bf)
@@ -71,6 +78,12 @@ class ModelParams:
                 getattr(self, key[0])[key[1]] = view
             else:
                 setattr(self, key, view)
+        sizes = [b.shape[0] for b in self.bf]
+        ends = np.cumsum(sizes)
+        self.fine_bias = self.vector[self.vector.size - int(ends[-1]):]   # bf is last
+        self.fine_starts = ends - sizes
+        self.fine_spans = list(zip(self.fine_starts.tolist(), ends.tolist()))
+        self.fine_group = np.repeat(np.arange(len(sizes)), sizes)
 
     @property
     def d_in(self) -> int:
@@ -183,7 +196,8 @@ def joint_scores(coarse: np.ndarray, fine_local: list[np.ndarray]) -> np.ndarray
     """Product of each group's coarse score with its local fine scores.
 
     One example or a batch; the concatenated result sums to 1 because
-    each local vector does.
+    each local vector does. `heads_forward` forms the same products on
+    its one (B, S) fine array.
     """
     coarse = np.asarray(coarse, dtype=np.float64)
     if coarse.ndim == 0 or len(fine_local) != coarse.shape[-1]:
@@ -216,10 +230,19 @@ def trunk_features(params: ModelParams, X: np.ndarray):
 
 
 def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
-    """Hierarchical heads. Returns (cache, coarse, fine_local, joint).
+    """Hierarchical heads. Returns (cache, coarse, fine, joint).
 
-    shallow: (B, d1), deep: (B, d2); probabilities are (B, G), list of
-    (B, |S_g|), and (B, S). Without the batch axis, one example.
+    shallow: (B, d1), deep: (B, d2); probabilities are (B, G), (B, S)
+    and (B, S), where `fine` holds every group's local distribution in
+    its columns `params.fine_spans[g]`. Without the batch axis, one
+    example.
+
+    The fine heads run as one segmented softmax over a single (B, S)
+    array: each group's GEMM writes its column block, then one bias add,
+    one finiteness check, one max per group, one subtract/exp/divide.
+    The per-group sums use `np.add.reduce` over column views, which sums
+    in the same order as a softmax over each group alone (so the outputs
+    are bit-identical to it); `np.add.reduceat` would not.
     """
     if shallow.shape[-1] != params.d1 or deep.shape[-1] != params.d2:
         raise DimensionMismatch(
@@ -231,13 +254,22 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
     zc2 = Hc @ params.Wc2 + params.bc2
     _check_finite("coarse head", zc2)
     coarse = stable_softmax(zc2)
-    fine_local = []
-    for g in range(params.G):
-        zf = deep @ params.Wf[g] + params.bf[g]
-        _check_finite(f"fine head {g}", zf)
-        fine_local.append(stable_softmax(zf))
+    spans, group = params.fine_spans, params.fine_group
+    fine = np.empty(deep.shape[:-1] + group.shape)
+    for g, (a, b) in enumerate(spans):
+        np.matmul(deep, params.Wf[g], out=fine[..., a:b])
+    fine += params.fine_bias
+    if not np.isfinite(fine).all():
+        g = next(g for g, (a, b) in enumerate(spans) if not np.isfinite(fine[..., a:b]).all())
+        raise NonFiniteActivation(f"non-finite values in fine head {g}")
+    fine -= np.maximum.reduceat(fine, params.fine_starts, axis=-1)[..., group]
+    np.exp(fine, out=fine)
+    sums = np.empty(coarse.shape)
+    for g, (a, b) in enumerate(spans):
+        np.add.reduce(fine[..., a:b], axis=-1, out=sums[..., g])
+    fine /= sums[..., group]
     cache = {"zc1": zc1, "Hc": Hc}
-    return cache, coarse, fine_local, joint_scores(coarse, fine_local)
+    return cache, coarse, fine, coarse[..., group] * fine
 
 
 def flat_forward(params: ModelParams, deep: np.ndarray):
@@ -276,8 +308,9 @@ def forward(params: ModelParams, x) -> HeadOutputs:
     batches in precomputed mode. The outputs keep the batch axis.
     """
     shallow, deep = _resolve_features(params, x)
-    _, coarse, fine_local, joint = heads_forward(params, shallow, deep)
-    return HeadOutputs(coarse=coarse, fine_local=fine_local, joint=joint)
+    _, coarse, fine, joint = heads_forward(params, shallow, deep)
+    return HeadOutputs(coarse=coarse, fine_local=[fine[..., a:b] for a, b in params.fine_spans],
+                       joint=joint)
 
 
 def forward_flat(params: ModelParams, x) -> np.ndarray:

@@ -6,16 +6,23 @@ Schemes:
   scheme1  - cross entropy on the coarse head plus cross entropy on the
              ground-truth group's local fine head (no score product).
   scheme2  - coarse cross entropy plus cross entropy on the joint
-             (product) score of the true species.
-  scheme3  - the same two terms. For one-hot labels indexing the joint
-             score within the ground-truth head (scheme2's definition)
-             and over the full species simplex (scheme3's) pick the same
-             element, so both config values share one code path; the
-             identity is asserted in tests.
+             (product) score of the true species, indexed within the
+             ground-truth head.
+  scheme3  - the same two terms, the joint score indexed over the full
+             species simplex.
+
+For one-hot labels scheme2's and scheme3's indexing pick the same
+element, so `LOSSES`, the one scheme -> loss table, maps scheme2 to
+scheme3's loss: the kernel dispatches on it, and `hierfish ablation`
+trains each distinct loss once.
 
 One kernel, `_loss_and_grads`, computes the batch loss and its gradient
 for every scheme; `compute_gradients` (the finite-difference oracle's
-subject), `batch_loss` and `train` all call it.
+subject), `batch_loss` and `train` all call it. The fine heads run as
+one segmented softmax over a (B, S) array, group g in the columns
+`ModelParams.fine_spans[g]` (see `model.heads_forward`); the backward
+pass subtracts the one-hot label from that array once and takes each
+group's gradient as a block of one by-group row gather.
 
 Parameter layout: `ModelParams` keeps every weight in one contiguous
 float64 vector, `params.vector`, with the named fields as views into it
@@ -51,7 +58,10 @@ from .errors import (
 from .model import ModelParams
 from .taxonomy import Taxonomy
 
-SCHEMES = ("baseline", "scheme1", "scheme2", "scheme3")
+# scheme -> the loss it trains (see the module docstring)
+LOSSES = {"baseline": "baseline", "scheme1": "scheme1",
+          "scheme2": "scheme3", "scheme3": "scheme3"}
+SCHEMES = tuple(LOSSES)
 
 
 @dataclass
@@ -101,48 +111,31 @@ def check_example(ex: LabeledExample, taxonomy: Taxonomy) -> tuple[int, int]:
 def compute_loss(scheme: str, outputs, example: LabeledExample, taxonomy: Taxonomy) -> float:
     """Per-example loss. `outputs` is HeadOutputs for the hierarchical
     schemes or a flat probability vector for the baseline."""
-    if scheme == "baseline":
+    if scheme not in LOSSES:
+        raise MalformedDocument(f"unknown scheme {scheme!r}")
+    if LOSSES[scheme] == "baseline":
         probs = np.asarray(outputs, dtype=np.float64)
         if not (0 <= example.fine_label < probs.shape[0]):
             raise LabelOutOfRange(f"fine label {example.fine_label}")
         return float(-np.log(probs[example.fine_label]))
     g, i = check_example(example, taxonomy)
-    coarse_term = -np.log(outputs.coarse[g])
-    if scheme == "scheme1":
-        return float(coarse_term - np.log(outputs.fine_local[g][i]))
-    if scheme in ("scheme2", "scheme3"):
-        return float(coarse_term - np.log(outputs.joint[example.fine_label]))
-    raise MalformedDocument(f"unknown scheme {scheme!r}")
-
-
-def _batch_losses(scheme, coarse, fine_local, joint, y1, y2, local, members):
-    """Per-example losses of a hierarchical scheme; `members[g]` holds
-    the batch rows labelled with group g."""
-    # a zero probability yields an inf loss; the train loop turns that
-    # into DivergedTraining rather than warning here
-    with np.errstate(divide="ignore"):
-        rows = np.arange(y1.shape[0])
-        coarse_term = -np.log(coarse[rows, y1])
-        if scheme == "scheme1":
-            fine_p = np.empty(y1.shape[0])
-            for g, idx in enumerate(members):
-                fine_p[idx] = fine_local[g][idx, local[idx]]
-            return coarse_term - np.log(fine_p)
-        return coarse_term - np.log(joint[rows, y2])
+    fine = (outputs.fine_local[g][i] if LOSSES[scheme] == "scheme1"
+            else outputs.joint[example.fine_label])
+    return float(-np.log(outputs.coarse[g]) - np.log(fine))
 
 
 def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
-                    local, scheme: str) -> float:
+                    scheme: str) -> float:
     """Mean batch loss; overwrites `grads` with its gradient.
 
     `inputs` is (X,) with X of shape (B, d_in) in trunk mode, or the
     (shallow, deep) pair in precomputed mode. y1/y2 are the coarse and
-    global fine labels and `local` the fine label's index within its
-    group. `grads` has the layout of `params`.
+    global fine labels. `grads` has the layout of `params`.
     """
     B = y1.shape[0]
     rows = np.arange(B)
     trunk = params.mode == M.MODE_TRUNK
+    loss = LOSSES[scheme]
     grads.vector.fill(0.0)
     if trunk:
         X, = inputs
@@ -150,8 +143,10 @@ def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
     else:
         A1, A2 = inputs
 
+    # a zero probability yields an inf loss; the train loop turns that
+    # into DivergedTraining rather than warning here
     dA1 = dA2 = None
-    if scheme == "baseline":
+    if loss == "baseline":
         cache, flat = M.flat_forward(params, A2)
         with np.errstate(divide="ignore"):
             losses = -np.log(flat[rows, y2])
@@ -165,39 +160,42 @@ def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
         if trunk:
             dA2 = dzl1 @ params.Wl1.T
     else:
-        cache, coarse, fine_local, joint = M.heads_forward(params, A1, A2)
-        # batch rows sorted by group, ascending within a group; group g
-        # owns the rows by_group[a:b] for (a, b) = spans[g]
-        by_group = np.argsort(y1, kind="stable")
-        ends = np.bincount(y1, minlength=params.G).cumsum().tolist()
-        spans = list(zip([0] + ends[:-1], ends))
-        members = [by_group[a:b] for a, b in spans]
-        losses = _batch_losses(scheme, coarse, fine_local, joint, y1, y2, local, members)
+        cache, coarse, fine, joint = M.heads_forward(params, A1, A2)
+        # scheme1 scores the true species within its group's head, scheme3
+        # on the joint simplex
+        with np.errstate(divide="ignore"):
+            losses = (-np.log(coarse[rows, y1])
+                      - np.log((fine if loss == "scheme1" else joint)[rows, y2]))
         # coarse-logit gradient: the joint term contributes a second
-        # (coarse - onehot) for schemes 2/3 since log joint splits into
-        # log coarse + log fine_local
+        # (coarse - onehot) for scheme3 since log joint splits into
+        # log coarse + log fine
         Gc = coarse   # joint and the losses are computed; reuse in place
         Gc[rows, y1] -= 1.0
-        if scheme != "scheme1":
+        if loss != "scheme1":
             Gc *= 2.0
         np.matmul(cache["Hc"].T, Gc, out=grads.Wc2)
         np.add.reduce(Gc, axis=0, out=grads.bc2)
         dzc1 = (Gc @ params.Wc2.T) * (cache["zc1"] > 0)
         np.matmul(A1.T, dzc1, out=grads.Wc1)
         np.add.reduce(dzc1, axis=0, out=grads.bc1)
-        local_s, A2_s = local[by_group], A2[by_group]
+        # fine-logit gradient, in place: only the true group's block of a
+        # row is nonzero. Rows sorted by group, ascending within a group;
+        # group g owns the rows a:b of Gf and its columns fine_spans[g]
+        fine[rows, y2] -= 1.0
+        by_group = np.argsort(y1, kind="stable")
+        Gf, A2_s = fine[by_group], A2[by_group]
+        ends = np.bincount(y1, minlength=params.G).cumsum().tolist()
         if trunk:
             dA1 = dzc1 @ params.Wc1.T
             dA2_s = np.zeros_like(A2)
-        for g, (a, b) in enumerate(spans):
+        for g, a, b, (c, d) in zip(range(params.G), [0] + ends[:-1], ends, params.fine_spans):
             if a == b:
                 continue
-            Gf = fine_local[g][members[g]]
-            Gf[rows[:b - a], local_s[a:b]] -= 1.0
-            np.matmul(A2_s[a:b].T, Gf, out=grads.Wf[g])
-            np.add.reduce(Gf, axis=0, out=grads.bf[g])
+            block = Gf[a:b, c:d]
+            np.matmul(A2_s[a:b].T, block, out=grads.Wf[g])
+            np.add.reduce(block, axis=0, out=grads.bf[g])
             if trunk:
-                dA2_s[a:b] += Gf @ params.Wf[g].T
+                dA2_s[a:b] += block @ params.Wf[g].T
         if trunk:
             dA2 = np.empty_like(A2)
             dA2[by_group] = dA2_s
@@ -219,7 +217,8 @@ def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
 def _batch_arrays(batch: list[LabeledExample], params: ModelParams, taxonomy: Taxonomy):
     if not batch:
         raise EmptyDataset("empty batch")
-    local = np.array([check_example(ex, taxonomy)[1] for ex in batch])
+    for ex in batch:
+        check_example(ex, taxonomy)
     y1 = np.array([ex.coarse_label for ex in batch])
     y2 = np.array([ex.fine_label for ex in batch])
     if params.mode == M.MODE_TRUNK:
@@ -229,23 +228,23 @@ def _batch_arrays(batch: list[LabeledExample], params: ModelParams, taxonomy: Ta
             np.stack([np.asarray(ex.features[k], dtype=np.float64) for ex in batch])
             for k in (0, 1)
         )
-    return inputs, y1, y2, local
+    return inputs, y1, y2
 
 
 def compute_gradients(params: ModelParams, batch: list[LabeledExample],
                       scheme: str, taxonomy: Taxonomy) -> ModelParams:
     """Gradient of the mean batch loss, shaped like the parameters."""
-    inputs, y1, y2, local = _batch_arrays(batch, params, taxonomy)
+    inputs, y1, y2 = _batch_arrays(batch, params, taxonomy)
     grads = params.zeros_like()
-    _loss_and_grads(params, grads, inputs, y1, y2, local, scheme)
+    _loss_and_grads(params, grads, inputs, y1, y2, scheme)
     return grads
 
 
 def batch_loss(params: ModelParams, batch: list[LabeledExample],
                scheme: str, taxonomy: Taxonomy) -> float:
     """Mean batch loss only; used by the finite-difference check."""
-    inputs, y1, y2, local = _batch_arrays(batch, params, taxonomy)
-    return _loss_and_grads(params, params.zeros_like(), inputs, y1, y2, local, scheme)
+    inputs, y1, y2 = _batch_arrays(batch, params, taxonomy)
+    return _loss_and_grads(params, params.zeros_like(), inputs, y1, y2, scheme)
 
 
 def _where(frame) -> str:
@@ -253,7 +252,7 @@ def _where(frame) -> str:
 
 
 def _stage(frames, mode: str, taxonomy: Taxonomy):
-    """Validate every frame once and return (columns, y1, y2, local).
+    """Validate every frame once and return (columns, y1, y2).
 
     `columns` holds one list of per-frame float64 vectors per model
     input: (features,) in trunk mode, (shallow, deep) in precomputed
@@ -264,14 +263,14 @@ def _stage(frames, mode: str, taxonomy: Taxonomy):
     n = len(frames)
     y1 = np.empty(n, dtype=np.intp)
     y2 = np.empty(n, dtype=np.intp)
-    local = np.empty(n, dtype=np.intp)
-    checked: dict[tuple[int, int], int] = {}
+    checked: set[tuple[int, int]] = set()
     for k, fr in enumerate(frames):
         s = taxonomy.species_index(fr.species)
         g = taxonomy.group_index(fr.group)
         if (g, s) not in checked:
-            checked[g, s] = check_example(LabeledExample(None, g, s), taxonomy)[1]
-        y1[k], y2[k], local[k] = g, s, checked[g, s]
+            check_example(LabeledExample(None, g, s), taxonomy)
+            checked.add((g, s))
+        y1[k], y2[k] = g, s
         for attr, column in zip(attrs, columns):
             value = getattr(fr, attr)
             if value is None:
@@ -287,7 +286,7 @@ def _stage(frames, mode: str, taxonomy: Taxonomy):
             if not np.isfinite(vec).all():
                 raise NonFiniteInput(f"{_where(fr)}: non-finite values in {attr}")
             column.append(vec)
-    return columns, y1, y2, local
+    return columns, y1, y2
 
 
 def _gather(buffer: np.ndarray, column: list, idx: np.ndarray) -> np.ndarray:
@@ -310,7 +309,7 @@ def train(config: TrainConfig, train_split: Dataset,
     if not frames:
         raise EmptyDataset("train split has no frames")
     mode = train_split.mode
-    columns, y1, y2, local = _stage(frames, mode, taxonomy)
+    columns, y1, y2 = _stage(frames, mode, taxonomy)
     widths = [column[0].shape[0] for column in columns]
     dims = (dict(d_in=widths[0], d1=config.d1, d2=config.d2) if mode == M.MODE_TRUNK
             else dict(d1=widths[0], d2=widths[1]))
@@ -331,7 +330,7 @@ def train(config: TrainConfig, train_split: Dataset,
             inputs = [_gather(buf, col, idx) for buf, col in zip(buffers, columns)]
             try:
                 loss = _loss_and_grads(params, grads, inputs, y1[idx], y2[idx],
-                                       local[idx], config.scheme)
+                                       config.scheme)
             except NonFiniteActivation as e:
                 raise DivergedTraining(
                     f"exploded activations at epoch {epoch}; lower the learning rate"

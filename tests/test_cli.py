@@ -6,12 +6,13 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierfish import cli
 from hierfish import data as D
 from hierfish import model as M
+from hierfish import training as T
 from hierfish.taxonomy import Taxonomy, load_taxonomy
 
 SMALL_CONFIG = {
@@ -182,6 +183,50 @@ class TestAblation:
         schemes = {r[0] for r in rows[1:]}
         assert schemes == {"baseline", "scheme1", "scheme3"}
 
+    def test_shared_loss_trains_once(self, workspace, monkeypatch):
+        """scheme2 trains scheme3's loss, so an ablation over both trains
+        once and gives the later scheme the same files and report."""
+        ws = workspace
+        trained = []
+        train = T.train
+        monkeypatch.setattr(T, "train", lambda cfg, *rest: trained.append(cfg.scheme)
+                            or train(cfg, *rest))
+        common = ["--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json"]
+        assert run(["ablation", *common, "--seed", 11, "--schemes", "scheme3,scheme2",
+                    "--out", ws / "run"]) == 0
+        assert trained == ["scheme3"]
+        s3, s2 = _tree_bytes(ws / "run" / "scheme3"), _tree_bytes(ws / "run" / "scheme2")
+        assert s3.keys() == s2.keys() >= {"model.json", "loss.csv", "threshold.json",
+                                          "report.json", "table.csv"}
+        for name in s3:
+            if name == "report.json":
+                a, b = json.loads(s3[name]), json.loads(s2[name])
+                assert (a.pop("scheme"), b.pop("scheme")) == ("scheme3", "scheme2")
+                assert a == b
+            elif name == "table.csv":
+                assert s3[name].replace(b"scheme3,", b"scheme2,") == s2[name]
+            else:
+                assert s3[name] == s2[name], f"{name} differs"
+        with open(ws / "run" / "ablation_table.csv") as f:
+            rows = list(csv.reader(f))
+        assert [r[0] for r in rows[1:]] == ["scheme3"] * 3 + ["scheme2"] * 3
+        assert [r[1:] for r in rows[1:4]] == [r[1:] for r in rows[4:]]
+        # the copied checkpoint is the one scheme2 trains on its own
+        assert run(["gen", *common, "--seed", 11, "--out", ws / "data"]) == 0
+        assert run(["split", *common, "--seed", 11, "--data", ws / "data" / "dataset.jsonl",
+                    "--out", ws / "splits"]) == 0
+        assert run(["train", *common, "--seed", 11, "--data", ws / "splits" / "train.jsonl",
+                    "--scheme", "scheme2", "--out", ws / "alone"]) == 0
+        assert (ws / "alone" / "model.json").read_bytes() == s2["model.json"]
+
+    def test_repeated_scheme_flag_fails(self, workspace, capsys):
+        ws = workspace
+        assert run(["ablation", "--config", ws / "config.json",
+                    "--taxonomy", ws / "taxonomy.json", "--seed", 11,
+                    "--schemes", "scheme3,scheme3", "--out", ws / "x"]) == 1
+        assert capsys.readouterr().err == "error: scheme 'scheme3' is listed twice\n"
+        assert not (ws / "x").exists()
+
     def test_unknown_scheme_fails(self, workspace):
         ws = workspace
         assert run(["ablation", "--config", ws / "config.json",
@@ -275,6 +320,8 @@ class TestErrors:
     ("train", {"train": {"d_in": 6}}, "unknown train config keys: ['d_in']"),
     ("train", {"train": {"seed": 4}}, "unknown train config keys: ['seed']"),
     ("gen", {"gen": {"seed": 4}}, "unknown gen config keys: ['seed']"),
+    ("ablation", {"schemes": ["scheme1", "scheme3", "scheme1"]},
+     "scheme 'scheme1' is listed twice"),
     ("gen", b"\xff{}", "is not valid JSON"),
     ("gen", "taxonomy", "is not UTF-8"),
 ])
@@ -315,13 +362,19 @@ FUZZ_LINES = [
 ]
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=10**300)
                 | st.floats() | st.text(max_size=4))
-JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+# feature vectors of the right width whose entries numpy would convert
+# although they are no JSON numbers
+NEAR_VECTORS = st.lists(st.floats(-1, 1) | st.booleans() | st.sampled_from(["1", "0.5"]),
+                        min_size=2, max_size=2)
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3), NEAR_VECTORS,
                         st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2))
 
 
 @given(line=st.integers(0, len(FUZZ_LINES) - 1),
        field=st.sampled_from(sorted(FUZZ_LINES[0])),
        value=st.just(None) | st.tuples(JSON_VALUES))   # None drops the field
+@example(line=1, field="features", value=(["1", True],))
+@example(line=2, field="features", value=([0.5, False],))
 @settings(max_examples=150, deadline=None)
 def test_split_on_fuzzed_jsonl(tmp_path_factory, line, field, value):
     ws = tmp_path_factory.getbasetemp() / "fuzz"
@@ -342,3 +395,20 @@ def test_split_on_fuzzed_jsonl(tmp_path_factory, line, field, value):
     if rc == 1:
         assert err.getvalue().startswith("error: ")
         assert "Traceback" not in err.getvalue()
+    if field == "features" and value is not None and isinstance(value[0], list):
+        # a bool or a string is no vector entry, even when numpy could convert it
+        numbers = all(type(v) in (int, float) for v in value[0])
+        assert rc == 1 or numbers
+
+
+@pytest.mark.parametrize("lineno", [1, 2])
+def test_split_on_non_utf8_jsonl(workspace, capsys, lineno):
+    ws = workspace
+    lines = [json.dumps(rec).encode() + b"\n" for rec in FUZZ_LINES]
+    lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+    (ws / "frames.jsonl").write_bytes(b"".join(lines))
+    assert run(["split", "--taxonomy", ws / "taxonomy.json",
+                "--data", ws / "frames.jsonl", "--out", ws / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {lineno}: not UTF-8")
+    assert "Traceback" not in err

@@ -201,6 +201,10 @@ class TestJsonl:
         ('"features":[[0.0],[1.0]]', "line 2: 'features' must be a flat list"),
         ('"features":null', "line 2"),
         ('"shallow":[0.1],"deep":{"a":1}', "line 2"),
+        ('"features":["1",2.0]', "line 2: could not convert '1' in 'features' to a number"),
+        ('"features":[true]', "line 2: could not convert True in 'features' to a number"),
+        ('"features":[0.5,false,1]', "line 2: could not convert False in 'features'"),
+        ('"shallow":[0.1],"deep":[null]', "line 2: could not convert None in 'deep'"),
         ('"features":[NaN]', "track 't0' frame 1: non-finite values in features on line 2"),
         ('"shallow":[0.1],"deep":[Infinity]',
          "track 't0' frame 1: non-finite values in deep on line 2"),

@@ -6,10 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hierfish import model as M
+from hierfish.taxonomy import Taxonomy, default_taxonomy
 from hierfish.errors import (
     DimensionMismatch,
     EmptyInput,
     MalformedDocument,
+    NonFiniteActivation,
     NonFiniteInput,
     TaxonomyMismatch,
 )
@@ -103,7 +105,7 @@ def _toy_params(tiny_taxonomy):
     p.bl1 = np.array([-0.05, 0.05])
     p.Wl2 = np.array([[0.3, -0.2, 0.4], [0.1, 0.6, -0.5]])
     p.bl2 = np.array([0.0, 0.1, -0.1])
-    return p
+    return p.copy()   # packs the reassigned fields back into one vector
 
 
 def _oracle_softmax(z):
@@ -186,6 +188,79 @@ class TestForward:
             M.forward(p, np.zeros(5))
         with pytest.raises(DimensionMismatch):
             M.forward(p, (np.zeros(2), np.zeros(2)))  # pair in trunk mode
+
+
+def _per_group_heads(p, shallow, deep):
+    """The hierarchical heads as one GEMM, check and softmax per group:
+    the reference the segmented softmax must reproduce bit for bit."""
+    zc2 = np.maximum(shallow @ p.Wc1 + p.bc1, 0.0) @ p.Wc2 + p.bc2
+    coarse = M.stable_softmax(zc2)
+    fine_local = []
+    for g in range(p.G):
+        zf = deep @ p.Wf[g] + p.bf[g]
+        if not np.isfinite(zf).all():
+            raise NonFiniteActivation(f"non-finite values in fine head {g}")
+        fine_local.append(M.stable_softmax(zf))
+    return coarse, fine_local, M.joint_scores(coarse, fine_local)
+
+
+def _wide(G, n):
+    return Taxonomy(groups=tuple(f"G{g}" for g in range(G)),
+                    species_by_group=tuple(tuple(f"G{g}s{i}" for i in range(n))
+                                           for g in range(G)))
+
+
+def _random_heads(taxonomy, seed, batch):
+    p = M.init_params(taxonomy, seed=seed)
+    rng = np.random.default_rng(seed)
+    p.vector[...] = rng.normal(0.0, 1.5, p.vector.shape)
+    lead = () if batch is None else (batch,)
+    return (p, np.abs(rng.normal(0.0, 2.0, lead + (p.d1,))),
+            np.abs(rng.normal(0.0, 2.0, lead + (p.d2,))))
+
+
+class TestSegmentedSoftmax:
+    @pytest.mark.parametrize("taxonomy", [default_taxonomy(), _wide(24, 5)],
+                             ids=["6x31", "24x5"])
+    @pytest.mark.parametrize("batch", [None, 1, 7, 32])
+    def test_bit_identical_to_per_group_heads(self, taxonomy, batch):
+        for seed in range(6):
+            p, shallow, deep = _random_heads(taxonomy, seed, batch)
+            _, coarse, fine, joint = M.heads_forward(p, shallow, deep)
+            ref_coarse, ref_fine, ref_joint = _per_group_heads(p, shallow, deep)
+            assert fine.shape == ref_joint.shape
+            assert np.array_equal(coarse, ref_coarse)
+            for (a, b), ref in zip(p.fine_spans, ref_fine, strict=True):
+                assert np.array_equal(fine[..., a:b], ref)
+            assert np.array_equal(joint, ref_joint)
+
+    def test_forward_splits_the_fine_array_by_group(self, six31):
+        p, shallow, deep = _random_heads(six31, 0, 7)
+        p.mode = M.MODE_PRECOMPUTED
+        out = M.forward(p, (shallow, deep))
+        assert [f.shape for f in out.fine_local] == [(7, n) for n in six31.group_sizes]
+        for f, ref in zip(out.fine_local, _per_group_heads(p, shallow, deep)[1]):
+            assert np.array_equal(f, ref)
+
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_first_non_finite_fine_head_is_named(self, six31, batch):
+        p, shallow, deep = _random_heads(six31, 1, batch)
+        p.bf[3][1] = np.inf
+        p.bf[4][0] = np.nan
+        with pytest.raises(NonFiniteActivation, match="non-finite values in fine head 3$"):
+            _per_group_heads(p, shallow, deep)
+        with pytest.raises(NonFiniteActivation, match="non-finite values in fine head 3$"):
+            M.heads_forward(p, shallow, deep)
+        p.bc2[0] = np.nan   # the coarse head is checked first
+        with pytest.raises(NonFiniteActivation, match="non-finite values in coarse head$"):
+            M.heads_forward(p, shallow, deep)
+
+    def test_empty_batch(self, six31):
+        p = M.init_params(six31, seed=0)
+        with pytest.raises(EmptyInput):
+            M.heads_forward(p, np.empty((0, p.d1)), np.empty((0, p.d2)))
+        with pytest.raises(EmptyInput):
+            M.forward(p, np.empty((0, p.d_in)))
 
 
 class TestCheckpoint:
