@@ -134,8 +134,7 @@ def _train_stage(train_cfg: T.TrainConfig, dataset: D.Dataset, taxonomy: Taxonom
     return params, history
 
 
-def _threshold_stage(params, dataset: D.Dataset, taxonomy: Taxonomy, out_dir: str) -> float:
-    tau = I.search_threshold(params, dataset.tracks, taxonomy)
+def _write_threshold(tau: float, out_dir: str) -> float:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "threshold.json"), "w", encoding="utf-8") as f:
         json.dump({"tau": tau}, f)
@@ -144,7 +143,8 @@ def _threshold_stage(params, dataset: D.Dataset, taxonomy: Taxonomy, out_dir: st
 
 def _eval_stage(params, dataset: D.Dataset, taxonomy: Taxonomy, tau, scheme: str,
                 out_dir: str) -> E.EvalReport:
-    """The baseline is evaluated on its flat head alone."""
+    """The baseline is evaluated on its flat head alone; a hierarchical
+    scheme with `tau` None at the threshold searched on the same scoring."""
     if scheme == "baseline":
         report = E.evaluate_flat(params, dataset, taxonomy)
     else:
@@ -191,7 +191,8 @@ def cmd_search_threshold(args) -> int:
     params = M.load_checkpoint(args.model, taxonomy)
     dataset = D.load_jsonl(args.data)
     D.check_labels(dataset, taxonomy)
-    print(f"tau = {_threshold_stage(params, dataset, taxonomy, args.out)!r}")
+    tau = _write_threshold(I.search_threshold(params, dataset.tracks, taxonomy), args.out)
+    print(f"tau = {tau!r}")
     return 0
 
 
@@ -208,32 +209,25 @@ def cmd_eval(args) -> int:
 
 def cmd_infer(args) -> int:
     taxonomy = resolve(args).taxonomy
+    tau, unit = I.check_threshold(args.threshold), args.unit
     params = M.load_checkpoint(args.model, taxonomy)
     dataset = D.load_jsonl(args.data)
     D.check_labels(dataset, taxonomy)
-    tau, unit = args.threshold, args.unit
+    rows = I.score_split(params, dataset.tracks, taxonomy, (unit,))[unit]
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "predictions.jsonl")
+    stopped = rows.stopped(tau)
+    labels = np.where(stopped, rows.coarse, rows.fine).tolist()
+    confidences = np.where(stopped, rows.coarse_conf, rows.conf).tolist()
     with open(out_path, "w", encoding="utf-8") as f:
-        for track in dataset.tracks:
-            ts = I.score_track(params, track)
-            if unit == "video_avg":
-                agg = I.aggregate_avg(ts, taxonomy)
-                pred = I.decide(agg.confidence, agg.p1, agg.selection, tau, unit)
-            else:
-                agg = I.aggregate_vote(ts, taxonomy)
-                coarse_scores = np.zeros(taxonomy.G)
-                coarse_scores[agg.coarse_selection] = agg.coarse_confidence
-                pred = I.decide(agg.confidence, coarse_scores, agg.selection, tau, unit)
-            name = (taxonomy.groups[pred.label] if pred.level == "coarse"
-                    else taxonomy.species_name(pred.label))
+        for track, stop, label, conf in zip(dataset.tracks, stopped, labels, confidences):
             f.write(json.dumps({
                 "track_id": track.track_id,
-                "unit": pred.unit,
-                "level": pred.level,
-                "label": name,
-                "label_index": pred.label,
-                "confidence": pred.confidence,
+                "unit": unit,
+                "level": "coarse" if stop else "fine",
+                "label": taxonomy.groups[label] if stop else taxonomy.species_name(label),
+                "label_index": label,
+                "confidence": conf,
             }, ensure_ascii=False) + "\n")
     print(f"wrote predictions for {len(dataset)} tracks to {out_path}")
     return 0
@@ -245,9 +239,10 @@ def run_scheme(scheme: str, train_split: D.Dataset, eval_split: D.Dataset,
     """Train one scheme, search its threshold, evaluate, write artifacts."""
     cfg = dataclasses.replace(train_cfg, scheme=scheme)
     params, _ = _train_stage(cfg, train_split, taxonomy, out_dir)
-    tau = None if scheme == "baseline" else _threshold_stage(params, eval_split, taxonomy,
-                                                             out_dir)
-    return _eval_stage(params, eval_split, taxonomy, tau, scheme, out_dir)
+    report = _eval_stage(params, eval_split, taxonomy, None, scheme, out_dir)
+    if report.tau is not None:   # the baseline has no threshold
+        _write_threshold(report.tau, out_dir)
+    return report
 
 
 def cmd_ablation(args) -> int:

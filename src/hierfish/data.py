@@ -89,6 +89,11 @@ class Dataset:
         return len(self.tracks)
 
 
+# the most feature values `generate` builds (0.8 GB of float64); also keeps
+# tracks_total exact in the float64 arithmetic of `species_track_counts`
+MAX_GEN_VALUES = 10**8
+
+
 @dataclass
 class GenConfig:
     taxonomy: Taxonomy
@@ -102,6 +107,22 @@ class GenConfig:
     sigma_frame: float = 3.0
     dim: int = 32
     seed: int = 0
+
+    def __post_init__(self):
+        for key in ("zipf_exponent", "sigma_group", "sigma_species", "sigma_track",
+                    "sigma_frame"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise InfeasibleConfig(f"{key} must be finite and >= 0, not {value!r}")
+        if self.frames_min < 1 or self.frames_max < self.frames_min:
+            raise InfeasibleConfig(f"frames_min={self.frames_min}, frames_max={self.frames_max}: "
+                                   "need 1 <= frames_min <= frames_max")
+        if self.dim < 1:
+            raise InfeasibleConfig(f"dim={self.dim} < 1")
+        size = self.tracks_total * self.frames_max * self.dim
+        if size > MAX_GEN_VALUES:
+            raise InfeasibleConfig(f"tracks_total * frames_max * dim = {size} feature values "
+                                   f"exceed {MAX_GEN_VALUES}")
 
 
 def _scaled_normal(rng: np.random.Generator, sigma: float, dim: int) -> np.ndarray:
@@ -134,10 +155,6 @@ def species_track_counts(config: GenConfig) -> np.ndarray:
 def generate(config: GenConfig) -> Dataset:
     """Deterministic synthetic dataset for a fixed seed."""
     tax = config.taxonomy
-    if config.frames_min < 1 or config.frames_max < config.frames_min:
-        raise InfeasibleConfig("bad frames_per_track range")
-    if config.dim < 1:
-        raise InfeasibleConfig(f"dim={config.dim} < 1")
     counts = species_track_counts(config)
     rng = np.random.default_rng([config.seed, 100])
     dim = config.dim

@@ -6,9 +6,9 @@ per-species coarse-stop rates.
 
 Accuracies are micro accuracy over units, reported as percentages.
 
-Each track is scored once, as a (T, ·) stack; the image unit reads it
-through one `select_image` call, and each unit's per-track rows are
-concatenated once.
+Every metric is read from the per-unit rows of one
+`inference.score_split` call, so a split that is thresholded and
+evaluated is scored once.
 """
 
 from __future__ import annotations
@@ -21,14 +21,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyEvalSet, IndexOutOfRange, InvalidThreshold, TaxonomyMismatch
-from .inference import (
-    UNITS,
-    aggregate_avg,
-    aggregate_vote,
-    score_track,
-    select_image,
-)
+from .errors import EmptyEvalSet
+from .inference import UnitRows, best_threshold, check_threshold, score_split, track_labels
+# not called here: perfbench's tracer wraps these names on this module too
+from .inference import aggregate_avg, aggregate_vote, score_track  # noqa: F401
 from .model import ModelParams, forward_flat
 from .taxonomy import Taxonomy
 
@@ -67,66 +63,47 @@ def _precision(pred: np.ndarray, truth: np.ndarray, names) -> dict:
     return out
 
 
-def _unit_report(unit: str, rows: list, tau: float, taxonomy: Taxonomy) -> UnitReport:
-    """Metrics of one unit from per-track rows (y1, y2, coarse_sel,
-    sel_2a, sel_2b, conf_2b): scalars, or (T,) arrays for the image unit."""
-    y1, y2, coarse_sel, sel_2a, sel_2b, conf_2b = (np.hstack(col) for col in zip(*rows))
-    n = y1.shape[0]
-    stopped_mask = conf_2b < tau
-    correct_2c = np.where(stopped_mask, coarse_sel == y1, sel_2b == y2)
+def _unit_report(unit: str, rows: UnitRows, tau: float, taxonomy: Taxonomy) -> UnitReport:
+    """Metrics of one unit from its rows."""
+    n = rows.y1.shape[0]
+    stopped_mask = rows.stopped(tau)
     stop_frac = {}
     for s, name in enumerate(taxonomy.species_names):
-        mask = y2 == s
+        mask = rows.y2 == s
         stop_frac[name] = float(np.mean(stopped_mask[mask])) if mask.any() else None
     return UnitReport(
         unit=unit,
         n_units=n,
-        level1_acc=float(100.0 * np.mean(coarse_sel == y1)),
-        level2a_acc=float(100.0 * np.mean(sel_2a == y2)),
-        level2b_acc=float(100.0 * np.mean(sel_2b == y2)),
-        level2c_acc=float(100.0 * np.mean(correct_2c)),
+        level1_acc=float(100.0 * np.mean(rows.coarse == rows.y1)),
+        level2a_acc=float(100.0 * np.mean(rows.level2a == rows.y2)),
+        level2b_acc=float(100.0 * np.mean(rows.fine == rows.y2)),
+        level2c_acc=float(100.0 * np.mean(rows.correct(tau))),
         stopped=int(stopped_mask.sum()),
         proceeded=int(n - stopped_mask.sum()),
         tau=tau,
-        per_group_precision_level1=_precision(coarse_sel, y1, taxonomy.groups),
-        per_species_precision_2a=_precision(sel_2a, y2, taxonomy.species_names),
-        per_species_precision_2b=_precision(sel_2b, y2, taxonomy.species_names),
+        per_group_precision_level1=_precision(rows.coarse, rows.y1, taxonomy.groups),
+        per_species_precision_2a=_precision(rows.level2a, rows.y2, taxonomy.species_names),
+        per_species_precision_2b=_precision(rows.fine, rows.y2, taxonomy.species_names),
         per_species_stop_fraction=stop_frac,
     )
 
 
-def _labels(track, taxonomy: Taxonomy) -> tuple[int, int]:
-    try:
-        return taxonomy.group_index(track.group), taxonomy.species_index(track.species)
-    except IndexOutOfRange as e:
-        raise TaxonomyMismatch(str(e)) from e
-
-
 def evaluate(params: ModelParams, eval_split: Dataset, taxonomy: Taxonomy,
-             tau: float, scheme: str = "scheme3") -> EvalReport:
-    """Full hierarchical metric suite over image and both video units.
+             tau: float | None, scheme: str = "scheme3") -> EvalReport:
+    """Full hierarchical metric suite over image and both video units, at
+    `tau`, or, if it is None, at the threshold `best_threshold` finds on
+    the video_avg rows of the same scoring of the split.
 
     A unit stopped at the coarse level counts correct iff its coarse
     label is right; a proceeding unit iff its species label is right.
     """
     if len(eval_split.tracks) == 0:
         raise EmptyEvalSet("evaluation split has no tracks")
-    if not np.isfinite(tau) or tau < 0.0:
-        raise InvalidThreshold(f"threshold {tau}")
-    rows = {u: [] for u in UNITS}
-    for track in eval_split.tracks:
-        y1, y2 = _labels(track, taxonomy)
-        ts = score_track(params, track)
-        img = select_image(ts.frames, taxonomy)
-        rows["image"].append((np.full(len(track), y1), np.full(len(track), y2),
-                              img.coarse_group, img.level2a, img.level2b,
-                              img.level2b_confidence))
-        avg = aggregate_avg(ts, taxonomy)
-        rows["video_avg"].append((y1, y2, avg.coarse_selection, avg.level2a,
-                                  avg.selection, avg.confidence))
-        vote = aggregate_vote(ts, taxonomy)
-        rows["video_vote"].append((y1, y2, vote.coarse_selection, vote.level2a,
-                                   vote.selection, vote.confidence))
+    if tau is not None:
+        check_threshold(tau)
+    rows = score_split(params, eval_split.tracks, taxonomy)
+    if tau is None:
+        tau = best_threshold(rows["video_avg"])
     units = {u: _unit_report(u, r, tau, taxonomy) for u, r in rows.items()}
     return EvalReport(scheme=scheme, tau=tau, units=units)
 
@@ -139,7 +116,7 @@ def evaluate_flat(params: ModelParams, eval_split: Dataset,
     preds = []
     truth = []
     for track in eval_split.tracks:
-        _, y2 = _labels(track, taxonomy)
+        _, y2 = track_labels(track, taxonomy)
         probs = forward_flat(params, track.model_input())
         preds.append(probs.argmax(axis=-1))
         truth.append(np.full(len(track), y2))

@@ -9,6 +9,12 @@ score vectors, and per-frame argmax voting with confidence averaged
 over the supporting frames. Either way the selected confidence can be
 compared against a threshold to fall back to the coarse-group
 prediction when the fine-level score is too low.
+
+`score_split` is the one loop over a split's tracks: it scores each
+track once and reduces it at once to one row per frame (image unit) or
+per track (video units), so a split's raw scores are never held. The
+threshold search, the metric suite and `hierfish infer` all read these
+`UnitRows`.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyEvalSet, EmptyTrack, InvalidThreshold
+from .errors import (EmptyEvalSet, EmptyTrack, IndexOutOfRange, InvalidThreshold,
+                     TaxonomyMismatch)
 from .model import HeadOutputs, ModelParams, forward
 from .taxonomy import Taxonomy
 
@@ -59,7 +66,6 @@ class ImageSelection:
     coarse_group: int
     coarse_confidence: float
     level2a: int              # fine argmax within the coarse-argmax group
-    level2a_confidence: float
     level2b: int              # argmax of the joint scores
     level2b_confidence: float
 
@@ -83,7 +89,6 @@ def select_image(outputs: HeadOutputs, taxonomy: Taxonomy) -> ImageSelection:
         coarse_group=g,
         coarse_confidence=outputs.coarse.max(axis=-1),
         level2a=s2a,
-        level2a_confidence=_at(outputs.joint, s2a),
         level2b=s2b,
         level2b_confidence=outputs.joint.max(axis=-1),
     )
@@ -172,12 +177,18 @@ def aggregate_vote(track: TrackScores, taxonomy: Taxonomy) -> VoteAggregate:
     )
 
 
+def check_threshold(tau: float) -> float:
+    """`tau` itself if it can serve as a threshold: finite and >= 0."""
+    if not np.isfinite(tau) or tau < 0.0:
+        raise InvalidThreshold(f"threshold {tau}")
+    return tau
+
+
 def decide(confidence: float, coarse_scores: np.ndarray, fine_selection: int,
            threshold: float, unit: str = "image") -> Prediction:
     """Fine prediction unless its confidence falls below the threshold,
     in which case fall back to the coarse-level argmax."""
-    if not np.isfinite(threshold) or threshold < 0.0:
-        raise InvalidThreshold(f"threshold {threshold}")
+    check_threshold(threshold)
     if confidence < threshold:
         g = int(np.argmax(coarse_scores))
         return Prediction(level="coarse", label=g,
@@ -186,38 +197,90 @@ def decide(confidence: float, coarse_scores: np.ndarray, fine_selection: int,
                       confidence=float(confidence), unit=unit)
 
 
+def track_labels(track, taxonomy: Taxonomy) -> tuple[int, int]:
+    """(group, global species) index of a track's labels."""
+    try:
+        return taxonomy.group_index(track.group), taxonomy.species_index(track.species)
+    except IndexOutOfRange as e:
+        raise TaxonomyMismatch(str(e)) from e
+
+
+@dataclass
+class UnitRows:
+    """One unit's labels and selections over a split: a row per frame for
+    the image unit, per track for a video unit."""
+    y1: np.ndarray            # true group
+    y2: np.ndarray            # true global species
+    coarse: np.ndarray        # coarse selection
+    coarse_conf: np.ndarray
+    level2a: np.ndarray       # species selected within the coarse selection's group
+    fine: np.ndarray          # species selected by the joint scores
+    conf: np.ndarray          # its confidence, held against the threshold
+
+    @classmethod
+    def empty(cls, n: int) -> UnitRows:
+        """`n` rows to fill."""
+        i, f = np.intp, float
+        return cls(y1=np.empty(n, i), y2=np.empty(n, i), coarse=np.empty(n, i),
+                   coarse_conf=np.empty(n, f), level2a=np.empty(n, i), fine=np.empty(n, i),
+                   conf=np.empty(n, f))
+
+    def stopped(self, tau: float) -> np.ndarray:
+        """The fallback rule: rows whose fine confidence is below tau."""
+        return self.conf < tau
+
+    def correct(self, tau: float) -> np.ndarray:
+        """Level-2C: a stopped row is right iff its group is, others iff their species is."""
+        return np.where(self.stopped(tau), self.coarse == self.y1, self.fine == self.y2)
+
+
+def score_split(params: ModelParams, tracks, taxonomy: Taxonomy,
+                units=UNITS) -> dict[str, UnitRows]:
+    """The rows of each unit in `units` over `tracks`, in order. Each
+    track's labels are looked up once, it is scored once, and it is
+    reduced to rows before the next track is scored."""
+    tracks = list(tracks)
+    n_frames = sum(map(len, tracks))
+    tables = {u: UnitRows.empty(n_frames if u == "image" else len(tracks)) for u in units}
+    end = 0
+    for k, track in enumerate(tracks):
+        y1, y2 = track_labels(track, taxonomy)
+        ts = score_track(params, track)
+        frames = slice(end, end + len(track))
+        end = frames.stop
+        for unit, table in tables.items():
+            if unit == "image":
+                s = select_image(ts.frames, taxonomy)
+                row = dict(coarse=s.coarse_group, coarse_conf=s.coarse_confidence,
+                           level2a=s.level2a, fine=s.level2b, conf=s.level2b_confidence)
+            else:
+                a = (aggregate_avg if unit == "video_avg" else aggregate_vote)(ts, taxonomy)
+                row = dict(coarse=a.coarse_selection, coarse_conf=a.coarse_confidence,
+                           level2a=a.level2a, fine=a.selection, conf=a.confidence)
+            for name, value in dict(y1=y1, y2=y2, **row).items():
+                getattr(table, name)[frames if unit == "image" else k] = value
+    return tables
+
+
 STOP_ALL_EPS = 1e-9
 
 
-def search_threshold(params: ModelParams, eval_tracks, taxonomy: Taxonomy) -> float:
-    """Greedy threshold search on the frame-averaged video unit.
+def best_threshold(rows: UnitRows) -> float:
+    """Greedy threshold search over one unit's rows.
 
-    Candidates are 0, every track's selected confidence, and 1 + eps
+    Candidates are 0, every row's selected confidence, and 1 + eps
     (stop everything). Picks the candidate maximizing fallback accuracy;
-    among maximizers the smallest, so the greatest number of tracks
+    among maximizers the smallest, so the greatest number of rows
     proceeds to the fine level. The result never scores below the
-    no-fallback accuracy on the split it was searched on.
+    no-fallback accuracy on the rows it was searched on.
     """
-    tracks = list(eval_tracks)
-    if not tracks:
+    if len(rows.conf) == 0:
         raise EmptyEvalSet("no tracks to search over")
-    conf = np.empty(len(tracks))
-    fine_ok = np.empty(len(tracks), dtype=bool)
-    coarse_ok = np.empty(len(tracks), dtype=bool)
-    for k, track in enumerate(tracks):
-        ts = score_track(params, track)
-        agg = aggregate_avg(ts, taxonomy)
-        y1 = taxonomy.group_index(track.group)
-        y2 = taxonomy.species_index(track.species)
-        conf[k] = agg.confidence
-        fine_ok[k] = agg.selection == y2
-        coarse_ok[k] = agg.coarse_selection == y1
-    candidates = np.unique(np.concatenate([[0.0], conf, [1.0 + STOP_ALL_EPS]]))
-    best_tau = 0.0
-    best_acc = -1.0
-    for tau in candidates:
-        acc = float(np.mean(np.where(conf < tau, coarse_ok, fine_ok)))
-        if acc > best_acc:
-            best_acc = acc
-            best_tau = float(tau)
-    return best_tau
+    candidates = np.unique(np.concatenate([[0.0], rows.conf, [1.0 + STOP_ALL_EPS]]))
+    accuracy = [np.mean(rows.correct(tau)) for tau in candidates]
+    return float(candidates[np.argmax(accuracy)])   # argmax: the first maximizer
+
+
+def search_threshold(params: ModelParams, eval_tracks, taxonomy: Taxonomy) -> float:
+    """`best_threshold` on the frame-averaged video unit of `eval_tracks`."""
+    return best_threshold(score_split(params, eval_tracks, taxonomy, ("video_avg",))["video_avg"])

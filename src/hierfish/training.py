@@ -39,6 +39,7 @@ gathers each step's inputs from the frames into a preallocated buffer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise MalformedDocument(f"unknown scheme {self.scheme!r}")
-        if self.learning_rate <= 0:
-            raise MalformedDocument("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise MalformedDocument(
+                f"learning_rate must be finite and > 0, not {self.learning_rate!r}")
         if not (0.0 <= self.momentum < 1.0):
-            raise MalformedDocument("momentum must be in [0, 1)")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise MalformedDocument("bad epochs/batch_size")
+            raise MalformedDocument(f"momentum must be in [0, 1), not {self.momentum!r}")
+        if self.epochs < 0:
+            raise MalformedDocument(f"epochs must be >= 0, not {self.epochs!r}")
+        for key in ("batch_size", "d1", "hidden", "d2"):
+            if getattr(self, key) < 1:
+                raise MalformedDocument(f"{key} must be >= 1, not {getattr(self, key)!r}")
 
 
 @dataclass

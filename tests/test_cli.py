@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from hierfish import cli
 from hierfish import data as D
+from hierfish import evaluation as E
+from hierfish import inference as I
 from hierfish import model as M
 from hierfish import training as T
-from hierfish.taxonomy import Taxonomy, load_taxonomy
+from hierfish.taxonomy import Taxonomy, default_taxonomy, load_taxonomy
 
 SMALL_CONFIG = {
     "gen": {
@@ -219,6 +221,27 @@ class TestAblation:
                     "--scheme", "scheme2", "--out", ws / "alone"]) == 0
         assert (ws / "alone" / "model.json").read_bytes() == s2["model.json"]
 
+    def test_scores_eval_split_once_per_model(self, workspace, monkeypatch):
+        """Threshold search and evaluation share one scoring of the eval
+        split per distinct hierarchical loss (scheme2 reuses scheme3's)."""
+        ws = workspace
+        scored = []
+        score_track = I.score_track
+
+        def counted(params, track):
+            scored.append(track.track_id)
+            return score_track(params, track)
+
+        for module in (I, E):   # every module attribute a caller may resolve
+            monkeypatch.setattr(module, "score_track", counted)
+        assert run(["ablation", "--config", ws / "config.json",
+                    "--taxonomy", ws / "taxonomy.json", "--seed", 11, "--out", ws / "run"]) == 0
+        with open(ws / "run" / "scheme3" / "report.json") as f:
+            n_eval = json.load(f)["units"]["video_avg"]["n_units"]
+        hierarchical = {T.LOSSES[s] for s in T.SCHEMES if s != "baseline"}
+        assert len(scored) == n_eval * len(hierarchical) == 2 * n_eval
+        assert len(set(scored)) == n_eval
+
     def test_repeated_scheme_flag_fails(self, workspace, capsys):
         ws = workspace
         assert run(["ablation", "--config", ws / "config.json",
@@ -324,6 +347,12 @@ class TestErrors:
      "scheme 'scheme1' is listed twice"),
     ("gen", b"\xff{}", "is not valid JSON"),
     ("gen", "taxonomy", "is not UTF-8"),
+    # values of the right type but out of range
+    ("gen", {"gen": {"tracks_total": 10**20}}, "tracks_total * frames_max * dim"),
+    ("gen", {"gen": {"zipf_exponent": float("nan")}}, "zipf_exponent must be finite"),
+    ("gen", {"gen": {"sigma_frame": -1.0}}, "sigma_frame must be finite and >= 0"),
+    ("train", {"train": {"learning_rate": float("nan")}}, "learning_rate must be finite"),
+    ("train", {"train": {"d1": 0}}, "d1 must be >= 1"),
 ])
 def test_malformed_config_is_an_error(workspace, capsys, command, config, match):
     ws = workspace
@@ -340,6 +369,108 @@ def test_malformed_config_is_an_error(workspace, capsys, command, config, match)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and match in err
     assert "Traceback" not in err
+
+
+def test_checkpoint_commands_on_a_taxonomy_of_301_species(workspace):
+    """`tracks_total >= 2*S` binds only what generates data: the default
+    600 tracks cannot cover 301 species, yet a checkpoint and its data
+    serve every command that reads them."""
+    ws = workspace
+    names = [f"s{k}" for k in range(301)]
+    tax = Taxonomy(groups=("A", "B"), species_by_group=(tuple(names[:150]), tuple(names[150:])))
+    (ws / "big.json").write_text(tax.to_json())
+    data = D.generate(D.GenConfig(taxonomy=tax, tracks_total=602, frames_min=1, frames_max=2,
+                                  dim=6, seed=1))
+    D.save_jsonl(D.Dataset(tracks=data.tracks[::60]), str(ws / "frames.jsonl"))
+    M.save_checkpoint(M.init_params(tax, d_in=6, d1=5, hidden=4, d2=4, seed=1), tax,
+                      str(ws / "model.json"))
+    common = ["--taxonomy", ws / "big.json", "--model", ws / "model.json",
+              "--data", ws / "frames.jsonl"]
+    assert run(["search-threshold", *common, "--out", ws / "tau"]) == 0
+    assert run(["eval", *common, "--out", ws / "report"]) == 0
+    assert run(["infer", *common, "--out", ws / "preds"]) == 0
+
+
+def test_gen_section_sized_for_another_taxonomy_trains(tmp_path, capsys):
+    """A `gen` section that could not generate for the default taxonomy
+    (40 tracks < 2 * 31 species) does not stop `split` and `train`."""
+    data = D.generate(D.GenConfig(taxonomy=default_taxonomy(), tracks_total=62, frames_min=1,
+                                  frames_max=2, dim=6, seed=1))
+    D.save_jsonl(data, str(tmp_path / "frames.jsonl"))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"gen": {"tracks_total": 40},
+                               "train": {"epochs": 1, "d1": 5, "hidden": 4, "d2": 4}}))
+    assert run(["split", "--config", cfg, "--data", tmp_path / "frames.jsonl",
+                "--out", tmp_path / "splits"]) == 0
+    assert run(["train", "--config", cfg, "--data", tmp_path / "splits" / "train.jsonl",
+                "--out", tmp_path / "run"]) == 0
+    capsys.readouterr()
+    assert run(["gen", "--config", cfg, "--out", tmp_path / "data"]) == 1
+    assert capsys.readouterr().err == "error: tracks_total=40 < 2*S=62\n"
+
+
+@pytest.mark.parametrize("threshold", ["-1", "nan"])
+def test_infer_checks_threshold_before_reading_tracks(workspace, capsys, threshold):
+    ws = workspace
+    M.save_checkpoint(M.init_params(TAXONOMY, d_in=6, d1=5, hidden=4, d2=4, seed=1),
+                      TAXONOMY, str(ws / "model.json"))
+    (ws / "empty.jsonl").write_text("")
+    common = ["infer", "--taxonomy", ws / "taxonomy.json", "--model", ws / "model.json",
+              "--data", ws / "empty.jsonl"]
+    assert run([*common, "--threshold", threshold, "--out", ws / "bad"]) == 1
+    assert capsys.readouterr().err == f"error: threshold {float(threshold)}\n"
+    assert not (ws / "bad").exists()
+    assert run([*common, "--threshold", 0.5, "--out", ws / "good"]) == 0
+    assert (ws / "good" / "predictions.jsonl").read_bytes() == b""
+
+
+def _decide_lines(params, tracks, taxonomy, tau, unit):
+    """`predictions.jsonl` by the `decide` rule, track by track."""
+    lines = []
+    for track in tracks:
+        ts = I.score_track(params, track)
+        if unit == "video_avg":
+            agg = I.aggregate_avg(ts, taxonomy)
+            coarse = agg.p1
+        else:
+            agg = I.aggregate_vote(ts, taxonomy)
+            coarse = np.zeros(taxonomy.G)
+            coarse[agg.coarse_selection] = agg.coarse_confidence
+        pred = I.decide(agg.confidence, coarse, agg.selection, tau, unit)
+        name = (taxonomy.groups[pred.label] if pred.level == "coarse"
+                else taxonomy.species_name(pred.label))
+        lines.append(json.dumps({
+            "track_id": track.track_id,
+            "unit": pred.unit,
+            "level": pred.level,
+            "label": name,
+            "label_index": pred.label,
+            "confidence": pred.confidence,
+        }, ensure_ascii=False) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("unit", ["video_avg", "video_vote"])
+def test_infer_matches_decide_rule(workspace, unit):
+    ws = workspace
+    common = ["--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json", "--seed", 11]
+    assert run(["gen", *common, "--out", ws / "data"]) == 0
+    assert run(["split", *common, "--data", ws / "data" / "dataset.jsonl",
+                "--out", ws / "splits"]) == 0
+    assert run(["train", *common, "--data", ws / "splits" / "train.jsonl",
+                "--out", ws / "run"]) == 0
+    params = M.load_checkpoint(str(ws / "run" / "model.json"), TAXONOMY)
+    tracks = D.load_jsonl(str(ws / "splits" / "eval.jsonl")).tracks
+    # a tau between the unit's confidences, so both levels are written
+    aggregate = I.aggregate_avg if unit == "video_avg" else I.aggregate_vote
+    tau = float(np.median([aggregate(I.score_track(params, t), TAXONOMY).confidence
+                           for t in tracks]))
+    assert run(["infer", "--taxonomy", ws / "taxonomy.json", "--model", ws / "run" / "model.json",
+                "--data", ws / "splits" / "eval.jsonl", "--threshold", tau, "--unit", unit,
+                "--out", ws / "preds"]) == 0
+    got = (ws / "preds" / "predictions.jsonl").read_text(encoding="utf-8")
+    assert got == _decide_lines(params, tracks, TAXONOMY, tau, unit)
+    assert {json.loads(line)["level"] for line in got.splitlines()} == {"coarse", "fine"}
 
 
 @pytest.mark.parametrize("command", ["search-threshold", "eval", "infer"])

@@ -48,7 +48,7 @@ class TestEvaluate:
             y2 = toy_taxonomy.species_index(track.species)
             return _oracle_scores(toy_taxonomy, track, y1, y2)
 
-        monkeypatch.setattr(E, "score_track", fake_score)
+        monkeypatch.setattr(I, "score_track", fake_score)
         report = E.evaluate(None, ds, toy_taxonomy, tau=0.5)
         for unit in report.units.values():
             assert unit.level1_acc == 100.0
@@ -65,7 +65,7 @@ class TestEvaluate:
             out = make_outputs([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
             return I.TrackScores(frames=[out for _ in track.frames])
 
-        monkeypatch.setattr(E, "score_track", fake_score)
+        monkeypatch.setattr(I, "score_track", fake_score)
         report = E.evaluate(None, ds, tax, tau=0.0)
         for unit in report.units.values():
             # every prediction is index 0 by the tie-break rule

@@ -293,3 +293,38 @@ class TestSearchThreshold:
         params, _ = _toy_eval_setup(tiny_taxonomy, n_tracks=2)
         with pytest.raises(EmptyEvalSet):
             I.search_threshold(params, [], tiny_taxonomy)
+
+
+class TestScoreSplit:
+    def test_rows_match_selections_field_by_field(self, toy_taxonomy):
+        """Each unit's rows hold, by name, the labels and the selections
+        of `select_image` / `aggregate_*` on that track."""
+        params, tracks = _toy_eval_setup(toy_taxonomy, n_tracks=6)
+        rows = I.score_split(params, tracks, toy_taxonomy)
+        assert set(rows) == set(I.UNITS)
+        assert len(rows["image"].y1) == sum(map(len, tracks))
+        end = 0
+        for k, track in enumerate(tracks):
+            y1 = toy_taxonomy.group_index(track.group)
+            y2 = toy_taxonomy.species_index(track.species)
+            ts = I.score_track(params, track)
+            img = I.select_image(ts.frames, toy_taxonomy)
+            frames = slice(end, end + len(track))
+            end = frames.stop
+            expected = [
+                ("image", frames, dict(y1=y1, y2=y2, coarse=img.coarse_group,
+                                       coarse_conf=img.coarse_confidence,
+                                       level2a=img.level2a, fine=img.level2b,
+                                       conf=img.level2b_confidence))]
+            for unit, aggregate in (("video_avg", I.aggregate_avg),
+                                    ("video_vote", I.aggregate_vote)):
+                a = aggregate(ts, toy_taxonomy)
+                expected.append((unit, k, dict(y1=y1, y2=y2, coarse=a.coarse_selection,
+                                               coarse_conf=a.coarse_confidence,
+                                               level2a=a.level2a, fine=a.selection,
+                                               conf=a.confidence)))
+            for unit, at, want in expected:
+                assert set(want) == {f.name for f in fields(I.UnitRows)}
+                for name, value in want.items():
+                    np.testing.assert_array_equal(getattr(rows[unit], name)[at], value,
+                                                  err_msg=f"{unit}.{name}")
