@@ -122,16 +122,13 @@ def resolve(args) -> Settings:
 
 # one body per stage, shared by the single-stage commands and `run_scheme`
 
-def _train_stage(train_cfg: T.TrainConfig, dataset: D.Dataset, taxonomy: Taxonomy,
-                 out_dir: str):
-    params, history = T.train(train_cfg, dataset, taxonomy)
+def _write_model(params, history, taxonomy: Taxonomy, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     M.save_checkpoint(params, taxonomy, os.path.join(out_dir, "model.json"))
     with open(os.path.join(out_dir, "loss.csv"), "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "mean_loss"])
         writer.writerows([epoch, repr(loss)] for epoch, loss in enumerate(history))
-    return params, history
 
 
 def _write_threshold(tau: float, out_dir: str) -> float:
@@ -180,7 +177,8 @@ def cmd_train(args) -> int:
     s = resolve(args)
     dataset = D.load_jsonl(args.data)
     D.check_labels(dataset, s.taxonomy)
-    _, history = _train_stage(s.train, dataset, s.taxonomy, args.out)
+    params, history = T.train(s.train, dataset, s.taxonomy)
+    _write_model(params, history, s.taxonomy, args.out)
     final = f"{history[-1]:.4f}" if history else "n/a"
     print(f"trained {s.train.scheme} for {s.train.epochs} epochs, final loss {final}")
     return 0
@@ -233,12 +231,10 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def run_scheme(scheme: str, train_split: D.Dataset, eval_split: D.Dataset,
-               taxonomy: Taxonomy, train_cfg: T.TrainConfig,
+def run_scheme(scheme: str, params, history, eval_split: D.Dataset, taxonomy: Taxonomy,
                out_dir: str) -> E.EvalReport:
-    """Train one scheme, search its threshold, evaluate, write artifacts."""
-    cfg = dataclasses.replace(train_cfg, scheme=scheme)
-    params, _ = _train_stage(cfg, train_split, taxonomy, out_dir)
+    """Write one trained scheme's artifacts, search its threshold, evaluate."""
+    _write_model(params, history, taxonomy, out_dir)
     report = _eval_stage(params, eval_split, taxonomy, None, scheme, out_dir)
     if report.tau is not None:   # the baseline has no threshold
         _write_threshold(report.tau, out_dir)
@@ -249,6 +245,8 @@ def cmd_ablation(args) -> int:
     s = resolve(args)
     dataset = D.generate(s.gen)
     train_split, eval_split = D.split_by_track(dataset, s.split_ratio, s.seed)
+    # every distinct loss trains in one lockstep loop, before any file is written
+    trained = T.train(s.train, train_split, s.taxonomy, s.schemes)
     os.makedirs(args.out, exist_ok=True)
     # a scheme whose loss an earlier one already trained gets that run's
     # files and report: the training, threshold and scores are the same
@@ -265,7 +263,7 @@ def cmd_ablation(args) -> int:
             report = dataclasses.replace(report, scheme=scheme)
             E.write_report(report, out_dir)
         else:
-            report = run_scheme(scheme, train_split, eval_split, s.taxonomy, s.train, out_dir)
+            report = run_scheme(scheme, *trained[scheme], eval_split, s.taxonomy, out_dir)
             first[loss] = scheme, report
         reports.append(report)
     E.write_table_csv(reports, os.path.join(args.out, "ablation_table.csv"))

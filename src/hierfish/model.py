@@ -10,7 +10,8 @@ the joint vector is itself a probability distribution over all species.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,86 +29,103 @@ MODE_TRUNK = "trunk"
 MODE_PRECOMPUTED = "precomputed"
 
 
-@dataclass
+# every weight array but the per-group fine heads (Wf, bf: deep -> |S_g|),
+# in `vector` order: the trunk (input -> shallow -> deep), the coarse head
+# (shallow -> hidden -> G) and the flat baseline head (deep -> hidden -> S)
+WEIGHT_NAMES = ("W1", "b1", "W2", "b2", "Wc1", "bc1", "Wc2", "bc2",
+                "Wl1", "bl1", "Wl2", "bl2")
+
+
 class ModelParams:
     """Every weight array of the network in one contiguous float64 vector.
 
     The named fields are views into `vector`, laid out in `fields()`
     order, so an optimizer can update all of them with whole-vector
-    operations. Write into the arrays (`arr[...] = x`); assigning a new
-    array to a field detaches it from `vector` (and, for `bf`, from the
-    forward pass, which reads the fine biases as one block of `vector`)
-    until the next `copy()`.
+    operations. Assigning to a field (or to `vector`) writes into its
+    view; `Wf` and `bf` are tuples, so their items cannot be replaced.
+
+    `tile(K)` stacks K models: `vector` is then (K, P), every matrix
+    (K, a, b) and every bias (K, 1, n), so the forward functions run all
+    K models at once by broadcasting. `rows(a, b)` is a stacked view of
+    models a..b-1 and `row(k)` model k alone, both sharing the memory.
     """
 
-    mode: str
-    # trunk: input -> shallow -> deep
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    # coarse head: shallow -> hidden -> G
-    Wc1: np.ndarray
-    bc1: np.ndarray
-    Wc2: np.ndarray
-    bc2: np.ndarray
-    # one dense layer per group: deep -> |S_g|
-    Wf: list[np.ndarray]
-    bf: list[np.ndarray]
-    # flat baseline head: deep -> hidden -> S
-    Wl1: np.ndarray
-    bl1: np.ndarray
-    Wl2: np.ndarray
-    bl2: np.ndarray
-    vector: np.ndarray = field(init=False, repr=False)
-    # the fine heads share one axis of S columns; group g owns fine_spans[g]
-    fine_bias: np.ndarray = field(init=False, repr=False)    # (S,), bf[0..G-1]
-    fine_spans: list = field(init=False, repr=False)         # (a, b) per group
-    fine_starts: np.ndarray = field(init=False, repr=False)  # (G,) column starts
-    fine_group: np.ndarray = field(init=False, repr=False)   # (S,) column -> group
+    def __init__(self, mode: str, *, Wf, bf, **weights):
+        arrays = [np.asarray(arr, dtype=np.float64)
+                  for arr in [weights[name] for name in WEIGHT_NAMES] + list(Wf) + list(bf)]
+        self._bind(mode, np.concatenate([arr.ravel() for arr in arrays]),
+                   [arr.shape for arr in arrays])
 
-    def __post_init__(self):
-        self.Wf, self.bf = list(self.Wf), list(self.bf)
-        keyed = [(key, np.asarray(arr, dtype=np.float64)) for key, arr in self.fields()]
-        self.vector = np.concatenate([arr.ravel() for _, arr in keyed])
-        start = 0
-        for key, arr in keyed:
-            view = self.vector[start:start + arr.size].reshape(arr.shape)
-            start += arr.size
-            if isinstance(key, tuple):
-                getattr(self, key[0])[key[1]] = view
-            else:
-                setattr(self, key, view)
-        sizes = [b.shape[0] for b in self.bf]
+    @classmethod
+    def _view(cls, mode: str, vector: np.ndarray, shapes: list) -> "ModelParams":
+        params = cls.__new__(cls)
+        params._bind(mode, vector, shapes)
+        return params
+
+    def _bind(self, mode: str, vector: np.ndarray, shapes: list) -> None:
+        """Make every named field a view into `vector`, (P,) or (K, P)."""
+        lead = vector.shape[:-1]
+
+        def view(start, shape):
+            pad = (1,) * (len(lead) and 2 - len(shape))   # a stacked bias is (K, 1, n)
+            return vector[..., start:start + math.prod(shape)].reshape(lead + pad + shape)
+
+        starts = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+        views = [view(start, shape) for start, shape in zip(starts, shapes)]
+        G = (len(shapes) - len(WEIGHT_NAMES)) // 2
+        sizes = [shape[0] for shape in shapes[-G:]]
         ends = np.cumsum(sizes)
-        self.fine_bias = self.vector[self.vector.size - int(ends[-1]):]   # bf is last
-        self.fine_starts = ends - sizes
-        self.fine_spans = list(zip(self.fine_starts.tolist(), ends.tolist()))
-        self.fine_group = np.repeat(np.arange(len(sizes)), sizes)
+        fine_starts = ends - sizes
+        state = dict(zip(WEIGHT_NAMES, views), mode=mode, vector=vector, _shapes=shapes,
+                     _rows={}, Wf=tuple(views[-2 * G:-G]), bf=tuple(views[-G:]),
+                     # the fine heads share one axis of S columns; group g
+                     # owns fine_spans[g]. bf is last, so fine_bias is one view
+                     fine_bias=view(starts[-1] - int(ends[-1]), (int(ends[-1]),)),
+                     fine_spans=list(zip(fine_starts.tolist(), ends.tolist())),
+                     fine_starts=fine_starts,
+                     fine_group=np.repeat(np.arange(G), sizes))
+        self.__dict__.update(state)
+
+    def __setattr__(self, name, value):
+        """A weight array (or `vector`) is written into its view, never replaced."""
+        if name in ("Wf", "bf"):
+            views, values = getattr(self, name), list(value)
+            if len(values) != len(views):
+                raise DimensionMismatch(f"{name} needs {len(views)} arrays, not {len(values)}")
+        elif name in WEIGHT_NAMES or name == "vector":
+            views, values = [getattr(self, name)], [value]
+        else:
+            return super().__setattr__(name, value)
+        values = [np.asarray(v, dtype=np.float64) for v in values]
+        for view, new in zip(views, values):
+            if new.shape != view.shape:
+                raise DimensionMismatch(f"{name} needs shape {view.shape}, not {new.shape}")
+        for view, new in zip(views, values):
+            view[...] = new
 
     @property
     def d_in(self) -> int:
-        return self.W1.shape[0]
+        return self.W1.shape[-2]
 
     @property
     def d1(self) -> int:
-        return self.W1.shape[1]
+        return self.W1.shape[-1]
 
     @property
     def d2(self) -> int:
-        return self.W2.shape[1]
+        return self.W2.shape[-1]
 
     @property
     def hidden(self) -> int:
-        return self.Wc1.shape[1]
+        return self.Wc1.shape[-1]
 
     @property
     def G(self) -> int:
-        return self.Wc2.shape[1]
+        return self.Wc2.shape[-1]
 
     @property
     def S(self) -> int:
-        return self.Wl2.shape[1]
+        return self.Wl2.shape[-1]
 
     def fields(self):
         """Iterate (key, array) over every parameter array, in `vector` order.
@@ -115,8 +133,7 @@ class ModelParams:
         Keys are either attribute names or ('Wf', g) / ('bf', g) pairs;
         used by checkpoints and the finite-difference gradient check.
         """
-        for name in ("W1", "b1", "W2", "b2", "Wc1", "bc1", "Wc2", "bc2",
-                     "Wl1", "bl1", "Wl2", "bl2"):
+        for name in WEIGHT_NAMES:
             yield name, getattr(self, name)
         for g in range(len(self.Wf)):
             yield ("Wf", g), self.Wf[g]
@@ -130,12 +147,26 @@ class ModelParams:
         return getattr(self, key)
 
     def copy(self) -> "ModelParams":
-        return replace(self)
+        return self._view(self.mode, self.vector.copy(), self._shapes)
 
     def zeros_like(self) -> "ModelParams":
-        z = self.copy()
-        z.vector.fill(0.0)
-        return z
+        return self._view(self.mode, np.zeros_like(self.vector), self._shapes)
+
+    def tile(self, K: int) -> "ModelParams":
+        """K stacked copies of these (unstacked) parameters."""
+        return self._view(self.mode, np.tile(self.vector, (K, 1)), self._shapes)
+
+    def rows(self, a: int, b: int) -> "ModelParams":
+        """Stacked view of models a..b-1; built once per (a, b)."""
+        if (a, b) not in self._rows:
+            self._rows[a, b] = self._view(self.mode, self.vector[a:b], self._shapes)
+        return self._rows[a, b]
+
+    def row(self, k: int) -> "ModelParams":
+        """Unstacked view of model k; built once per k."""
+        if k not in self._rows:
+            self._rows[k] = self._view(self.mode, self.vector[k], self._shapes)
+        return self._rows[k]
 
 
 @dataclass
@@ -151,9 +182,14 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+# a precomputed-mode model reads no raw input, but still carries (and
+# draws from the seed) a first trunk layer of this width
+D_IN = 32
+
+
 def init_params(
     taxonomy: Taxonomy,
-    d_in: int = 32,
+    d_in: int = D_IN,
     d1: int = 24,
     hidden: int = 24,
     d2: int = 16,

@@ -24,17 +24,35 @@ one segmented softmax over a (B, S) array, group g in the columns
 pass subtracts the one-hot label from that array once and takes each
 group's gradient as a block of one by-group row gather.
 
-Parameter layout: `ModelParams` keeps every weight in one contiguous
-float64 vector, `params.vector`, with the named fields as views into it
-in `ModelParams.fields()` order:
+Parameter layout: `ModelParams` keeps every weight of a model in one
+contiguous float64 vector of P entries, with the named fields as views
+into it in `ModelParams.fields()` order:
   W1, b1, W2, b2 | Wc1, bc1, Wc2, bc2 | Wl1, bl1, Wl2, bl2 | Wf[0..G-1] | bf[0..G-1]
-(each matrix row-major). The gradient buffer has the same layout, so the
-kernel writes each gradient into its view and `train` applies the mean
-and momentum to the whole vector at once.
+(each matrix row-major). The kernel always sees K models stacked into a
+(K, P) array, one row per distinct loss in `LOSS_ORDER`: every matrix
+is a (K, a, b) view and every bias a (K, 1, n) view, so one call of the
+forward functions runs all K models by broadcasting. `train` trains
+all the losses of a run in lockstep: every model of one seed starts
+from the same weights and draws the same batches, so each step makes
+one gather, one stacked trunk pass, the flat head on the baseline row
+(row 0), the coarse and fine heads stacked on the hierarchical rows,
+and one momentum update over (K, P). What differs per loss stays per
+row: scheme1's row reads `fine`, scheme3's reads `joint` and doubles
+its coarse-logit gradient, and the per-group fine backward runs one
+model at a time on 2-D views. numpy runs a stacked matmul or reduction
+as the same 2-D operation per row, so each row is bit-identical to its
+model trained alone (tests/test_training.py checks this); a single
+model is the K = 1 case. The gradient buffer has the layout of the
+parameters, so the kernel writes each gradient into its view and
+`train` applies the mean and momentum to the whole (K, P) array at
+once.
 
 `train` validates the data once per call: it turns the labels into
 integer arrays, checks each frame's input layout and finiteness, and
 gathers each step's inputs from the frames into a preallocated buffer.
+It refuses more than `MAX_WEIGHTS` weights over all K models before
+allocating any, and a model that diverges stops the run, named by its
+scheme.
 """
 
 from __future__ import annotations
@@ -51,6 +69,7 @@ from .errors import (
     DivergedTraining,
     EmptyDataset,
     InconsistentLabels,
+    InfeasibleConfig,
     LabelOutOfRange,
     MalformedDocument,
     NonFiniteActivation,
@@ -63,6 +82,12 @@ from .taxonomy import Taxonomy
 LOSSES = {"baseline": "baseline", "scheme1": "scheme1",
           "scheme2": "scheme3", "scheme3": "scheme3"}
 SCHEMES = tuple(LOSSES)
+# the row order of models trained in lockstep: the baseline first, so
+# the hierarchical models are one contiguous block
+LOSS_ORDER = ("baseline", "scheme1", "scheme3")
+# the most weights `train` allocates over all its models, as `generate`
+# bounds its feature values
+MAX_WEIGHTS = 10**8
 
 
 @dataclass
@@ -130,93 +155,109 @@ def compute_loss(scheme: str, outputs, example: LabeledExample, taxonomy: Taxono
 
 
 def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
-                    scheme: str) -> float:
-    """Mean batch loss; overwrites `grads` with its gradient.
+                    losses) -> np.ndarray:
+    """Mean batch loss of each model of stacked `params`, as a (K,) array;
+    overwrites `grads` with their gradients.
 
-    `inputs` is (X,) with X of shape (B, d_in) in trunk mode, or the
-    (shallow, deep) pair in precomputed mode. y1/y2 are the coarse and
-    global fine labels. `grads` has the layout of `params`.
+    `losses[k]` is model k's loss, in `LOSS_ORDER`. `inputs` is (X,) with
+    X of shape (B, d_in) in trunk mode, or the (shallow, deep) pair in
+    precomputed mode; every model reads the same batch. y1/y2 are the
+    coarse and global fine labels. `grads` has the layout of `params`.
     """
-    B = y1.shape[0]
-    rows = np.arange(B)
+    K, B = len(losses), y1.shape[0]
+    h = int(losses[0] == "baseline")   # models h: are hierarchical
+    # the label of row b of model k in a (K, B, n) array is at the flat
+    # index cells[k, b] * n + label
+    cells = np.arange(K * B).reshape(K, B)
     trunk = params.mode == M.MODE_TRUNK
-    loss = LOSSES[scheme]
     grads.vector.fill(0.0)
     if trunk:
         X, = inputs
         z1, A1, z2, A2 = M.trunk_features(params, X)
+        dA2 = np.empty_like(A2)
     else:
-        A1, A2 = inputs
+        A1, A2 = (np.broadcast_to(a, (K,) + a.shape) for a in inputs)
+    out = np.empty((K, B))
 
     # a zero probability yields an inf loss; the train loop turns that
     # into DivergedTraining rather than warning here
-    dA1 = dA2 = None
-    if loss == "baseline":
-        cache, flat = M.flat_forward(params, A2)
+    if h:
+        p, dp = params.rows(0, 1), grads.rows(0, 1)
+        cache, flat = M.flat_forward(p, A2[:1])
+        label = cells[0] * params.S + y2
         with np.errstate(divide="ignore"):
-            losses = -np.log(flat[rows, y2])
+            out[0] = -np.log(flat.ravel()[label])
         Gl = flat   # the probabilities become the logit gradient in place
-        Gl[rows, y2] -= 1.0
-        np.matmul(cache["Hl"].T, Gl, out=grads.Wl2)
-        np.add.reduce(Gl, axis=0, out=grads.bl2)
-        dzl1 = (Gl @ params.Wl2.T) * (cache["zl1"] > 0)
-        np.matmul(A2.T, dzl1, out=grads.Wl1)
-        np.add.reduce(dzl1, axis=0, out=grads.bl1)
+        Gl.ravel()[label] -= 1.0
+        np.matmul(cache["Hl"].swapaxes(-1, -2), Gl, out=dp.Wl2)
+        np.add.reduce(Gl, axis=-2, keepdims=True, out=dp.bl2)
+        dzl1 = (Gl @ p.Wl2.swapaxes(-1, -2)) * (cache["zl1"] > 0)
+        np.matmul(A2[:1].swapaxes(-1, -2), dzl1, out=dp.Wl1)
+        np.add.reduce(dzl1, axis=-2, keepdims=True, out=dp.bl1)
         if trunk:
-            dA2 = dzl1 @ params.Wl1.T
-    else:
-        cache, coarse, fine, joint = M.heads_forward(params, A1, A2)
+            np.matmul(dzl1, p.Wl1.swapaxes(-1, -2), out=dA2[:1])
+    if h < K:
+        p, dp = params.rows(h, K), grads.rows(h, K)
+        A1h, A2h = A1[h:], A2[h:]
+        cache, coarse, fine, joint = M.heads_forward(p, A1h, A2h)
+        group, species = cells[:K - h] * params.G + y1, cells[:K - h] * params.S + y2
         # scheme1 scores the true species within its group's head, scheme3
-        # on the joint simplex
+        # on the joint simplex. Coarse-logit gradient: the joint term
+        # contributes a second (coarse - onehot) for scheme3, since log
+        # joint splits into log coarse + log fine
         with np.errstate(divide="ignore"):
-            losses = (-np.log(coarse[rows, y1])
-                      - np.log((fine if loss == "scheme1" else joint)[rows, y2]))
-        # coarse-logit gradient: the joint term contributes a second
-        # (coarse - onehot) for scheme3 since log joint splits into
-        # log coarse + log fine
-        Gc = coarse   # joint and the losses are computed; reuse in place
-        Gc[rows, y1] -= 1.0
-        if loss != "scheme1":
-            Gc *= 2.0
-        np.matmul(cache["Hc"].T, Gc, out=grads.Wc2)
-        np.add.reduce(Gc, axis=0, out=grads.bc2)
-        dzc1 = (Gc @ params.Wc2.T) * (cache["zc1"] > 0)
-        np.matmul(A1.T, dzc1, out=grads.Wc1)
-        np.add.reduce(dzc1, axis=0, out=grads.bc1)
+            coarse_nll = -np.log(coarse.ravel()[group])
+            Gc = coarse   # joint and the coarse term are computed; reuse in place
+            Gc.ravel()[group] -= 1.0
+            for j, loss in enumerate(losses[h:]):
+                out[h + j] = coarse_nll[j] - np.log(
+                    (fine if loss == "scheme1" else joint).ravel()[species[j]])
+                if loss != "scheme1":
+                    Gc[j] *= 2.0
+        np.matmul(cache["Hc"].swapaxes(-1, -2), Gc, out=dp.Wc2)
+        np.add.reduce(Gc, axis=-2, keepdims=True, out=dp.bc2)
+        dzc1 = (Gc @ p.Wc2.swapaxes(-1, -2)) * (cache["zc1"] > 0)
+        np.matmul(A1h.swapaxes(-1, -2), dzc1, out=dp.Wc1)
+        np.add.reduce(dzc1, axis=-2, keepdims=True, out=dp.bc1)
         # fine-logit gradient, in place: only the true group's block of a
         # row is nonzero. Rows sorted by group, ascending within a group;
-        # group g owns the rows a:b of Gf and its columns fine_spans[g]
-        fine[rows, y2] -= 1.0
+        # group g owns the rows a:b of Gf and its columns fine_spans[g].
+        # One model at a time: a group's blocks are too small for a
+        # stacked operation to pay for its overhead
+        fine.ravel()[species] -= 1.0
         by_group = np.argsort(y1, kind="stable")
-        Gf, A2_s = fine[by_group], A2[by_group]
         ends = np.bincount(y1, minlength=params.G).cumsum().tolist()
         if trunk:
-            dA1 = dzc1 @ params.Wc1.T
-            dA2_s = np.zeros_like(A2)
-        for g, a, b, (c, d) in zip(range(params.G), [0] + ends[:-1], ends, params.fine_spans):
-            if a == b:
-                continue
-            block = Gf[a:b, c:d]
-            np.matmul(A2_s[a:b].T, block, out=grads.Wf[g])
-            np.add.reduce(block, axis=0, out=grads.bf[g])
-            if trunk:
-                dA2_s[a:b] += block @ params.Wf[g].T
+            dA1h = dzc1 @ p.Wc1.swapaxes(-1, -2)
+            dA2_s = np.zeros((K - h, B, params.d2))
+        for j in range(K - h):
+            pj, dpj = params.row(h + j), grads.row(h + j)
+            Gf, A2_s = fine[j][by_group], A2h[j][by_group]
+            for g, a, b, (c, d) in zip(range(params.G), [0] + ends[:-1], ends,
+                                       params.fine_spans):
+                if a == b:
+                    continue
+                block = Gf[a:b, c:d]
+                np.matmul(A2_s[a:b].T, block, out=dpj.Wf[g])
+                np.add.reduce(block, axis=0, out=dpj.bf[g])
+                if trunk:
+                    dA2_s[j, a:b] += block @ pj.Wf[g].T
         if trunk:
-            dA2 = np.empty_like(A2)
-            dA2[by_group] = dA2_s
+            dA2[h:, by_group] = dA2_s
 
     if trunk:
         dz2 = dA2 * (z2 > 0)
-        np.matmul(A1.T, dz2, out=grads.W2)
-        np.add.reduce(dz2, axis=0, out=grads.b2)
-        back = dz2 @ params.W2.T
-        dA1 = back if dA1 is None else dA1 + back
+        np.matmul(A1.swapaxes(-1, -2), dz2, out=grads.W2)
+        np.add.reduce(dz2, axis=-2, keepdims=True, out=grads.b2)
+        dA1 = dz2 @ params.W2.swapaxes(-1, -2)
+        if h < K:
+            dA1[h:] += dA1h
         dz1 = dA1 * (z1 > 0)
         np.matmul(X.T, dz1, out=grads.W1)
-        np.add.reduce(dz1, axis=0, out=grads.b1)
+        np.add.reduce(dz1, axis=-2, keepdims=True, out=grads.b1)
 
     grads.vector /= B
-    return float(losses.mean())
+    return np.add.reduce(out, axis=-1) / B   # as `out.mean(axis=-1)`, with less overhead
 
 
 def _batch_arrays(batch: list[LabeledExample], params: ModelParams, taxonomy: Taxonomy):
@@ -240,16 +281,19 @@ def compute_gradients(params: ModelParams, batch: list[LabeledExample],
                       scheme: str, taxonomy: Taxonomy) -> ModelParams:
     """Gradient of the mean batch loss, shaped like the parameters."""
     inputs, y1, y2 = _batch_arrays(batch, params, taxonomy)
-    grads = params.zeros_like()
-    _loss_and_grads(params, grads, inputs, y1, y2, scheme)
-    return grads
+    stacked = params.tile(1)
+    grads = stacked.zeros_like()
+    _loss_and_grads(stacked, grads, inputs, y1, y2, (LOSSES[scheme],))
+    return grads.row(0)
 
 
 def batch_loss(params: ModelParams, batch: list[LabeledExample],
                scheme: str, taxonomy: Taxonomy) -> float:
     """Mean batch loss only; used by the finite-difference check."""
     inputs, y1, y2 = _batch_arrays(batch, params, taxonomy)
-    return _loss_and_grads(params, params.zeros_like(), inputs, y1, y2, scheme)
+    stacked = params.tile(1)
+    return float(_loss_and_grads(stacked, stacked.zeros_like(), inputs, y1, y2,
+                                 (LOSSES[scheme],))[0])
 
 
 def _where(frame) -> str:
@@ -297,56 +341,88 @@ def _stage(frames, mode: str, taxonomy: Taxonomy):
 def _gather(buffer: np.ndarray, column: list, idx: np.ndarray) -> np.ndarray:
     """Copy the rows `idx` of a staged column into the head of `buffer`."""
     out = buffer[:idx.shape[0]]
-    out[...] = [column[j] for j in idx.tolist()]
+    np.concatenate([column[j] for j in idx.tolist()], out=out.reshape(-1))
     return out
 
 
-def train(config: TrainConfig, train_split: Dataset,
-          taxonomy: Taxonomy) -> tuple[ModelParams, list[float]]:
+def _check_size(taxonomy: Taxonomy, K: int, dims: dict) -> None:
+    """Refuse to allocate K models of more than MAX_WEIGHTS weights in all."""
+    size = K * sum(math.prod(shape) for shape in M.weight_shapes(taxonomy, **dims).values())
+    if size > MAX_WEIGHTS:
+        raise InfeasibleConfig(
+            f"{K} model(s) of d1={dims['d1']}, hidden={dims['hidden']}, d2={dims['d2']} "
+            f"hold {size} weights, more than {MAX_WEIGHTS}; lower hidden, d1 or d2")
+
+
+def _diverged(params, grads, inputs, y1, y2, losses, names, epoch) -> DivergedTraining:
+    """Name the first model that fails this step on its own, as it does
+    in lockstep."""
+    for k, loss in enumerate(losses):
+        try:
+            if not np.isfinite(_loss_and_grads(params.rows(k, k + 1), grads.rows(k, k + 1),
+                                               inputs, y1, y2, (loss,))).all():
+                break
+        except NonFiniteActivation:
+            break
+    return DivergedTraining(f"{names[loss]} diverged at epoch {epoch}; lower the learning rate")
+
+
+def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes=None):
     """Image-based mini-batch SGD with momentum; deterministic for a seed.
 
     The data decides the network's input side: `train_split.mode` picks
     trunk or precomputed mode, and the frames' widths set d_in (trunk)
     or d1 and d2 (precomputed). Returns the trained parameters and the
-    per-epoch mean training loss.
+    per-epoch mean training loss of `config.scheme`.
+
+    With `schemes`, trains one model per distinct loss of those schemes
+    in one lockstep loop (`config.scheme` is not used) and returns
+    {scheme: (params, history)}; schemes that share a loss share the
+    pair. Each model is bit-identical to the one its scheme trains alone.
     """
     frames = list(train_split.frames())
     if not frames:
         raise EmptyDataset("train split has no frames")
+    names = {}   # loss -> the first scheme that trains it
+    for scheme in [config.scheme] if schemes is None else schemes:
+        names.setdefault(LOSSES[scheme], scheme)
+    losses = [loss for loss in LOSS_ORDER if loss in names]
     mode = train_split.mode
     columns, y1, y2 = _stage(frames, mode, taxonomy)
     widths = [column[0].shape[0] for column in columns]
     dims = (dict(d_in=widths[0], d1=config.d1, d2=config.d2) if mode == M.MODE_TRUNK
-            else dict(d1=widths[0], d2=widths[1]))
-    params = M.init_params(taxonomy, hidden=config.hidden, seed=config.seed,
-                           mode=mode, **dims)
+            else dict(d_in=M.D_IN, d1=widths[0], d2=widths[1]))
+    dims.update(hidden=config.hidden)
+    _check_size(taxonomy, len(losses), dims)
+    params = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims).tile(len(losses))
     grads = params.zeros_like()
     velocity = np.zeros_like(params.vector)
     n = len(frames)
     B = config.batch_size
     buffers = [np.empty((min(B, n), column[0].shape[0])) for column in columns]
-    history: list[float] = []
+    histories: list[list[float]] = [[] for _ in losses]
     for epoch in range(config.epochs):
         rng = np.random.default_rng([config.seed, 1, epoch])
         order = rng.permutation(n)
-        loss_sum = 0.0
+        loss_sum = np.zeros(len(losses))
         for start in range(0, n, B):
             idx = order[start:start + B]
             inputs = [_gather(buf, col, idx) for buf, col in zip(buffers, columns)]
             try:
-                loss = _loss_and_grads(params, grads, inputs, y1[idx], y2[idx],
-                                       config.scheme)
-            except NonFiniteActivation as e:
-                raise DivergedTraining(
-                    f"exploded activations at epoch {epoch}; lower the learning rate"
-                ) from e
-            if not np.isfinite(loss):
-                raise DivergedTraining(
-                    f"non-finite loss at epoch {epoch}; lower the learning rate"
-                )
+                loss = _loss_and_grads(params, grads, inputs, y1[idx], y2[idx], losses)
+                finite = np.isfinite(loss).all()
+            except NonFiniteActivation:
+                finite = False
+            if not finite:
+                raise _diverged(params, grads, inputs, y1[idx], y2[idx], losses, names, epoch)
             loss_sum += loss * idx.shape[0]
             velocity *= config.momentum
-            velocity -= config.learning_rate * grads.vector
+            grads.vector *= config.learning_rate   # in place: no (K, P) temporary
+            velocity -= grads.vector
             params.vector += velocity
-        history.append(loss_sum / n)
-    return params, history
+        for history, value in zip(histories, (loss_sum / n).tolist()):
+            history.append(value)
+    trained = [(params.row(k), history) for k, history in enumerate(histories)]
+    if schemes is None:
+        return trained[0]
+    return {scheme: trained[losses.index(LOSSES[scheme])] for scheme in schemes}

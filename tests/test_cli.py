@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -189,14 +190,15 @@ class TestAblation:
         """scheme2 trains scheme3's loss, so an ablation over both trains
         once and gives the later scheme the same files and report."""
         ws = workspace
-        trained = []
-        train = T.train
-        monkeypatch.setattr(T, "train", lambda cfg, *rest: trained.append(cfg.scheme)
-                            or train(cfg, *rest))
+        calls, trained = [], set()   # train calls; the losses each step trains
+        train, kernel = T.train, T._loss_and_grads
+        monkeypatch.setattr(T, "train", lambda *args: calls.append(args) or train(*args))
+        monkeypatch.setattr(T, "_loss_and_grads",
+                            lambda *args: trained.add(tuple(args[-1])) or kernel(*args))
         common = ["--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json"]
         assert run(["ablation", *common, "--seed", 11, "--schemes", "scheme3,scheme2",
                     "--out", ws / "run"]) == 0
-        assert trained == ["scheme3"]
+        assert len(calls) == 1 and trained == {("scheme3",)}
         s3, s2 = _tree_bytes(ws / "run" / "scheme3"), _tree_bytes(ws / "run" / "scheme2")
         assert s3.keys() == s2.keys() >= {"model.json", "loss.csv", "threshold.json",
                                           "report.json", "table.csv"}
@@ -241,6 +243,18 @@ class TestAblation:
         hierarchical = {T.LOSSES[s] for s in T.SCHEMES if s != "baseline"}
         assert len(scored) == n_eval * len(hierarchical) == 2 * n_eval
         assert len(set(scored)) == n_eval
+
+    def test_diverging_scheme_fails_before_any_file_is_written(self, workspace, capsys):
+        ws = workspace
+        (ws / "config.json").write_text(json.dumps(
+            {**SMALL_CONFIG, "train": {**SMALL_CONFIG["train"], "learning_rate": 1e6}}))
+        assert run(["ablation", "--config", ws / "config.json",
+                    "--taxonomy", ws / "taxonomy.json", "--schemes", "scheme2,baseline",
+                    "--out", ws / "run"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: (scheme2|baseline) diverged at epoch \d+; "
+                            r"lower the learning rate\n", err), err
+        assert not (ws / "run").exists()
 
     def test_repeated_scheme_flag_fails(self, workspace, capsys):
         ws = workspace
@@ -304,6 +318,23 @@ class TestErrors:
         tid = dataset.tracks[4].track_id
         assert err.startswith(f"error: track '{tid}' frame 1: non-finite")
         assert "learning rate" not in err
+
+    @pytest.mark.parametrize("command", ["train", "ablation"])
+    def test_model_too_large_allocates_nothing(self, workspace, capsys, monkeypatch, command):
+        ws = workspace
+        (ws / "config.json").write_text(json.dumps({"train": {"hidden": 10**20}}))
+        monkeypatch.setattr(M, "init_params", None)   # must not be reached
+        dataset = D.generate(D.GenConfig(taxonomy=TAXONOMY, tracks_total=10,
+                                         frames_min=2, frames_max=3, dim=6, seed=1))
+        if command == "train":
+            assert self._train_on(ws, dataset) == 1
+        else:
+            assert run(["ablation", "--config", ws / "config.json",
+                        "--taxonomy", ws / "taxonomy.json", "--out", ws / "run"]) == 1
+        err = capsys.readouterr().err
+        models = 1 if command == "train" else 3
+        assert err.startswith(f"error: {models} model(s) of d1=24, hidden={10**20}, d2=16 ")
+        assert "lower hidden, d1 or d2" in err and "Traceback" not in err
 
     def test_malformed_checkpoint(self, workspace, capsys):
         ws = workspace

@@ -105,7 +105,7 @@ def _toy_params(tiny_taxonomy):
     p.bl1 = np.array([-0.05, 0.05])
     p.Wl2 = np.array([[0.3, -0.2, 0.4], [0.1, 0.6, -0.5]])
     p.bl2 = np.array([0.0, 0.1, -0.1])
-    return p.copy()   # packs the reassigned fields back into one vector
+    return p
 
 
 def _oracle_softmax(z):
@@ -261,6 +261,57 @@ class TestSegmentedSoftmax:
             M.heads_forward(p, np.empty((0, p.d1)), np.empty((0, p.d2)))
         with pytest.raises(EmptyInput):
             M.forward(p, np.empty((0, p.d_in)))
+
+
+class TestParamsLayout:
+    def test_assigning_a_field_writes_through(self, tiny_taxonomy):
+        p = M.init_params(tiny_taxonomy, d_in=2, d1=2, hidden=2, d2=2, seed=0)
+        vector, x = p.vector, np.array([0.8, -1.3])
+        before = M.forward(p, x)
+        bf = [np.array([3.0, -3.0]), np.array([0.5])]
+        p.bf = bf
+        p.W1 = np.eye(2)
+        assert p.vector is vector
+        assert vector[:4].tolist() == [1.0, 0.0, 0.0, 1.0]   # W1 comes first
+        assert vector[-3:].tolist() == [3.0, -3.0, 0.5]      # bf comes last
+        ref = M.ModelParams(mode=p.mode, Wf=[w.copy() for w in p.Wf], bf=bf,
+                            **{name: p.get(name).copy() for name in M.WEIGHT_NAMES})
+        after, expected = M.forward(p, x), M.forward(ref, x)
+        assert not np.array_equal(after.joint, before.joint)
+        assert np.array_equal(after.joint, expected.joint)
+        for got, want in zip(after.fine_local, expected.fine_local, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_fields_cannot_be_replaced_or_resized(self, tiny_taxonomy):
+        p = M.init_params(tiny_taxonomy, d_in=2, d1=2, hidden=2, d2=2, seed=0)
+        saved = p.vector.copy()
+        with pytest.raises(TypeError):
+            p.bf[0] = np.zeros(2)
+        with pytest.raises(DimensionMismatch):
+            p.b1 = np.zeros(3)
+        with pytest.raises(DimensionMismatch):
+            p.Wf = [np.zeros((2, 2))]
+        assert np.array_equal(p.vector, saved)
+
+    def test_stacked_forward_is_each_row_forward(self, six31):
+        """K stacked models run through the one forward by broadcasting,
+        each bit-identical to its row alone."""
+        rng = np.random.default_rng(3)
+        stacked = M.init_params(six31, seed=1).tile(3)
+        stacked.vector[...] = rng.normal(0.0, 0.5, stacked.vector.shape)
+        assert stacked.W1.shape == (3, 32, 24) and stacked.b1.shape == (3, 1, 24)
+        X = rng.normal(size=(7, 32))
+        _, shallow, _, deep = M.trunk_features(stacked, X)
+        _, coarse, fine, joint = M.heads_forward(stacked, shallow, deep)
+        _, flat = M.flat_forward(stacked, deep)
+        for k in range(3):
+            row = stacked.row(k)
+            assert np.shares_memory(row.vector, stacked.vector)
+            out = M.forward(row, X)
+            assert coarse[k].tobytes() == out.coarse.tobytes()
+            assert joint[k].tobytes() == out.joint.tobytes()
+            assert fine[k].tobytes() == np.concatenate(out.fine_local, axis=-1).tobytes()
+            assert flat[k].tobytes() == M.forward_flat(row, X).tobytes()
 
 
 class TestCheckpoint:

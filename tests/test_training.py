@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hierfish.errors import (
     DivergedTraining,
     EmptyDataset,
     InconsistentLabels,
+    InfeasibleConfig,
     LabelOutOfRange,
     MalformedDocument,
     NonFiniteInput,
@@ -211,6 +213,26 @@ class TestTrain:
         with pytest.raises(DivergedTraining):
             T.train(cfg, ds, toy_taxonomy)
 
+    def test_diverged_training_names_the_scheme(self, toy_taxonomy):
+        ds = _tiny_dataset(toy_taxonomy)
+        cfg = T.TrainConfig(scheme="scheme2", epochs=20, seed=0, learning_rate=1e6,
+                            d1=4, hidden=4, d2=3)
+        with pytest.raises(DivergedTraining,
+                           match=r"^scheme2 diverged at epoch \d+; lower the learning rate$"):
+            T.train(cfg, ds, toy_taxonomy)
+        with pytest.raises(DivergedTraining, match=r"^(scheme1|scheme2) diverged at epoch"):
+            T.train(cfg, ds, toy_taxonomy, ["scheme2", "scheme1"])
+
+    def test_model_size_is_bounded_before_allocating(self, toy_taxonomy, monkeypatch):
+        """Three models of 17 * 3e6 weights each pass one at a time but
+        not together; nothing is allocated for them."""
+        ds = _tiny_dataset(toy_taxonomy)
+        cfg = T.TrainConfig(epochs=1, d1=4, hidden=3 * 10**6, d2=3)
+        monkeypatch.setattr(M, "init_params", None)   # must not be reached
+        with pytest.raises(InfeasibleConfig, match=r"^3 model\(s\) of d1=4, hidden=3000000, d2=3 "
+                                                   r"hold 1530\d{5} weights, more than 100000000"):
+            T.train(cfg, ds, toy_taxonomy, ["baseline", "scheme1", "scheme3"])
+
     def test_precomputed_mode(self, toy_taxonomy):
         ds = _precomputed_dataset(toy_taxonomy)
         cfg = T.TrainConfig(epochs=2, seed=0, hidden=4)
@@ -336,3 +358,25 @@ def test_train_is_bit_identical_to_reference_loop(toy_taxonomy, scheme, data):
     assert history == ref_history
     for key, arr in ref.fields():
         assert np.array_equal(params.get(key), arr), key
+
+
+@pytest.mark.parametrize("schemes", [
+    ("baseline",), ("scheme1",), ("baseline", "scheme3"), ("scheme1", "scheme3"),
+    ("scheme3", "scheme2", "scheme1", "baseline"),
+], ids="-".join)
+@pytest.mark.parametrize("data", ["features", "precomputed"])
+def test_lockstep_is_bit_identical_to_solo_training(toy_taxonomy, schemes, data):
+    """Every model of a lockstep run is the model its scheme trains alone,
+    and the one the reference loop trains."""
+    ds = _dataset(toy_taxonomy, data)
+    cfg = T.TrainConfig(epochs=3, batch_size=7, seed=5, d1=4, hidden=4, d2=3)
+    assert ds.n_frames % cfg.batch_size != 0  # the last batch is ragged
+    trained = T.train(cfg, ds, toy_taxonomy, list(schemes))
+    assert list(trained) == list(schemes)
+    for scheme in schemes:
+        params, history = trained[scheme]
+        alone = dataclasses.replace(cfg, scheme=scheme)
+        solo, solo_history = T.train(alone, ds, toy_taxonomy)
+        ref, ref_history = _reference_train(alone, ds, toy_taxonomy)
+        assert history == solo_history == ref_history, scheme
+        assert params.vector.tobytes() == solo.vector.tobytes() == ref.vector.tobytes(), scheme
