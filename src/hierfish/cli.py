@@ -42,7 +42,7 @@ def _load_config(path: str | None) -> dict:
             doc = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except ValueError as e:   # invalid JSON or not UTF-8
+    except (ValueError, RecursionError) as e:   # invalid, nested too deep or not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -103,10 +103,12 @@ def resolve(args) -> Settings:
         raise ConfigError(f"seed must be >= 0, not {seed}")
     ratio = flags.get("ratio", _checked("split_ratio",
                                         cfg.get("split_ratio", DEFAULT_SPLIT_RATIO), "float"))
-    schemes = (flags["schemes"].split(",") if flags.get("schemes")
+    schemes = (flags["schemes"].split(",") if "schemes" in flags
                else cfg.get("schemes", DEFAULT_SCHEMES))
     if not isinstance(schemes, list):
         raise ConfigError(f"config key 'schemes' must be a list, not {schemes!r}")
+    if not schemes:
+        raise ConfigError("config key 'schemes' must list at least one scheme")
     for k, scheme in enumerate(schemes):
         if scheme not in T.SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}")

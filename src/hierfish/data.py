@@ -25,7 +25,7 @@ from .errors import (
     MalformedRecord,
     SpeciesTooSmall,
 )
-from .model import MODE_PRECOMPUTED, MODE_TRUNK
+from .model import MODE_PRECOMPUTED, MODE_TRUNK, number_array
 from .taxonomy import Taxonomy
 
 
@@ -248,19 +248,8 @@ def save_jsonl(dataset: Dataset, path: str) -> None:
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-_NUMBERS = frozenset({int, float})   # the JSON number types; a bool is no number
-
-
 def _vector(rec: dict, key: str, frame: Frame, lineno: int) -> np.ndarray:
-    values = rec[key]
-    if type(values) is not list:
-        raise ValueError(f"{key!r} must be a flat list of numbers")
-    if not _NUMBERS.issuperset(map(type, values)):
-        bad = next(v for v in values if type(v) not in _NUMBERS)
-        if type(bad) is list:
-            raise ValueError(f"{key!r} must be a flat list of numbers")
-        raise ValueError(f"could not convert {bad!r} in {key!r} to a number")
-    vec = np.array(values, dtype=np.float64)
+    vec = number_array(rec[key], key)
     if not np.isfinite(vec).all():
         raise MalformedRecord(
             f"track {frame.track_id!r} frame {frame.frame_index}: "
@@ -290,7 +279,7 @@ def load_jsonl(path: str) -> Dataset:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:   # invalid or nested too deep
                 raise MalformedRecord(f"line {lineno}: invalid JSON: {e}") from e
             try:
                 for key, (kind, name) in _LABEL_TYPES.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,20 +30,32 @@ MODE_TRUNK = "trunk"
 MODE_PRECOMPUTED = "precomputed"
 
 
-# every weight array but the per-group fine heads (Wf, bf: deep -> |S_g|),
-# in `vector` order: the trunk (input -> shallow -> deep), the coarse head
-# (shallow -> hidden -> G) and the flat baseline head (deep -> hidden -> S)
-WEIGHT_NAMES = ("W1", "b1", "W2", "b2", "Wc1", "bc1", "Wc2", "bc2",
-                "Wl1", "bl1", "Wl2", "bl2")
+DIM_KEYS = ("d_in", "d1", "hidden", "d2")
+
+
+def weight_shapes(taxonomy: Taxonomy, d_in: int, d1: int, hidden: int, d2: int) -> dict:
+    """The parameter layout: checkpoint name -> shape of every weight, in
+    `ModelParams.vector` order. The trunk (input -> shallow -> deep), the
+    coarse head (shallow -> hidden -> G), the flat baseline head (deep ->
+    hidden -> S), then the per-group fine heads (deep -> |S_g|): every
+    `Wf{g}`, then every `bf{g}`."""
+    G, S, sizes = taxonomy.G, taxonomy.S, taxonomy.group_sizes
+    shapes = {"W1": (d_in, d1), "b1": (d1,), "W2": (d1, d2), "b2": (d2,),
+              "Wc1": (d1, hidden), "bc1": (hidden,), "Wc2": (hidden, G), "bc2": (G,),
+              "Wl1": (d2, hidden), "bl1": (hidden,), "Wl2": (hidden, S), "bl2": (S,)}
+    shapes.update({f"Wf{g}": (d2, n) for g, n in enumerate(sizes)})
+    shapes.update({f"bf{g}": (n,) for g, n in enumerate(sizes)})
+    return shapes
 
 
 class ModelParams:
     """Every weight array of the network in one contiguous float64 vector.
 
-    The named fields are views into `vector`, laid out in `fields()`
-    order, so an optimizer can update all of them with whole-vector
-    operations. Assigning to a field (or to `vector`) writes into its
-    view; `Wf` and `bf` are tuples, so their items cannot be replaced.
+    `shapes` is the layout `weight_shapes` returns: each name a field,
+    a view into `vector` in table order, so an optimizer can update all
+    of them with whole-vector operations. Assigning to a field (or to
+    `vector`) writes into its view. `Wf` and `bf` are the tuples of the
+    `Wf{g}` and `bf{g}` views, so their items cannot be replaced.
 
     `tile(K)` stacks K models: `vector` is then (K, P), every matrix
     (K, a, b) and every bias (K, 1, n), so the forward functions run all
@@ -50,41 +63,31 @@ class ModelParams:
     models a..b-1 and `row(k)` model k alone, both sharing the memory.
     """
 
-    def __init__(self, mode: str, *, Wf, bf, **weights):
-        arrays = [np.asarray(arr, dtype=np.float64)
-                  for arr in [weights[name] for name in WEIGHT_NAMES] + list(Wf) + list(bf)]
-        self._bind(mode, np.concatenate([arr.ravel() for arr in arrays]),
-                   [arr.shape for arr in arrays])
-
-    @classmethod
-    def _view(cls, mode: str, vector: np.ndarray, shapes: list) -> "ModelParams":
-        params = cls.__new__(cls)
-        params._bind(mode, vector, shapes)
-        return params
-
-    def _bind(self, mode: str, vector: np.ndarray, shapes: list) -> None:
-        """Make every named field a view into `vector`, (P,) or (K, P)."""
+    def __init__(self, mode: str, vector: np.ndarray, shapes: dict):
         lead = vector.shape[:-1]
 
         def view(start, shape):
             pad = (1,) * (len(lead) and 2 - len(shape))   # a stacked bias is (K, 1, n)
             return vector[..., start:start + math.prod(shape)].reshape(lead + pad + shape)
 
-        starts = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
-        views = [view(start, shape) for start, shape in zip(starts, shapes)]
-        G = (len(shapes) - len(WEIGHT_NAMES)) // 2
-        sizes = [shape[0] for shape in shapes[-G:]]
+        starts = np.cumsum([0] + [math.prod(shape) for shape in shapes.values()]).tolist()
+        if vector.shape[-1] != starts[-1]:
+            raise DimensionMismatch(f"{starts[-1]} weights need a vector of that length, "
+                                    f"not {vector.shape[-1]}")
+        views = {name: view(start, shape) for (name, shape), start in zip(shapes.items(), starts)}
+        Wf = tuple(arr for name, arr in views.items() if name.startswith("Wf"))
+        bf = tuple(arr for name, arr in views.items() if name.startswith("bf"))
+        sizes = [arr.shape[-1] for arr in bf]
         ends = np.cumsum(sizes)
         fine_starts = ends - sizes
-        state = dict(zip(WEIGHT_NAMES, views), mode=mode, vector=vector, _shapes=shapes,
-                     _rows={}, Wf=tuple(views[-2 * G:-G]), bf=tuple(views[-G:]),
-                     # the fine heads share one axis of S columns; group g
-                     # owns fine_spans[g]. bf is last, so fine_bias is one view
-                     fine_bias=view(starts[-1] - int(ends[-1]), (int(ends[-1]),)),
-                     fine_spans=list(zip(fine_starts.tolist(), ends.tolist())),
-                     fine_starts=fine_starts,
-                     fine_group=np.repeat(np.arange(G), sizes))
-        self.__dict__.update(state)
+        self.__dict__.update(views, mode=mode, vector=vector, _views=views, _shapes=shapes,
+                             _rows={}, Wf=Wf, bf=bf,
+                             # the fine heads share one axis of S columns; group g
+                             # owns fine_spans[g]. bf is last, so fine_bias is one view
+                             fine_bias=view(starts[-1] - int(ends[-1]), (int(ends[-1]),)),
+                             fine_spans=list(zip(fine_starts.tolist(), ends.tolist())),
+                             fine_starts=fine_starts,
+                             fine_group=np.repeat(np.arange(len(bf)), sizes))
 
     def __setattr__(self, name, value):
         """A weight array (or `vector`) is written into its view, never replaced."""
@@ -92,7 +95,7 @@ class ModelParams:
             views, values = getattr(self, name), list(value)
             if len(values) != len(views):
                 raise DimensionMismatch(f"{name} needs {len(views)} arrays, not {len(values)}")
-        elif name in WEIGHT_NAMES or name == "vector":
+        elif name in self._views or name == "vector":
             views, values = [getattr(self, name)], [value]
         else:
             return super().__setattr__(name, value)
@@ -128,44 +131,36 @@ class ModelParams:
         return self.Wl2.shape[-1]
 
     def fields(self):
-        """Iterate (key, array) over every parameter array, in `vector` order.
+        """(name, array) of every weight, in `vector` order; used by
+        checkpoints and the finite-difference gradient check."""
+        return iter(self._views.items())
 
-        Keys are either attribute names or ('Wf', g) / ('bf', g) pairs;
-        used by checkpoints and the finite-difference gradient check.
-        """
-        for name in WEIGHT_NAMES:
-            yield name, getattr(self, name)
-        for g in range(len(self.Wf)):
-            yield ("Wf", g), self.Wf[g]
-        for g in range(len(self.bf)):
-            yield ("bf", g), self.bf[g]
+    def get(self, name: str) -> np.ndarray:
+        return self._views[name]
 
-    def get(self, key):
-        if isinstance(key, tuple):
-            name, g = key
-            return getattr(self, name)[g]
-        return getattr(self, key)
+    def _with(self, vector: np.ndarray) -> "ModelParams":
+        return ModelParams(self.mode, vector, self._shapes)
 
     def copy(self) -> "ModelParams":
-        return self._view(self.mode, self.vector.copy(), self._shapes)
+        return self._with(self.vector.copy())
 
     def zeros_like(self) -> "ModelParams":
-        return self._view(self.mode, np.zeros_like(self.vector), self._shapes)
+        return self._with(np.zeros_like(self.vector))
 
     def tile(self, K: int) -> "ModelParams":
         """K stacked copies of these (unstacked) parameters."""
-        return self._view(self.mode, np.tile(self.vector, (K, 1)), self._shapes)
+        return self._with(np.tile(self.vector, (K, 1)))
 
     def rows(self, a: int, b: int) -> "ModelParams":
         """Stacked view of models a..b-1; built once per (a, b)."""
         if (a, b) not in self._rows:
-            self._rows[a, b] = self._view(self.mode, self.vector[a:b], self._shapes)
+            self._rows[a, b] = self._with(self.vector[a:b])
         return self._rows[a, b]
 
     def row(self, k: int) -> "ModelParams":
         """Unstacked view of model k; built once per k."""
         if k not in self._rows:
-            self._rows[k] = self._view(self.mode, self.vector[k], self._shapes)
+            self._rows[k] = self._with(self.vector[k])
         return self._rows[k]
 
 
@@ -200,20 +195,13 @@ def init_params(
     if mode not in (MODE_TRUNK, MODE_PRECOMPUTED):
         raise MalformedDocument(f"unknown mode {mode!r}")
     rng = np.random.default_rng([seed, 0])
-    G = taxonomy.G
-    S = taxonomy.S
-    Wf = [_glorot(rng, d2, n) for n in taxonomy.group_sizes]
-    bf = [np.zeros(n) for n in taxonomy.group_sizes]
-    return ModelParams(
-        mode=mode,
-        W1=_glorot(rng, d_in, d1), b1=np.zeros(d1),
-        W2=_glorot(rng, d1, d2), b2=np.zeros(d2),
-        Wc1=_glorot(rng, d1, hidden), bc1=np.zeros(hidden),
-        Wc2=_glorot(rng, hidden, G), bc2=np.zeros(G),
-        Wf=Wf, bf=bf,
-        Wl1=_glorot(rng, d2, hidden), bl1=np.zeros(hidden),
-        Wl2=_glorot(rng, hidden, S), bl2=np.zeros(S),
-    )
+    shapes = weight_shapes(taxonomy, d_in, d1, hidden, d2)
+    params = ModelParams(mode, np.zeros(sum(map(math.prod, shapes.values()))), shapes)
+    # the fine heads draw first, then the other matrices in table order
+    matrices = [name for name, shape in shapes.items() if len(shape) == 2]
+    for name in sorted(matrices, key=lambda name: not name.startswith("Wf")):
+        params.get(name)[...] = _glorot(rng, *shapes[name])
+    return params
 
 
 def stable_softmax(logits: np.ndarray) -> np.ndarray:
@@ -356,10 +344,6 @@ def forward_flat(params: ModelParams, x) -> np.ndarray:
     return flat_forward(params, deep)[1]
 
 
-def _weight_name(key) -> str:
-    return key if isinstance(key, str) else f"{key[0]}{key[1]}"
-
-
 def save_checkpoint(params: ModelParams, taxonomy: Taxonomy, path: str) -> None:
     doc = {
         "mode": params.mode,
@@ -370,38 +354,41 @@ def save_checkpoint(params: ModelParams, taxonomy: Taxonomy, path: str) -> None:
             "d2": params.d2,
         },
         "taxonomy_digest": taxonomy.digest(),
-        "weights": {},
+        "weights": {name: arr.tolist() for name, arr in params.fields()},
     }
-    for key, arr in params.fields():
-        doc["weights"][_weight_name(key)] = arr.tolist()
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
 
 
-DIM_KEYS = ("d_in", "d1", "hidden", "d2")
+_NUMBERS = frozenset({int, float})   # the JSON number types; a bool is no number
+_LISTS = {1: "flat list of numbers", 2: "list of lists of numbers"}
 
 
-def weight_shapes(taxonomy: Taxonomy, d_in: int, d1: int, hidden: int, d2: int) -> dict:
-    """Checkpoint name -> shape of every weight `init_params` builds for
-    these dims, in `ModelParams.fields()` order."""
-    G, S = taxonomy.G, taxonomy.S
-    shapes = {"W1": (d_in, d1), "b1": (d1,), "W2": (d1, d2), "b2": (d2,),
-              "Wc1": (d1, hidden), "bc1": (hidden,), "Wc2": (hidden, G), "bc2": (G,),
-              "Wl1": (d2, hidden), "bl1": (hidden,), "Wl2": (hidden, S), "bl2": (S,)}
-    shapes.update({f"Wf{g}": (d2, n) for g, n in enumerate(taxonomy.group_sizes)})
-    shapes.update({f"bf{g}": (n,) for g, n in enumerate(taxonomy.group_sizes)})
-    return shapes
+def number_array(values, key: str, ndim: int = 1) -> np.ndarray:
+    """`values`, a JSON list of numbers (ndim 1) or of such lists (ndim 2),
+    as a float64 array; anything else is a ValueError naming `key`. The
+    one number rule of frame vectors and checkpoint weights."""
+    if type(values) is not list or (ndim == 2 and any(type(row) is not list for row in values)):
+        raise ValueError(f"{key!r} must be a {_LISTS[ndim]}")
+    items = values if ndim == 1 else list(chain.from_iterable(values))
+    if not _NUMBERS.issuperset(map(type, items)):
+        bad = next(v for v in items if type(v) not in _NUMBERS)
+        if type(bad) is list:
+            raise ValueError(f"{key!r} must be a {_LISTS[ndim]}")
+        raise ValueError(f"could not convert {bad!r} in {key!r} to a number")
+    return np.array(values, dtype=np.float64)
 
 
 def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
-    """Read a checkpoint, checking it against the network its mode, dims
-    and the taxonomy describe: every weight present, of the shape
-    `init_params` builds, and finite. Nothing is allocated beyond the
-    document's own weights, whatever its dims claim."""
+    """Read a checkpoint, checking it against the layout its dims and the
+    taxonomy give (`weight_shapes`): every weight present, of its shape,
+    made of JSON numbers and finite, and no name outside the layout.
+    Nothing is allocated beyond the document's own weights, whatever its
+    dims claim."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except ValueError as e:   # invalid JSON or not UTF-8
+        except (ValueError, RecursionError) as e:   # invalid, nested too deep or not UTF-8
             raise MalformedDocument(f"invalid checkpoint JSON: {e}") from e
     if not isinstance(doc, dict):
         raise MalformedDocument("checkpoint must hold a JSON object")
@@ -420,13 +407,17 @@ def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
         raise MalformedDocument("checkpoint 'weights' must be an object")
     if mode not in (MODE_TRUNK, MODE_PRECOMPUTED):
         raise MalformedDocument(f"unknown mode {mode!r}")
-    arrays = {}
-    for name, shape in weight_shapes(taxonomy, **dims).items():
+    shapes = weight_shapes(taxonomy, **dims)
+    for name in weights:
+        if name not in shapes:
+            raise MalformedDocument(f"checkpoint has unknown weight {name!r}")
+    arrays = []
+    for name, shape in shapes.items():
         if name not in weights:
             raise MalformedDocument(f"checkpoint has no weight {name!r}")
         try:
-            arr = np.asarray(weights[name], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as e:
+            arr = number_array(weights[name], name, len(shape))
+        except (ValueError, OverflowError) as e:
             raise MalformedDocument(f"checkpoint weight {name!r}: {e}") from e
         if arr.shape != shape:
             raise MalformedDocument(
@@ -434,7 +425,5 @@ def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
             )
         if not np.isfinite(arr).all():
             raise MalformedDocument(f"checkpoint weight {name!r} has non-finite values")
-        arrays[name] = arr
-    G = taxonomy.G
-    return ModelParams(mode=mode, Wf=[arrays.pop(f"Wf{g}") for g in range(G)],
-                       bf=[arrays.pop(f"bf{g}") for g in range(G)], **arrays)
+        arrays.append(arr.ravel())
+    return ModelParams(mode, np.concatenate(arrays), shapes)

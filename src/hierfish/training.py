@@ -25,13 +25,12 @@ pass subtracts the one-hot label from that array once and takes each
 group's gradient as a block of one by-group row gather.
 
 Parameter layout: `ModelParams` keeps every weight of a model in one
-contiguous float64 vector of P entries, with the named fields as views
-into it in `ModelParams.fields()` order:
-  W1, b1, W2, b2 | Wc1, bc1, Wc2, bc2 | Wl1, bl1, Wl2, bl2 | Wf[0..G-1] | bf[0..G-1]
-(each matrix row-major). The kernel always sees K models stacked into a
-(K, P) array, one row per distinct loss in `LOSS_ORDER`: every matrix
-is a (K, a, b) view and every bias a (K, 1, n) view, so one call of the
-forward functions runs all K models by broadcasting. `train` trains
+contiguous float64 vector of P entries, in the order and shapes
+`model.weight_shapes` lists (each matrix row-major). The kernel always
+sees K models stacked into a (K, P) array, one row per distinct loss in
+`LOSS_ORDER`: every matrix is a (K, a, b) view and every bias a
+(K, 1, n) view, so one call of the forward functions runs all K models
+by broadcasting. `train` trains
 all the losses of a run in lockstep: every model of one seed starts
 from the same weights and draws the same batches, so each step makes
 one gather, one stacked trunk pass, the flat head on the baseline row
@@ -385,7 +384,11 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
         raise EmptyDataset("train split has no frames")
     names = {}   # loss -> the first scheme that trains it
     for scheme in [config.scheme] if schemes is None else schemes:
+        if scheme not in LOSSES:
+            raise MalformedDocument(f"unknown scheme {scheme!r}")
         names.setdefault(LOSSES[scheme], scheme)
+    if not names:
+        raise MalformedDocument("no scheme to train")
     losses = [loss for loss in LOSS_ORDER if loss in names]
     mode = train_split.mode
     columns, y1, y2 = _stage(frames, mode, taxonomy)

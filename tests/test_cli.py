@@ -270,6 +270,16 @@ class TestAblation:
                     "--taxonomy", ws / "taxonomy.json", "--seed", 11,
                     "--schemes", "scheme9", "--out", ws / "x"]) == 1
 
+    def test_empty_scheme_flag_fails(self, workspace, capsys):
+        """An empty --schemes names no scheme; it does not fall back to
+        the config's list."""
+        ws = workspace
+        assert run(["ablation", "--config", ws / "config.json",
+                    "--taxonomy", ws / "taxonomy.json", "--schemes", "",
+                    "--out", ws / "x"]) == 1
+        assert capsys.readouterr().err == "error: unknown scheme ''\n"
+        assert not (ws / "x").exists()
+
 
 class TestErrors:
     def test_missing_data_file(self, workspace):
@@ -384,6 +394,7 @@ class TestErrors:
     ("gen", {"gen": {"sigma_frame": -1.0}}, "sigma_frame must be finite and >= 0"),
     ("train", {"train": {"learning_rate": float("nan")}}, "learning_rate must be finite"),
     ("train", {"train": {"d1": 0}}, "d1 must be >= 1"),
+    ("ablation", {"schemes": []}, "'schemes' must list at least one scheme"),
 ])
 def test_malformed_config_is_an_error(workspace, capsys, command, config, match):
     ws = workspace
@@ -573,4 +584,32 @@ def test_split_on_non_utf8_jsonl(workspace, capsys, lineno):
                 "--data", ws / "frames.jsonl", "--out", ws / "out"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {lineno}: not UTF-8")
+    assert "Traceback" not in err
+
+
+DEEP = "[" * 200_000 + "]" * 200_000   # past any recursion limit of the JSON decoder
+
+
+@pytest.mark.parametrize("command, path, match", [
+    ("gen", "config.json", "is not valid JSON"),
+    ("gen", "taxonomy.json", "invalid JSON"),
+    ("split", "frames.jsonl", "line 2: invalid JSON"),
+    ("eval", "model.json", "invalid checkpoint JSON"),
+])
+def test_deeply_nested_json_is_an_error(workspace, capsys, command, path, match):
+    ws = workspace
+    dataset = D.generate(D.GenConfig(taxonomy=TAXONOMY, tracks_total=10,
+                                     frames_min=2, frames_max=3, dim=6, seed=1))
+    D.save_jsonl(dataset, str(ws / "frames.jsonl"))
+    if path == "frames.jsonl":
+        lines = (ws / path).read_text().splitlines(keepends=True)
+        (ws / path).write_text(lines[0] + DEEP + "\n")
+    else:
+        (ws / path).write_text(DEEP)
+    args = {"gen": ["--config", ws / "config.json"],
+            "split": ["--data", ws / "frames.jsonl"],
+            "eval": ["--model", ws / "model.json", "--data", ws / "frames.jsonl"]}[command]
+    assert run([command, "--taxonomy", ws / "taxonomy.json", *args, "--out", ws / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
     assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -274,8 +275,9 @@ class TestParamsLayout:
         assert p.vector is vector
         assert vector[:4].tolist() == [1.0, 0.0, 0.0, 1.0]   # W1 comes first
         assert vector[-3:].tolist() == [3.0, -3.0, 0.5]      # bf comes last
-        ref = M.ModelParams(mode=p.mode, Wf=[w.copy() for w in p.Wf], bf=bf,
-                            **{name: p.get(name).copy() for name in M.WEIGHT_NAMES})
+        shapes = M.weight_shapes(tiny_taxonomy, d_in=2, d1=2, hidden=2, d2=2)
+        ref = M.ModelParams(p.mode, np.concatenate([p.get(name).ravel() for name in shapes]),
+                            shapes)
         after, expected = M.forward(p, x), M.forward(ref, x)
         assert not np.array_equal(after.joint, before.joint)
         assert np.array_equal(after.joint, expected.joint)
@@ -292,6 +294,20 @@ class TestParamsLayout:
         with pytest.raises(DimensionMismatch):
             p.Wf = [np.zeros((2, 2))]
         assert np.array_equal(p.vector, saved)
+
+    def test_seeded_init_is_pinned(self, six31):
+        """The weights every seeded run starts from: the fine heads draw
+        first, then the other matrices in layout order."""
+        p = M.init_params(six31, seed=7)
+        assert hashlib.sha256(p.vector.tobytes()).hexdigest() == (
+            "04fc546e22d3def79acea54db2c55a77eb0d22cca2e39d959e66cbb8e6efeab1")
+
+    def test_vector_must_fit_the_layout(self, tiny_taxonomy):
+        shapes = M.weight_shapes(tiny_taxonomy, d_in=2, d1=2, hidden=2, d2=2)
+        P = M.init_params(tiny_taxonomy, d_in=2, d1=2, hidden=2, d2=2).vector.size
+        for size in (P - 1, P + 1):
+            with pytest.raises(DimensionMismatch, match=f"{P} weights"):
+                M.ModelParams(M.MODE_TRUNK, np.zeros(size), shapes)
 
     def test_stacked_forward_is_each_row_forward(self, six31):
         """K stacked models run through the one forward by broadcasting,
@@ -349,6 +365,9 @@ class TestCheckpoint:
          "'W2' has non-finite"),
         (lambda doc: doc["weights"]["bf0"].__setitem__(0, float("inf")),
          "'bf0' has non-finite"),
+        (lambda doc: doc["weights"].update(b1=["0.5", True, 0.0]), "convert '0.5' in 'b1'"),
+        (lambda doc: doc["weights"]["Wc1"][2].__setitem__(1, True), "convert True in 'Wc1'"),
+        (lambda doc: doc["weights"].update(Wf9=[[0.0]]), "unknown weight 'Wf9'"),
     ])
     def test_malformed_checkpoint_names_the_key(self, tmp_path, toy_taxonomy,
                                                   mutate, match):
@@ -376,11 +395,18 @@ class TestCheckpoint:
         with pytest.raises(MalformedDocument, match=r"'W1' has shape \(5, 4\)"):
             M.load_checkpoint(str(path), toy_taxonomy)
 
-    def test_weight_shapes_match_init_params(self, toy_taxonomy):
+    @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
+    def test_file_follows_the_layout(self, tmp_path, toy_taxonomy, mode):
+        """The weights are written in `weight_shapes` order, and a loaded
+        checkpoint saves to the same bytes."""
         dims = dict(d_in=5, d1=4, hidden=3, d2=2)
-        p = M.init_params(toy_taxonomy, **dims, seed=0)
-        assert list(M.weight_shapes(toy_taxonomy, **dims).items()) == [
-            (M._weight_name(key), arr.shape) for key, arr in p.fields()]
+        p = M.init_params(toy_taxonomy, **dims, seed=9, mode=mode)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        M.save_checkpoint(p, toy_taxonomy, str(first))
+        weights = json.loads(first.read_text())["weights"]
+        assert list(weights) == list(M.weight_shapes(toy_taxonomy, **dims))
+        M.save_checkpoint(M.load_checkpoint(str(first), toy_taxonomy), toy_taxonomy, str(second))
+        assert first.read_bytes() == second.read_bytes()
 
     def test_not_an_object(self, tmp_path, toy_taxonomy):
         path = tmp_path / "ckpt.json"

@@ -11,6 +11,7 @@ from hierfish.errors import (
     DimensionMismatch,
     DivergedTraining,
     EmptyDataset,
+    HierfishError,
     InconsistentLabels,
     InfeasibleConfig,
     LabelOutOfRange,
@@ -205,6 +206,12 @@ class TestTrain:
     def test_empty_dataset(self, toy_taxonomy):
         with pytest.raises(EmptyDataset):
             T.train(T.TrainConfig(epochs=1), D.Dataset(tracks=[]), toy_taxonomy)
+
+    @pytest.mark.parametrize("schemes, match", [([], "no scheme to train"),
+                                                 (["scheme9"], "unknown scheme 'scheme9'")])
+    def test_schemes_to_train_are_checked(self, toy_taxonomy, schemes, match):
+        with pytest.raises(HierfishError, match=match):
+            T.train(T.TrainConfig(epochs=1), _tiny_dataset(toy_taxonomy), toy_taxonomy, schemes)
 
     def test_diverged_training(self, toy_taxonomy):
         ds = _tiny_dataset(toy_taxonomy)
