@@ -55,22 +55,26 @@ class EvalReport:
     units: dict[str, UnitReport]
 
 
+def _shares(hits: np.ndarray, totals: np.ndarray, names, scale: float) -> dict:
+    """name -> `scale * (hits / total)` of each class, None where its total
+    is 0; `hits / total` is the float `np.mean` gives over the class's mask."""
+    return {name: scale * (h / t) if t else None
+            for name, h, t in zip(names, hits.tolist(), totals.tolist())}
+
+
 def _precision(pred: np.ndarray, truth: np.ndarray, names) -> dict:
-    out = {}
-    for idx, name in enumerate(names):
-        mask = pred == idx
-        out[name] = float(100.0 * np.mean(truth[mask] == idx)) if mask.any() else None
-    return out
+    n = len(names)
+    return _shares(np.bincount(pred[pred == truth], minlength=n),
+                   np.bincount(pred, minlength=n), names, 100.0)
 
 
 def _unit_report(unit: str, rows: UnitRows, tau: float, taxonomy: Taxonomy) -> UnitReport:
     """Metrics of one unit from its rows."""
     n = rows.y1.shape[0]
     stopped_mask = rows.stopped(tau)
-    stop_frac = {}
-    for s, name in enumerate(taxonomy.species_names):
-        mask = rows.y2 == s
-        stop_frac[name] = float(np.mean(stopped_mask[mask])) if mask.any() else None
+    S = taxonomy.S
+    stop_frac = _shares(np.bincount(rows.y2[stopped_mask], minlength=S),
+                        np.bincount(rows.y2, minlength=S), taxonomy.species_names, 1.0)
     return UnitReport(
         unit=unit,
         n_units=n,

@@ -70,28 +70,31 @@ class ImageSelection:
     level2b_confidence: float
 
 
-def _at(a: np.ndarray, idx) -> np.ndarray:
-    """`a[..., idx]` frame by frame: a scalar for one frame, (T,) for a stack."""
-    return np.take_along_axis(a, idx[..., None], axis=-1)[..., 0][()]
-
-
 def select_image(outputs: HeadOutputs, taxonomy: Taxonomy) -> ImageSelection:
     """Image-based selections for one frame or a stack of frames; ties
     broken by lowest index (np.argmax)."""
     g = outputs.coarse.argmax(axis=-1)
-    # per group, the global index of its local fine argmax; 2A takes the
-    # coarse winner's
-    picks = np.stack([taxonomy.to_global(h, 0) + f.argmax(axis=-1)
-                      for h, f in enumerate(outputs.fine_local)], axis=-1)
-    s2a = _at(picks, g)
-    s2b = outputs.joint.argmax(axis=-1)
+    # 2A reads only the fine head of each frame's coarse winner: one
+    # argmax per distinct winner, usually one or two a track
+    winners = np.atleast_1d(g)
+    s2a = np.empty_like(winners)
+    for h in np.bincount(winners).nonzero()[0].tolist():
+        frames = winners == h
+        fine = np.atleast_2d(outputs.fine_local[h])[frames]
+        s2a[frames] = taxonomy.to_global(h, 0) + fine.argmax(axis=-1)
     return ImageSelection(
         coarse_group=g,
         coarse_confidence=outputs.coarse.max(axis=-1),
-        level2a=s2a,
-        level2b=s2b,
+        level2a=s2a.reshape(g.shape)[()],
+        level2b=outputs.joint.argmax(axis=-1),
         level2b_confidence=outputs.joint.max(axis=-1),
     )
+
+
+def _mean(x: np.ndarray):
+    """`x.mean(axis=0)`: the same sum and division, without numpy's
+    Python-level wrapper."""
+    return np.add.reduce(x, axis=0) / x.shape[0]
 
 
 @dataclass
@@ -107,13 +110,13 @@ class AvgAggregate:
 
 def aggregate_avg(track: TrackScores, taxonomy: Taxonomy) -> AvgAggregate:
     """Average per-frame score vectors over the track, then select."""
-    p1 = track.frames.coarse.mean(axis=0)
-    p2 = track.frames.joint.mean(axis=0)
-    sel = int(np.argmax(p2))
-    g = int(np.argmax(p1))
+    p1 = _mean(track.frames.coarse)
+    p2 = _mean(track.frames.joint)
+    sel = int(p2.argmax())
+    g = int(p1.argmax())
     start = taxonomy.to_global(g, 0)
     size = taxonomy.group_sizes[g]
-    s2a = start + int(np.argmax(p2[start:start + size]))
+    s2a = start + int(p2[start:start + size].argmax())
     return AvgAggregate(
         p1=p1, p2=p2,
         selection=sel, confidence=float(p2[sel]),
@@ -122,17 +125,16 @@ def aggregate_avg(track: TrackScores, taxonomy: Taxonomy) -> AvgAggregate:
     )
 
 
-def _majority(votes: np.ndarray, confidences: np.ndarray) -> tuple[int, float]:
+def _majority(votes: np.ndarray, confidences: np.ndarray) -> int:
     """Most frequent vote; ties by higher mean supporting confidence,
-    residual ties by lowest label. Returns (label, mean confidence)."""
-    labels, counts = np.unique(votes, return_counts=True)
-    best = None
-    for label, count in zip(labels, counts):
-        conf = float(confidences[votes == label].mean())
-        key = (count, conf, -label)
-        if best is None or key > best[0]:
-            best = (key, int(label), conf)
-    return best[1], best[2]
+    residual ties by lowest label. The means are taken only for the
+    labels tied on the top count."""
+    counts = np.bincount(votes)
+    tied = (counts == counts.max()).nonzero()[0].tolist()
+    if len(tied) == 1:
+        return tied[0]
+    means = [float(_mean(confidences[votes == label])) for label in tied]
+    return tied[means.index(max(means))]   # the first, lowest, label of the top mean
 
 
 @dataclass
@@ -154,21 +156,20 @@ def aggregate_vote(track: TrackScores, taxonomy: Taxonomy) -> VoteAggregate:
     """
     coarse = track.frames.coarse
     joint = track.frames.joint
-    fine_votes = np.argmax(joint, axis=1)
+    fine_votes = joint.argmax(axis=1)
     fine_conf = joint.max(axis=1)
-    sel, conf = _majority(fine_votes, fine_conf)
+    sel = _majority(fine_votes, fine_conf)
+    conf = float(_mean(fine_conf[fine_votes == sel]))
 
-    coarse_votes = np.argmax(coarse, axis=1)
+    coarse_votes = coarse.argmax(axis=1)
     coarse_conf = coarse.max(axis=1)
-    gsel, gconf = _majority(coarse_votes, coarse_conf)
-
+    gsel = _majority(coarse_votes, coarse_conf)
     support = coarse_votes == gsel
+    gconf = float(_mean(coarse_conf[support]))
+
     start = taxonomy.to_global(gsel, 0)
-    size = taxonomy.group_sizes[gsel]
-    block = joint[np.ix_(support, range(start, start + size))]
-    votes_2a = start + np.argmax(block, axis=1)
-    conf_2a = block.max(axis=1)
-    sel_2a, _ = _majority(votes_2a, conf_2a)
+    block = joint[:, start:start + taxonomy.group_sizes[gsel]][support]
+    sel_2a = start + _majority(block.argmax(axis=1), block.max(axis=1))
 
     return VoteAggregate(
         selection=sel, confidence=conf,
@@ -248,17 +249,19 @@ def score_split(params: ModelParams, tracks, taxonomy: Taxonomy,
         ts = score_track(params, track)
         frames = slice(end, end + len(track))
         end = frames.stop
-        for unit, table in tables.items():
+        for unit, rows in tables.items():
             if unit == "image":
-                s = select_image(ts.frames, taxonomy)
-                row = dict(coarse=s.coarse_group, coarse_conf=s.coarse_confidence,
-                           level2a=s.level2a, fine=s.level2b, conf=s.level2b_confidence)
+                s, at = select_image(ts.frames, taxonomy), frames
+                row = (s.coarse_group, s.coarse_confidence, s.level2a, s.level2b,
+                       s.level2b_confidence)
             else:
                 a = (aggregate_avg if unit == "video_avg" else aggregate_vote)(ts, taxonomy)
-                row = dict(coarse=a.coarse_selection, coarse_conf=a.coarse_confidence,
-                           level2a=a.level2a, fine=a.selection, conf=a.confidence)
-            for name, value in dict(y1=y1, y2=y2, **row).items():
-                getattr(table, name)[frames if unit == "image" else k] = value
+                at = k
+                row = (a.coarse_selection, a.coarse_confidence, a.level2a, a.selection,
+                       a.confidence)
+            rows.y1[at], rows.y2[at] = y1, y2
+            (rows.coarse[at], rows.coarse_conf[at], rows.level2a[at], rows.fine[at],
+             rows.conf[at]) = row
     return tables
 
 
@@ -276,9 +279,16 @@ def best_threshold(rows: UnitRows) -> float:
     """
     if len(rows.conf) == 0:
         raise EmptyEvalSet("no tracks to search over")
-    candidates = np.unique(np.concatenate([[0.0], rows.conf, [1.0 + STOP_ALL_EPS]]))
-    accuracy = [np.mean(rows.correct(tau)) for tau in candidates]
-    return float(candidates[np.argmax(accuracy)])   # argmax: the first maximizer
+    order = np.argsort(rows.conf, kind="stable")
+    conf = rows.conf[order]
+    candidates = np.unique(np.concatenate([[0.0], conf, [1.0 + STOP_ALL_EPS]]))
+    # rows right if stopped / if proceeding, counted over the rows in
+    # ascending confidence; a candidate stops the rows below it
+    stop_ok = np.concatenate([[0], np.cumsum((rows.coarse == rows.y1)[order])])
+    fine_ok = np.concatenate([[0], np.cumsum((rows.fine == rows.y2)[order])])
+    below = np.searchsorted(conf, candidates, side="left")
+    correct = stop_ok[below] + (fine_ok[-1] - fine_ok[below])
+    return float(candidates[np.argmax(correct)])   # argmax: the first maximizer
 
 
 def search_threshold(params: ModelParams, eval_tracks, taxonomy: Taxonomy) -> float:

@@ -207,13 +207,18 @@ def init_params(
 def stable_softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by the max to avoid overflow."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0 or logits.shape[-1] == 0:
-        raise EmptyInput("softmax over an empty vector")
     if not np.isfinite(logits).all():
         raise NonFiniteInput("non-finite logits")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax(logits)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """`stable_softmax` of float64 logits that the caller has checked to
+    be finite, as the head functions do."""
+    if logits.size == 0 or logits.shape[-1] == 0:
+        raise EmptyInput("softmax over an empty vector")
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def joint_scores(coarse: np.ndarray, fine_local: list[np.ndarray]) -> np.ndarray:
@@ -277,7 +282,7 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
     Hc = np.maximum(zc1, 0.0)
     zc2 = Hc @ params.Wc2 + params.bc2
     _check_finite("coarse head", zc2)
-    coarse = stable_softmax(zc2)
+    coarse = _softmax(zc2)
     spans, group = params.fine_spans, params.fine_group
     fine = np.empty(deep.shape[:-1] + group.shape)
     for g, (a, b) in enumerate(spans):
@@ -306,7 +311,7 @@ def flat_forward(params: ModelParams, deep: np.ndarray):
     Hl = np.maximum(zl1, 0.0)
     zl2 = Hl @ params.Wl2 + params.bl2
     _check_finite("flat head", zl2)
-    return {"zl1": zl1, "Hl": Hl}, stable_softmax(zl2)
+    return {"zl1": zl1, "Hl": Hl}, _softmax(zl2)
 
 
 def _resolve_features(params: ModelParams, x):

@@ -24,11 +24,12 @@ class Taxonomy:
     species_by_group: tuple[tuple[str, ...], ...]
     # lookup tables, computed once at construction: group-major offsets,
     # species names in global order, name -> global index, global index
-    # -> group
+    # -> group, group sizes
     _offsets: tuple[int, ...] = field(init=False, repr=False)
     _species_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _species_ids: dict = field(init=False, repr=False, compare=False)
     _group_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _group_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.groups) == 0:
@@ -54,6 +55,7 @@ class Taxonomy:
                            {name: s for s, name in enumerate(all_species)})
         object.__setattr__(self, "_group_of", tuple(
             g for g, sp in enumerate(self.species_by_group) for _ in sp))
+        object.__setattr__(self, "_group_sizes", tuple(map(len, self.species_by_group)))
 
     @property
     def G(self) -> int:
@@ -65,7 +67,7 @@ class Taxonomy:
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
-        return tuple(len(sp) for sp in self.species_by_group)
+        return self._group_sizes
 
     def to_global(self, g: int, i: int) -> int:
         if not (0 <= g < self.G):

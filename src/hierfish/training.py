@@ -51,7 +51,9 @@ integer arrays, checks each frame's input layout and finiteness, and
 gathers each step's inputs from the frames into a preallocated buffer.
 It refuses more than `MAX_WEIGHTS` weights over all K models before
 allocating any, and a model that diverges stops the run, named by its
-scheme.
+scheme. A batch whose loss is not finite even at the initial weights
+stops it as an input fault instead, naming the frame with the largest
+|value|.
 """
 
 from __future__ import annotations
@@ -353,15 +355,27 @@ def _check_size(taxonomy: Taxonomy, K: int, dims: dict) -> None:
             f"hold {size} weights, more than {MAX_WEIGHTS}; lower hidden, d1 or d2")
 
 
-def _diverged(params, grads, inputs, y1, y2, losses, names, epoch) -> DivergedTraining:
-    """Name the first model that fails this step on its own, as it does
-    in lockstep."""
+def _finite_step(params, grads, inputs, y1, y2, losses) -> bool:
+    """Whether one step of `_loss_and_grads` gives every model a finite loss."""
+    try:
+        return bool(np.isfinite(_loss_and_grads(params, grads, inputs, y1, y2, losses)).all())
+    except NonFiniteActivation:
+        return False
+
+
+def _diverged(params, initial, grads, inputs, y1, y2, losses, names, epoch, batch):
+    """The error for a step whose loss is not finite. If the batch fails
+    at the `initial` weights too, the input is at fault: name the frame
+    of `batch` holding the largest |value|. Otherwise name the first
+    model that fails this step on its own, as it does in lockstep."""
+    if not _finite_step(initial, grads, inputs, y1, y2, losses):
+        peaks = np.max([np.abs(x).max(axis=-1) for x in inputs], axis=0)
+        k = int(np.argmax(peaks))
+        return NonFiniteInput(
+            f"{_where(batch[k])}: input values up to |{peaks[k]:g}| overflow the network "
+            "at its initial weights; rescale the features")
     for k, loss in enumerate(losses):
-        try:
-            if not np.isfinite(_loss_and_grads(params.rows(k, k + 1), grads.rows(k, k + 1),
-                                               inputs, y1, y2, (loss,))).all():
-                break
-        except NonFiniteActivation:
+        if not _finite_step(params.rows(k, k + 1), grads.rows(k, k + 1), inputs, y1, y2, (loss,)):
             break
     return DivergedTraining(f"{names[loss]} diverged at epoch {epoch}; lower the learning rate")
 
@@ -417,7 +431,9 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
             except NonFiniteActivation:
                 finite = False
             if not finite:
-                raise _diverged(params, grads, inputs, y1[idx], y2[idx], losses, names, epoch)
+                initial = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims)
+                raise _diverged(params, initial.tile(len(losses)), grads, inputs, y1[idx],
+                                y2[idx], losses, names, epoch, [frames[j] for j in idx])
             loss_sum += loss * idx.shape[0]
             velocity *= config.momentum
             grads.vector *= config.learning_rate   # in place: no (K, P) temporary

@@ -2,11 +2,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierfish import data as D
 from hierfish import inference as I
 from hierfish import model as M
 from hierfish.errors import EmptyEvalSet, EmptyTrack, InvalidThreshold
+from hierfish.model import HeadOutputs
 from hierfish.taxonomy import Taxonomy
 
 from conftest import make_outputs, random_simplex
@@ -328,3 +331,114 @@ class TestScoreSplit:
                 for name, value in want.items():
                     np.testing.assert_array_equal(getattr(rows[unit], name)[at], value,
                                                   err_msg=f"{unit}.{name}")
+
+
+# Oracles: the loop forms these functions had before they were made
+# cheaper per track. The new forms must agree with them bit for bit.
+
+def _majority_oracle(votes, confidences):
+    """Every distinct label's count and mean confidence, then the best key."""
+    labels, counts = np.unique(votes, return_counts=True)
+    best = None
+    for label, count in zip(labels, counts):
+        conf = float(confidences[votes == label].mean())
+        key = (count, conf, -label)
+        if best is None or key > best[0]:
+            best = (key, int(label), conf)
+    return best[1], best[2]
+
+
+def _level2a_oracle(outputs, taxonomy):
+    """Every group's pick for every frame, then the coarse winner's."""
+    g = outputs.coarse.argmax(axis=-1)
+    picks = np.stack([taxonomy.to_global(h, 0) + f.argmax(axis=-1)
+                      for h, f in enumerate(outputs.fine_local)], axis=-1)
+    return np.take_along_axis(picks, g[..., None], axis=-1)[..., 0][()]
+
+
+def _vote_oracle(track, taxonomy):
+    """`aggregate_vote` through `_majority_oracle`, with its `np.ix_` block."""
+    coarse, joint = track.frames.coarse, track.frames.joint
+    sel, conf = _majority_oracle(joint.argmax(axis=1), joint.max(axis=1))
+    coarse_votes = coarse.argmax(axis=1)
+    gsel, gconf = _majority_oracle(coarse_votes, coarse.max(axis=1))
+    start = taxonomy.to_global(gsel, 0)
+    size = taxonomy.group_sizes[gsel]
+    block = joint[np.ix_(coarse_votes == gsel, range(start, start + size))]
+    sel_2a, _ = _majority_oracle(start + block.argmax(axis=1), block.max(axis=1))
+    return I.VoteAggregate(selection=sel, confidence=conf, coarse_selection=gsel,
+                           coarse_confidence=gconf, level2a=sel_2a)
+
+
+def _best_threshold_oracle(rows):
+    """Fallback accuracy of every candidate over every row."""
+    candidates = np.unique(np.concatenate([[0.0], rows.conf, [1.0 + I.STOP_ALL_EPS]]))
+    accuracy = [np.mean(rows.correct(tau)) for tau in candidates]
+    return float(candidates[np.argmax(accuracy)])
+
+
+# scores from a few levels, so argmax, vote and mean ties are common;
+# arbitrary floats make the means round
+SCORES = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _simplex(values):
+    v = np.asarray(values, dtype=np.float64)
+    return v / v.sum() if v.sum() > 0 else np.full(v.shape, 1.0 / v.size)
+
+
+@st.composite
+def track_scores(draw):
+    """(taxonomy, TrackScores) with forced ties: one-species groups,
+    repeated frames, equal scores, and one-frame tracks."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    taxonomy = Taxonomy(groups=tuple(f"g{g}" for g in range(len(sizes))),
+                        species_by_group=tuple(tuple(f"g{g}s{i}" for i in range(n))
+                                               for g, n in enumerate(sizes)))
+    distinct = [make_outputs(_simplex(draw(st.lists(SCORES, min_size=len(sizes),
+                                                    max_size=len(sizes)))),
+                             [_simplex(draw(st.lists(SCORES, min_size=n, max_size=n)))
+                              for n in sizes])
+                for _ in range(draw(st.integers(1, 4)))]
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    return taxonomy, I.TrackScores(frames=[distinct[k] for k in order])
+
+
+@given(track_scores())
+@settings(max_examples=300, deadline=None)
+def test_track_selections_match_loop_oracles(case):
+    taxonomy, track = case
+    stack = track.frames
+    s = I.select_image(stack, taxonomy)
+    want = _level2a_oracle(stack, taxonomy)
+    assert s.level2a.dtype == want.dtype and np.array_equal(s.level2a, want)
+    one = HeadOutputs(coarse=stack.coarse[0], fine_local=[f[0] for f in stack.fine_local],
+                      joint=stack.joint[0])
+    got, want = I.select_image(one, taxonomy).level2a, _level2a_oracle(one, taxonomy)
+    assert type(got) is type(want) and got == want
+    assert I.aggregate_vote(track, taxonomy) == _vote_oracle(track, taxonomy)
+    avg = I.aggregate_avg(track, taxonomy)
+    assert np.array_equal(avg.p1, stack.coarse.mean(axis=0))
+    assert np.array_equal(avg.p2, stack.joint.mean(axis=0))
+
+
+@given(votes=st.lists(st.integers(0, 4), min_size=1, max_size=12), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_majority_matches_unique_loop(votes, data):
+    votes = np.array(votes)
+    if data.draw(st.booleans(), label="all confidences equal"):
+        conf = np.full(votes.shape, data.draw(SCORES))
+    else:
+        conf = np.array(data.draw(st.lists(SCORES, min_size=len(votes), max_size=len(votes))))
+    assert I._majority(votes, conf) == _majority_oracle(votes, conf)[0]
+
+
+@given(st.lists(st.tuples(SCORES, st.booleans(), st.booleans()), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_best_threshold_matches_candidate_loop(cases):
+    """Rows of (confidence, coarse right, fine right)."""
+    rows = I.UnitRows.empty(len(cases))
+    rows.y1[:] = rows.y2[:] = 0
+    for k, (conf, coarse_ok, fine_ok) in enumerate(cases):
+        rows.conf[k], rows.coarse[k], rows.fine[k] = conf, not coarse_ok, not fine_ok
+    assert I.best_threshold(rows) == _best_threshold_oracle(rows)

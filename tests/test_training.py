@@ -230,6 +230,19 @@ class TestTrain:
         with pytest.raises(DivergedTraining, match=r"^(scheme1|scheme2) diverged at epoch"):
             T.train(cfg, ds, toy_taxonomy, ["scheme2", "scheme1"])
 
+    @pytest.mark.parametrize("schemes", [None, ["scheme1", "baseline", "scheme3"]])
+    def test_input_overflow_is_an_input_fault(self, toy_taxonomy, schemes):
+        """A finite but huge feature overflows the untrained network; at
+        any step size that is the input's fault, not divergence."""
+        ds = _tiny_dataset(toy_taxonomy)
+        frame = ds.tracks[3].frames[1]
+        frame.features = np.full(len(frame.features), 1e300)
+        cfg = T.TrainConfig(epochs=1, seed=0, learning_rate=1e-9, d1=4, hidden=4, d2=3)
+        with pytest.raises(NonFiniteInput,
+                           match=rf"^track {frame.track_id!r} frame 1: input values up to "
+                                 r"\|1e\+300\| overflow the network at its initial weights"):
+            T.train(cfg, ds, toy_taxonomy, schemes)
+
     def test_model_size_is_bounded_before_allocating(self, toy_taxonomy, monkeypatch):
         """Three models of 17 * 3e6 weights each pass one at a time but
         not together; nothing is allocated for them."""
