@@ -178,8 +178,7 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     s = resolve(args)
     dataset = D.load_jsonl(args.data)
-    D.check_labels(dataset, s.taxonomy)
-    params, history = T.train(s.train, dataset, s.taxonomy)
+    params, history = T.train(s.train, dataset, s.taxonomy)   # checks the labels
     _write_model(params, history, s.taxonomy, args.out)
     final = f"{history[-1]:.4f}" if history else "n/a"
     print(f"trained {s.train.scheme} for {s.train.epochs} epochs, final loss {final}")

@@ -2,17 +2,19 @@
 and a synthetic long-tail generator.
 
 Each track is a short clip of one individual fish; every frame of a
-track carries the same (group, species) label pair. The generator
-places a centroid per group, offsets per species, adds a jitter vector
-shared by all frames of a track (deformation/occlusion is correlated
-within one catch), and independent per-frame noise. Species track
-counts follow a Zipf profile over species rank.
+track carries the same (group, species) label pair, and a `Track`
+stores its frames' vectors as one block, a row per frame. The
+generator places a centroid per group, offsets per species, adds a
+jitter vector shared by all frames of a track (deformation/occlusion
+is correlated within one catch), and independent per-frame noise.
+Species track counts follow a Zipf profile over species rank.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +31,10 @@ from .model import MODE_PRECOMPUTED, MODE_TRUNK, number_array
 from .taxonomy import Taxonomy
 
 
-@dataclass
+@dataclass(frozen=True)
 class Frame:
+    """One frame of a track, as a read-only view: its vectors are rows of
+    the track's block, so writing into one writes into the track."""
     track_id: str
     frame_index: int
     group: str
@@ -47,29 +51,36 @@ class Frame:
 
 @dataclass
 class Track:
+    """One clip of one fish, stored as one block: row j holds frame
+    `frame_index[j]` (ascending), as `features` (T, d) in trunk mode or
+    as `shallow` (T, d1) and `deep` (T, d2) in precomputed mode. Every
+    frame carries the track's label pair."""
     track_id: str
-    frames: list[Frame]
+    group: str
+    species: str
+    frame_index: list[int]
+    features: np.ndarray | None = None
+    shallow: np.ndarray | None = None
+    deep: np.ndarray | None = None
 
     @property
-    def group(self) -> str:
-        return self.frames[0].group
-
-    @property
-    def species(self) -> str:
-        return self.frames[0].species
+    def frames(self) -> list[Frame]:
+        blocks = (self.features, self.shallow, self.deep)
+        return [Frame(self.track_id, k, self.group, self.species,
+                      *(None if block is None else block[j] for block in blocks))
+                for j, k in enumerate(self.frame_index)]
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.frame_index)
 
     def model_input(self):
-        """Every frame's `model_input`, stacked on a leading frame axis:
-        (T, d) features, or a (T, d1) / (T, d2) pair."""
-        if not self.frames:
+        """The stored block, not a copy: (T, d) features, or the
+        (T, d1) / (T, d2) pair."""
+        if not len(self):
             raise EmptyTrack(f"track {self.track_id!r} has no frames")
-        if self.frames[0].features is not None:
-            return np.stack([fr.features for fr in self.frames])
-        return (np.stack([fr.shallow for fr in self.frames]),
-                np.stack([fr.deep for fr in self.frames]))
+        if self.features is not None:
+            return self.features
+        return (self.shallow, self.deep)
 
 
 @dataclass
@@ -112,7 +123,8 @@ class GenConfig:
         for key in ("zipf_exponent", "sigma_group", "sigma_species", "sigma_track",
                     "sigma_frame"):
             value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
+            # the sign test refuses -0.0 too, which numpy takes for a negative scale
+            if not (math.isfinite(value) and math.copysign(1.0, value) > 0):
                 raise InfeasibleConfig(f"{key} must be finite and >= 0, not {value!r}")
         if self.frames_min < 1 or self.frames_max < self.frames_min:
             raise InfeasibleConfig(f"frames_min={self.frames_min}, frames_max={self.frames_max}: "
@@ -125,9 +137,9 @@ class GenConfig:
                                    f"exceed {MAX_GEN_VALUES}")
 
 
-def _scaled_normal(rng: np.random.Generator, sigma: float, dim: int) -> np.ndarray:
-    # per-coordinate std sigma/sqrt(dim) so the vector norm is ~sigma
-    return rng.normal(0.0, sigma / math.sqrt(dim), size=dim)
+def _scaled_normal(rng: np.random.Generator, sigma: float, *shape: int) -> np.ndarray:
+    # per-coordinate std sigma/sqrt(dim) so each vector's norm is ~sigma
+    return rng.normal(0.0, sigma / math.sqrt(shape[-1]), size=shape)
 
 
 def species_track_counts(config: GenConfig) -> np.ndarray:
@@ -161,30 +173,17 @@ def generate(config: GenConfig) -> Dataset:
     group_means = [_scaled_normal(rng, config.sigma_group, dim) for _ in range(tax.G)]
     species_offsets = [_scaled_normal(rng, config.sigma_species, dim) for _ in range(tax.S)]
     tracks: list[Track] = []
-    tid = 0
     for s in range(tax.S):
         g, _ = tax.to_local(s)
         centroid = group_means[g] + species_offsets[s]
         gname = tax.groups[g]
         sname = tax.species_name(s)
         for _ in range(counts[s]):
-            track_id = f"t{tid:05d}"
-            tid += 1
             jitter = _scaled_normal(rng, config.sigma_track, dim)
             T = int(rng.integers(config.frames_min, config.frames_max + 1))
-            frames = []
-            for k in range(T):
-                noise = _scaled_normal(rng, config.sigma_frame, dim)
-                frames.append(
-                    Frame(
-                        track_id=track_id,
-                        frame_index=k,
-                        group=gname,
-                        species=sname,
-                        features=centroid + jitter + noise,
-                    )
-                )
-            tracks.append(Track(track_id=track_id, frames=frames))
+            noise = _scaled_normal(rng, config.sigma_frame, T, dim)
+            tracks.append(Track(f"t{len(tracks):05d}", gname, sname, list(range(T)),
+                                features=centroid + jitter + noise))
     return Dataset(tracks=tracks, mode=MODE_TRUNK)
 
 
@@ -231,28 +230,26 @@ def hash_str(s: str) -> int:
     return h
 
 
+# the vector fields of a frame record, and the blocks of a track, in each mode
+VECTOR_FIELDS = {MODE_TRUNK: ("features",), MODE_PRECOMPUTED: ("shallow", "deep")}
+
+
 def save_jsonl(dataset: Dataset, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for frame in dataset.frames():
-            rec = {
-                "track_id": frame.track_id,
-                "frame_index": frame.frame_index,
-                "group": frame.group,
-                "species": frame.species,
-            }
-            if frame.features is not None:
-                rec["features"] = frame.features.tolist()
-            else:
-                rec["shallow"] = frame.shallow.tolist()
-                rec["deep"] = frame.deep.tolist()
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        for t in dataset.tracks:
+            keys = VECTOR_FIELDS[MODE_TRUNK if t.features is not None else MODE_PRECOMPUTED]
+            columns = [getattr(t, key).tolist() for key in keys]
+            for k, *vectors in zip(t.frame_index, *columns):
+                rec = {"track_id": t.track_id, "frame_index": k, "group": t.group,
+                       "species": t.species, **dict(zip(keys, vectors))}
+                f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def _vector(rec: dict, key: str, frame: Frame, lineno: int) -> np.ndarray:
+def _vector(rec: dict, key: str, lineno: int) -> np.ndarray:
     vec = number_array(rec[key], key)
     if not np.isfinite(vec).all():
         raise MalformedRecord(
-            f"track {frame.track_id!r} frame {frame.frame_index}: "
+            f"track {rec['track_id']!r} frame {rec['frame_index']}: "
             f"non-finite values in {key} on line {lineno}"
         )
     return vec
@@ -264,7 +261,9 @@ _LABEL_TYPES = {"track_id": (str, "a string"), "frame_index": (int, "an integer"
 
 
 def load_jsonl(path: str) -> Dataset:
-    frames_by_track: dict[str, list[Frame]] = {}   # in first-seen order
+    # track id -> (group, species, frame indices, one array of doubles per vector
+    # field, rows back to back: no object per frame), in first-seen order
+    rows_by_track: dict[str, tuple] = {}
     mode = None
     dims = None
     # read as bytes and decode line by line, so a line that is not UTF-8
@@ -287,27 +286,18 @@ def load_jsonl(path: str) -> Dataset:
                         raise MalformedRecord(
                             f"line {lineno}: {key} must be {name}, not {rec[key]!r}"
                         )
-                frame = Frame(
-                    track_id=rec["track_id"],
-                    frame_index=rec["frame_index"],
-                    group=rec["group"],
-                    species=rec["species"],
-                )
                 if "features" in rec:
-                    frame.features = _vector(rec, "features", frame, lineno)
                     rec_mode = MODE_TRUNK
-                    rec_dims = (frame.features.shape[0],)
                 elif "shallow" in rec and "deep" in rec:
-                    frame.shallow = _vector(rec, "shallow", frame, lineno)
-                    frame.deep = _vector(rec, "deep", frame, lineno)
                     rec_mode = MODE_PRECOMPUTED
-                    rec_dims = (frame.shallow.shape[0], frame.deep.shape[0])
                 else:
                     raise MalformedRecord(
                         f"line {lineno}: needs 'features' or 'shallow'+'deep'"
                     )
+                vectors = [_vector(rec, key, lineno) for key in VECTOR_FIELDS[rec_mode]]
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise MalformedRecord(f"line {lineno}: {e}") from e
+            rec_dims = tuple(vec.shape[0] for vec in vectors)
             if mode is None:
                 mode, dims = rec_mode, rec_dims
             elif rec_mode != mode or rec_dims != dims:
@@ -315,31 +305,41 @@ def load_jsonl(path: str) -> Dataset:
                     f"line {lineno}: feature layout {rec_mode}{rec_dims} "
                     f"disagrees with {mode}{dims}"
                 )
-            tid = frame.track_id
-            prev = frames_by_track.get(tid)
-            if prev is None:
-                prev = frames_by_track[tid] = []
-            if prev and (prev[0].group != frame.group or prev[0].species != frame.species):
+            tid, k = rec["track_id"], rec["frame_index"]
+            track = rows_by_track.get(tid)
+            if track is None:
+                track = rows_by_track[tid] = (rec["group"], rec["species"], [],
+                                              tuple(array("d") for _ in vectors))
+            group, species, indices, columns = track
+            if group != rec["group"] or species != rec["species"]:
                 raise InconsistentLabels(
                     f"line {lineno}: track {tid!r} frames carry different labels"
                 )
             # files list frames in order, so only a frame that does not
             # follow its predecessor needs the scan
-            if prev and prev[-1].frame_index >= frame.frame_index and any(
-                    fr.frame_index == frame.frame_index for fr in prev):
-                raise MalformedRecord(
-                    f"line {lineno}: track {tid!r} repeats frame {frame.frame_index}"
-                )
-            prev.append(frame)
-    tracks = [
-        Track(track_id=tid, frames=sorted(frames, key=lambda fr: fr.frame_index))
-        for tid, frames in frames_by_track.items()
-    ]
+            if indices and indices[-1] >= k and k in indices:
+                raise MalformedRecord(f"line {lineno}: track {tid!r} repeats frame {k}")
+            indices.append(k)
+            for column, vec in zip(columns, vectors):
+                column.frombytes(vec.tobytes())
+    tracks = []
+    for tid, (group, species, indices, columns) in rows_by_track.items():
+        # each block is a view of its column's buffer, unless the file
+        # listed the frames out of order
+        blocks = [np.frombuffer(column).reshape(len(indices), width)
+                  for column, width in zip(columns, dims)]
+        if indices != sorted(indices):
+            order = np.argsort(indices)
+            blocks, indices = [block[order] for block in blocks], sorted(indices)
+        tracks.append(Track(tid, group, species, indices,
+                            **dict(zip(VECTOR_FIELDS[mode], blocks))))
     return Dataset(tracks=tracks, mode=mode or MODE_TRUNK)
 
 
-def check_labels(dataset: Dataset, taxonomy: Taxonomy) -> None:
-    """Raise if any frame's species does not map to its group."""
+def check_labels(dataset: Dataset, taxonomy: Taxonomy) -> list[tuple[int, int]]:
+    """Each track's (group index, global species index); raises if a
+    track's species does not map to its group."""
+    labels = []
     for t in dataset.tracks:
         s = taxonomy.species_index(t.species)
         g = taxonomy.group_of(s)
@@ -347,3 +347,5 @@ def check_labels(dataset: Dataset, taxonomy: Taxonomy) -> None:
             raise InconsistentLabels(
                 f"track {t.track_id!r}: species {t.species!r} is not in group {t.group!r}"
             )
+        labels.append((g, s))
+    return labels

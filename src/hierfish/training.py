@@ -46,9 +46,10 @@ parameters, so the kernel writes each gradient into its view and
 `train` applies the mean and momentum to the whole (K, P) array at
 once.
 
-`train` validates the data once per call: it turns the labels into
-integer arrays, checks each frame's input layout and finiteness, and
-gathers each step's inputs from the frames into a preallocated buffer.
+`train` validates the data once per call: it resolves each track's
+labels, checks each track's block, stacks the blocks into one matrix
+per model input and checks its finiteness, and gathers each step's
+rows from that matrix into a preallocated buffer.
 It refuses more than `MAX_WEIGHTS` weights over all K models before
 allocating any, and a model that diverges stops the run, named by its
 scheme. A batch whose loss is not finite even at the initial weights
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .data import Dataset
+from .data import VECTOR_FIELDS, Dataset, check_labels
 from .errors import (
     DimensionMismatch,
     DivergedTraining,
@@ -297,53 +298,46 @@ def batch_loss(params: ModelParams, batch: list[LabeledExample],
                                  (LOSSES[scheme],))[0])
 
 
-def _where(frame) -> str:
-    return f"track {frame.track_id!r} frame {frame.frame_index}"
+def _stage(dataset: Dataset, taxonomy: Taxonomy):
+    """Validate every track once and return (inputs, y1, y2, where).
 
-
-def _stage(frames, mode: str, taxonomy: Taxonomy):
-    """Validate every frame once and return (columns, y1, y2).
-
-    `columns` holds one list of per-frame float64 vectors per model
-    input: (features,) in trunk mode, (shallow, deep) in precomputed
-    mode.
+    `inputs` holds one (N, d) float64 matrix per model input, the tracks'
+    blocks in order: (features,) in trunk mode, (shallow, deep) in
+    precomputed mode. `where(row)` names a row as its track's frame.
     """
-    attrs = ("features",) if mode == M.MODE_TRUNK else ("shallow", "deep")
-    columns = tuple([] for _ in attrs)
-    n = len(frames)
-    y1 = np.empty(n, dtype=np.intp)
-    y2 = np.empty(n, dtype=np.intp)
-    checked: set[tuple[int, int]] = set()
-    for k, fr in enumerate(frames):
-        s = taxonomy.species_index(fr.species)
-        g = taxonomy.group_index(fr.group)
-        if (g, s) not in checked:
-            check_example(LabeledExample(None, g, s), taxonomy)
-            checked.add((g, s))
-        y1[k], y2[k] = g, s
-        for attr, column in zip(attrs, columns):
-            value = getattr(fr, attr)
+    tracks, mode = dataset.tracks, dataset.mode
+    labels = check_labels(dataset, taxonomy)
+    lengths = [len(t) for t in tracks]
+    starts = np.cumsum([0] + lengths[:-1])
+
+    def where(row: int) -> str:
+        # the last track that starts at or before `row`, so never an empty one
+        j = int(np.searchsorted(starts, row, side="right")) - 1
+        return f"track {tracks[j].track_id!r} frame {tracks[j].frame_index[row - starts[j]]}"
+
+    attrs = VECTOR_FIELDS[mode]
+    blocks = tuple([] for _ in attrs)
+    for t, start in zip(tracks, starts.tolist()):
+        if not len(t):
+            continue
+        for attr, column in zip(attrs, blocks):
+            value = getattr(t, attr)
             if value is None:
                 raise DimensionMismatch(
-                    f"{_where(fr)}: no {attr} vector, which a {mode!r} dataset needs"
-                )
-            vec = np.asarray(value, dtype=np.float64)
-            if vec.ndim != 1 or (column and vec.shape != column[0].shape):
-                raise DimensionMismatch(
-                    f"{_where(fr)}: {attr} has shape {vec.shape}, expected "
-                    f"{column[0].shape if column else '(d,)'}"
-                )
-            if not np.isfinite(vec).all():
-                raise NonFiniteInput(f"{_where(fr)}: non-finite values in {attr}")
-            column.append(vec)
-    return columns, y1, y2
-
-
-def _gather(buffer: np.ndarray, column: list, idx: np.ndarray) -> np.ndarray:
-    """Copy the rows `idx` of a staged column into the head of `buffer`."""
-    out = buffer[:idx.shape[0]]
-    np.concatenate([column[j] for j in idx.tolist()], out=out.reshape(-1))
-    return out
+                    f"{where(start)}: no {attr} vector, which a {mode!r} dataset needs")
+            block = np.asarray(value, dtype=np.float64)
+            width = column[0].shape[1] if column else "d"
+            if block.ndim != 2 or block.shape[0] != len(t) or (column and block.shape[1] != width):
+                raise DimensionMismatch(f"{where(start)}: {attr} has shape {block.shape}, "
+                                        f"expected ({len(t)}, {width})")
+            column.append(block)
+    inputs = [np.concatenate(column) for column in blocks]
+    for attr, X in zip(attrs, inputs):
+        if not np.isfinite(X).all():
+            row = int(np.argmin(np.isfinite(X).all(axis=1)))
+            raise NonFiniteInput(f"{where(row)}: non-finite values in {attr}")
+    y1, y2 = (np.repeat(np.array(y, dtype=np.intp), lengths) for y in zip(*labels))
+    return inputs, y1, y2, where
 
 
 def _check_size(taxonomy: Taxonomy, K: int, dims: dict) -> None:
@@ -363,16 +357,16 @@ def _finite_step(params, grads, inputs, y1, y2, losses) -> bool:
         return False
 
 
-def _diverged(params, initial, grads, inputs, y1, y2, losses, names, epoch, batch):
+def _diverged(params, initial, grads, inputs, y1, y2, losses, names, epoch, rows, where):
     """The error for a step whose loss is not finite. If the batch fails
     at the `initial` weights too, the input is at fault: name the frame
-    of `batch` holding the largest |value|. Otherwise name the first
-    model that fails this step on its own, as it does in lockstep."""
+    of the batch's `rows` holding the largest |value|. Otherwise name the
+    first model that fails this step on its own, as it does in lockstep."""
     if not _finite_step(initial, grads, inputs, y1, y2, losses):
         peaks = np.max([np.abs(x).max(axis=-1) for x in inputs], axis=0)
         k = int(np.argmax(peaks))
         return NonFiniteInput(
-            f"{_where(batch[k])}: input values up to |{peaks[k]:g}| overflow the network "
+            f"{where(rows[k])}: input values up to |{peaks[k]:g}| overflow the network "
             "at its initial weights; rescale the features")
     for k, loss in enumerate(losses):
         if not _finite_step(params.rows(k, k + 1), grads.rows(k, k + 1), inputs, y1, y2, (loss,)):
@@ -384,7 +378,7 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
     """Image-based mini-batch SGD with momentum; deterministic for a seed.
 
     The data decides the network's input side: `train_split.mode` picks
-    trunk or precomputed mode, and the frames' widths set d_in (trunk)
+    trunk or precomputed mode, and the blocks' widths set d_in (trunk)
     or d1 and d2 (precomputed). Returns the trained parameters and the
     per-epoch mean training loss of `config.scheme`.
 
@@ -393,8 +387,7 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
     {scheme: (params, history)}; schemes that share a loss share the
     pair. Each model is bit-identical to the one its scheme trains alone.
     """
-    frames = list(train_split.frames())
-    if not frames:
+    if not train_split.n_frames:
         raise EmptyDataset("train split has no frames")
     names = {}   # loss -> the first scheme that trains it
     for scheme in [config.scheme] if schemes is None else schemes:
@@ -405,8 +398,8 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
         raise MalformedDocument("no scheme to train")
     losses = [loss for loss in LOSS_ORDER if loss in names]
     mode = train_split.mode
-    columns, y1, y2 = _stage(frames, mode, taxonomy)
-    widths = [column[0].shape[0] for column in columns]
+    matrices, y1, y2, where = _stage(train_split, taxonomy)
+    widths = [X.shape[1] for X in matrices]
     dims = (dict(d_in=widths[0], d1=config.d1, d2=config.d2) if mode == M.MODE_TRUNK
             else dict(d_in=M.D_IN, d1=widths[0], d2=widths[1]))
     dims.update(hidden=config.hidden)
@@ -414,33 +407,37 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
     params = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims).tile(len(losses))
     grads = params.zeros_like()
     velocity = np.zeros_like(params.vector)
-    n = len(frames)
+    n = y1.shape[0]
     B = config.batch_size
-    buffers = [np.empty((min(B, n), column[0].shape[0])) for column in columns]
+    buffers = [np.empty((min(B, n), width)) for width in widths]
     histories: list[list[float]] = [[] for _ in losses]
-    for epoch in range(config.epochs):
-        rng = np.random.default_rng([config.seed, 1, epoch])
-        order = rng.permutation(n)
-        loss_sum = np.zeros(len(losses))
-        for start in range(0, n, B):
-            idx = order[start:start + B]
-            inputs = [_gather(buf, col, idx) for buf, col in zip(buffers, columns)]
-            try:
-                loss = _loss_and_grads(params, grads, inputs, y1[idx], y2[idx], losses)
-                finite = np.isfinite(loss).all()
-            except NonFiniteActivation:
-                finite = False
-            if not finite:
-                initial = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims)
-                raise _diverged(params, initial.tile(len(losses)), grads, inputs, y1[idx],
-                                y2[idx], losses, names, epoch, [frames[j] for j in idx])
-            loss_sum += loss * idx.shape[0]
-            velocity *= config.momentum
-            grads.vector *= config.learning_rate   # in place: no (K, P) temporary
-            velocity -= grads.vector
-            params.vector += velocity
-        for history, value in zip(histories, (loss_sum / n).tolist()):
-            history.append(value)
+    # each step's loss and activations are checked: an overflow is an error, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            rng = np.random.default_rng([config.seed, 1, epoch])
+            order = rng.permutation(n)
+            loss_sum = np.zeros(len(losses))
+            for start in range(0, n, B):
+                idx = order[start:start + B]
+                # mode="clip" (`idx` is in range) lets np.take write into `out` unbuffered
+                inputs = [np.take(X, idx, axis=0, out=buf[:idx.shape[0]], mode="clip")
+                          for X, buf in zip(matrices, buffers)]
+                try:
+                    loss = _loss_and_grads(params, grads, inputs, y1[idx], y2[idx], losses)
+                    finite = np.isfinite(loss).all()
+                except NonFiniteActivation:
+                    finite = False
+                if not finite:
+                    initial = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims)
+                    raise _diverged(params, initial.tile(len(losses)), grads, inputs, y1[idx],
+                                    y2[idx], losses, names, epoch, idx, where)
+                loss_sum += loss * idx.shape[0]
+                velocity *= config.momentum
+                grads.vector *= config.learning_rate   # in place: no (K, P) temporary
+                velocity -= grads.vector
+                params.vector += velocity
+            for history, value in zip(histories, (loss_sum / n).tolist()):
+                history.append(value)
     trained = [(params.row(k), history) for k, history in enumerate(histories)]
     if schemes is None:
         return trained[0]

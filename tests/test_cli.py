@@ -306,9 +306,9 @@ class TestErrors:
         raw = D.generate(D.GenConfig(taxonomy=TAXONOMY, tracks_total=10,
                                      frames_min=2, frames_max=3, dim=6, seed=1))
         probe = M.init_params(TAXONOMY, d_in=6, d1=5, hidden=4, d2=3, seed=2)
-        for fr in raw.frames():
-            _, fr.shallow, _, fr.deep = M.trunk_features(probe, fr.features)
-            fr.features = None
+        for track in raw.tracks:
+            _, track.shallow, _, track.deep = M.trunk_features(probe, track.features)
+            track.features = None
         D.save_jsonl(raw, str(ws / "frames.jsonl"))
         common = ["--taxonomy", ws / "taxonomy.json", "--data", ws / "frames.jsonl"]
         assert run(["train", *common, "--epochs", 2, "--out", ws / "run"]) == 0
@@ -322,7 +322,7 @@ class TestErrors:
     def test_nan_feature(self, workspace, capsys):
         dataset = D.generate(D.GenConfig(taxonomy=TAXONOMY, tracks_total=10,
                                          frames_min=2, frames_max=3, dim=6, seed=1))
-        dataset.tracks[4].frames[1].features[0] = np.nan
+        dataset.tracks[4].features[1, 0] = np.nan
         assert self._train_on(workspace, dataset) == 1
         err = capsys.readouterr().err
         tid = dataset.tracks[4].track_id
@@ -395,6 +395,7 @@ class TestErrors:
     ("train", {"train": {"learning_rate": float("nan")}}, "learning_rate must be finite"),
     ("train", {"train": {"d1": 0}}, "d1 must be >= 1"),
     ("ablation", {"schemes": []}, "'schemes' must list at least one scheme"),
+    ("gen", {"gen": {"sigma_frame": -0.0}}, "sigma_frame must be finite and >= 0, not -0.0"),
 ])
 def test_malformed_config_is_an_error(workspace, capsys, command, config, match):
     ws = workspace
@@ -572,6 +573,79 @@ def test_split_on_fuzzed_jsonl(tmp_path_factory, line, field, value):
         # a bool or a string is no vector entry, even when numpy could convert it
         numbers = all(type(v) in (int, float) for v in value[0])
         assert rc == 1 or numbers
+
+
+# every key of a small valid config, and the checkpoint fields the
+# checkpoint fuzz sets
+FUZZ_CONFIG = {
+    "gen": {"tracks_total": 20, "frames_min": 1, "frames_max": 3, "dim": 4,
+            "zipf_exponent": 1.0, "sigma_group": 2.0, "sigma_species": 1.0,
+            "sigma_track": 1.0, "sigma_frame": 3.0},
+    "train": {"scheme": "scheme3", "learning_rate": 0.05, "momentum": 0.9, "epochs": 1,
+              "batch_size": 8, "d1": 3, "hidden": 3, "d2": 3},
+    "seed": 0,
+    "split_ratio": 0.8,
+}
+CONFIG_FIELDS = [(section, key) for section in ("gen", "train") for key in FUZZ_CONFIG[section]]
+CONFIG_FIELDS += [(None, "seed"), (None, "split_ratio")]
+CHECKPOINT_FIELDS = [("dims", key) for key in M.DIM_KEYS]
+CHECKPOINT_FIELDS += [("weights", name) for name in M.weight_shapes(TAXONOMY, 4, 3, 3, 3)]
+# integers capped so that no value makes gen build more than a small dataset;
+# st.floats() draws -0.0, NaN and the infinities
+CONFIG_SCALARS = (st.none() | st.booleans() | st.integers(-2, 64)
+                  | st.sampled_from([10**20, 10**300]) | st.floats() | st.text(max_size=4))
+
+
+@given(config_field=st.sampled_from(CONFIG_FIELDS), config_value=CONFIG_SCALARS,
+       checkpoint_field=st.sampled_from(CHECKPOINT_FIELDS), checkpoint_value=CONFIG_SCALARS,
+       position=st.integers(0, 100))
+@example(config_field=("gen", "sigma_frame"), config_value=-0.0,
+         checkpoint_field=("weights", "W2"), checkpoint_value=1e300, position=0)
+@example(config_field=("train", "momentum"), config_value=-0.0,
+         checkpoint_field=("dims", "hidden"), checkpoint_value=-0.0, position=0)
+@settings(max_examples=80, deadline=None)
+def test_gen_and_eval_on_fuzzed_config_and_checkpoint(tmp_path_factory, config_field,
+                                                       config_value, checkpoint_field,
+                                                       checkpoint_value, position):
+    """One config key, then one checkpoint weight entry or dims entry, set
+    to a JSON scalar: each command exits 0, or 1 with an `error: ` line."""
+    ws = tmp_path_factory.getbasetemp() / "fuzz_config"
+    ws.mkdir(exist_ok=True)
+    (ws / "taxonomy.json").write_text(TAXONOMY.to_json())
+    config = json.loads(json.dumps(FUZZ_CONFIG))
+    section, key = config_field
+    (config if section is None else config[section])[key] = config_value
+    (ws / "config.json").write_text(json.dumps(config))
+    gen = ["gen", "--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json",
+           "--out", ws / "gen"]
+
+    dataset = D.generate(D.GenConfig(taxonomy=TAXONOMY, tracks_total=10, frames_min=1,
+                                     frames_max=3, dim=4, seed=1))
+    D.save_jsonl(dataset, str(ws / "frames.jsonl"))
+    params = M.init_params(TAXONOMY, d_in=4, d1=3, hidden=3, d2=3, seed=1)
+    M.save_checkpoint(params, TAXONOMY, str(ws / "model.json"))
+    doc = json.loads((ws / "model.json").read_text())
+    part, name = checkpoint_field
+    if part == "dims":
+        doc["dims"][name] = checkpoint_value
+    else:
+        rows = doc["weights"][name]
+        j = position % len(rows)
+        if isinstance(rows[j], list):
+            rows, j = rows[j], position % len(rows[j])
+        rows[j] = checkpoint_value
+    (ws / "model.json").write_text(json.dumps(doc))
+    evaluate = ["eval", "--taxonomy", ws / "taxonomy.json", "--model", ws / "model.json",
+                "--data", ws / "frames.jsonl", "--out", ws / "eval"]
+
+    for args in (gen, evaluate):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = run(args)
+        assert rc in (0, 1), args[0]
+        if rc == 1:
+            assert err.getvalue().startswith("error: "), args[0]
+        assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("lineno", [1, 2])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hierfish import data as D
 from hierfish import model as M
 from hierfish.errors import (
     DimensionMismatch,
+    EmptyTrack,
     InconsistentLabels,
     InfeasibleConfig,
     MalformedRecord,
@@ -73,6 +75,82 @@ class TestGenerate:
         assert gacc > sacc
 
 
+def _generate_oracle(config):
+    """`generate` as a loop that draws each frame's noise on its own;
+    [(track id, group, species, [feature vector of each frame])]."""
+    tax = config.taxonomy
+    counts = D.species_track_counts(config)
+    rng = np.random.default_rng([config.seed, 100])
+
+    def draw(sigma):
+        return rng.normal(0.0, sigma / math.sqrt(config.dim), size=config.dim)
+
+    group_means = [draw(config.sigma_group) for _ in range(tax.G)]
+    species_offsets = [draw(config.sigma_species) for _ in range(tax.S)]
+    tracks = []
+    for s in range(tax.S):
+        g, _ = tax.to_local(s)
+        centroid = group_means[g] + species_offsets[s]
+        for _ in range(counts[s]):
+            jitter = draw(config.sigma_track)
+            T = int(rng.integers(config.frames_min, config.frames_max + 1))
+            frames = [centroid + jitter + draw(config.sigma_frame) for _ in range(T)]
+            tracks.append((f"t{len(tracks):05d}", tax.groups[g], tax.species_name(s), frames))
+    return tracks
+
+
+@pytest.mark.parametrize("seed", [0, 3, 41])
+@pytest.mark.parametrize("taxonomy, dims", [
+    ("toy_taxonomy", dict(tracks_total=20, frames_min=1, frames_max=5, dim=3)),
+    ("six31", dict(tracks_total=90, frames_min=2, frames_max=9, dim=32)),
+    (None, dict(tracks_total=4, frames_min=1, frames_max=1, dim=1)),
+])
+def test_generate_matches_per_frame_oracle(request, seed, taxonomy, dims):
+    """One (T, dim) noise draw per track gives the bytes of T draws."""
+    tax = (request.getfixturevalue(taxonomy) if taxonomy
+           else Taxonomy(groups=("A",), species_by_group=(("a",),)))
+    config = D.GenConfig(taxonomy=tax, seed=seed, **dims)
+    ds = D.generate(config)
+    want = _generate_oracle(config)
+    assert len(ds.tracks) == len(want)
+    for track, (track_id, group, species, frames) in zip(ds.tracks, want):
+        assert (track.track_id, track.group, track.species) == (track_id, group, species)
+        assert track.frame_index == list(range(len(frames)))
+        assert track.features.dtype == np.float64
+        assert track.features.tobytes() == np.stack(frames).tobytes()
+
+
+class TestTrackBlock:
+    def test_model_input_is_the_block(self, toy_taxonomy):
+        ds = D.generate(D.GenConfig(taxonomy=toy_taxonomy, tracks_total=12, frames_min=2,
+                                    frames_max=4, dim=5))
+        for track in ds.tracks:
+            assert track.model_input() is track.features
+            assert np.shares_memory(track.model_input(), track.features)
+        pair = D.Track("t0", "X", "x1", [0, 3], shallow=np.ones((2, 2)), deep=np.ones((2, 1)))
+        shallow, deep = pair.model_input()
+        assert shallow is pair.shallow and deep is pair.deep
+
+    def test_frames_are_read_only_views(self):
+        track = D.Track("t0", "X", "x1", [2, 5], features=np.arange(6.0).reshape(2, 3))
+        frames = track.frames
+        assert [(fr.track_id, fr.frame_index, fr.group, fr.species) for fr in frames] == \
+               [("t0", 2, "X", "x1"), ("t0", 5, "X", "x1")]
+        assert frames[1].shallow is None and frames[1].deep is None
+        assert np.shares_memory(frames[1].model_input(), track.features)
+        frames[1].features[0] = -1.0   # writes into the block
+        assert track.features[1].tolist() == [-1.0, 4.0, 5.0]
+        for field, value in [("features", np.zeros(3)), ("group", "Y"), ("frame_index", 0)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(frames[0], field, value)
+
+    def test_empty_track(self):
+        track = D.Track("t0", "X", "x1", [], features=np.empty((0, 3)))
+        assert len(track) == 0 and track.frames == []
+        with pytest.raises(EmptyTrack):
+            track.model_input()
+
+
 class TestSplit:
     def test_ten_tracks_80_20(self):
         t = Taxonomy(groups=("A",), species_by_group=(("a",),))
@@ -113,9 +191,7 @@ class TestSplit:
         assert len(train) == 1 and len(evaln) == 1
 
     def test_species_too_small(self, tiny_taxonomy):
-        frame = D.Frame(track_id="t0", frame_index=0, group="X", species="x1",
-                        features=np.zeros(3))
-        ds = D.Dataset(tracks=[D.Track(track_id="t0", frames=[frame])])
+        ds = D.Dataset(tracks=[D.Track("t0", "X", "x1", [0], features=np.zeros((1, 3)))])
         with pytest.raises(SpeciesTooSmall):
             D.split_by_track(ds, 0.8, 0)
 
@@ -137,6 +213,7 @@ class TestJsonl:
                 assert (fa.frame_index, fa.group, fa.species) == \
                        (fb.frame_index, fb.group, fb.species)
                 assert np.array_equal(fa.features, fb.features)
+            assert b.features.dtype == np.float64 and b.features.flags.writeable
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -172,12 +249,9 @@ class TestJsonl:
             D.load_jsonl(str(path))
 
     def test_precomputed_round_trip(self, tmp_path):
-        frames = [
-            D.Frame(track_id="t0", frame_index=0, group="X", species="x1",
-                    shallow=np.array([0.1, 0.2]), deep=np.array([0.3])),
-        ]
-        ds = D.Dataset(tracks=[D.Track(track_id="t0", frames=frames)],
-                       mode=M.MODE_PRECOMPUTED)
+        track = D.Track("t0", "X", "x1", [0], shallow=np.array([[0.1, 0.2]]),
+                        deep=np.array([[0.3]]))
+        ds = D.Dataset(tracks=[track], mode=M.MODE_PRECOMPUTED)
         path = str(tmp_path / "p.jsonl")
         D.save_jsonl(ds, path)
         loaded = D.load_jsonl(path)
@@ -194,6 +268,8 @@ class TestJsonl:
         )
         ds = D.load_jsonl(str(path))
         assert [fr.frame_index for fr in ds.tracks[0].frames] == [0, 1]
+        assert ds.tracks[0].frame_index == [0, 1]
+        assert ds.tracks[0].features.tolist() == [[1.0], [0.0]]
 
     @pytest.mark.parametrize("fields, match", [
         ('"features":["a",1.0]', "line 2: could not convert"),

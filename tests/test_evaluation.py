@@ -168,8 +168,7 @@ class TestEvaluate:
     def test_species_outside_taxonomy(self, toy_taxonomy):
         params = _random_model(toy_taxonomy, seed=5)
         ds = _dataset(toy_taxonomy, 16, seed=5)
-        for fr in ds.tracks[3].frames:
-            fr.species = "not-a-species"
+        ds.tracks[3].species = "not-a-species"
         with pytest.raises(TaxonomyMismatch, match="not-a-species"):
             E.evaluate(params, ds, toy_taxonomy, 0.0)
         with pytest.raises(TaxonomyMismatch, match="not-a-species"):

@@ -81,7 +81,7 @@ class TestAggregateAvg:
             I.TrackScores(frames=[])
         params, _ = _track_and_model(toy_taxonomy, M.MODE_TRUNK, 1)
         with pytest.raises(EmptyTrack):
-            I.score_track(params, D.Track(track_id="t0", frames=[]))
+            I.score_track(params, D.Track("t0", "A", "a1", [], features=np.empty((0, 6))))
 
 
 def _track_and_model(taxonomy, mode, T, seed=17):
@@ -90,13 +90,10 @@ def _track_and_model(taxonomy, mode, T, seed=17):
     rng = np.random.default_rng(seed)
     for _, arr in params.fields():
         arr += rng.normal(0, 0.5, arr.shape)
-    frames = []
-    for k in range(T):
-        inputs = ({"features": rng.normal(0, 2, 6)} if mode == M.MODE_TRUNK else
-                  {"shallow": rng.random(5) * 2, "deep": rng.random(4) * 2})
-        frames.append(D.Frame(track_id="t0", frame_index=k, group="A",
-                              species="a1", **inputs))
-    return params, D.Track(track_id="t0", frames=frames)
+    rows = [{"features": rng.normal(0, 2, 6)} if mode == M.MODE_TRUNK else
+            {"shallow": rng.random(5) * 2, "deep": rng.random(4) * 2} for _ in range(T)]
+    blocks = {key: np.stack([row[key] for row in rows]) for key in rows[0]}
+    return params, D.Track("t0", "A", "a1", list(range(T)), **blocks)
 
 
 @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,13 +236,27 @@ class TestTrain:
         """A finite but huge feature overflows the untrained network; at
         any step size that is the input's fault, not divergence."""
         ds = _tiny_dataset(toy_taxonomy)
-        frame = ds.tracks[3].frames[1]
-        frame.features = np.full(len(frame.features), 1e300)
+        track = ds.tracks[3]
+        track.features[1] = 1e300
         cfg = T.TrainConfig(epochs=1, seed=0, learning_rate=1e-9, d1=4, hidden=4, d2=3)
         with pytest.raises(NonFiniteInput,
-                           match=rf"^track {frame.track_id!r} frame 1: input values up to "
+                           match=rf"^track {track.track_id!r} frame 1: input values up to "
                                  r"\|1e\+300\| overflow the network at its initial weights"):
             T.train(cfg, ds, toy_taxonomy, schemes)
+
+    @pytest.mark.parametrize("case", ["learning_rate", "feature"])
+    def test_overflow_raises_no_warning(self, toy_taxonomy, case):
+        """The step's loss check reports an overflow; numpy warns of none,
+        so a run that turns warnings into errors gets the same error."""
+        ds = _tiny_dataset(toy_taxonomy)
+        cfg = T.TrainConfig(epochs=2, seed=0, d1=4, hidden=4, d2=3,
+                            learning_rate=1e300 if case == "learning_rate" else 0.05)
+        if case == "feature":
+            ds.tracks[3].features[1] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedTraining if case == "learning_rate" else NonFiniteInput):
+                T.train(cfg, ds, toy_taxonomy, ["baseline", "scheme1", "scheme3"])
 
     def test_model_size_is_bounded_before_allocating(self, toy_taxonomy, monkeypatch):
         """Three models of 17 * 3e6 weights each pass one at a time but
@@ -263,19 +278,20 @@ class TestTrain:
 
     def test_nan_feature_is_an_input_error(self, toy_taxonomy):
         ds = _tiny_dataset(toy_taxonomy)
-        frame = ds.tracks[3].frames[1]
-        frame.features[2] = np.nan
+        track = ds.tracks[3]
+        track.features[1, 2] = np.nan
         cfg = T.TrainConfig(epochs=1, seed=0, d1=4, hidden=4, d2=3)
         with pytest.raises(NonFiniteInput,
-                           match=rf"track '{frame.track_id}' frame {frame.frame_index}"):
+                           match=rf"track '{track.track_id}' frame {track.frame_index[1]}"):
             T.train(cfg, ds, toy_taxonomy)
 
     def test_nan_deep_feature_is_an_input_error(self, toy_taxonomy):
         ds = _precomputed_dataset(toy_taxonomy)
-        frame = ds.tracks[0].frames[0]
-        frame.deep[0] = np.inf
+        track = ds.tracks[0]
+        track.deep[0, 0] = np.inf
         cfg = T.TrainConfig(epochs=1, seed=0, hidden=4)
-        with pytest.raises(NonFiniteInput, match="non-finite values in deep"):
+        with pytest.raises(NonFiniteInput, match=rf"^track '{track.track_id}' frame 0: "
+                                                 "non-finite values in deep$"):
             T.train(cfg, ds, toy_taxonomy)
 
     @pytest.mark.parametrize("data, mode", [
@@ -295,16 +311,19 @@ class TestTrain:
 
     def test_ragged_feature_dims(self, toy_taxonomy):
         ds = _tiny_dataset(toy_taxonomy)
-        ds.tracks[-1].frames[0].features = np.zeros(5)
+        track = ds.tracks[-1]
+        track.features = np.zeros((len(track), 5))
         cfg = T.TrainConfig(epochs=1, seed=0, d1=4, hidden=4, d2=3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=rf"^track '{track.track_id}' frame 0: "
+                                                    rf"features has shape \({len(track)}, 5\), "
+                                                    rf"expected \({len(track)}, 6\)$"):
             T.train(cfg, ds, toy_taxonomy)
 
     def test_inconsistent_labels_rejected(self, toy_taxonomy):
         ds = _tiny_dataset(toy_taxonomy)
-        for fr in ds.tracks[0].frames:
-            fr.group = "B" if fr.group == "A" else "A"
-        with pytest.raises(InconsistentLabels):
+        track = ds.tracks[0]
+        track.group = "B" if track.group == "A" else "A"
+        with pytest.raises(InconsistentLabels, match=rf"^track '{track.track_id}': species "):
             T.train(T.TrainConfig(epochs=1, d1=4, hidden=4, d2=3), ds, toy_taxonomy)
 
 
@@ -314,13 +333,8 @@ def _precomputed_dataset(taxonomy):
     probe = M.init_params(taxonomy, d_in=6, d1=4, hidden=4, d2=3, seed=1)
     tracks = []
     for t in raw.tracks:
-        frames = []
-        for fr in t.frames:
-            _, sh, _, dp = M.trunk_features(probe, fr.features)
-            frames.append(D.Frame(track_id=fr.track_id, frame_index=fr.frame_index,
-                                  group=fr.group, species=fr.species,
-                                  shallow=sh, deep=dp))
-        tracks.append(D.Track(track_id=t.track_id, frames=frames))
+        _, sh, _, dp = M.trunk_features(probe, t.features)
+        tracks.append(D.Track(t.track_id, t.group, t.species, t.frame_index, shallow=sh, deep=dp))
     return D.Dataset(tracks=tracks, mode=M.MODE_PRECOMPUTED)
 
 
