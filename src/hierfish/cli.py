@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import json
 import os
-import shutil
 import sys
 
 import numpy as np
@@ -140,16 +139,12 @@ def _write_threshold(tau: float, out_dir: str) -> float:
     return tau
 
 
-def _eval_stage(params, dataset: D.Dataset, taxonomy: Taxonomy, tau, scheme: str,
-                out_dir: str) -> E.EvalReport:
+def _evaluate(params, dataset: D.Dataset, taxonomy: Taxonomy, tau, scheme: str) -> E.EvalReport:
     """The baseline is evaluated on its flat head alone; a hierarchical
     scheme with `tau` None at the threshold searched on the same scoring."""
     if scheme == "baseline":
-        report = E.evaluate_flat(params, dataset, taxonomy)
-    else:
-        report = E.evaluate(params, dataset, taxonomy, tau, scheme=scheme)
-    E.write_report(report, out_dir)
-    return report
+        return E.evaluate_flat(params, dataset, taxonomy)
+    return E.evaluate(params, dataset, taxonomy, tau, scheme=scheme)
 
 
 def cmd_gen(args) -> int:
@@ -189,7 +184,6 @@ def cmd_search_threshold(args) -> int:
     taxonomy = resolve(args).taxonomy
     params = M.load_checkpoint(args.model, taxonomy)
     dataset = D.load_jsonl(args.data)
-    D.check_labels(dataset, taxonomy)
     tau = _write_threshold(I.search_threshold(params, dataset.tracks, taxonomy), args.out)
     print(f"tau = {tau!r}")
     return 0
@@ -198,9 +192,9 @@ def cmd_search_threshold(args) -> int:
 def cmd_eval(args) -> int:
     s = resolve(args)
     params = M.load_checkpoint(args.model, s.taxonomy)
-    dataset = D.load_jsonl(args.data)
-    D.check_labels(dataset, s.taxonomy)
-    report = _eval_stage(params, dataset, s.taxonomy, args.threshold, s.train.scheme, args.out)
+    report = _evaluate(params, D.load_jsonl(args.data), s.taxonomy, args.threshold,
+                       s.train.scheme)
+    E.write_report(report, args.out)
     for row in E.table_rows(report):
         print(",".join(row))
     return 0
@@ -211,7 +205,6 @@ def cmd_infer(args) -> int:
     tau, unit = I.check_threshold(args.threshold), args.unit
     params = M.load_checkpoint(args.model, taxonomy)
     dataset = D.load_jsonl(args.data)
-    D.check_labels(dataset, taxonomy)
     rows = I.score_split(params, dataset.tracks, taxonomy, (unit,))[unit]
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "predictions.jsonl")
@@ -233,10 +226,14 @@ def cmd_infer(args) -> int:
 
 
 def run_scheme(scheme: str, params, history, eval_split: D.Dataset, taxonomy: Taxonomy,
-               out_dir: str) -> E.EvalReport:
-    """Write one trained scheme's artifacts, search its threshold, evaluate."""
+               out_dir: str, report: E.EvalReport | None = None) -> E.EvalReport:
+    """Write one trained scheme's artifacts, search its threshold, evaluate.
+    `report`, another scheme's evaluation of the same trained model, is
+    taken under this scheme's name instead of scoring the split again."""
     _write_model(params, history, taxonomy, out_dir)
-    report = _eval_stage(params, eval_split, taxonomy, None, scheme, out_dir)
+    report = (_evaluate(params, eval_split, taxonomy, None, scheme) if report is None
+              else dataclasses.replace(report, scheme=scheme))
+    E.write_report(report, out_dir)
     if report.tau is not None:   # the baseline has no threshold
         _write_threshold(report.tau, out_dir)
     return report
@@ -249,24 +246,14 @@ def cmd_ablation(args) -> int:
     # every distinct loss trains in one lockstep loop, before any file is written
     trained = T.train(s.train, train_split, s.taxonomy, s.schemes)
     os.makedirs(args.out, exist_ok=True)
-    # a scheme whose loss an earlier one already trained gets that run's
-    # files and report: the training, threshold and scores are the same
-    first = {}   # loss -> (scheme, report) of its first run
-    reports = []
+    # a scheme whose loss an earlier one already trained takes that run's
+    # report: the model, threshold and scores are the same
+    reports, by_loss = [], {}
     for scheme in s.schemes:
-        out_dir = os.path.join(args.out, scheme)
         loss = T.LOSSES[scheme]
-        if loss in first:
-            done, report = first[loss]
-            os.makedirs(out_dir, exist_ok=True)
-            for name in ("model.json", "loss.csv", "threshold.json"):
-                shutil.copyfile(os.path.join(args.out, done, name), os.path.join(out_dir, name))
-            report = dataclasses.replace(report, scheme=scheme)
-            E.write_report(report, out_dir)
-        else:
-            report = run_scheme(scheme, *trained[scheme], eval_split, s.taxonomy, out_dir)
-            first[loss] = scheme, report
-        reports.append(report)
+        by_loss[loss] = run_scheme(scheme, *trained[scheme], eval_split, s.taxonomy,
+                                   os.path.join(args.out, scheme), by_loss.get(loss))
+        reports.append(by_loss[loss])
     E.write_table_csv(reports, os.path.join(args.out, "ablation_table.csv"))
     for report in reports:
         for row in E.table_rows(report):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyEvalSet
-from .inference import UnitRows, best_threshold, check_threshold, score_split, track_labels
+from .inference import UnitRows, best_threshold, check_threshold, score_split, split_labels
 # not called here: perfbench's tracer wraps these names on this module too
 from .inference import aggregate_avg, aggregate_vote, score_track  # noqa: F401
 from .model import ModelParams, forward_flat
@@ -112,15 +112,16 @@ def evaluate(params: ModelParams, eval_split: Dataset, taxonomy: Taxonomy,
     return EvalReport(scheme=scheme, tau=tau, units=units)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite activation raises instead
 def evaluate_flat(params: ModelParams, eval_split: Dataset,
                   taxonomy: Taxonomy) -> EvalReport:
-    """Flat-classifier baseline: image-unit species accuracy only."""
+    """Flat-classifier baseline: image-unit species accuracy only. Like
+    `score_split`, it checks every track's labels before scoring any."""
     if len(eval_split.tracks) == 0:
         raise EmptyEvalSet("evaluation split has no tracks")
     preds = []
     truth = []
-    for track in eval_split.tracks:
-        _, y2 = track_labels(track, taxonomy)
+    for track, (_, y2) in zip(eval_split.tracks, split_labels(eval_split.tracks, taxonomy)):
         probs = forward_flat(params, track.model_input())
         preds.append(probs.argmax(axis=-1))
         truth.append(np.full(len(track), y2))

@@ -10,11 +10,12 @@ over the supporting frames. Either way the selected confidence can be
 compared against a threshold to fall back to the coarse-group
 prediction when the fine-level score is too low.
 
-`score_split` is the one loop over a split's tracks: it scores each
-track once and reduces it at once to one row per frame (image unit) or
-per track (video units), so a split's raw scores are never held. The
-threshold search, the metric suite and `hierfish infer` all read these
-`UnitRows`.
+`score_split` is the one loop over a split's tracks. It first resolves
+every track's labels through `data.check_labels`, the one label rule
+training also keeps, then scores each track once and reduces it at once
+to one row per frame (image unit) or per track (video units), so a
+split's raw scores are never held. The threshold search, the metric
+suite and `hierfish infer` all read these `UnitRows`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data as D
 from .errors import (EmptyEvalSet, EmptyTrack, IndexOutOfRange, InvalidThreshold,
                      TaxonomyMismatch)
 from .model import HeadOutputs, ModelParams, forward
@@ -198,10 +200,11 @@ def decide(confidence: float, coarse_scores: np.ndarray, fine_selection: int,
                       confidence=float(confidence), unit=unit)
 
 
-def track_labels(track, taxonomy: Taxonomy) -> tuple[int, int]:
-    """(group, global species) index of a track's labels."""
+def split_labels(tracks, taxonomy: Taxonomy) -> list[tuple[int, int]]:
+    """`data.check_labels` of `tracks`: each one's (group, global species)
+    index; a species the taxonomy lacks is a `TaxonomyMismatch`."""
     try:
-        return taxonomy.group_index(track.group), taxonomy.species_index(track.species)
+        return D.check_labels(D.Dataset(tracks), taxonomy)
     except IndexOutOfRange as e:
         raise TaxonomyMismatch(str(e)) from e
 
@@ -235,17 +238,18 @@ class UnitRows:
         return np.where(self.stopped(tau), self.coarse == self.y1, self.fine == self.y2)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite activation raises instead
 def score_split(params: ModelParams, tracks, taxonomy: Taxonomy,
                 units=UNITS) -> dict[str, UnitRows]:
-    """The rows of each unit in `units` over `tracks`, in order. Each
-    track's labels are looked up once, it is scored once, and it is
-    reduced to rows before the next track is scored."""
+    """The rows of each unit in `units` over `tracks`, in order. Every
+    track's labels are checked before any track is scored; then each
+    track is scored once and reduced to rows before the next is scored."""
     tracks = list(tracks)
+    labels = split_labels(tracks, taxonomy)
     n_frames = sum(map(len, tracks))
     tables = {u: UnitRows.empty(n_frames if u == "image" else len(tracks)) for u in units}
     end = 0
-    for k, track in enumerate(tracks):
-        y1, y2 = track_labels(track, taxonomy)
+    for k, (track, (y1, y2)) in enumerate(zip(tracks, labels)):
         ts = score_track(params, track)
         frames = slice(end, end + len(track))
         end = frames.stop

@@ -258,7 +258,7 @@ def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
         np.matmul(X.T, dz1, out=grads.W1)
         np.add.reduce(dz1, axis=-2, keepdims=True, out=grads.b1)
 
-    grads.vector /= B
+    grads.vector[...] /= B
     return np.add.reduce(out, axis=-1) / B   # as `out.mean(axis=-1)`, with less overhead
 
 
@@ -433,9 +433,9 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
                                     y2[idx], losses, names, epoch, idx, where)
                 loss_sum += loss * idx.shape[0]
                 velocity *= config.momentum
-                grads.vector *= config.learning_rate   # in place: no (K, P) temporary
+                grads.vector[...] *= config.learning_rate   # in place: no (K, P) temporary
                 velocity -= grads.vector
-                params.vector += velocity
+                params.vector[...] += velocity
             for history, value in zip(histories, (loss_sum / n).tolist()):
                 history.append(value)
     trained = [(params.row(k), history) for k, history in enumerate(histories)]

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -215,7 +217,7 @@ class TestAblation:
             rows = list(csv.reader(f))
         assert [r[0] for r in rows[1:]] == ["scheme3"] * 3 + ["scheme2"] * 3
         assert [r[1:] for r in rows[1:4]] == [r[1:] for r in rows[4:]]
-        # the copied checkpoint is the one scheme2 trains on its own
+        # the checkpoint written for scheme2 is the one it trains on its own
         assert run(["gen", *common, "--seed", 11, "--out", ws / "data"]) == 0
         assert run(["split", *common, "--seed", 11, "--data", ws / "data" / "dataset.jsonl",
                     "--out", ws / "splits"]) == 0
@@ -465,6 +467,55 @@ def test_infer_checks_threshold_before_reading_tracks(workspace, capsys, thresho
     assert not (ws / "bad").exists()
     assert run([*common, "--threshold", 0.5, "--out", ws / "good"]) == 0
     assert (ws / "good" / "predictions.jsonl").read_bytes() == b""
+
+
+SCORING_COMMANDS = [["search-threshold"], ["eval"], ["eval", "--scheme", "baseline"], ["infer"]]
+
+
+def _scoring_inputs(ws, edit_track=None, edit_params=None):
+    """frames.jsonl and model.json in `ws`, after the edits to the last
+    track and to the weights; the args that point a scoring command at
+    them, and that track."""
+    dataset = D.generate(D.GenConfig(taxonomy=TAXONOMY, tracks_total=10,
+                                     frames_min=2, frames_max=3, dim=6, seed=1))
+    params = M.init_params(TAXONOMY, d_in=6, d1=5, hidden=4, d2=4, seed=1)
+    track = dataset.tracks[-1]
+    if edit_track:
+        edit_track(track)
+    if edit_params:
+        edit_params(params)
+    D.save_jsonl(dataset, str(ws / "frames.jsonl"))
+    M.save_checkpoint(params, TAXONOMY, str(ws / "model.json"))
+    return ["--taxonomy", ws / "taxonomy.json", "--model", ws / "model.json",
+            "--data", ws / "frames.jsonl", "--out", ws / "out"], track
+
+
+@pytest.mark.parametrize("command", SCORING_COMMANDS, ids=" ".join)
+def test_scoring_commands_refuse_a_track_outside_its_species_group(workspace, capsys,
+                                                                   command):
+    def move(track):
+        track.group = next(g for g in TAXONOMY.groups if g != track.group)
+
+    args, track = _scoring_inputs(workspace, edit_track=move)
+    assert run([*command, *args]) == 1
+    assert capsys.readouterr().err == (f"error: track {track.track_id!r}: species "
+                                       f"{track.species!r} is not in group {track.group!r}\n")
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("command", SCORING_COMMANDS, ids=" ".join)
+def test_overflowing_checkpoint_is_one_error_line(workspace, command):
+    """A checkpoint whose trunk overflows is reported by the forward
+    pass's own check, with no numpy warning before it."""
+    def blow_up(params):
+        params.W1[0, 0] = params.W2[0, 0] = 1e300
+
+    args, _ = _scoring_inputs(workspace, edit_params=blow_up)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "hierfish.cli", *command,
+                           *map(str, args)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (1, "error: non-finite values in trunk\n")
 
 
 def _decide_lines(params, tracks, taxonomy, tau, unit):

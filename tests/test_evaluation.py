@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hierfish import data as D
 from hierfish import evaluation as E
 from hierfish import inference as I
 from hierfish import model as M
-from hierfish.errors import EmptyEvalSet, TaxonomyMismatch
+from hierfish.errors import (EmptyEvalSet, InconsistentLabels, NonFiniteActivation,
+                             TaxonomyMismatch)
 from hierfish.taxonomy import Taxonomy
 
 from conftest import make_outputs
@@ -173,6 +175,49 @@ class TestEvaluate:
             E.evaluate(params, ds, toy_taxonomy, 0.0)
         with pytest.raises(TaxonomyMismatch, match="not-a-species"):
             E.evaluate_flat(params, ds, toy_taxonomy)
+        with pytest.raises(TaxonomyMismatch, match="not-a-species"):
+            I.search_threshold(params, ds.tracks, toy_taxonomy)
+
+
+SCORERS = {
+    "evaluate": lambda p, ds, tax: E.evaluate(p, ds, tax, 0.0),
+    "evaluate_searched": lambda p, ds, tax: E.evaluate(p, ds, tax, None),
+    "evaluate_flat": lambda p, ds, tax: E.evaluate_flat(p, ds, tax),
+    "search_threshold": lambda p, ds, tax: I.search_threshold(p, ds.tracks, tax),
+    "score_split": lambda p, ds, tax: I.score_split(p, ds.tracks, tax),
+}
+
+
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_track_outside_its_species_group_is_refused(toy_taxonomy, monkeypatch, scorer):
+    """Scoring keeps training's label rule: a track whose group is a real
+    group but not its species' own is refused before any track is scored."""
+    params = _random_model(toy_taxonomy, seed=5)
+    ds = _dataset(toy_taxonomy, 16, seed=5)
+    track = ds.tracks[-1]
+    track.group = next(g for g in toy_taxonomy.groups if g != track.group)
+    scored = []
+    monkeypatch.setattr(I, "score_track", lambda *args: scored.append(args))
+    monkeypatch.setattr(E, "forward_flat", lambda *args: scored.append(args))
+    with pytest.raises(InconsistentLabels,
+                       match=rf"^track {track.track_id!r}: species {track.species!r} "
+                             rf"is not in group {track.group!r}$"):
+        SCORERS[scorer](params, ds, toy_taxonomy)
+    assert scored == []
+
+
+@pytest.mark.parametrize("scorer", ["evaluate", "evaluate_searched", "evaluate_flat",
+                                    "search_threshold"])
+def test_overflowing_weights_raise_without_a_warning(toy_taxonomy, scorer):
+    """The forward pass's own check reports an overflow; numpy warns of
+    none, so a run that turns warnings into errors gets the same error."""
+    params = _random_model(toy_taxonomy, seed=5)
+    params.W1[0, 0] = params.W2[0, 0] = 1e300
+    ds = _dataset(toy_taxonomy, 16, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteActivation, match="^non-finite values in trunk$"):
+            SCORERS[scorer](params, ds, toy_taxonomy)
 
 
 def _frac(ds, tax, unit, pred):
