@@ -5,6 +5,10 @@ head) and a deep feature vector (shared by all per-group fine heads and
 the flat baseline head). The joint score of a species is the product of
 its group's coarse probability and its within-group fine probability, so
 the joint vector is itself a probability distribution over all species.
+
+The fine heads' cost grows with the number of groups, so consecutive
+heads of equal size run together: one stacked GEMM and one sum per run,
+bit-identical to one per head (see `heads_forward`).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -57,6 +61,11 @@ class ModelParams:
     `vector`) writes into its view. `Wf` and `bf` are the tuples of the
     `Wf{g}` and `bf{g}` views, so their items cannot be replaced.
 
+    `fine_runs` lists the runs of consecutive fine heads of equal size n
+    as (g, h, a, b, W): heads g..h-1, their columns a..b-1 of the S, and
+    W, one (k, d2, n) view of their k = h - g matrices `Wf{g}` (stacked,
+    (K, k, d2, n)), which lie back to back in `vector`.
+
     `tile(K)` stacks K models: `vector` is then (K, P), every matrix
     (K, a, b) and every bias (K, 1, n), so the forward functions run all
     K models at once by broadcasting. `rows(a, b)` is a stacked view of
@@ -80,14 +89,23 @@ class ModelParams:
         sizes = [arr.shape[-1] for arr in bf]
         ends = np.cumsum(sizes)
         fine_starts = ends - sizes
+        spans = list(zip(fine_starts.tolist(), ends.tolist()))
+        wf_starts = [start for name, start in zip(shapes, starts) if name.startswith("Wf")]
+        runs, g = [], 0
+        for _, heads in groupby(sizes):
+            k = len(list(heads))
+            runs.append((g, g + k, spans[g][0], spans[g + k - 1][1],
+                         view(wf_starts[g], (k,) + shapes[f"Wf{g}"])))
+            g += k
         self.__dict__.update(views, mode=mode, vector=vector, _views=views, _shapes=shapes,
                              _rows={}, Wf=Wf, bf=bf,
                              # the fine heads share one axis of S columns; group g
                              # owns fine_spans[g]. bf is last, so fine_bias is one view
                              fine_bias=view(starts[-1] - int(ends[-1]), (int(ends[-1]),)),
-                             fine_spans=list(zip(fine_starts.tolist(), ends.tolist())),
+                             fine_spans=spans,
                              fine_starts=fine_starts,
-                             fine_group=np.repeat(np.arange(len(bf)), sizes))
+                             fine_group=np.repeat(np.arange(len(bf)), sizes),
+                             fine_runs=runs)
 
     def __setattr__(self, name, value):
         """A weight array (or `vector`) is written into its view, never replaced."""
@@ -267,11 +285,16 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
     example.
 
     The fine heads run as one segmented softmax over a single (B, S)
-    array: each group's GEMM writes its column block, then one bias add,
-    one finiteness check, one max per group, one subtract/exp/divide.
-    The per-group sums use `np.add.reduce` over column views, which sums
-    in the same order as a softmax over each group alone (so the outputs
-    are bit-identical to it); `np.add.reduceat` would not.
+    array. Consecutive heads of equal size form a run
+    (`params.fine_runs`): one stacked GEMM per run writes the run's
+    column block, then one bias add, one finiteness check, one max per
+    group, one subtract/exp/divide, and one `np.add.reduce` per run
+    over its block seen as (B, k, n) gives the k heads' sums. numpy
+    runs a stacked matmul as the same 2-D GEMM per head, and the
+    reduction sums each head's n columns in the same order as a softmax
+    over that head alone, so the outputs are bit-identical to per-group
+    heads; a GEMM fused across heads of unequal size, or
+    `np.add.reduceat`, would not be.
     """
     if shallow.shape[-1] != params.d1 or deep.shape[-1] != params.d2:
         raise DimensionMismatch(
@@ -283,10 +306,15 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
     zc2 = Hc @ params.Wc2 + params.bc2
     _check_finite("coarse head", zc2)
     coarse = _softmax(zc2)
-    spans, group = params.fine_spans, params.fine_group
+    spans, group, runs = params.fine_spans, params.fine_group, params.fine_runs
     fine = np.empty(deep.shape[:-1] + group.shape)
-    for g, (a, b) in enumerate(spans):
-        np.matmul(deep, params.Wf[g], out=fine[..., a:b])
+    # (..., 1, B, d2) @ (..., k, d2, n) lands in the run's columns seen as
+    # (..., k, B, n); one example is a batch of one
+    rows, cols = (deep, fine) if deep.ndim > 1 else (deep[None], fine[None])
+    rows, lead = rows[..., None, :, :], cols.shape[:-1]
+    for g, h, a, b, W in runs:
+        block = cols[..., a:b].reshape(lead + (h - g, W.shape[-1]))
+        np.matmul(rows, W, out=block.swapaxes(-2, -3))
     fine += params.fine_bias
     if not np.isfinite(fine).all():
         g = next(g for g, (a, b) in enumerate(spans) if not np.isfinite(fine[..., a:b]).all())
@@ -294,8 +322,9 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
     fine -= np.maximum.reduceat(fine, params.fine_starts, axis=-1)[..., group]
     np.exp(fine, out=fine)
     sums = np.empty(coarse.shape)
-    for g, (a, b) in enumerate(spans):
-        np.add.reduce(fine[..., a:b], axis=-1, out=sums[..., g])
+    for g, h, a, b, W in runs:
+        np.add.reduce(fine[..., a:b].reshape(fine.shape[:-1] + (h - g, W.shape[-1])),
+                      axis=-1, out=sums[..., g:h])
     fine /= sums[..., group]
     cache = {"zc1": zc1, "Hc": Hc}
     return cache, coarse, fine, coarse[..., group] * fine

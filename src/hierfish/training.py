@@ -20,8 +20,9 @@ One kernel, `_loss_and_grads`, computes the batch loss and its gradient
 for every scheme; `compute_gradients` (the finite-difference oracle's
 subject), `batch_loss` and `train` all call it. The fine heads run as
 one segmented softmax over a (B, S) array, group g in the columns
-`ModelParams.fine_spans[g]` (see `model.heads_forward`); the backward
-pass subtracts the one-hot label from that array once and takes each
+`ModelParams.fine_spans[g]`, with one stacked GEMM per run of
+equal-size heads (see `model.heads_forward`); the backward pass
+subtracts the one-hot label from that array once and takes each
 group's gradient as a block of one by-group row gather.
 
 Parameter layout: `ModelParams` keeps every weight of a model in one
@@ -54,7 +55,9 @@ It refuses more than `MAX_WEIGHTS` weights over all K models before
 allocating any, and a model that diverges stops the run, named by its
 scheme. A batch whose loss is not finite even at the initial weights
 stops it as an input fault instead, naming the frame with the largest
-|value|.
+|value|. A staged value beyond `MAX_FEATURE` stops it before the first
+step, as that overflow if its frame overflows the untrained network,
+else as out of bound.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data as D
 from . import model as M
-from .data import VECTOR_FIELDS, Dataset, check_labels
+from .data import VECTOR_FIELDS, Dataset
 from .errors import (
     DimensionMismatch,
     DivergedTraining,
@@ -90,6 +94,14 @@ LOSS_ORDER = ("baseline", "scheme1", "scheme3")
 # the most weights `train` allocates over all its models, as `generate`
 # bounds its feature values
 MAX_WEIGHTS = 10**8
+# the largest |value| `train` accepts in a staged feature. An SGD step
+# puts a feature into the gradient of each weight it meets, and the next
+# forward multiplies that weight by it again, so a step squares a
+# feature's scale; the square of a larger value is within 1e9 of
+# float64's limit (1.8e308). Such a value either overflows the network or,
+# where the untrained network saturates on it, trains silently as a frame
+# of zero loss and zero gradient
+MAX_FEATURE = 1e150
 
 
 @dataclass
@@ -306,7 +318,7 @@ def _stage(dataset: Dataset, taxonomy: Taxonomy):
     precomputed mode. `where(row)` names a row as its track's frame.
     """
     tracks, mode = dataset.tracks, dataset.mode
-    labels = check_labels(dataset, taxonomy)
+    labels = D.check_labels(dataset, taxonomy)
     lengths = [len(t) for t in tracks]
     starts = np.cumsum([0] + lengths[:-1])
 
@@ -357,17 +369,42 @@ def _finite_step(params, grads, inputs, y1, y2, losses) -> bool:
         return False
 
 
+def _input_fault(initial, grads, inputs, y1, y2, losses, rows, where):
+    """None if the batch of staged `rows` has a finite loss at the
+    `initial` weights. Otherwise the input is at fault: the error names
+    the frame of `rows` holding the largest |value|."""
+    if _finite_step(initial, grads, inputs, y1, y2, losses):
+        return None
+    peaks = np.max([np.abs(x).max(axis=-1) for x in inputs], axis=0)
+    k = int(np.argmax(peaks))
+    return NonFiniteInput(
+        f"{where(rows[k])}: input values up to |{peaks[k]:g}| overflow the network "
+        "at its initial weights; rescale the features")
+
+
+def _check_bound(initial, grads, inputs, y1, y2, losses, where) -> None:
+    """Refuse a staged value beyond MAX_FEATURE, naming the frame that
+    holds the largest |value|. If that frame alone overflows the network
+    at its `initial` weights, the error says so, as it would for a batch
+    holding it."""
+    if max(max(X.max(), -X.min()) for X in inputs) <= MAX_FEATURE:
+        return
+    peaks = np.max([np.abs(X).max(axis=-1) for X in inputs], axis=0)
+    rows = [int(np.argmax(peaks))]
+    raise (_input_fault(initial, grads, [X[rows] for X in inputs], y1[rows], y2[rows], losses,
+                        rows, where)
+           or NonFiniteInput(f"{where(rows[0])}: input values up to |{peaks[rows[0]]:g}| "
+                             f"exceed {MAX_FEATURE:g}; rescale the features"))
+
+
 def _diverged(params, initial, grads, inputs, y1, y2, losses, names, epoch, rows, where):
     """The error for a step whose loss is not finite. If the batch fails
-    at the `initial` weights too, the input is at fault: name the frame
-    of the batch's `rows` holding the largest |value|. Otherwise name the
-    first model that fails this step on its own, as it does in lockstep."""
-    if not _finite_step(initial, grads, inputs, y1, y2, losses):
-        peaks = np.max([np.abs(x).max(axis=-1) for x in inputs], axis=0)
-        k = int(np.argmax(peaks))
-        return NonFiniteInput(
-            f"{where(rows[k])}: input values up to |{peaks[k]:g}| overflow the network "
-            "at its initial weights; rescale the features")
+    at the `initial` weights too, the input is at fault (`_input_fault`).
+    Otherwise name the first model that fails this step on its own, as it
+    does in lockstep."""
+    fault = _input_fault(initial, grads, inputs, y1, y2, losses, rows, where)
+    if fault:
+        return fault
     for k, loss in enumerate(losses):
         if not _finite_step(params.rows(k, k + 1), grads.rows(k, k + 1), inputs, y1, y2, (loss,)):
             break
@@ -413,6 +450,7 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
     histories: list[list[float]] = [[] for _ in losses]
     # each step's loss and activations are checked: an overflow is an error, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        _check_bound(params, grads, matrices, y1, y2, losses, where)
         for epoch in range(config.epochs):
             rng = np.random.default_rng([config.seed, 1, epoch])
             order = rng.permutation(n)

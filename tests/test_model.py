@@ -205,10 +205,21 @@ def _per_group_heads(p, shallow, deep):
     return coarse, fine_local, M.joint_scores(coarse, fine_local)
 
 
-def _wide(G, n):
-    return Taxonomy(groups=tuple(f"G{g}" for g in range(G)),
+def _sized(*sizes):
+    return Taxonomy(groups=tuple(f"G{g}" for g in range(len(sizes))),
                     species_by_group=tuple(tuple(f"G{g}s{i}" for i in range(n))
-                                           for g in range(G)))
+                                           for g, n in enumerate(sizes)))
+
+
+def _wide(G, n):
+    return _sized(*[n] * G)
+
+
+# fine heads in runs of equal size: mixed runs, one group, only
+# one-species groups, and runs of heads wide enough (n >= 8) that numpy
+# sums them pairwise
+RUN_TAXONOMIES = {"mixed": _sized(3, 3, 1, 4, 4, 4, 2), "one-group": _sized(5),
+                  "one-species": _sized(1, 1, 1, 1), "wide-runs": _sized(9, 9, 12, 12, 12, 2)}
 
 
 def _random_heads(taxonomy, seed, batch):
@@ -221,8 +232,9 @@ def _random_heads(taxonomy, seed, batch):
 
 
 class TestSegmentedSoftmax:
-    @pytest.mark.parametrize("taxonomy", [default_taxonomy(), _wide(24, 5)],
-                             ids=["6x31", "24x5"])
+    @pytest.mark.parametrize("taxonomy", [default_taxonomy(), _wide(24, 5),
+                                          *RUN_TAXONOMIES.values()],
+                             ids=["6x31", "24x5", *RUN_TAXONOMIES])
     @pytest.mark.parametrize("batch", [None, 1, 7, 32])
     def test_bit_identical_to_per_group_heads(self, taxonomy, batch):
         for seed in range(6):
@@ -242,6 +254,34 @@ class TestSegmentedSoftmax:
         assert [f.shape for f in out.fine_local] == [(7, n) for n in six31.group_sizes]
         for f, ref in zip(out.fine_local, _per_group_heads(p, shallow, deep)[1]):
             assert np.array_equal(f, ref)
+
+    @pytest.mark.parametrize("taxonomy, runs", [(_wide(24, 5), 1), (default_taxonomy(), 5),
+                                                (RUN_TAXONOMIES["mixed"], 4)],
+                             ids=["24x5", "6x31", "mixed"])
+    def test_one_gemm_and_one_sum_per_run(self, taxonomy, runs, monkeypatch):
+        """The fine heads cost one matmul and one sum reduction per run of
+        equal-size heads, not one per group."""
+        p, shallow, deep = _random_heads(taxonomy, 0, 8)
+        assert len(p.fine_runs) == runs
+
+        class Counted:
+            def __init__(self, ufunc):
+                self.ufunc, self.calls = ufunc, 0
+
+            def __call__(self, *args, **kwargs):
+                self.calls += 1
+                return self.ufunc(*args, **kwargs)
+
+            def reduce(self, *args, **kwargs):
+                self.calls += 1
+                return self.ufunc.reduce(*args, **kwargs)
+
+        matmul, add = Counted(np.matmul), Counted(np.add)
+        monkeypatch.setattr(np, "matmul", matmul)
+        monkeypatch.setattr(np, "add", add)
+        M.heads_forward(p, shallow, deep)
+        assert matmul.calls == runs
+        assert add.calls == runs + 1   # and one for the coarse softmax
 
     @pytest.mark.parametrize("batch", [None, 7])
     def test_first_non_finite_fine_head_is_named(self, six31, batch):
@@ -328,6 +368,48 @@ class TestParamsLayout:
             assert joint[k].tobytes() == out.joint.tobytes()
             assert fine[k].tobytes() == np.concatenate(out.fine_local, axis=-1).tobytes()
             assert flat[k].tobytes() == M.forward_flat(row, X).tobytes()
+
+    @pytest.mark.parametrize("taxonomy", [_wide(24, 5), RUN_TAXONOMIES["mixed"]],
+                             ids=["24x5", "mixed"])
+    def test_stacked_runs_are_each_row_forward(self, taxonomy):
+        """The stacked (K, B, d2) forward of training runs each run as one
+        (K, k, d2, n) GEMM, each row bit-identical to its model alone."""
+        rng = np.random.default_rng(5)
+        stacked = M.init_params(taxonomy, seed=1).tile(3)
+        stacked.vector[...] = rng.normal(0.0, 0.5, stacked.vector.shape)
+        X = rng.normal(size=(7, 32))
+        _, shallow, _, deep = M.trunk_features(stacked, X)
+        assert deep.shape == (3, 7, 16)
+        _, coarse, fine, joint = M.heads_forward(stacked, shallow, deep)
+        for k in range(3):
+            out = M.forward(stacked.row(k), X)
+            assert coarse[k].tobytes() == out.coarse.tobytes()
+            assert joint[k].tobytes() == out.joint.tobytes()
+            assert fine[k].tobytes() == np.concatenate(out.fine_local, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("taxonomy", [default_taxonomy(), _wide(24, 5),
+                                          *RUN_TAXONOMIES.values()],
+                             ids=["6x31", "24x5", *RUN_TAXONOMIES])
+    @pytest.mark.parametrize("K", [None, 2])
+    def test_runs_are_views_of_each_head_once(self, taxonomy, K):
+        """Each run is one view into `vector`: together the runs cover the
+        groups in order, each `Wf{g}` exactly once, each run as long as its
+        heads' sizes stay equal."""
+        p = M.init_params(taxonomy, d_in=3, d1=2, hidden=2, d2=4, seed=0)
+        if K:
+            p = p.tile(K)
+        groups, sizes = [], taxonomy.group_sizes
+        for g, h, a, b, W in p.fine_runs:
+            assert np.shares_memory(W, p.vector)
+            assert W.shape == p.vector.shape[:-1] + (h - g, 4, sizes[g])
+            assert (a, b) == (p.fine_spans[g][0], p.fine_spans[h - 1][1])
+            assert set(sizes[g:h]) == {sizes[g]}
+            for j, head in enumerate(range(g, h)):
+                view, field = W[..., j, :, :], p.Wf[head]
+                assert view.__array_interface__ == field.__array_interface__
+            groups.extend(range(g, h))
+        assert groups == list(range(taxonomy.G))
+        assert all(sizes[h - 1] != sizes[h] for _, h, *_ in p.fine_runs[:-1])
 
 
 class TestCheckpoint:

@@ -244,6 +244,27 @@ class TestTrain:
                                  r"\|1e\+300\| overflow the network at its initial weights"):
             T.train(cfg, ds, toy_taxonomy, schemes)
 
+    @pytest.mark.parametrize("data, attr, column, value", [
+        ("features", "features", 0, 1e300), ("features", "features", 2, -1e300),
+        ("precomputed", "shallow", 3, -1e300), ("precomputed", "deep", 0, 1e300)])
+    @pytest.mark.parametrize("schemes", [None, ["scheme1", "baseline", "scheme3"]])
+    def test_value_beyond_bound_is_an_input_fault(self, toy_taxonomy, data, attr, column,
+                                                  value, schemes):
+        """A finite value beyond MAX_FEATURE on which the untrained
+        network saturates, rather than overflows, would train to a finite
+        loss; it is refused before the first step."""
+        ds = _dataset(toy_taxonomy, data)
+        track = ds.tracks[2]
+        getattr(track, attr)[0, column] = value
+        cfg = T.TrainConfig(epochs=2, seed=0, d1=4, hidden=4, d2=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput,
+                               match=rf"^track {track.track_id!r} frame {track.frame_index[0]}: "
+                                     r"input values up to \|1e\+300\| exceed 1e\+150; "
+                                     r"rescale the features$"):
+                T.train(cfg, ds, toy_taxonomy, schemes)
+
     @pytest.mark.parametrize("case", ["learning_rate", "feature"])
     def test_overflow_raises_no_warning(self, toy_taxonomy, case):
         """The step's loss check reports an overflow; numpy warns of none,
