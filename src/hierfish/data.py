@@ -247,6 +247,8 @@ def save_jsonl(dataset: Dataset, path: str) -> None:
 
 def _vector(rec: dict, key: str, lineno: int) -> np.ndarray:
     vec = number_array(rec[key], key)
+    if not vec.shape[0]:   # a model input needs at least one value
+        raise MalformedRecord(f"line {lineno}: {key!r} is empty")
     if not np.isfinite(vec).all():
         raise MalformedRecord(
             f"track {rec['track_id']!r} frame {rec['frame_index']}: "

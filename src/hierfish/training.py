@@ -37,15 +37,15 @@ from the same weights and draws the same batches, so each step makes
 one gather, one stacked trunk pass, the flat head on the baseline row
 (row 0), the coarse and fine heads stacked on the hierarchical rows,
 and one momentum update over (K, P). What differs per loss stays per
-row: scheme1's row reads `fine`, scheme3's reads `joint` and doubles
-its coarse-logit gradient, and the per-group fine backward runs one
-model at a time on 2-D views. numpy runs a stacked matmul or reduction
-as the same 2-D operation per row, so each row is bit-identical to its
-model trained alone (tests/test_training.py checks this); a single
-model is the K = 1 case. The gradient buffer has the layout of the
-parameters, so the kernel writes each gradient into its view and
-`train` applies the mean and momentum to the whole (K, P) array at
-once.
+row: scheme1's row reads `fine`, and scheme3's reads `joint` and doubles
+its coarse-logit gradient. Every dense layer back-propagates through
+`_dense_back`, the per-group fine heads once per group on all the
+hierarchical rows. numpy runs a stacked matmul or reduction as the same
+2-D operation per row, so each row is bit-identical to its model
+trained alone (tests/test_training.py checks this); a single model is
+the K = 1 case. The gradient buffer has the layout of the parameters,
+so the kernel writes each gradient into its view and `train` applies
+the mean and momentum to the whole (K, P) array at once.
 
 `train` validates the data once per call: it resolves each track's
 labels, checks each track's block, stacks the blocks into one matrix
@@ -168,6 +168,16 @@ def compute_loss(scheme: str, outputs, example: LabeledExample, taxonomy: Taxono
     return float(-np.log(outputs.coarse[g]) - np.log(fine))
 
 
+def _dense_back(A, G, W, dW, db):
+    """Back-propagate the gradient G of a dense layer's output A @ W + b:
+    writes dW = AᵀG and db = ΣG over the batch axis (-2), and returns the
+    input gradient GWᵀ, or None when W is None."""
+    np.matmul(A.swapaxes(-1, -2), G, out=dW)
+    np.add.reduce(G, axis=-2, keepdims=True, out=db)
+    if W is not None:
+        return G @ W.swapaxes(-1, -2)
+
+
 def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
                     losses) -> np.ndarray:
     """Mean batch loss of each model of stacked `params`, as a (K,) array;
@@ -194,7 +204,8 @@ def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
     out = np.empty((K, B))
 
     # a zero probability yields an inf loss; the train loop turns that
-    # into DivergedTraining rather than warning here
+    # into DivergedTraining rather than warning here. Precomputed mode
+    # has no trunk, so the heads compute no input gradient (W is None)
     if h:
         p, dp = params.rows(0, 1), grads.rows(0, 1)
         cache, flat = M.flat_forward(p, A2[:1])
@@ -203,13 +214,10 @@ def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
             out[0] = -np.log(flat.ravel()[label])
         Gl = flat   # the probabilities become the logit gradient in place
         Gl.ravel()[label] -= 1.0
-        np.matmul(cache["Hl"].swapaxes(-1, -2), Gl, out=dp.Wl2)
-        np.add.reduce(Gl, axis=-2, keepdims=True, out=dp.bl2)
-        dzl1 = (Gl @ p.Wl2.swapaxes(-1, -2)) * (cache["zl1"] > 0)
-        np.matmul(A2[:1].swapaxes(-1, -2), dzl1, out=dp.Wl1)
-        np.add.reduce(dzl1, axis=-2, keepdims=True, out=dp.bl1)
+        dzl1 = _dense_back(cache["Hl"], Gl, p.Wl2, dp.Wl2, dp.bl2) * (cache["zl1"] > 0)
+        dA2l = _dense_back(A2[:1], dzl1, p.Wl1 if trunk else None, dp.Wl1, dp.bl1)
         if trunk:
-            np.matmul(dzl1, p.Wl1.swapaxes(-1, -2), out=dA2[:1])
+            dA2[:1] = dA2l
     if h < K:
         p, dp = params.rows(h, K), grads.rows(h, K)
         A1h, A2h = A1[h:], A2[h:]
@@ -228,47 +236,32 @@ def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
                     (fine if loss == "scheme1" else joint).ravel()[species[j]])
                 if loss != "scheme1":
                     Gc[j] *= 2.0
-        np.matmul(cache["Hc"].swapaxes(-1, -2), Gc, out=dp.Wc2)
-        np.add.reduce(Gc, axis=-2, keepdims=True, out=dp.bc2)
-        dzc1 = (Gc @ p.Wc2.swapaxes(-1, -2)) * (cache["zc1"] > 0)
-        np.matmul(A1h.swapaxes(-1, -2), dzc1, out=dp.Wc1)
-        np.add.reduce(dzc1, axis=-2, keepdims=True, out=dp.bc1)
+        dzc1 = _dense_back(cache["Hc"], Gc, p.Wc2, dp.Wc2, dp.bc2) * (cache["zc1"] > 0)
+        dA1h = _dense_back(A1h, dzc1, p.Wc1 if trunk else None, dp.Wc1, dp.bc1)
         # fine-logit gradient, in place: only the true group's block of a
         # row is nonzero. Rows sorted by group, ascending within a group;
-        # group g owns the rows a:b of Gf and its columns fine_spans[g].
-        # One model at a time: a group's blocks are too small for a
-        # stacked operation to pay for its overhead
+        # group g owns the rows a:b of Gf and its columns fine_spans[g]
         fine.ravel()[species] -= 1.0
         by_group = np.argsort(y1, kind="stable")
         ends = np.bincount(y1, minlength=params.G).cumsum().tolist()
+        Gf, A2_s = fine[:, by_group], A2h[:, by_group]
         if trunk:
-            dA1h = dzc1 @ p.Wc1.swapaxes(-1, -2)
             dA2_s = np.zeros((K - h, B, params.d2))
-        for j in range(K - h):
-            pj, dpj = params.row(h + j), grads.row(h + j)
-            Gf, A2_s = fine[j][by_group], A2h[j][by_group]
-            for g, a, b, (c, d) in zip(range(params.G), [0] + ends[:-1], ends,
-                                       params.fine_spans):
-                if a == b:
-                    continue
-                block = Gf[a:b, c:d]
-                np.matmul(A2_s[a:b].T, block, out=dpj.Wf[g])
-                np.add.reduce(block, axis=0, out=dpj.bf[g])
-                if trunk:
-                    dA2_s[j, a:b] += block @ pj.Wf[g].T
+        for g, a, b, (c, d) in zip(range(params.G), [0] + ends[:-1], ends, params.fine_spans):
+            if a == b:
+                continue
+            dA = _dense_back(A2_s[:, a:b], Gf[:, a:b, c:d], p.Wf[g] if trunk else None,
+                             dp.Wf[g], dp.bf[g])
+            if trunk:
+                dA2_s[:, a:b] += dA
         if trunk:
             dA2[h:, by_group] = dA2_s
 
     if trunk:
-        dz2 = dA2 * (z2 > 0)
-        np.matmul(A1.swapaxes(-1, -2), dz2, out=grads.W2)
-        np.add.reduce(dz2, axis=-2, keepdims=True, out=grads.b2)
-        dA1 = dz2 @ params.W2.swapaxes(-1, -2)
+        dA1 = _dense_back(A1, dA2 * (z2 > 0), params.W2, grads.W2, grads.b2)
         if h < K:
             dA1[h:] += dA1h
-        dz1 = dA1 * (z1 > 0)
-        np.matmul(X.T, dz1, out=grads.W1)
-        np.add.reduce(dz1, axis=-2, keepdims=True, out=grads.b1)
+        _dense_back(X, dA1 * (z1 > 0), None, grads.W1, grads.b1)
 
     grads.vector[...] /= B
     return np.add.reduce(out, axis=-1) / B   # as `out.mean(axis=-1)`, with less overhead
@@ -338,8 +331,9 @@ def _stage(dataset: Dataset, taxonomy: Taxonomy):
                 raise DimensionMismatch(
                     f"{where(start)}: no {attr} vector, which a {mode!r} dataset needs")
             block = np.asarray(value, dtype=np.float64)
-            width = column[0].shape[1] if column else "d"
-            if block.ndim != 2 or block.shape[0] != len(t) or (column and block.shape[1] != width):
+            width = column[0].shape[1] if column else "d > 0"
+            if (block.ndim != 2 or block.shape[0] != len(t) or not block.shape[1]
+                    or (column and block.shape[1] != width)):
                 raise DimensionMismatch(f"{where(start)}: {attr} has shape {block.shape}, "
                                         f"expected ({len(t)}, {width})")
             column.append(block)
@@ -361,19 +355,21 @@ def _check_size(taxonomy: Taxonomy, K: int, dims: dict) -> None:
             f"hold {size} weights, more than {MAX_WEIGHTS}; lower hidden, d1 or d2")
 
 
-def _finite_step(params, grads, inputs, y1, y2, losses) -> bool:
-    """Whether one step of `_loss_and_grads` gives every model a finite loss."""
+def _step(params, grads, inputs, y1, y2, losses):
+    """One `_loss_and_grads` step: the (K,) losses, or None if a loss or an
+    activation is not finite."""
     try:
-        return bool(np.isfinite(_loss_and_grads(params, grads, inputs, y1, y2, losses)).all())
+        loss = _loss_and_grads(params, grads, inputs, y1, y2, losses)
     except NonFiniteActivation:
-        return False
+        return None
+    return loss if np.isfinite(loss).all() else None
 
 
 def _input_fault(initial, grads, inputs, y1, y2, losses, rows, where):
     """None if the batch of staged `rows` has a finite loss at the
     `initial` weights. Otherwise the input is at fault: the error names
     the frame of `rows` holding the largest |value|."""
-    if _finite_step(initial, grads, inputs, y1, y2, losses):
+    if _step(initial, grads, inputs, y1, y2, losses) is not None:
         return None
     peaks = np.max([np.abs(x).max(axis=-1) for x in inputs], axis=0)
     k = int(np.argmax(peaks))
@@ -406,7 +402,7 @@ def _diverged(params, initial, grads, inputs, y1, y2, losses, names, epoch, rows
     if fault:
         return fault
     for k, loss in enumerate(losses):
-        if not _finite_step(params.rows(k, k + 1), grads.rows(k, k + 1), inputs, y1, y2, (loss,)):
+        if _step(params.rows(k, k + 1), grads.rows(k, k + 1), inputs, y1, y2, (loss,)) is None:
             break
     return DivergedTraining(f"{names[loss]} diverged at epoch {epoch}; lower the learning rate")
 
@@ -460,12 +456,8 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
                 # mode="clip" (`idx` is in range) lets np.take write into `out` unbuffered
                 inputs = [np.take(X, idx, axis=0, out=buf[:idx.shape[0]], mode="clip")
                           for X, buf in zip(matrices, buffers)]
-                try:
-                    loss = _loss_and_grads(params, grads, inputs, y1[idx], y2[idx], losses)
-                    finite = np.isfinite(loss).all()
-                except NonFiniteActivation:
-                    finite = False
-                if not finite:
+                loss = _step(params, grads, inputs, y1[idx], y2[idx], losses)
+                if loss is None:
                     initial = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims)
                     raise _diverged(params, initial.tile(len(losses)), grads, inputs, y1[idx],
                                     y2[idx], losses, names, epoch, idx, where)

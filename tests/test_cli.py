@@ -331,6 +331,27 @@ class TestErrors:
         assert err.startswith(f"error: track '{tid}' frame 1: non-finite")
         assert "learning rate" not in err
 
+    @pytest.mark.parametrize("key", ["features", "shallow", "deep"])
+    def test_empty_vector(self, workspace, capsys, key):
+        """A frame vector with no values is refused where the file is read,
+        in either data mode, as one error line naming the line and key."""
+        ws = workspace
+        dataset = D.generate(D.GenConfig(taxonomy=TAXONOMY, tracks_total=10,
+                                         frames_min=2, frames_max=3, dim=6, seed=1))
+        D.save_jsonl(dataset, str(ws / "frames.jsonl"))
+        lines = []
+        for line in (ws / "frames.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            if key != "features":
+                features = rec.pop("features")
+                rec["shallow"], rec["deep"] = features[:5], features[:3]
+            rec[key] = []
+            lines.append(json.dumps(rec) + "\n")
+        (ws / "empty.jsonl").write_text("".join(lines))
+        assert run(["train", "--taxonomy", ws / "taxonomy.json", "--data", ws / "empty.jsonl",
+                    "--out", ws / "run"]) == 1
+        assert capsys.readouterr().err == f"error: line 1: {key!r} is empty\n"
+
     @pytest.mark.parametrize("command", ["train", "ablation"])
     def test_model_too_large_allocates_nothing(self, workspace, capsys, monkeypatch, command):
         ws = workspace

@@ -340,6 +340,22 @@ class TestTrain:
                                                     rf"expected \({len(track)}, 6\)$"):
             T.train(cfg, ds, toy_taxonomy)
 
+    @pytest.mark.parametrize("data, attr", [("features", "features"),
+                                            ("precomputed", "shallow"),
+                                            ("precomputed", "deep")])
+    def test_zero_width_block(self, toy_taxonomy, data, attr):
+        """A dataset whose vectors have no values is refused, naming the
+        first frame, before a model of no inputs is built."""
+        ds = _dataset(toy_taxonomy, data)
+        for track in ds.tracks:
+            setattr(track, attr, np.zeros((len(track), 0)))
+        track = ds.tracks[0]
+        cfg = T.TrainConfig(epochs=1, seed=0, d1=4, hidden=4, d2=3)
+        with pytest.raises(DimensionMismatch, match=rf"^track '{track.track_id}' frame "
+                                                    rf"{track.frame_index[0]}: {attr} has shape "
+                                                    rf"\({len(track)}, 0\)"):
+            T.train(cfg, ds, toy_taxonomy)
+
     def test_inconsistent_labels_rejected(self, toy_taxonomy):
         ds = _tiny_dataset(toy_taxonomy)
         track = ds.tracks[0]
@@ -415,23 +431,36 @@ def test_train_is_bit_identical_to_reference_loop(toy_taxonomy, scheme, data):
         assert np.array_equal(params.get(key), arr), key
 
 
+# eight groups, so every batch of 7 misses one; runs of three and of two
+# equal-size fine heads, and one-species heads; 15 species, as 30 tracks allow
+EIGHT_GROUPS = Taxonomy(groups=tuple(f"G{g}" for g in range(8)),
+                        species_by_group=tuple(tuple(f"G{g}s{i}" for i in range(n))
+                                               for g, n in enumerate((2, 2, 2, 1, 3, 3, 1, 1))))
+
+
 @pytest.mark.parametrize("schemes", [
     ("baseline",), ("scheme1",), ("baseline", "scheme3"), ("scheme1", "scheme3"),
     ("scheme3", "scheme2", "scheme1", "baseline"),
 ], ids="-".join)
-@pytest.mark.parametrize("data", ["features", "precomputed"])
-def test_lockstep_is_bit_identical_to_solo_training(toy_taxonomy, schemes, data):
+@pytest.mark.parametrize("data, taxonomy", [
+    pytest.param("features", None, id="features"),
+    pytest.param("precomputed", None, id="precomputed"),
+    pytest.param("features", EIGHT_GROUPS, id="eight-groups-features"),
+    pytest.param("precomputed", EIGHT_GROUPS, id="eight-groups-precomputed"),
+])
+def test_lockstep_is_bit_identical_to_solo_training(toy_taxonomy, schemes, data, taxonomy):
     """Every model of a lockstep run is the model its scheme trains alone,
-    and the one the reference loop trains."""
-    ds = _dataset(toy_taxonomy, data)
+    and the one the reference loop trains. `taxonomy` None is the toy one."""
+    taxonomy = toy_taxonomy if taxonomy is None else taxonomy
+    ds = _dataset(taxonomy, data)
     cfg = T.TrainConfig(epochs=3, batch_size=7, seed=5, d1=4, hidden=4, d2=3)
     assert ds.n_frames % cfg.batch_size != 0  # the last batch is ragged
-    trained = T.train(cfg, ds, toy_taxonomy, list(schemes))
+    trained = T.train(cfg, ds, taxonomy, list(schemes))
     assert list(trained) == list(schemes)
     for scheme in schemes:
         params, history = trained[scheme]
         alone = dataclasses.replace(cfg, scheme=scheme)
-        solo, solo_history = T.train(alone, ds, toy_taxonomy)
-        ref, ref_history = _reference_train(alone, ds, toy_taxonomy)
+        solo, solo_history = T.train(alone, ds, taxonomy)
+        ref, ref_history = _reference_train(alone, ds, taxonomy)
         assert history == solo_history == ref_history, scheme
         assert params.vector.tobytes() == solo.vector.tobytes() == ref.vector.tobytes(), scheme
