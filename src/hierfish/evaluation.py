@@ -22,7 +22,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyEvalSet
-from .inference import UnitRows, best_threshold, check_threshold, score_split, split_labels
+from .inference import (UnitRows, best_threshold, check_threshold, score_split, split_labels,
+                        stacked_forward, track_chunks)
 # not called here: perfbench's tracer wraps these names on this module too
 from .inference import aggregate_avg, aggregate_vote, score_track  # noqa: F401
 from .model import ModelParams, forward_flat
@@ -116,17 +117,14 @@ def evaluate(params: ModelParams, eval_split: Dataset, taxonomy: Taxonomy,
 def evaluate_flat(params: ModelParams, eval_split: Dataset,
                   taxonomy: Taxonomy) -> EvalReport:
     """Flat-classifier baseline: image-unit species accuracy only. Like
-    `score_split`, it checks every track's labels before scoring any."""
-    if len(eval_split.tracks) == 0:
+    `score_split`, it checks every track's labels before scoring any,
+    then scores the tracks in the same chunks, one `forward_flat` each."""
+    tracks = eval_split.tracks
+    if len(tracks) == 0:
         raise EmptyEvalSet("evaluation split has no tracks")
-    preds = []
-    truth = []
-    for track, (_, y2) in zip(eval_split.tracks, split_labels(eval_split.tracks, taxonomy)):
-        probs = forward_flat(params, track.model_input())
-        preds.append(probs.argmax(axis=-1))
-        truth.append(np.full(len(track), y2))
-    preds = np.concatenate(preds)
-    truth = np.concatenate(truth)
+    truth = np.repeat([y2 for _, y2 in split_labels(tracks, taxonomy)], [len(t) for t in tracks])
+    preds = np.concatenate([stacked_forward(forward_flat, params, chunk).argmax(axis=-1)
+                            for chunk in track_chunks(tracks)])
     unit = UnitReport(
         unit="image",
         n_units=len(preds),

@@ -12,10 +12,13 @@ prediction when the fine-level score is too low.
 
 `score_split` is the one loop over a split's tracks. It first resolves
 every track's labels through `data.check_labels`, the one label rule
-training also keeps, then scores each track once and reduces it at once
-to one row per frame (image unit) or per track (video units), so a
-split's raw scores are never held. The threshold search, the metric
-suite and `hierfish infer` all read these `UnitRows`.
+training also keeps. It then scores consecutive tracks in chunks of at
+most `CHUNK_FRAMES` frames: one segmented forward a chunk (one GEMM per
+track and layer, everything else once over the chunk's rows; see
+`model`), bit-identical to scoring each track alone. Each chunk is
+reduced at once to one row per frame (image unit) or per track (video
+units), so a split's raw scores are never held. The threshold search,
+the metric suite and `hierfish infer` all read these `UnitRows`.
 """
 
 from __future__ import annotations
@@ -27,10 +30,17 @@ import numpy as np
 from . import data as D
 from .errors import (EmptyEvalSet, EmptyTrack, IndexOutOfRange, InvalidThreshold,
                      TaxonomyMismatch)
-from .model import HeadOutputs, ModelParams, forward
+from .model import FineLocal, HeadOutputs, ModelParams, forward
 from .taxonomy import Taxonomy
 
 UNITS = ("image", "video_avg", "video_vote")
+# the most frames `score_split` and `evaluation.evaluate_flat` score in one
+# forward, unless one track alone has more. On a 24 x 5 split of ~590
+# tracks of 4-12 frames, a `score_split` took as long at 128 frames as at
+# 256 and longer at 32 and 1024; its traced allocations peaked at 1.3 MB
+# (0.4 MB track by track, 2.1 MB at 256), and the benchmark's peak_rss_mb
+# stayed within its run-to-run noise (about 1 MB) of per-track scoring
+CHUNK_FRAMES = 128
 
 
 @dataclass
@@ -51,15 +61,55 @@ class TrackScores:
         if isinstance(self.frames, list):
             if not self.frames:
                 raise EmptyTrack("track has no frames")
+            frames = self.frames
             self.frames = HeadOutputs(
-                coarse=np.stack([f.coarse for f in self.frames]),
-                fine_local=list(map(np.stack, zip(*(f.fine_local for f in self.frames)))),
-                joint=np.stack([f.joint for f in self.frames]))
+                coarse=np.stack([f.coarse for f in frames]),
+                fine_local=FineLocal(np.stack([f.fine_local.fine for f in frames]),
+                                     frames[0].fine_local.spans),
+                joint=np.stack([f.joint for f in frames]))
 
 
 def score_track(params: ModelParams, track) -> TrackScores:
     """Every frame of `track` in one forward pass."""
     return TrackScores(frames=forward(params, track.model_input()))
+
+
+def track_chunks(tracks):
+    """`tracks` as consecutive lists of at most CHUNK_FRAMES frames in
+    all; a longer track is a list of its own."""
+    chunk, frames = [], 0
+    for track in tracks:
+        if chunk and frames + len(track) > CHUNK_FRAMES:
+            yield chunk
+            chunk, frames = [], 0
+        chunk.append(track)
+        frames += len(track)
+    if chunk:
+        yield chunk
+
+
+def stacked_forward(fn, params: ModelParams, tracks):
+    """`fn(params, x, segments)`, `fn` being `model.forward` or
+    `model.forward_flat`, over the blocks of `tracks` stacked into one
+    input x, one segment per track: row for row the outputs of `fn` on
+    each track alone. If it raises, the tracks are scored one by one, so
+    the error is the one the first failing track raises alone."""
+    ends = np.cumsum([len(t) for t in tracks]).tolist()
+    try:
+        blocks = [t.model_input() for t in tracks]
+        x = (tuple(map(np.concatenate, zip(*blocks))) if isinstance(blocks[0], tuple)
+             else np.concatenate(blocks))
+        return fn(params, x, list(zip([0] + ends[:-1], ends)))
+    except Exception:   # whatever it is, the one-by-one pass picks the error raised
+        for track in tracks:
+            fn(params, track.model_input())
+        raise
+
+
+def score_chunk(params: ModelParams, tracks) -> HeadOutputs:
+    """Head outputs of every frame of `tracks`, in order, on one leading
+    axis; rows a:b of a track are its `score_track` frames, bit for bit."""
+    return stacked_forward(forward, params, tracks)
 
 
 @dataclass
@@ -229,6 +279,11 @@ class UnitRows:
                    coarse_conf=np.empty(n, f), level2a=np.empty(n, i), fine=np.empty(n, i),
                    conf=np.empty(n, f))
 
+    def put(self, at, coarse, coarse_conf, level2a, fine, conf) -> None:
+        """Write one reduction's selections at `at`, an index or a slice."""
+        self.coarse[at], self.coarse_conf[at], self.level2a[at] = coarse, coarse_conf, level2a
+        self.fine[at], self.conf[at] = fine, conf
+
     def stopped(self, tau: float) -> np.ndarray:
         """The fallback rule: rows whose fine confidence is below tau."""
         return self.conf < tau
@@ -243,29 +298,35 @@ def score_split(params: ModelParams, tracks, taxonomy: Taxonomy,
                 units=UNITS) -> dict[str, UnitRows]:
     """The rows of each unit in `units` over `tracks`, in order. Every
     track's labels are checked before any track is scored; then each
-    track is scored once and reduced to rows before the next is scored."""
+    chunk of tracks (`track_chunks`) is scored in one `score_chunk` and
+    reduced to rows before the next is scored: `select_image` once over
+    the chunk's frames, each video aggregate once per track on views of
+    the chunk's arrays."""
     tracks = list(tracks)
-    labels = split_labels(tracks, taxonomy)
-    n_frames = sum(map(len, tracks))
-    tables = {u: UnitRows.empty(n_frames if u == "image" else len(tracks)) for u in units}
-    end = 0
-    for k, (track, (y1, y2)) in enumerate(zip(tracks, labels)):
-        ts = score_track(params, track)
-        frames = slice(end, end + len(track))
-        end = frames.stop
-        for unit, rows in tables.items():
-            if unit == "image":
-                s, at = select_image(ts.frames, taxonomy), frames
-                row = (s.coarse_group, s.coarse_confidence, s.level2a, s.level2b,
-                       s.level2b_confidence)
-            else:
-                a = (aggregate_avg if unit == "video_avg" else aggregate_vote)(ts, taxonomy)
-                at = k
-                row = (a.coarse_selection, a.coarse_confidence, a.level2a, a.selection,
-                       a.confidence)
-            rows.y1[at], rows.y2[at] = y1, y2
-            (rows.coarse[at], rows.coarse_conf[at], rows.level2a[at], rows.fine[at],
-             rows.conf[at]) = row
+    labels = np.array(split_labels(tracks, taxonomy), dtype=np.intp).reshape(-1, 2)
+    lengths = [len(t) for t in tracks]
+    tables = {u: UnitRows.empty(sum(lengths) if u == "image" else len(tracks)) for u in units}
+    for unit, rows in tables.items():
+        rows.y1[:], rows.y2[:] = (labels if unit != "image"
+                                  else np.repeat(labels, lengths, axis=0)).T
+    video = [(rows, aggregate_avg if unit == "video_avg" else aggregate_vote)
+             for unit, rows in tables.items() if unit != "image"]
+    k = start = 0   # the next track's video row, the chunk's first image row
+    for chunk in track_chunks(tracks):
+        out = score_chunk(params, chunk)
+        ends = np.cumsum([len(t) for t in chunk]).tolist()
+        if "image" in tables:
+            s, at = select_image(out, taxonomy), slice(start, start + ends[-1])
+            tables["image"].put(at, s.coarse_group, s.coarse_confidence, s.level2a, s.level2b,
+                                s.level2b_confidence)
+        for a, b in zip([0] + ends[:-1], ends):
+            track = TrackScores(frames=out.rows(a, b))
+            for rows, aggregate in video:
+                r = aggregate(track, taxonomy)
+                rows.put(k, r.coarse_selection, r.coarse_confidence, r.level2a, r.selection,
+                         r.confidence)
+            k += 1
+        start += ends[-1]
     return tables
 
 

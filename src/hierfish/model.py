@@ -9,12 +9,21 @@ the joint vector is itself a probability distribution over all species.
 The fine heads' cost grows with the number of groups, so consecutive
 heads of equal size run together: one stacked GEMM and one sum per run,
 bit-identical to one per head (see `heads_forward`).
+
+Every forward function also takes `segments`, row ranges that cover a
+batch of stacked tracks: each GEMM then runs once per segment, on those
+rows only, while every bias add, ReLU, finiteness check and softmax step
+runs once over all rows. A segment's GEMM is the one its rows get alone
+(same operands, same M) and the row-wise steps do not mix rows, so each
+segment's outputs are bit-identical to a forward of its rows alone.
+Without segments, as in training, each GEMM is one call.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, groupby
 
@@ -182,12 +191,42 @@ class ModelParams:
         return self._rows[k]
 
 
+class FineLocal(Sequence):
+    """Read-only per-group view of a fine array (..., S): item g is group
+    g's local distribution `fine[..., a:b]`, (a, b) = `spans[g]`, built
+    on access."""
+
+    def __init__(self, fine: np.ndarray, spans: list[tuple[int, int]]):
+        self.fine, self.spans = fine, spans
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def __getitem__(self, g: int) -> np.ndarray:
+        a, b = self.spans[g]
+        return self.fine[..., a:b]
+
+
 @dataclass
 class HeadOutputs:
-    """One example's head probabilities; a batch adds a leading axis."""
+    """One example's head probabilities; a batch adds a leading axis.
+    `fine_local` may be given as a list of per-group arrays: it is kept
+    as the `FineLocal` of their concatenation."""
     coarse: np.ndarray              # (G,) probability vector
-    fine_local: list[np.ndarray]    # per group, (|S_g|,) probability vector
+    fine_local: FineLocal           # per group, (|S_g|,) probability vector
     joint: np.ndarray               # (S,) probability vector, group-major
+
+    def __post_init__(self):
+        if not isinstance(self.fine_local, FineLocal):
+            ends = np.cumsum([np.shape(f)[-1] for f in self.fine_local]).tolist()
+            self.fine_local = FineLocal(np.concatenate(self.fine_local, axis=-1),
+                                        list(zip([0] + ends[:-1], ends)))
+
+    def rows(self, a: int, b: int) -> "HeadOutputs":
+        """Rows a..b-1 of a batch, as views."""
+        fine = self.fine_local
+        return HeadOutputs(self.coarse[a:b], FineLocal(fine.fine[a:b], fine.spans),
+                           self.joint[a:b])
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -262,27 +301,40 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NonFiniteActivation(f"non-finite values in {name}")
 
 
-def trunk_features(params: ModelParams, X: np.ndarray):
+def _gemm(A: np.ndarray, W: np.ndarray, segments=None, out=None) -> np.ndarray:
+    """`A @ W`, into `out` if given. With `segments`, row ranges (a, b)
+    over axis -2 that cover A, one product per range: rows a:b of A into
+    rows a:b of the result, the GEMM those rows get alone."""
+    if segments is None:
+        return A @ W if out is None else np.matmul(A, W, out=out)
+    if out is None:
+        out = np.empty(A.shape[:-1] + W.shape[-1:])
+    for a, b in segments:
+        np.matmul(A[..., a:b, :], W, out=out[..., a:b, :])
+    return out
+
+
+def trunk_features(params: ModelParams, X: np.ndarray, segments=None):
     """Batched trunk pass. Returns (z1, shallow, z2, deep)."""
     if X.shape[-1] != params.d_in:
         raise DimensionMismatch(
             f"input dim {X.shape[-1]} != model d_in {params.d_in}"
         )
-    z1 = X @ params.W1 + params.b1
+    z1 = _gemm(X, params.W1, segments) + params.b1
     A1 = np.maximum(z1, 0.0)
-    z2 = A1 @ params.W2 + params.b2
+    z2 = _gemm(A1, params.W2, segments) + params.b2
     A2 = np.maximum(z2, 0.0)
     _check_finite("trunk", z2)
     return z1, A1, z2, A2
 
 
-def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
+def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray, segments=None):
     """Hierarchical heads. Returns (cache, coarse, fine, joint).
 
     shallow: (B, d1), deep: (B, d2); probabilities are (B, G), (B, S)
     and (B, S), where `fine` holds every group's local distribution in
     its columns `params.fine_spans[g]`. Without the batch axis, one
-    example.
+    example. `segments` splits every GEMM by rows (module docstring).
 
     The fine heads run as one segmented softmax over a single (B, S)
     array. Consecutive heads of equal size form a run
@@ -301,9 +353,9 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
             f"feature dims ({shallow.shape[-1]}, {deep.shape[-1]}) != "
             f"model ({params.d1}, {params.d2})"
         )
-    zc1 = shallow @ params.Wc1 + params.bc1
+    zc1 = _gemm(shallow, params.Wc1, segments) + params.bc1
     Hc = np.maximum(zc1, 0.0)
-    zc2 = Hc @ params.Wc2 + params.bc2
+    zc2 = _gemm(Hc, params.Wc2, segments) + params.bc2
     _check_finite("coarse head", zc2)
     coarse = _softmax(zc2)
     spans, group, runs = params.fine_spans, params.fine_group, params.fine_runs
@@ -314,7 +366,7 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
     rows, lead = rows[..., None, :, :], cols.shape[:-1]
     for g, h, a, b, W in runs:
         block = cols[..., a:b].reshape(lead + (h - g, W.shape[-1]))
-        np.matmul(rows, W, out=block.swapaxes(-2, -3))
+        _gemm(rows, W, segments, out=block.swapaxes(-2, -3))
     fine += params.fine_bias
     if not np.isfinite(fine).all():
         g = next(g for g, (a, b) in enumerate(spans) if not np.isfinite(fine[..., a:b]).all())
@@ -330,26 +382,27 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
     return cache, coarse, fine, coarse[..., group] * fine
 
 
-def flat_forward(params: ModelParams, deep: np.ndarray):
-    """Flat baseline head. Returns (cache, probs (B, S)); (S,) for one example."""
+def flat_forward(params: ModelParams, deep: np.ndarray, segments=None):
+    """Flat baseline head. Returns (cache, probs (B, S)); (S,) for one
+    example. `segments` splits every GEMM by rows (module docstring)."""
     if deep.shape[-1] != params.d2:
         raise DimensionMismatch(
             f"deep dim {deep.shape[-1]} != model d2 {params.d2}"
         )
-    zl1 = deep @ params.Wl1 + params.bl1
+    zl1 = _gemm(deep, params.Wl1, segments) + params.bl1
     Hl = np.maximum(zl1, 0.0)
-    zl2 = Hl @ params.Wl2 + params.bl2
+    zl2 = _gemm(Hl, params.Wl2, segments) + params.bl2
     _check_finite("flat head", zl2)
     return {"zl1": zl1, "Hl": Hl}, _softmax(zl2)
 
 
-def _resolve_features(params: ModelParams, x):
+def _resolve_features(params: ModelParams, x, segments=None):
     """Map raw input or a (shallow, deep) pair to trunk outputs per mode."""
     if params.mode == MODE_TRUNK:
         if isinstance(x, tuple):
             raise DimensionMismatch("trunk mode expects raw feature input")
         x = np.asarray(x, dtype=np.float64)
-        _, shallow, _, deep = trunk_features(params, x)
+        _, shallow, _, deep = trunk_features(params, x, segments)
     else:
         if not (isinstance(x, tuple) and len(x) == 2):
             raise DimensionMismatch("precomputed mode expects a (shallow, deep) pair")
@@ -358,24 +411,25 @@ def _resolve_features(params: ModelParams, x):
     return shallow, deep
 
 
-def forward(params: ModelParams, x) -> HeadOutputs:
+def forward(params: ModelParams, x, segments=None) -> HeadOutputs:
     """Hierarchical forward pass over one example or a batch.
 
     `x` is raw features, (d_in,) or (B, d_in), in trunk mode, or a
     (shallow, deep) pair of (d1,)/(d2,) vectors or (B, d1)/(B, d2)
-    batches in precomputed mode. The outputs keep the batch axis.
+    batches in precomputed mode. The outputs keep the batch axis. With
+    `segments`, row ranges (a, b) that cover a batch, rows a:b of each
+    output are bit-identical to a forward of rows a:b of `x` alone.
     """
-    shallow, deep = _resolve_features(params, x)
-    _, coarse, fine, joint = heads_forward(params, shallow, deep)
-    return HeadOutputs(coarse=coarse, fine_local=[fine[..., a:b] for a, b in params.fine_spans],
-                       joint=joint)
+    shallow, deep = _resolve_features(params, x, segments)
+    _, coarse, fine, joint = heads_forward(params, shallow, deep, segments)
+    return HeadOutputs(coarse=coarse, fine_local=FineLocal(fine, params.fine_spans), joint=joint)
 
 
-def forward_flat(params: ModelParams, x) -> np.ndarray:
-    """Flat baseline pass over one example or a batch (as in `forward`);
-    probabilities over all species."""
-    _, deep = _resolve_features(params, x)
-    return flat_forward(params, deep)[1]
+def forward_flat(params: ModelParams, x, segments=None) -> np.ndarray:
+    """Flat baseline pass over one example or a batch (as in `forward`,
+    `segments` too); probabilities over all species."""
+    _, deep = _resolve_features(params, x, segments)
+    return flat_forward(params, deep, segments)[1]
 
 
 def save_checkpoint(params: ModelParams, taxonomy: Taxonomy, path: str) -> None:

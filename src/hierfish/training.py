@@ -62,6 +62,7 @@ else as out of bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -178,6 +179,18 @@ def _dense_back(A, G, W, dW, db):
         return G @ W.swapaxes(-1, -2)
 
 
+@functools.cache
+def _hierarchical_rows(losses: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """For the hierarchical rows `losses`: the (K', 1) mask of rows whose
+    loss reads `fine` (scheme1; the others read `joint`), and the
+    (K', 1, 1) coarse-logit gradient scale, 2.0 on the rows that read
+    `joint` (see `_loss_and_grads`), else 1.0."""
+    reads_fine = np.array([loss == "scheme1" for loss in losses])[:, None]
+    scale = np.where(reads_fine, 1.0, 2.0)[..., None]
+    reads_fine.flags.writeable = scale.flags.writeable = False
+    return reads_fine, scale
+
+
 def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
                     losses) -> np.ndarray:
     """Mean batch loss of each model of stacked `params`, as a (K,) array;
@@ -227,15 +240,14 @@ def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
         # on the joint simplex. Coarse-logit gradient: the joint term
         # contributes a second (coarse - onehot) for scheme3, since log
         # joint splits into log coarse + log fine
+        reads_fine, coarse_scale = _hierarchical_rows(tuple(losses[h:]))
         with np.errstate(divide="ignore"):
             coarse_nll = -np.log(coarse.ravel()[group])
-            Gc = coarse   # joint and the coarse term are computed; reuse in place
-            Gc.ravel()[group] -= 1.0
-            for j, loss in enumerate(losses[h:]):
-                out[h + j] = coarse_nll[j] - np.log(
-                    (fine if loss == "scheme1" else joint).ravel()[species[j]])
-                if loss != "scheme1":
-                    Gc[j] *= 2.0
+            out[h:] = coarse_nll - np.log(np.where(reads_fine, fine.ravel()[species],
+                                                   joint.ravel()[species]))
+        Gc = coarse   # joint and the coarse term are computed; reuse in place
+        Gc.ravel()[group] -= 1.0
+        Gc *= coarse_scale
         dzc1 = _dense_back(cache["Hc"], Gc, p.Wc2, dp.Wc2, dp.bc2) * (cache["zc1"] > 0)
         dA1h = _dense_back(A1h, dzc1, p.Wc1 if trunk else None, dp.Wc1, dp.bc1)
         # fine-logit gradient, in place: only the true group's block of a

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from hierfish import cli
 from hierfish import data as D
-from hierfish import evaluation as E
 from hierfish import inference as I
 from hierfish import model as M
 from hierfish import training as T
@@ -230,14 +229,13 @@ class TestAblation:
         split per distinct hierarchical loss (scheme2 reuses scheme3's)."""
         ws = workspace
         scored = []
-        score_track = I.score_track
+        score_chunk = I.score_chunk
 
-        def counted(params, track):
-            scored.append(track.track_id)
-            return score_track(params, track)
+        def counted(params, tracks):
+            scored.extend(track.track_id for track in tracks)
+            return score_chunk(params, tracks)
 
-        for module in (I, E):   # every module attribute a caller may resolve
-            monkeypatch.setattr(module, "score_track", counted)
+        monkeypatch.setattr(I, "score_chunk", counted)   # the one attribute its callers resolve
         assert run(["ablation", "--config", ws / "config.json",
                     "--taxonomy", ws / "taxonomy.json", "--seed", 11, "--out", ws / "run"]) == 0
         with open(ws / "run" / "scheme3" / "report.json") as f:

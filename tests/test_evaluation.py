@@ -14,6 +14,7 @@ from hierfish.errors import (EmptyEvalSet, InconsistentLabels, NonFiniteActivati
 from hierfish.taxonomy import Taxonomy
 
 from conftest import make_outputs
+from test_inference import SPLIT_TAXONOMIES, _split
 
 
 def _dataset(taxonomy, tracks_total, seed=0, dim=6, **kw):
@@ -41,6 +42,18 @@ def _oracle_scores(taxonomy, track, y1, y2):
     return I.TrackScores(frames=[out for _ in track.frames])
 
 
+def _chunk_scorer(score_track):
+    """A stand-in for `inference.score_chunk` built from a per-track scorer:
+    the tracks' frames, in order, on one axis."""
+    def score_chunk(params, tracks):
+        outs = [score_track(params, track).frames for track in tracks]
+        return M.HeadOutputs(
+            coarse=np.concatenate([out.coarse for out in outs]),
+            fine_local=[np.concatenate(f) for f in zip(*(out.fine_local for out in outs))],
+            joint=np.concatenate([out.joint for out in outs]))
+    return score_chunk
+
+
 class TestEvaluate:
     def test_perfect_model_all_100(self, toy_taxonomy, monkeypatch):
         ds = _dataset(toy_taxonomy, 12)
@@ -50,7 +63,7 @@ class TestEvaluate:
             y2 = toy_taxonomy.species_index(track.species)
             return _oracle_scores(toy_taxonomy, track, y1, y2)
 
-        monkeypatch.setattr(I, "score_track", fake_score)
+        monkeypatch.setattr(I, "score_chunk", _chunk_scorer(fake_score))
         report = E.evaluate(None, ds, toy_taxonomy, tau=0.5)
         for unit in report.units.values():
             assert unit.level1_acc == 100.0
@@ -67,7 +80,7 @@ class TestEvaluate:
             out = make_outputs([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
             return I.TrackScores(frames=[out for _ in track.frames])
 
-        monkeypatch.setattr(I, "score_track", fake_score)
+        monkeypatch.setattr(I, "score_chunk", _chunk_scorer(fake_score))
         report = E.evaluate(None, ds, tax, tau=0.0)
         for unit in report.units.values():
             # every prediction is index 0 by the tie-break rule
@@ -197,7 +210,7 @@ def test_track_outside_its_species_group_is_refused(toy_taxonomy, monkeypatch, s
     track = ds.tracks[-1]
     track.group = next(g for g in toy_taxonomy.groups if g != track.group)
     scored = []
-    monkeypatch.setattr(I, "score_track", lambda *args: scored.append(args))
+    monkeypatch.setattr(I, "score_chunk", lambda *args: scored.append(args))
     monkeypatch.setattr(E, "forward_flat", lambda *args: scored.append(args))
     with pytest.raises(InconsistentLabels,
                        match=rf"^track {track.track_id!r}: species {track.species!r} "
@@ -247,6 +260,31 @@ class TestFlatBaseline:
                 hits += int(np.argmax(M.forward_flat(params, fr.model_input()))) == y2
                 total += 1
         assert unit.level2b_acc == pytest.approx(100 * hits / total, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
+    @pytest.mark.parametrize("taxonomy", SPLIT_TAXONOMIES.values(), ids=SPLIT_TAXONOMIES)
+    def test_chunks_score_as_each_track_alone(self, taxonomy, mode, monkeypatch):
+        """The chunked flat forwards are, byte for byte, `forward_flat` of
+        each track alone, and the report is that of those predictions."""
+        params, tracks = _split(taxonomy, mode, seed=4)
+        scored, stacked_forward = [], I.stacked_forward
+
+        def recorded(fn, params, chunk):
+            scored.append(stacked_forward(fn, params, chunk))
+            return scored[-1]
+
+        monkeypatch.setattr(E, "stacked_forward", recorded)
+        report = E.evaluate_flat(params, D.Dataset(tracks, mode), taxonomy)
+        want = np.concatenate([M.forward_flat(params, t.model_input()) for t in tracks])
+        assert len(scored) > 1 and np.concatenate(scored).tobytes() == want.tobytes()
+        preds = want.argmax(axis=-1)
+        truth = np.repeat([taxonomy.species_index(t.species) for t in tracks],
+                          [len(t) for t in tracks])
+        unit = report.units["image"]
+        assert unit.n_units == len(preds)
+        assert unit.level2b_acc == float(100.0 * np.mean(preds == truth))
+        assert unit.per_species_precision_2b == E._precision(preds, truth,
+                                                             taxonomy.species_names)
 
 
 class TestWriteReport:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -10,9 +11,10 @@ from hierfish import inference as I
 from hierfish import model as M
 from hierfish.errors import EmptyEvalSet, EmptyTrack, InvalidThreshold
 from hierfish.model import HeadOutputs
-from hierfish.taxonomy import Taxonomy
+from hierfish.taxonomy import Taxonomy, default_taxonomy
 
 from conftest import make_outputs, random_simplex
+from test_model import _sized
 
 
 class TestSelectImage:
@@ -439,3 +441,157 @@ def test_best_threshold_matches_candidate_loop(cases):
     for k, (conf, coarse_ok, fine_ok) in enumerate(cases):
         rows.conf[k], rows.coarse[k], rows.fine[k] = conf, not coarse_ok, not fine_ok
     assert I.best_threshold(rows) == _best_threshold_oracle(rows)
+
+
+# 6 x 31, 24 x 5, runs of equal-size fine heads among others, one-species groups
+SPLIT_TAXONOMIES = {"6x31": default_taxonomy(), "24x5": _sized(*[5] * 24),
+                    "mixed": _sized(3, 3, 1, 4, 4, 4, 2), "one-species": _sized(1, 1, 2, 1)}
+
+
+def _random_params(taxonomy, mode, seed):
+    params = M.init_params(taxonomy, d_in=6, d1=5, hidden=4, d2=4, seed=seed, mode=mode)
+    rng = np.random.default_rng(seed)
+    for _, arr in params.fields():
+        arr += rng.normal(0, 0.5, arr.shape)
+    return params
+
+
+def _split(taxonomy, mode, seed, frames_max=20, lengths=None):
+    """A perturbed random model and a split of generated tracks of 1 to
+    `frames_max` frames, in `mode`; `lengths` cuts the first tracks to
+    those frame counts and drops the rest."""
+    frames_min = 1 if lengths is None else frames_max
+    tracks = D.generate(D.GenConfig(taxonomy=taxonomy, tracks_total=max(2 * taxonomy.S, 40),
+                                    frames_min=frames_min, frames_max=frames_max, dim=6,
+                                    seed=seed)).tracks
+    if lengths is not None:
+        tracks = [D.Track(t.track_id, t.group, t.species, t.frame_index[:n],
+                          features=t.features[:n]) for t, n in zip(tracks, lengths)]
+    if mode == M.MODE_PRECOMPUTED:   # blocks of another model's trunk
+        trunk = _random_params(taxonomy, M.MODE_TRUNK, seed + 1)
+        for t in tracks:
+            _, t.shallow, _, t.deep = M.trunk_features(trunk, t.features)
+            t.features = None
+    return _random_params(taxonomy, mode, seed), tracks
+
+
+def _per_track_rows(params, tracks, taxonomy):
+    """The reference `score_split`: each track scored alone by `score_track`
+    and reduced at once."""
+    tables = {u: I.UnitRows.empty(sum(map(len, tracks)) if u == "image" else len(tracks))
+              for u in I.UNITS}
+    end = 0
+    for k, track in enumerate(tracks):
+        y1, y2 = taxonomy.group_index(track.group), taxonomy.species_index(track.species)
+        ts = I.score_track(params, track)
+        s, frames = I.select_image(ts.frames, taxonomy), slice(end, end + len(track))
+        end = frames.stop
+        rows = [("image", frames, (s.coarse_group, s.coarse_confidence, s.level2a, s.level2b,
+                                   s.level2b_confidence))]
+        for unit, aggregate in (("video_avg", I.aggregate_avg), ("video_vote", I.aggregate_vote)):
+            a = aggregate(ts, taxonomy)
+            rows.append((unit, k, (a.coarse_selection, a.coarse_confidence, a.level2a,
+                                   a.selection, a.confidence)))
+        for unit, at, values in rows:
+            t = tables[unit]
+            t.y1[at], t.y2[at] = y1, y2
+            t.coarse[at], t.coarse_conf[at], t.level2a[at], t.fine[at], t.conf[at] = values
+    return tables
+
+
+def _assert_same_bytes(got, want):
+    assert set(got) == set(want)
+    for unit, rows in want.items():
+        for f in fields(I.UnitRows):
+            a, b = getattr(got[unit], f.name), getattr(rows, f.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"{unit}.{f.name}"
+
+
+class TestChunkedScoring:
+    @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
+    @pytest.mark.parametrize("taxonomy", SPLIT_TAXONOMIES.values(), ids=SPLIT_TAXONOMIES)
+    def test_score_split_is_per_track_scoring(self, taxonomy, mode):
+        """Chunks of tracks scored in one segmented forward give every
+        unit's rows byte for byte as scoring each track alone."""
+        params, tracks = _split(taxonomy, mode, seed=3)
+        assert sum(map(len, tracks)) > 2 * I.CHUNK_FRAMES
+        want = _per_track_rows(params, tracks, taxonomy)
+        _assert_same_bytes(I.score_split(params, tracks, taxonomy), want)
+        for unit in I.UNITS:   # and each unit alone, as `hierfish infer` asks
+            _assert_same_bytes(I.score_split(params, tracks, taxonomy, (unit,)),
+                               {unit: want[unit]})
+
+    @pytest.mark.parametrize("lengths, chunks", [
+        ([1] * 12, [[1] * 10, [1, 1]]),               # one-frame tracks
+        ([3, 25, 2, 4], [[3], [25], [2, 4]]),         # a track longer than the budget
+        ([4, 6, 10, 5, 5], [[4, 6], [10], [5, 5]]),   # the split ends on a budget
+        ([11], [[11]]),
+    ], ids=["one-frame", "long-track", "ends-on-budget", "one-long-track"])
+    @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
+    def test_chunk_edges(self, toy_taxonomy, monkeypatch, mode, lengths, chunks):
+        monkeypatch.setattr(I, "CHUNK_FRAMES", 10)
+        params, tracks = _split(toy_taxonomy, mode, seed=5, frames_max=30, lengths=lengths)
+        assert [[len(t) for t in chunk] for chunk in I.track_chunks(tracks)] == chunks
+        _assert_same_bytes(I.score_split(params, tracks, toy_taxonomy),
+                           _per_track_rows(params, tracks, toy_taxonomy))
+
+    @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
+    def test_score_chunk_rows_are_each_tracks_scores(self, six31, mode):
+        params, tracks = _split(six31, mode, seed=7)
+        chunk = next(I.track_chunks(tracks))
+        out, start = I.score_chunk(params, chunk), 0
+        for track in chunk:
+            want = I.score_track(params, track).frames
+            got = out.rows(start, start + len(track))
+            start += len(track)
+            for a, b in [(got.coarse, want.coarse), (got.joint, want.joint),
+                         *zip(got.fine_local, want.fine_local, strict=True)]:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert start == out.coarse.shape[0]
+
+
+def _faulty_split(taxonomy, order):
+    """Tracks of one chunk, some failing alone at different stages, in `order`:
+    'ok', 'fine' (finite trunk, fine head 0 overflows), 'trunk' (the trunk
+    overflows), 'empty' (no frames) and 'dim' (a feature too many)."""
+    params, tracks = _split(taxonomy, M.MODE_TRUNK, seed=9, lengths=[2] * len(order))
+    params.Wf[0][...] *= 1e200
+    params.W1[0] *= 1e300   # only the trunk fault has a first feature
+    for track, fault in zip(tracks, order):
+        track.features[:, 0] = 1e10 if fault == "trunk" else 0.0
+        if fault == "fine":
+            track.features = track.features * 1e110
+        elif fault == "empty":
+            track.frame_index, track.features = [], track.features[:0]
+        elif fault == "dim":
+            track.features = np.hstack([track.features, track.features[:, :1]])
+    return params, tracks
+
+
+def _first_error(params, tracks):
+    """The error scoring `tracks` one by one raises first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for track in tracks:
+            try:
+                I.score_track(params, track)
+            except Exception as e:
+                return e
+    raise AssertionError("no track fails alone")
+
+
+@pytest.mark.parametrize("order", [
+    ("ok", "fine", "trunk", "ok"), ("ok", "trunk", "fine"), ("fine", "empty"),
+    ("ok", "empty", "trunk"), ("fine", "dim", "ok"), ("dim", "fine"), ("empty", "dim"),
+], ids="-".join)
+def test_a_fault_in_a_chunk_is_the_first_tracks_own(toy_taxonomy, order):
+    """Tracks of one chunk that fail alone at different stages raise the
+    error the first of them raises alone, type and message."""
+    params, tracks = _faulty_split(toy_taxonomy, order)
+    assert len(list(I.track_chunks(tracks))) == 1
+    want = _first_error(params, tracks)
+    for fault, message in (("fine", "non-finite values in fine head 0"),
+                           ("trunk", "non-finite values in trunk")):
+        if fault in order:
+            assert str(_first_error(params, [tracks[order.index(fault)]])) == message
+    with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+        I.score_split(params, tracks, toy_taxonomy)

@@ -231,6 +231,21 @@ def _random_heads(taxonomy, seed, batch):
             np.abs(rng.normal(0.0, 2.0, lead + (p.d2,))))
 
 
+class _Counted:
+    """A ufunc stand-in that counts its calls and reductions."""
+
+    def __init__(self, ufunc):
+        self.ufunc, self.calls = ufunc, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.ufunc(*args, **kwargs)
+
+    def reduce(self, *args, **kwargs):
+        self.calls += 1
+        return self.ufunc.reduce(*args, **kwargs)
+
+
 class TestSegmentedSoftmax:
     @pytest.mark.parametrize("taxonomy", [default_taxonomy(), _wide(24, 5),
                                           *RUN_TAXONOMIES.values()],
@@ -264,24 +279,64 @@ class TestSegmentedSoftmax:
         p, shallow, deep = _random_heads(taxonomy, 0, 8)
         assert len(p.fine_runs) == runs
 
-        class Counted:
-            def __init__(self, ufunc):
-                self.ufunc, self.calls = ufunc, 0
-
-            def __call__(self, *args, **kwargs):
-                self.calls += 1
-                return self.ufunc(*args, **kwargs)
-
-            def reduce(self, *args, **kwargs):
-                self.calls += 1
-                return self.ufunc.reduce(*args, **kwargs)
-
-        matmul, add = Counted(np.matmul), Counted(np.add)
+        matmul, add = _Counted(np.matmul), _Counted(np.add)
         monkeypatch.setattr(np, "matmul", matmul)
         monkeypatch.setattr(np, "add", add)
         M.heads_forward(p, shallow, deep)
         assert matmul.calls == runs
         assert add.calls == runs + 1   # and one for the coarse softmax
+
+    @pytest.mark.parametrize("taxonomy, runs", [(_wide(24, 5), 1), (default_taxonomy(), 5)],
+                             ids=["24x5", "6x31"])
+    def test_segments_split_only_the_gemms(self, taxonomy, runs, monkeypatch):
+        """With segments every GEMM runs once per segment, and the sums of
+        the softmaxes still once over all rows."""
+        p, shallow, deep = _random_heads(taxonomy, 0, 8)
+        segments = [(0, 3), (3, 4), (4, 8)]
+
+        matmul, add = _Counted(np.matmul), _Counted(np.add)
+        monkeypatch.setattr(np, "matmul", matmul)
+        monkeypatch.setattr(np, "add", add)
+        M.heads_forward(p, shallow, deep, segments)
+        assert matmul.calls == (runs + 2) * len(segments)   # the coarse head's two too
+        assert add.calls == runs + 1
+
+    @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
+    @pytest.mark.parametrize("taxonomy", [default_taxonomy(), _wide(24, 5),
+                                          *RUN_TAXONOMIES.values()],
+                             ids=["6x31", "24x5", *RUN_TAXONOMIES])
+    def test_each_segment_is_its_rows_alone(self, taxonomy, mode):
+        """A segmented forward gives each segment's rows byte for byte as a
+        forward of those rows alone, whatever the segments around them."""
+        rng = np.random.default_rng(4)
+        p = M.init_params(taxonomy, d_in=6, seed=2, mode=mode)
+        p.vector[...] += rng.normal(0.0, 0.5, p.vector.shape)
+        ends = np.cumsum([1, 7, 1, 12, 3, 1, 40]).tolist()
+        segments = list(zip([0] + ends[:-1], ends))
+        if mode == M.MODE_TRUNK:
+            x = rng.normal(0.0, 2.0, (ends[-1], 6))
+        else:
+            x = tuple(np.abs(rng.normal(0.0, 2.0, (ends[-1], d))) for d in (p.d1, p.d2))
+        out, flat = M.forward(p, x, segments), M.forward_flat(p, x, segments)
+        for a, b in segments:
+            rows = x[a:b].copy() if mode == M.MODE_TRUNK else tuple(v[a:b].copy() for v in x)
+            alone = M.forward(p, rows)
+            got = out.rows(a, b)
+            for name in ("coarse", "joint"):
+                assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
+            for f, ref in zip(got.fine_local, alone.fine_local, strict=True):
+                assert f.tobytes() == ref.tobytes()
+            assert flat[a:b].tobytes() == M.forward_flat(p, rows).tobytes()
+
+    def test_fine_local_is_read_only_views(self, six31):
+        p, shallow, deep = _random_heads(six31, 0, 7)
+        p.mode = M.MODE_PRECOMPUTED
+        out = M.forward(p, (shallow, deep))
+        assert len(out.fine_local) == six31.G
+        for (a, b), f in zip(p.fine_spans, out.fine_local, strict=True):
+            assert np.shares_memory(f, out.fine_local.fine) and f.shape == (7, b - a)
+        with pytest.raises(TypeError):
+            out.fine_local[0] = np.zeros((7, 5))
 
     @pytest.mark.parametrize("batch", [None, 7])
     def test_first_non_finite_fine_head_is_named(self, six31, batch):

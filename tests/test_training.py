@@ -464,3 +464,26 @@ def test_lockstep_is_bit_identical_to_solo_training(toy_taxonomy, schemes, data,
         ref, ref_history = _reference_train(alone, ds, taxonomy)
         assert history == solo_history == ref_history, scheme
         assert params.vector.tobytes() == solo.vector.tobytes() == ref.vector.tobytes(), scheme
+
+
+@pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
+@pytest.mark.parametrize("loss", T.LOSS_ORDER)
+def test_gradient_of_a_batch_that_misses_a_group(loss, mode):
+    """Finite differences check the kernel that solo and lockstep training
+    share: a batch with no example of group 3 still gives the fine heads
+    of the groups after it their gradients."""
+    rng = np.random.default_rng([T.LOSS_ORDER.index(loss), mode == M.MODE_TRUNK])
+    params = M.init_params(EIGHT_GROUPS, d_in=4, d1=3, hidden=3, d2=3, seed=4, mode=mode)
+    for _, arr in params.fields():
+        arr += rng.normal(0, 0.3, arr.shape)
+    batch = []
+    for y2 in (1, 2, 4, 7, 9, 11, 13, 14, 0, 12):
+        y1, _ = EIGHT_GROUPS.to_local(y2)
+        feats = (rng.normal(0, 1, params.d_in) if mode == M.MODE_TRUNK
+                 else (rng.normal(0, 1, params.d1), rng.normal(0, 1, params.d2)))
+        batch.append(T.LabeledExample(features=feats, coarse_label=y1, fine_label=y2))
+    groups = {ex.coarse_label for ex in batch}
+    assert 3 not in groups and groups > {4, 5, 6, 7}
+    grads = T.compute_gradients(params, batch, loss, EIGHT_GROUPS)
+    fd = finite_difference_grads(params, batch, loss, EIGHT_GROUPS)
+    assert max_rel_error(grads, fd) <= 1e-4
