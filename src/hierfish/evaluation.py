@@ -30,17 +30,18 @@ from .model import ModelParams, forward_flat
 from .taxonomy import Taxonomy
 
 
-@dataclass
+@dataclass(kw_only=True)
 class UnitReport:
+    # the fields that default to None are those the flat baseline lacks
     unit: str
     n_units: int
-    level1_acc: float | None
-    level2a_acc: float | None
+    level1_acc: float | None = None
+    level2a_acc: float | None = None
     level2b_acc: float
-    level2c_acc: float | None
-    stopped: int | None
-    proceeded: int | None
-    tau: float | None
+    level2c_acc: float | None = None
+    stopped: int | None = None
+    proceeded: int | None = None
+    tau: float | None = None
     # per-class precision; None where a class was never predicted
     per_group_precision_level1: dict[str, float | None] = field(default_factory=dict)
     per_species_precision_2a: dict[str, float | None] = field(default_factory=dict)
@@ -125,18 +126,9 @@ def evaluate_flat(params: ModelParams, eval_split: Dataset,
     truth = np.repeat([y2 for _, y2 in split_labels(tracks, taxonomy)], [len(t) for t in tracks])
     preds = np.concatenate([stacked_forward(forward_flat, params, chunk).argmax(axis=-1)
                             for chunk in track_chunks(tracks)])
-    unit = UnitReport(
-        unit="image",
-        n_units=len(preds),
-        level1_acc=None,
-        level2a_acc=None,
-        level2b_acc=float(100.0 * np.mean(preds == truth)),
-        level2c_acc=None,
-        stopped=None,
-        proceeded=None,
-        tau=None,
-        per_species_precision_2b=_precision(preds, truth, taxonomy.species_names),
-    )
+    unit = UnitReport(unit="image", n_units=len(preds),
+                      level2b_acc=float(100.0 * np.mean(preds == truth)),
+                      per_species_precision_2b=_precision(preds, truth, taxonomy.species_names))
     return EvalReport(scheme="baseline", tau=None, units={"image": unit})
 
 
@@ -181,23 +173,19 @@ def report_from_dict(doc: dict) -> EvalReport:
     return EvalReport(scheme=doc["scheme"], tau=doc["tau"], units=units)
 
 
-def _write_per_class_csv(path, key_header, keys, reports_units, attr):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([key_header] + [u.unit for u in reports_units])
-        for key in keys:
-            row = [key]
-            for u in reports_units:
-                value = getattr(u, attr).get(key)
-                if attr == "per_species_stop_fraction" and value is not None:
-                    value = 100.0 * value
-                row.append(_fmt(value))
-            writer.writerow(row)
+# per-class CSV -> (its key column, the UnitReport field, that field's scale to percent)
+PER_CLASS_CSVS = {
+    "per_group_level1.csv": ("group", "per_group_precision_level1", 1.0),
+    "per_species_level2a.csv": ("species", "per_species_precision_2a", 1.0),
+    "per_species_level2b.csv": ("species", "per_species_precision_2b", 1.0),
+    "per_species_stop_rate.csv": ("species", "per_species_stop_fraction", 100.0),
+}
 
 
 def write_report(report: EvalReport, out_dir: str) -> None:
     """report.json (full precision), table.csv (1 decimal place), and
-    per-class CSVs for each available metric."""
+    each per-class CSV of `PER_CLASS_CSVS` whose field has classes, one
+    column per unit."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
         json.dump(report_to_dict(report), f, indent=2)
@@ -206,17 +194,12 @@ def write_report(report: EvalReport, out_dir: str) -> None:
              if u in report.units]
     if not units:
         return
-    groups = list(units[0].per_group_precision_level1.keys())
-    species = list(units[0].per_species_precision_2b.keys())
-    if groups:
-        _write_per_class_csv(os.path.join(out_dir, "per_group_level1.csv"),
-                             "group", groups, units, "per_group_precision_level1")
-    if units[0].per_species_precision_2a:
-        _write_per_class_csv(os.path.join(out_dir, "per_species_level2a.csv"),
-                             "species", species, units, "per_species_precision_2a")
-    if species:
-        _write_per_class_csv(os.path.join(out_dir, "per_species_level2b.csv"),
-                             "species", species, units, "per_species_precision_2b")
-    if units[0].per_species_stop_fraction:
-        _write_per_class_csv(os.path.join(out_dir, "per_species_stop_rate.csv"),
-                             "species", species, units, "per_species_stop_fraction")
+    for name, (key, attr, scale) in PER_CLASS_CSVS.items():
+        if not getattr(units[0], attr):
+            continue
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow([key] + [u.unit for u in units])
+            for c in getattr(units[0], attr):
+                values = [getattr(u, attr).get(c) for u in units]
+                writer.writerow([c] + [_fmt(v if v is None else scale * v) for v in values])

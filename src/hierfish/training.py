@@ -49,8 +49,8 @@ the mean and momentum to the whole (K, P) array at once.
 
 `train` validates the data once per call: it resolves each track's
 labels, checks each track's block, stacks the blocks into one matrix
-per model input and checks its finiteness, and gathers each step's
-rows from that matrix into a preallocated buffer.
+per model input, checks each row's peak |value| (finite, within
+`MAX_FEATURE`), and gathers each step's rows into a preallocated buffer.
 It refuses more than `MAX_WEIGHTS` weights over all K models before
 allocating any, and a model that diverges stops the run, named by its
 scheme. A batch whose loss is not finite even at the initial weights
@@ -316,11 +316,12 @@ def batch_loss(params: ModelParams, batch: list[LabeledExample],
 
 
 def _stage(dataset: Dataset, taxonomy: Taxonomy):
-    """Validate every track once and return (inputs, y1, y2, where).
+    """Validate every track once and return (inputs, y1, y2, peak, where).
 
     `inputs` holds one (N, d) float64 matrix per model input, the tracks'
     blocks in order: (features,) in trunk mode, (shallow, deep) in
-    precomputed mode. `where(row)` names a row as its track's frame.
+    precomputed mode. `peak` is each row's largest |value| over every
+    input. `where(row)` names a row as its track's frame.
     """
     tracks, mode = dataset.tracks, dataset.mode
     labels = D.check_labels(dataset, taxonomy)
@@ -350,12 +351,14 @@ def _stage(dataset: Dataset, taxonomy: Taxonomy):
                                         f"expected ({len(t)}, {width})")
             column.append(block)
     inputs = [np.concatenate(column) for column in blocks]
-    for attr, X in zip(attrs, inputs):
-        if not np.isfinite(X).all():
-            row = int(np.argmin(np.isfinite(X).all(axis=1)))
+    # a row's peak is NaN or inf iff the row holds a non-finite value
+    peaks = [np.maximum(X.max(axis=1), -X.min(axis=1)) for X in inputs]
+    for attr, peak in zip(attrs, peaks):
+        if not np.isfinite(peak).all():
+            row = int(np.argmin(np.isfinite(peak)))
             raise NonFiniteInput(f"{where(row)}: non-finite values in {attr}")
     y1, y2 = (np.repeat(np.array(y, dtype=np.intp), lengths) for y in zip(*labels))
-    return inputs, y1, y2, where
+    return inputs, y1, y2, np.maximum.reduce(peaks), where
 
 
 def _check_size(taxonomy: Taxonomy, K: int, dims: dict) -> None:
@@ -377,44 +380,24 @@ def _step(params, grads, inputs, y1, y2, losses):
     return loss if np.isfinite(loss).all() else None
 
 
-def _input_fault(initial, grads, inputs, y1, y2, losses, rows, where):
-    """None if the batch of staged `rows` has a finite loss at the
-    `initial` weights. Otherwise the input is at fault: the error names
-    the frame of `rows` holding the largest |value|."""
-    if _step(initial, grads, inputs, y1, y2, losses) is not None:
+def _input_fault(initial, grads, staged, rows, losses):
+    """None if the `staged` rows `rows` have a finite loss at the `initial`
+    weights. Otherwise the input is at fault: the error names the row of
+    `rows` with the largest |value|."""
+    inputs, y1, y2, peak, where = staged
+    if _step(initial, grads, [X[rows] for X in inputs], y1[rows], y2[rows], losses) is not None:
         return None
-    peaks = np.max([np.abs(x).max(axis=-1) for x in inputs], axis=0)
-    k = int(np.argmax(peaks))
-    return NonFiniteInput(
-        f"{where(rows[k])}: input values up to |{peaks[k]:g}| overflow the network "
-        "at its initial weights; rescale the features")
+    row = rows[int(np.argmax(peak[rows]))]
+    return NonFiniteInput(f"{where(row)}: input values up to |{peak[row]:g}| overflow the "
+                          "network at its initial weights; rescale the features")
 
 
-def _check_bound(initial, grads, inputs, y1, y2, losses, where) -> None:
-    """Refuse a staged value beyond MAX_FEATURE, naming the frame that
-    holds the largest |value|. If that frame alone overflows the network
-    at its `initial` weights, the error says so, as it would for a batch
-    holding it."""
-    if max(max(X.max(), -X.min()) for X in inputs) <= MAX_FEATURE:
-        return
-    peaks = np.max([np.abs(X).max(axis=-1) for X in inputs], axis=0)
-    rows = [int(np.argmax(peaks))]
-    raise (_input_fault(initial, grads, [X[rows] for X in inputs], y1[rows], y2[rows], losses,
-                        rows, where)
-           or NonFiniteInput(f"{where(rows[0])}: input values up to |{peaks[rows[0]]:g}| "
-                             f"exceed {MAX_FEATURE:g}; rescale the features"))
-
-
-def _diverged(params, initial, grads, inputs, y1, y2, losses, names, epoch, rows, where):
-    """The error for a step whose loss is not finite. If the batch fails
-    at the `initial` weights too, the input is at fault (`_input_fault`).
-    Otherwise name the first model that fails this step on its own, as it
+def _diverged(params, grads, batch, losses, names, epoch):
+    """The error for a step whose loss is not finite on the (inputs, y1,
+    y2) `batch`: names the first model that fails it on its own, as it
     does in lockstep."""
-    fault = _input_fault(initial, grads, inputs, y1, y2, losses, rows, where)
-    if fault:
-        return fault
     for k, loss in enumerate(losses):
-        if _step(params.rows(k, k + 1), grads.rows(k, k + 1), inputs, y1, y2, (loss,)) is None:
+        if _step(params.rows(k, k + 1), grads.rows(k, k + 1), *batch, (loss,)) is None:
             break
     return DivergedTraining(f"{names[loss]} diverged at epoch {epoch}; lower the learning rate")
 
@@ -443,7 +426,7 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
         raise MalformedDocument("no scheme to train")
     losses = [loss for loss in LOSS_ORDER if loss in names]
     mode = train_split.mode
-    matrices, y1, y2, where = _stage(train_split, taxonomy)
+    matrices, y1, y2, peak, where = staged = _stage(train_split, taxonomy)
     widths = [X.shape[1] for X in matrices]
     dims = (dict(d_in=widths[0], d1=config.d1, d2=config.d2) if mode == M.MODE_TRUNK
             else dict(d_in=M.D_IN, d1=widths[0], d2=widths[1]))
@@ -458,7 +441,12 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
     histories: list[list[float]] = [[] for _ in losses]
     # each step's loss and activations are checked: an overflow is an error, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        _check_bound(params, grads, matrices, y1, y2, losses, where)
+        # beyond MAX_FEATURE: an overflow if its row alone overflows the untrained network
+        if peak.max() > MAX_FEATURE:
+            rows = peak.argmax(keepdims=True)
+            raise (_input_fault(params, grads, staged, rows, losses)
+                   or NonFiniteInput(f"{where(rows[0])}: input values up to |{peak[rows[0]]:g}| "
+                                     f"exceed {MAX_FEATURE:g}; rescale the features"))
         for epoch in range(config.epochs):
             rng = np.random.default_rng([config.seed, 1, epoch])
             order = rng.permutation(n)
@@ -470,9 +458,11 @@ def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes
                           for X, buf in zip(matrices, buffers)]
                 loss = _step(params, grads, inputs, y1[idx], y2[idx], losses)
                 if loss is None:
+                    # the input is at fault if the batch fails at the initial weights too
                     initial = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims)
-                    raise _diverged(params, initial.tile(len(losses)), grads, inputs, y1[idx],
-                                    y2[idx], losses, names, epoch, idx, where)
+                    raise (_input_fault(initial.tile(len(losses)), grads, staged, idx, losses)
+                           or _diverged(params, grads, (inputs, y1[idx], y2[idx]), losses,
+                                        names, epoch))
                 loss_sum += loss * idx.shape[0]
                 velocity *= config.momentum
                 grads.vector[...] *= config.learning_rate   # in place: no (K, P) temporary

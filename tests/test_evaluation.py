@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import warnings
 
 import numpy as np
@@ -328,3 +329,44 @@ class TestWriteReport:
         with open(tmp_path / "per_species_level2b.csv") as f:
             rows = list(csv.reader(f))
         assert len(rows) == 1 + toy_taxonomy.S
+
+    def test_flat_report_writes_its_one_per_class_csv(self, tmp_path, toy_taxonomy):
+        report = E.evaluate_flat(_random_model(toy_taxonomy, seed=6),
+                                 _dataset(toy_taxonomy, 16, seed=6), toy_taxonomy)
+        E.write_report(report, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["per_species_level2b.csv", "report.json",
+                                                "table.csv"]
+
+    def test_per_class_cells(self, tmp_path):
+        """Precision cells are the report's percentages and stop-rate cells
+        its fractions times 100, to one decimal; a class that was never
+        predicted, or never seen, is an empty cell."""
+        def unit(name, fraction):
+            return E.UnitReport(
+                unit=name, n_units=6, level1_acc=50.0, level2a_acc=50.0, level2b_acc=50.0,
+                level2c_acc=50.0, stopped=2, proceeded=4, tau=0.5,
+                per_group_precision_level1={"A": 200 / 3, "B": None},
+                per_species_precision_2a={"a1": 12.5, "a2": None, "b1": 100.0},
+                per_species_precision_2b={"a1": None, "a2": 87.25, "b1": 100.0},
+                per_species_stop_fraction={"a1": fraction, "a2": 0.0, "b1": None})
+        fractions = {"image": 1 / 3, "video_avg": 0.5, "video_vote": 0.999}
+        report = E.EvalReport(scheme="scheme3", tau=0.5,
+                              units={name: unit(name, f) for name, f in fractions.items()})
+        E.write_report(report, str(tmp_path))
+
+        def cells(name):
+            with open(tmp_path / name, newline="") as f:
+                return list(csv.reader(f))
+        units = ["image", "video_avg", "video_vote"]
+        assert cells("per_group_level1.csv") == [
+            ["group"] + units, ["A"] + ["66.7"] * 3, ["B"] + [""] * 3]
+        assert cells("per_species_level2a.csv") == [
+            ["species"] + units, ["a1"] + ["12.5"] * 3, ["a2"] + [""] * 3,
+            ["b1"] + ["100.0"] * 3]
+        assert cells("per_species_level2b.csv") == [
+            ["species"] + units, ["a1"] + [""] * 3, ["a2"] + ["87.2"] * 3,
+            ["b1"] + ["100.0"] * 3]
+        assert cells("per_species_stop_rate.csv") == [
+            ["species"] + units, ["a1"] + [f"{100 * fractions[u]:.1f}" for u in units],
+            ["a2"] + ["0.0"] * 3, ["b1"] + [""] * 3]
+        assert cells("per_species_stop_rate.csv")[1][1:] == ["33.3", "50.0", "99.9"]

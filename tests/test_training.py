@@ -244,6 +244,22 @@ class TestTrain:
                                  r"\|1e\+300\| overflow the network at its initial weights"):
             T.train(cfg, ds, toy_taxonomy, schemes)
 
+    @pytest.mark.parametrize("schemes", [None, ["scheme1", "baseline", "scheme3"]])
+    def test_input_overflow_below_bound_is_found_mid_training(self, toy_taxonomy, schemes):
+        """A frame of 1e10 passes the MAX_FEATURE check before the first
+        step, but the network's loss on it is not finite; the step whose
+        batch holds it fails at the initial weights too, so the error
+        blames that frame, not the learning rate."""
+        ds = _tiny_dataset(toy_taxonomy)
+        track = ds.tracks[3]
+        track.features[1] = 1e10
+        cfg = T.TrainConfig(epochs=1, seed=0, learning_rate=1e-9, d1=4, hidden=4, d2=3)
+        with pytest.raises(NonFiniteInput,
+                           match=rf"^track {track.track_id!r} frame 1: input values up to "
+                                 r"\|1e\+10\| overflow the network at its initial weights; "
+                                 r"rescale the features$"):
+            T.train(cfg, ds, toy_taxonomy, schemes)
+
     @pytest.mark.parametrize("data, attr, column, value", [
         ("features", "features", 0, 1e300), ("features", "features", 2, -1e300),
         ("precomputed", "shallow", 3, -1e300), ("precomputed", "deep", 0, 1e300)])
