@@ -23,9 +23,11 @@ from .errors import (
     DimensionMismatch,
     EmptyTrack,
     InconsistentLabels,
+    IndexOutOfRange,
     InfeasibleConfig,
     MalformedRecord,
     SpeciesTooSmall,
+    TaxonomyMismatch,
 )
 from .model import MODE_PRECOMPUTED, MODE_TRUNK, number_array
 from .taxonomy import Taxonomy
@@ -73,14 +75,29 @@ class Track:
     def __len__(self) -> int:
         return len(self.frame_index)
 
-    def model_input(self):
-        """The stored block, not a copy: (T, d) features, or the
-        (T, d1) / (T, d2) pair."""
-        if not len(self):
+    def blocks(self, mode: str) -> tuple:
+        """`mode`'s vector fields (`VECTOR_FIELDS`) as (T, d > 0) float64
+        blocks, uncopied if float64: the block rule of training and scoring."""
+        T = len(self.frame_index)
+        if not T:
             raise EmptyTrack(f"track {self.track_id!r} has no frames")
+        blocks = []
+        for attr in VECTOR_FIELDS[mode]:
+            if getattr(self, attr) is None:
+                raise DimensionMismatch(f"track {self.track_id!r} frame {self.frame_index[0]}: "
+                                        f"no {attr} vector, which a {mode!r} dataset needs")
+            block = np.asarray(getattr(self, attr), dtype=np.float64)
+            if block.ndim != 2 or block.shape[0] != T or not block.shape[1]:
+                raise DimensionMismatch(f"track {self.track_id!r} frame {self.frame_index[0]}: "
+                                        f"{attr} has shape {block.shape}, expected ({T}, d > 0)")
+            blocks.append(block)
+        return tuple(blocks)
+
+    def model_input(self):
+        """The `blocks` of the track's own layout: features, or (shallow, deep)."""
         if self.features is not None:
-            return self.features
-        return (self.shallow, self.deep)
+            return self.blocks(MODE_TRUNK)[0]
+        return self.blocks(MODE_PRECOMPUTED)
 
 
 @dataclass
@@ -340,10 +357,13 @@ def load_jsonl(path: str) -> Dataset:
 
 def check_labels(dataset: Dataset, taxonomy: Taxonomy) -> list[tuple[int, int]]:
     """Each track's (group index, global species index); raises if a
-    track's species does not map to its group."""
+    track's species is not in the taxonomy or not in its group."""
     labels = []
     for t in dataset.tracks:
-        s = taxonomy.species_index(t.species)
+        try:
+            s = taxonomy.species_index(t.species)
+        except IndexOutOfRange as e:
+            raise TaxonomyMismatch(str(e)) from e
         g = taxonomy.group_of(s)
         if taxonomy.groups[g] != t.group:
             raise InconsistentLabels(

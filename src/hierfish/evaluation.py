@@ -20,10 +20,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from . import data as D
 from .errors import EmptyEvalSet
-from .inference import (UnitRows, best_threshold, check_threshold, score_split, split_labels,
-                        stacked_forward, track_chunks)
+from .inference import (UnitRows, best_threshold, check_threshold, score_split, stacked_forward,
+                        track_chunks)
 # not called here: perfbench's tracer wraps these names on this module too
 from .inference import aggregate_avg, aggregate_vote, score_track  # noqa: F401
 from .model import ModelParams, forward_flat
@@ -94,7 +94,7 @@ def _unit_report(unit: str, rows: UnitRows, tau: float, taxonomy: Taxonomy) -> U
     )
 
 
-def evaluate(params: ModelParams, eval_split: Dataset, taxonomy: Taxonomy,
+def evaluate(params: ModelParams, eval_split: D.Dataset, taxonomy: Taxonomy,
              tau: float | None, scheme: str = "scheme3") -> EvalReport:
     """Full hierarchical metric suite over image and both video units, at
     `tau`, or, if it is None, at the threshold `best_threshold` finds on
@@ -115,7 +115,7 @@ def evaluate(params: ModelParams, eval_split: Dataset, taxonomy: Taxonomy,
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite activation raises instead
-def evaluate_flat(params: ModelParams, eval_split: Dataset,
+def evaluate_flat(params: ModelParams, eval_split: D.Dataset,
                   taxonomy: Taxonomy) -> EvalReport:
     """Flat-classifier baseline: image-unit species accuracy only. Like
     `score_split`, it checks every track's labels before scoring any,
@@ -123,7 +123,8 @@ def evaluate_flat(params: ModelParams, eval_split: Dataset,
     tracks = eval_split.tracks
     if len(tracks) == 0:
         raise EmptyEvalSet("evaluation split has no tracks")
-    truth = np.repeat([y2 for _, y2 in split_labels(tracks, taxonomy)], [len(t) for t in tracks])
+    truth = np.repeat([y2 for _, y2 in D.check_labels(eval_split, taxonomy)],
+                      [len(t) for t in tracks])
     preds = np.concatenate([stacked_forward(forward_flat, params, chunk).argmax(axis=-1)
                             for chunk in track_chunks(tracks)])
     unit = UnitReport(unit="image", n_units=len(preds),

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as D
-from .errors import (EmptyEvalSet, EmptyTrack, IndexOutOfRange, InvalidThreshold,
-                     TaxonomyMismatch)
+from .errors import EmptyEvalSet, EmptyTrack, InvalidThreshold
 from .model import FineLocal, HeadOutputs, ModelParams, forward
 from .taxonomy import Taxonomy
 
@@ -126,18 +125,13 @@ def select_image(outputs: HeadOutputs, taxonomy: Taxonomy) -> ImageSelection:
     """Image-based selections for one frame or a stack of frames; ties
     broken by lowest index (np.argmax)."""
     g = outputs.coarse.argmax(axis=-1)
-    # 2A reads only the fine head of each frame's coarse winner: one
-    # argmax per distinct winner, usually one or two a track
-    winners = np.atleast_1d(g)
-    s2a = np.empty_like(winners)
-    for h in np.bincount(winners).nonzero()[0].tolist():
-        frames = winners == h
-        fine = np.atleast_2d(outputs.fine_local[h])[frames]
-        s2a[frames] = taxonomy.to_global(h, 0) + fine.argmax(axis=-1)
+    # 2A: one argmax over the S fine columns (group-major, so column s is
+    # global species s), the columns outside each frame's coarse winner at -inf
+    in_winner = np.repeat(np.arange(taxonomy.G), taxonomy.group_sizes) == g[..., None]
     return ImageSelection(
         coarse_group=g,
         coarse_confidence=outputs.coarse.max(axis=-1),
-        level2a=s2a.reshape(g.shape)[()],
+        level2a=np.where(in_winner, outputs.fine_local.fine, -np.inf).argmax(axis=-1),
         level2b=outputs.joint.argmax(axis=-1),
         level2b_confidence=outputs.joint.max(axis=-1),
     )
@@ -250,15 +244,6 @@ def decide(confidence: float, coarse_scores: np.ndarray, fine_selection: int,
                       confidence=float(confidence), unit=unit)
 
 
-def split_labels(tracks, taxonomy: Taxonomy) -> list[tuple[int, int]]:
-    """`data.check_labels` of `tracks`: each one's (group, global species)
-    index; a species the taxonomy lacks is a `TaxonomyMismatch`."""
-    try:
-        return D.check_labels(D.Dataset(tracks), taxonomy)
-    except IndexOutOfRange as e:
-        raise TaxonomyMismatch(str(e)) from e
-
-
 @dataclass
 class UnitRows:
     """One unit's labels and selections over a split: a row per frame for
@@ -303,7 +288,7 @@ def score_split(params: ModelParams, tracks, taxonomy: Taxonomy,
     the chunk's frames, each video aggregate once per track on views of
     the chunk's arrays."""
     tracks = list(tracks)
-    labels = np.array(split_labels(tracks, taxonomy), dtype=np.intp).reshape(-1, 2)
+    labels = np.array(D.check_labels(D.Dataset(tracks), taxonomy), dtype=np.intp).reshape(-1, 2)
     lengths = [len(t) for t in tracks]
     tables = {u: UnitRows.empty(sum(lengths) if u == "image" else len(tracks)) for u in units}
     for unit, rows in tables.items():

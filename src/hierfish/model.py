@@ -435,12 +435,7 @@ def forward_flat(params: ModelParams, x, segments=None) -> np.ndarray:
 def save_checkpoint(params: ModelParams, taxonomy: Taxonomy, path: str) -> None:
     doc = {
         "mode": params.mode,
-        "dims": {
-            "d_in": params.d_in,
-            "d1": params.d1,
-            "hidden": params.hidden,
-            "d2": params.d2,
-        },
+        "dims": {key: getattr(params, key) for key in DIM_KEYS},
         "taxonomy_digest": taxonomy.digest(),
         "weights": {name: arr.tolist() for name, arr in params.fields()},
     }

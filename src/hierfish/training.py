@@ -48,12 +48,12 @@ so the kernel writes each gradient into its view and `train` applies
 the mean and momentum to the whole (K, P) array at once.
 
 `train` validates the data once per call: it resolves each track's
-labels, checks each track's block, stacks the blocks into one matrix
-per model input, checks each row's peak |value| (finite, within
-`MAX_FEATURE`), and gathers each step's rows into a preallocated buffer.
-It refuses more than `MAX_WEIGHTS` weights over all K models before
-allocating any, and a model that diverges stops the run, named by its
-scheme. A batch whose loss is not finite even at the initial weights
+labels, takes its checked blocks (`data.Track.blocks`), stacks them into
+one matrix per model input, checks each row's peak |value| (finite,
+within `MAX_FEATURE`), and gathers each step's rows into a preallocated
+buffer. It refuses more than `MAX_WEIGHTS` weights over all K models
+before allocating any, and a model that diverges stops the run, named by
+its scheme. A batch whose loss is not finite even at the initial weights
 stops it as an input fault instead, naming the frame with the largest
 |value|. A staged value beyond `MAX_FEATURE` stops it before the first
 step, as that overflow if its frame overflows the untrained network,
@@ -70,7 +70,6 @@ import numpy as np
 
 from . import data as D
 from . import model as M
-from .data import VECTOR_FIELDS, Dataset
 from .errors import (
     DimensionMismatch,
     DivergedTraining,
@@ -315,13 +314,13 @@ def batch_loss(params: ModelParams, batch: list[LabeledExample],
                                  (LOSSES[scheme],))[0])
 
 
-def _stage(dataset: Dataset, taxonomy: Taxonomy):
+def _stage(dataset: D.Dataset, taxonomy: Taxonomy):
     """Validate every track once and return (inputs, y1, y2, peak, where).
 
     `inputs` holds one (N, d) float64 matrix per model input, the tracks'
-    blocks in order: (features,) in trunk mode, (shallow, deep) in
-    precomputed mode. `peak` is each row's largest |value| over every
-    input. `where(row)` names a row as its track's frame.
+    `Track.blocks` in order, of one width d across tracks. `peak` is each
+    row's largest |value| over every input. `where(row)` names a row as
+    its track's frame.
     """
     tracks, mode = dataset.tracks, dataset.mode
     labels = D.check_labels(dataset, taxonomy)
@@ -333,24 +332,16 @@ def _stage(dataset: Dataset, taxonomy: Taxonomy):
         j = int(np.searchsorted(starts, row, side="right")) - 1
         return f"track {tracks[j].track_id!r} frame {tracks[j].frame_index[row - starts[j]]}"
 
-    attrs = VECTOR_FIELDS[mode]
-    blocks = tuple([] for _ in attrs)
-    for t, start in zip(tracks, starts.tolist()):
-        if not len(t):
-            continue
-        for attr, column in zip(attrs, blocks):
-            value = getattr(t, attr)
-            if value is None:
-                raise DimensionMismatch(
-                    f"{where(start)}: no {attr} vector, which a {mode!r} dataset needs")
-            block = np.asarray(value, dtype=np.float64)
-            width = column[0].shape[1] if column else "d > 0"
-            if (block.ndim != 2 or block.shape[0] != len(t) or not block.shape[1]
-                    or (column and block.shape[1] != width)):
-                raise DimensionMismatch(f"{where(start)}: {attr} has shape {block.shape}, "
-                                        f"expected ({len(t)}, {width})")
-            column.append(block)
-    inputs = [np.concatenate(column) for column in blocks]
+    full = [t for t in tracks if len(t)]
+    columns = list(zip(*[t.blocks(mode) for t in full]))
+    attrs = D.VECTOR_FIELDS[mode]
+    for attr, column in zip(attrs, columns):
+        width = column[0].shape[1]
+        for t, block in zip(full, column):
+            if block.shape[1] != width:
+                raise DimensionMismatch(f"track {t.track_id!r} frame {t.frame_index[0]}: {attr} "
+                                        f"has shape {block.shape}, expected ({len(t)}, {width})")
+    inputs = [np.concatenate(column) for column in columns]
     # a row's peak is NaN or inf iff the row holds a non-finite value
     peaks = [np.maximum(X.max(axis=1), -X.min(axis=1)) for X in inputs]
     for attr, peak in zip(attrs, peaks):
@@ -402,7 +393,7 @@ def _diverged(params, grads, batch, losses, names, epoch):
     return DivergedTraining(f"{names[loss]} diverged at epoch {epoch}; lower the learning rate")
 
 
-def train(config: TrainConfig, train_split: Dataset, taxonomy: Taxonomy, schemes=None):
+def train(config: TrainConfig, train_split: D.Dataset, taxonomy: Taxonomy, schemes=None):
     """Image-based mini-batch SGD with momentum; deterministic for a seed.
 
     The data decides the network's input side: `train_split.mode` picks

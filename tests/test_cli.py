@@ -522,6 +522,22 @@ def test_scoring_commands_refuse_a_track_outside_its_species_group(workspace, ca
     assert not (workspace / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["split"], ["train"], *SCORING_COMMANDS], ids=" ".join)
+def test_species_outside_the_taxonomy_is_one_error_line(workspace, capsys, command):
+    """`split`, `train` and every scoring command refuse it with the line
+    of `data.check_labels`, before writing anything."""
+    def rename(track):
+        track.species = "not-a-species"
+
+    args, _ = _scoring_inputs(workspace, edit_track=rename)
+    if command in (["split"], ["train"]):   # they read no checkpoint
+        at = args.index("--model")
+        del args[at:at + 2]
+    assert run([*command, *args]) == 1
+    assert capsys.readouterr().err == "error: unknown species 'not-a-species'\n"
+    assert not (workspace / "out").exists()
+
+
 @pytest.mark.parametrize("command", SCORING_COMMANDS, ids=" ".join)
 def test_overflowing_checkpoint_is_one_error_line(workspace, command):
     """A checkpoint whose trunk overflows is reported by the forward

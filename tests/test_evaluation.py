@@ -10,8 +10,9 @@ from hierfish import data as D
 from hierfish import evaluation as E
 from hierfish import inference as I
 from hierfish import model as M
-from hierfish.errors import (EmptyEvalSet, InconsistentLabels, NonFiniteActivation,
-                             TaxonomyMismatch)
+from hierfish import training as TR
+from hierfish.errors import (DimensionMismatch, EmptyEvalSet, InconsistentLabels,
+                             NonFiniteActivation, TaxonomyMismatch)
 from hierfish.taxonomy import Taxonomy
 
 from conftest import make_outputs
@@ -232,6 +233,46 @@ def test_overflowing_weights_raise_without_a_warning(toy_taxonomy, scorer):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteActivation, match="^non-finite values in trunk$"):
             SCORERS[scorer](params, ds, toy_taxonomy)
+
+
+# a malformed track: its split's mode, the field edited, the edit, and the
+# message every reader raises after "track 'tNNNNN' frame K: "
+MALFORMED = {
+    "row-too-many": (M.MODE_TRUNK, "features", lambda block: np.vstack([block, block[:1]]),
+                     "features has shape ({T1}, 6), expected ({T}, d > 0)"),
+    "row-short": (M.MODE_TRUNK, "features", lambda block: block[1:],
+                  "features has shape ({T0}, 6), expected ({T}, d > 0)"),
+    "zero-width": (M.MODE_TRUNK, "features", lambda block: block[:, :0],
+                   "features has shape ({T}, 0), expected ({T}, d > 0)"),
+    "deep-missing": (M.MODE_PRECOMPUTED, "deep", lambda block: None,
+                     "no deep vector, which a 'precomputed' dataset needs"),
+    "shallow-missing": (M.MODE_PRECOMPUTED, "shallow", lambda block: None,
+                        "no shallow vector, which a 'precomputed' dataset needs"),
+}
+BLOCK_READERS = {**{name: SCORERS[name] for name in ("score_split", "search_threshold",
+                                                     "evaluate", "evaluate_flat")},
+                 "score_track": lambda p, ds, tax: [I.score_track(p, t) for t in ds.tracks]}
+
+
+@pytest.mark.parametrize("reader", BLOCK_READERS)
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_block_is_refused_as_train_refuses_it(toy_taxonomy, reader, case):
+    """Every scorer reads a track's block through the rule `train` reads
+    it through, so it raises `train`'s error type and message."""
+    mode, attr, edit, message = MALFORMED[case]
+    params, tracks = _split(toy_taxonomy, mode, seed=5, frames_max=4)
+    track = next(t for t in tracks[7:] if len(t) > 1)
+    T = len(track)
+    setattr(track, attr, edit(getattr(track, attr)))
+    ds = D.Dataset(tracks, mode)
+    with pytest.raises(DimensionMismatch) as trained:
+        TR.train(TR.TrainConfig(epochs=1, d1=5, hidden=4, d2=4), ds, toy_taxonomy)
+    assert str(trained.value) == (f"track {track.track_id!r} frame {track.frame_index[0]}: "
+                                  + message.format(T=T, T0=T - 1, T1=T + 1))
+    with pytest.raises(DimensionMismatch) as scored:
+        BLOCK_READERS[reader](params, ds, toy_taxonomy)
+    assert type(scored.value) is type(trained.value)
+    assert str(scored.value) == str(trained.value)
 
 
 def _frac(ds, tax, unit, pred):

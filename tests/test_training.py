@@ -18,6 +18,7 @@ from hierfish.errors import (
     LabelOutOfRange,
     MalformedDocument,
     NonFiniteInput,
+    TaxonomyMismatch,
 )
 from hierfish.taxonomy import Taxonomy
 
@@ -371,6 +372,14 @@ class TestTrain:
                                                     rf"{track.frame_index[0]}: {attr} has shape "
                                                     rf"\({len(track)}, 0\)"):
             T.train(cfg, ds, toy_taxonomy)
+
+    def test_species_outside_the_taxonomy(self, toy_taxonomy):
+        """`train` refuses it as `split` and every scorer do: the one
+        `TaxonomyMismatch` of `data.check_labels`."""
+        ds = _tiny_dataset(toy_taxonomy)
+        ds.tracks[3].species = "not-a-species"
+        with pytest.raises(TaxonomyMismatch, match=r"^unknown species 'not-a-species'$"):
+            T.train(T.TrainConfig(epochs=1, d1=4, hidden=4, d2=3), ds, toy_taxonomy)
 
     def test_inconsistent_labels_rejected(self, toy_taxonomy):
         ds = _tiny_dataset(toy_taxonomy)
