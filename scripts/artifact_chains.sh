@@ -4,7 +4,8 @@
 #   ablation-3/, ablation-11/  `hierfish ablation` at seeds 3 and 11
 #   readme/    the README file chain, with baseline, scheme1 and scheme3
 #              trained, evaluated and (scheme1, scheme3) searched and
-#              inferred for both video units
+#              inferred for both video units; then the baseline checkpoint
+#              evaluated and inferred as scheme3, and scheme3's as baseline
 #   wide/      a 24 x 5 taxonomy: 1,200 tracks of 4-12 frames, split 0.5,
 #              baseline and scheme3 trained for 3 epochs
 #   pre/       a precomputed chain: the README split through a seeded trunk
@@ -91,6 +92,15 @@ run readme-split hierfish split --seed 0 --taxonomy readme/data/taxonomy.json \
   --data readme/data/dataset.jsonl --out readme/splits
 schemes readme readme/data/taxonomy.json readme/splits/train.jsonl readme/splits/eval.jsonl \
   baseline scheme1 scheme3
+# every checkpoint carries every head and none records the loss that
+# trained it, so a checkpoint is scored as another scheme without error
+run readme-baseline-eval-as-scheme3 hierfish eval --taxonomy readme/data/taxonomy.json \
+  --model readme/baseline/model.json --data readme/splits/eval.jsonl --out readme/baseline/as-scheme3
+run readme-baseline-infer hierfish infer --taxonomy readme/data/taxonomy.json \
+  --model readme/baseline/model.json --data readme/splits/eval.jsonl --out readme/baseline/infer
+run readme-scheme3-eval-as-baseline hierfish eval --taxonomy readme/data/taxonomy.json \
+  --model readme/scheme3/model.json --data readme/splits/eval.jsonl --scheme baseline \
+  --out readme/scheme3/as-baseline
 
 python3 -c 'import json; print(json.dumps({"groups": [
     {"name": f"Group{g:02d}", "species": [f"Group{g:02d} species{i}" for i in range(5)]}

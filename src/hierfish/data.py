@@ -26,6 +26,7 @@ from .errors import (
     IndexOutOfRange,
     InfeasibleConfig,
     MalformedRecord,
+    NonFiniteInput,
     SpeciesTooSmall,
     TaxonomyMismatch,
 )
@@ -93,11 +94,23 @@ class Track:
             blocks.append(block)
         return tuple(blocks)
 
+    def check_finite(self, mode: str) -> None:
+        """Raise `train`'s NonFiniteInput at the first frame with a NaN or ±inf, field by field."""
+        for attr, block in zip(VECTOR_FIELDS[mode], self.blocks(mode)):
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
+                k = self.frame_index[int(finite.argmin())]
+                raise NonFiniteInput(f"track {self.track_id!r} frame {k}: "
+                                     f"non-finite values in {attr}")
+
     def model_input(self):
-        """The `blocks` of the track's own layout: features, or (shallow, deep)."""
-        if self.features is not None:
-            return self.blocks(MODE_TRUNK)[0]
-        return self.blocks(MODE_PRECOMPUTED)
+        """The `blocks` of the track's own layout, features or (shallow,
+        deep), refused as `train` refuses them if not finite."""
+        mode = MODE_TRUNK if self.features is not None else MODE_PRECOMPUTED
+        blocks = self.blocks(mode)
+        if not all(np.isfinite(block).all() for block in blocks):
+            self.check_finite(mode)
+        return blocks[0] if mode == MODE_TRUNK else blocks
 
 
 @dataclass

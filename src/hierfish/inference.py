@@ -68,6 +68,7 @@ class TrackScores:
                 joint=np.stack([f.joint for f in frames]))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite activation raises instead
 def score_track(params: ModelParams, track) -> TrackScores:
     """Every frame of `track` in one forward pass."""
     return TrackScores(frames=forward(params, track.model_input()))
@@ -171,16 +172,19 @@ def aggregate_avg(track: TrackScores, taxonomy: Taxonomy) -> AvgAggregate:
     )
 
 
-def _majority(votes: np.ndarray, confidences: np.ndarray) -> int:
-    """Most frequent vote; ties by higher mean supporting confidence,
-    residual ties by lowest label. The means are taken only for the
-    labels tied on the top count."""
-    counts = np.bincount(votes)
-    tied = (counts == counts.max()).nonzero()[0].tolist()
-    if len(tied) == 1:
-        return tied[0]
-    means = [float(_mean(confidences[votes == label])) for label in tied]
-    return tied[means.index(max(means))]   # the first, lowest, label of the top mean
+def _vote(scores: np.ndarray):
+    """(label, mask of its supporting rows, every row's top score) of
+    per-row argmax voting over `scores` (T, n): the most frequent pick,
+    ties by higher mean top score over the supporting rows (taken only for
+    the labels tied on the top count), residual ties by lowest label."""
+    picks = scores.argmax(axis=1)
+    top = np.maximum.reduce(scores, axis=1)
+    counts = np.bincount(picks)
+    tied = (counts == np.maximum.reduce(counts)).nonzero()[0].tolist()
+    if len(tied) > 1:
+        means = [float(_mean(top[picks == label])) for label in tied]
+        tied = [tied[means.index(max(means))]]   # the first, lowest, label of the top mean
+    return tied[0], picks == tied[0], top
 
 
 @dataclass
@@ -200,28 +204,15 @@ def aggregate_vote(track: TrackScores, taxonomy: Taxonomy) -> VoteAggregate:
     frames that agree with the winning coarse group, which keeps a
     correct 2A prediction implying a correct coarse one.
     """
-    coarse = track.frames.coarse
     joint = track.frames.joint
-    fine_votes = joint.argmax(axis=1)
-    fine_conf = joint.max(axis=1)
-    sel = _majority(fine_votes, fine_conf)
-    conf = float(_mean(fine_conf[fine_votes == sel]))
-
-    coarse_votes = coarse.argmax(axis=1)
-    coarse_conf = coarse.max(axis=1)
-    gsel = _majority(coarse_votes, coarse_conf)
-    support = coarse_votes == gsel
-    gconf = float(_mean(coarse_conf[support]))
-
+    sel, support, top = _vote(joint)
+    conf = float(_mean(top[support]))
+    gsel, support, top = _vote(track.frames.coarse)
+    gconf = float(_mean(top[support]))
     start = taxonomy.to_global(gsel, 0)
-    block = joint[:, start:start + taxonomy.group_sizes[gsel]][support]
-    sel_2a = start + _majority(block.argmax(axis=1), block.max(axis=1))
-
-    return VoteAggregate(
-        selection=sel, confidence=conf,
-        coarse_selection=gsel, coarse_confidence=gconf,
-        level2a=sel_2a,
-    )
+    sel_2a = start + _vote(joint[support, start:start + taxonomy.group_sizes[gsel]])[0]
+    return VoteAggregate(selection=sel, confidence=conf, coarse_selection=gsel,
+                         coarse_confidence=gconf, level2a=sel_2a)
 
 
 def check_threshold(tau: float) -> float:

@@ -343,13 +343,12 @@ def _stage(dataset: D.Dataset, taxonomy: Taxonomy):
                                         f"has shape {block.shape}, expected ({len(t)}, {width})")
     inputs = [np.concatenate(column) for column in columns]
     # a row's peak is NaN or inf iff the row holds a non-finite value
-    peaks = [np.maximum(X.max(axis=1), -X.min(axis=1)) for X in inputs]
-    for attr, peak in zip(attrs, peaks):
-        if not np.isfinite(peak).all():
-            row = int(np.argmin(np.isfinite(peak)))
-            raise NonFiniteInput(f"{where(row)}: non-finite values in {attr}")
+    peak = np.maximum.reduce([np.maximum(X.max(axis=1), -X.min(axis=1)) for X in inputs])
+    if not np.isfinite(peak).all():
+        for t in full:
+            t.check_finite(mode)
     y1, y2 = (np.repeat(np.array(y, dtype=np.intp), lengths) for y in zip(*labels))
-    return inputs, y1, y2, np.maximum.reduce(peaks), where
+    return inputs, y1, y2, peak, where
 
 
 def _check_size(taxonomy: Taxonomy, K: int, dims: dict) -> None:

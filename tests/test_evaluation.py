@@ -12,7 +12,7 @@ from hierfish import inference as I
 from hierfish import model as M
 from hierfish import training as TR
 from hierfish.errors import (DimensionMismatch, EmptyEvalSet, InconsistentLabels,
-                             NonFiniteActivation, TaxonomyMismatch)
+                             NonFiniteActivation, NonFiniteInput, TaxonomyMismatch)
 from hierfish.taxonomy import Taxonomy
 
 from conftest import make_outputs
@@ -201,6 +201,8 @@ SCORERS = {
     "search_threshold": lambda p, ds, tax: I.search_threshold(p, ds.tracks, tax),
     "score_split": lambda p, ds, tax: I.score_split(p, ds.tracks, tax),
 }
+# every scorer, `score_track` over each track of the split too
+READERS = {**SCORERS, "score_track": lambda p, ds, tax: [I.score_track(p, t) for t in ds.tracks]}
 
 
 @pytest.mark.parametrize("scorer", SCORERS)
@@ -222,7 +224,7 @@ def test_track_outside_its_species_group_is_refused(toy_taxonomy, monkeypatch, s
 
 
 @pytest.mark.parametrize("scorer", ["evaluate", "evaluate_searched", "evaluate_flat",
-                                    "search_threshold"])
+                                    "search_threshold", "score_track"])
 def test_overflowing_weights_raise_without_a_warning(toy_taxonomy, scorer):
     """The forward pass's own check reports an overflow; numpy warns of
     none, so a run that turns warnings into errors gets the same error."""
@@ -232,7 +234,7 @@ def test_overflowing_weights_raise_without_a_warning(toy_taxonomy, scorer):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteActivation, match="^non-finite values in trunk$"):
-            SCORERS[scorer](params, ds, toy_taxonomy)
+            READERS[scorer](params, ds, toy_taxonomy)
 
 
 # a malformed track: its split's mode, the field edited, the edit, and the
@@ -249,9 +251,8 @@ MALFORMED = {
     "shallow-missing": (M.MODE_PRECOMPUTED, "shallow", lambda block: None,
                         "no shallow vector, which a 'precomputed' dataset needs"),
 }
-BLOCK_READERS = {**{name: SCORERS[name] for name in ("score_split", "search_threshold",
-                                                     "evaluate", "evaluate_flat")},
-                 "score_track": lambda p, ds, tax: [I.score_track(p, t) for t in ds.tracks]}
+BLOCK_READERS = {name: READERS[name] for name in ("score_split", "search_threshold", "evaluate",
+                                                  "evaluate_flat", "score_track")}
 
 
 @pytest.mark.parametrize("reader", BLOCK_READERS)
@@ -271,6 +272,31 @@ def test_malformed_block_is_refused_as_train_refuses_it(toy_taxonomy, reader, ca
                                   + message.format(T=T, T0=T - 1, T1=T + 1))
     with pytest.raises(DimensionMismatch) as scored:
         BLOCK_READERS[reader](params, ds, toy_taxonomy)
+    assert type(scored.value) is type(trained.value)
+    assert str(scored.value) == str(trained.value)
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("attr", ["features", "shallow", "deep"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_input_is_named_as_train_names_it(toy_taxonomy, reader, attr, value):
+    """A NaN or inf in a frame is the input's fault, not the checkpoint's:
+    every scorer raises `train`'s type and message, with numpy warnings
+    as errors, also where the network would not carry it to an output
+    (`evaluate_flat` never reads `shallow`; a ReLU can zero an inf)."""
+    mode = M.MODE_TRUNK if attr == "features" else M.MODE_PRECOMPUTED
+    params, tracks = _split(toy_taxonomy, mode, seed=5, frames_max=4)
+    track = next(t for t in tracks[7:] if len(t) > 1)
+    getattr(track, attr)[1, 2] = value
+    ds = D.Dataset(tracks, mode)
+    with pytest.raises(NonFiniteInput) as trained:
+        TR.train(TR.TrainConfig(epochs=1, d1=5, hidden=4, d2=4), ds, toy_taxonomy)
+    assert str(trained.value) == (f"track {track.track_id!r} frame {track.frame_index[1]}: "
+                                  f"non-finite values in {attr}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput) as scored:
+            READERS[reader](params, ds, toy_taxonomy)
     assert type(scored.value) is type(trained.value)
     assert str(scored.value) == str(trained.value)
 

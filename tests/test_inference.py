@@ -429,7 +429,13 @@ def test_majority_matches_unique_loop(votes, data):
         conf = np.full(votes.shape, data.draw(SCORES))
     else:
         conf = np.array(data.draw(st.lists(SCORES, min_size=len(votes), max_size=len(votes))))
-    assert I._majority(votes, conf) == _majority_oracle(votes, conf)[0]
+    # each row scores its vote at its confidence and every other label at -1
+    scores = np.full((len(votes), votes.max() + 1), -1.0)
+    scores[np.arange(len(votes)), votes] = conf
+    label, support, top = I._vote(scores)
+    assert label == _majority_oracle(votes, conf)[0]
+    assert np.array_equal(support, votes == label)
+    assert np.array_equal(top, conf)
 
 
 @given(st.lists(st.tuples(SCORES, st.booleans(), st.booleans()), min_size=1, max_size=40))

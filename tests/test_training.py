@@ -332,6 +332,17 @@ class TestTrain:
                                                  "non-finite values in deep$"):
             T.train(cfg, ds, toy_taxonomy)
 
+    @pytest.mark.parametrize("schemes", [None, ["scheme1", "baseline", "scheme3"]])
+    def test_first_track_with_a_fault_is_named(self, toy_taxonomy, schemes):
+        """Faults in two tracks: the first track's is named, as every scorer
+        names it, though its field comes later in the record."""
+        ds = _precomputed_dataset(toy_taxonomy)
+        ds.tracks[0].deep[1, 0] = ds.tracks[3].shallow[0, 0] = np.nan
+        cfg = T.TrainConfig(epochs=1, seed=0, hidden=4)
+        with pytest.raises(NonFiniteInput, match=r"^track 't00000' frame 1: "
+                                                 "non-finite values in deep$"):
+            T.train(cfg, ds, toy_taxonomy, schemes)
+
     @pytest.mark.parametrize("data, mode", [
         ("precomputed", M.MODE_TRUNK),
         ("features", M.MODE_PRECOMPUTED),
