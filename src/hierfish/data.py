@@ -34,6 +34,16 @@ from .model import MODE_PRECOMPUTED, MODE_TRUNK, number_array
 from .taxonomy import Taxonomy
 
 
+# the largest |value| a model reads in a feature (`Track.blocks`). An SGD
+# step puts a feature into the gradient of each weight it meets, and the
+# next forward multiplies that weight by it again, so a step squares a
+# feature's scale; the square of a larger value is within 1e9 of
+# float64's limit (1.8e308). Such a value either overflows the network or,
+# where the untrained network saturates on it, trains silently as a frame
+# of zero loss and zero gradient
+MAX_FEATURE = 1e150
+
+
 @dataclass(frozen=True)
 class Frame:
     """One frame of a track, as a read-only view: its vectors are rows of
@@ -78,7 +88,10 @@ class Track:
 
     def blocks(self, mode: str) -> tuple:
         """`mode`'s vector fields (`VECTOR_FIELDS`) as (T, d > 0) float64
-        blocks, uncopied if float64: the block rule of training and scoring."""
+        blocks, uncopied if float64: the block and value rule of training
+        and scoring. Every field's shape is checked first; then, field by
+        field, every value must be finite and within ±`MAX_FEATURE`, or the
+        error names the field's first row that is not."""
         T = len(self.frame_index)
         if not T:
             raise EmptyTrack(f"track {self.track_id!r} has no frames")
@@ -92,25 +105,23 @@ class Track:
                 raise DimensionMismatch(f"track {self.track_id!r} frame {self.frame_index[0]}: "
                                         f"{attr} has shape {block.shape}, expected ({T}, d > 0)")
             blocks.append(block)
+        for attr, block in zip(VECTOR_FIELDS[mode], blocks):
+            # NaN compares false, so one test refuses a NaN, an inf and a huge value
+            if not np.maximum.reduce(np.abs(block), axis=None) <= MAX_FEATURE:
+                peaks = np.abs(block).max(axis=1)
+                j = int((peaks <= MAX_FEATURE).argmin())
+                where = f"track {self.track_id!r} frame {self.frame_index[j]}"
+                if not np.isfinite(peaks[j]):
+                    raise NonFiniteInput(f"{where}: non-finite values in {attr}")
+                raise NonFiniteInput(f"{where}: input values up to |{peaks[j]:g}| exceed "
+                                     f"{MAX_FEATURE:g}; rescale the features")
         return tuple(blocks)
 
-    def check_finite(self, mode: str) -> None:
-        """Raise `train`'s NonFiniteInput at the first frame with a NaN or ±inf, field by field."""
-        for attr, block in zip(VECTOR_FIELDS[mode], self.blocks(mode)):
-            finite = np.isfinite(block).all(axis=1)
-            if not finite.all():
-                k = self.frame_index[int(finite.argmin())]
-                raise NonFiniteInput(f"track {self.track_id!r} frame {k}: "
-                                     f"non-finite values in {attr}")
-
     def model_input(self):
-        """The `blocks` of the track's own layout, features or (shallow,
-        deep), refused as `train` refuses them if not finite."""
-        mode = MODE_TRUNK if self.features is not None else MODE_PRECOMPUTED
-        blocks = self.blocks(mode)
-        if not all(np.isfinite(block).all() for block in blocks):
-            self.check_finite(mode)
-        return blocks[0] if mode == MODE_TRUNK else blocks
+        """The `blocks` of the track's own layout: features, or (shallow, deep)."""
+        if self.features is not None:
+            return self.blocks(MODE_TRUNK)[0]
+        return self.blocks(MODE_PRECOMPUTED)
 
 
 @dataclass

@@ -48,16 +48,14 @@ so the kernel writes each gradient into its view and `train` applies
 the mean and momentum to the whole (K, P) array at once.
 
 `train` validates the data once per call: it resolves each track's
-labels, takes its checked blocks (`data.Track.blocks`), stacks them into
-one matrix per model input, checks each row's peak |value| (finite,
-within `MAX_FEATURE`), and gathers each step's rows into a preallocated
-buffer. It refuses more than `MAX_WEIGHTS` weights over all K models
-before allocating any, and a model that diverges stops the run, named by
-its scheme. A batch whose loss is not finite even at the initial weights
-stops it as an input fault instead, naming the frame with the largest
-|value|. A staged value beyond `MAX_FEATURE` stops it before the first
-step, as that overflow if its frame overflows the untrained network,
-else as out of bound.
+labels, takes its checked blocks (`data.Track.blocks`: shapes, then
+every value finite and within `data.MAX_FEATURE`, so of two faulty
+tracks the first is named), stacks them into one matrix per model input,
+and gathers each step's rows into a preallocated buffer. It refuses more
+than `MAX_WEIGHTS` weights over all K models before allocating any, and
+a model that diverges stops the run, named by its scheme. A batch whose
+loss is not finite even at the initial weights stops it as an input
+fault instead, naming the batch's frame with the largest |value|.
 """
 
 from __future__ import annotations
@@ -94,14 +92,6 @@ LOSS_ORDER = ("baseline", "scheme1", "scheme3")
 # the most weights `train` allocates over all its models, as `generate`
 # bounds its feature values
 MAX_WEIGHTS = 10**8
-# the largest |value| `train` accepts in a staged feature. An SGD step
-# puts a feature into the gradient of each weight it meets, and the next
-# forward multiplies that weight by it again, so a step squares a
-# feature's scale; the square of a larger value is within 1e9 of
-# float64's limit (1.8e308). Such a value either overflows the network or,
-# where the untrained network saturates on it, trains silently as a frame
-# of zero loss and zero gradient
-MAX_FEATURE = 1e150
 
 
 @dataclass
@@ -315,12 +305,11 @@ def batch_loss(params: ModelParams, batch: list[LabeledExample],
 
 
 def _stage(dataset: D.Dataset, taxonomy: Taxonomy):
-    """Validate every track once and return (inputs, y1, y2, peak, where).
+    """Validate every track once and return (inputs, y1, y2, where).
 
     `inputs` holds one (N, d) float64 matrix per model input, the tracks'
-    `Track.blocks` in order, of one width d across tracks. `peak` is each
-    row's largest |value| over every input. `where(row)` names a row as
-    its track's frame.
+    `Track.blocks` in order, of one width d across tracks. `where(row)`
+    names a row as its track's frame.
     """
     tracks, mode = dataset.tracks, dataset.mode
     labels = D.check_labels(dataset, taxonomy)
@@ -328,27 +317,21 @@ def _stage(dataset: D.Dataset, taxonomy: Taxonomy):
     starts = np.cumsum([0] + lengths[:-1])
 
     def where(row: int) -> str:
-        # the last track that starts at or before `row`, so never an empty one
+        # the last track that starts at or before `row`
         j = int(np.searchsorted(starts, row, side="right")) - 1
         return f"track {tracks[j].track_id!r} frame {tracks[j].frame_index[row - starts[j]]}"
 
-    full = [t for t in tracks if len(t)]
-    columns = list(zip(*[t.blocks(mode) for t in full]))
+    columns = list(zip(*[t.blocks(mode) for t in tracks]))
     attrs = D.VECTOR_FIELDS[mode]
     for attr, column in zip(attrs, columns):
         width = column[0].shape[1]
-        for t, block in zip(full, column):
+        for t, block in zip(tracks, column):
             if block.shape[1] != width:
                 raise DimensionMismatch(f"track {t.track_id!r} frame {t.frame_index[0]}: {attr} "
                                         f"has shape {block.shape}, expected ({len(t)}, {width})")
     inputs = [np.concatenate(column) for column in columns]
-    # a row's peak is NaN or inf iff the row holds a non-finite value
-    peak = np.maximum.reduce([np.maximum(X.max(axis=1), -X.min(axis=1)) for X in inputs])
-    if not np.isfinite(peak).all():
-        for t in full:
-            t.check_finite(mode)
     y1, y2 = (np.repeat(np.array(y, dtype=np.intp), lengths) for y in zip(*labels))
-    return inputs, y1, y2, peak, where
+    return inputs, y1, y2, where
 
 
 def _check_size(taxonomy: Taxonomy, K: int, dims: dict) -> None:
@@ -370,15 +353,15 @@ def _step(params, grads, inputs, y1, y2, losses):
     return loss if np.isfinite(loss).all() else None
 
 
-def _input_fault(initial, grads, staged, rows, losses):
-    """None if the `staged` rows `rows` have a finite loss at the `initial`
-    weights. Otherwise the input is at fault: the error names the row of
-    `rows` with the largest |value|."""
-    inputs, y1, y2, peak, where = staged
-    if _step(initial, grads, [X[rows] for X in inputs], y1[rows], y2[rows], losses) is not None:
+def _input_fault(initial, grads, batch, rows, where, losses):
+    """None if the (inputs, y1, y2) `batch` of the staged rows `rows` has a
+    finite loss at the `initial` weights. Otherwise the input is at fault:
+    the error names the batch's row with the largest |value|."""
+    if _step(initial, grads, *batch, losses) is not None:
         return None
-    row = rows[int(np.argmax(peak[rows]))]
-    return NonFiniteInput(f"{where(row)}: input values up to |{peak[row]:g}| overflow the "
+    peak = np.maximum.reduce([np.abs(X).max(axis=1) for X in batch[0]])
+    j = int(np.argmax(peak))
+    return NonFiniteInput(f"{where(rows[j])}: input values up to |{peak[j]:g}| overflow the "
                           "network at its initial weights; rescale the features")
 
 
@@ -416,7 +399,7 @@ def train(config: TrainConfig, train_split: D.Dataset, taxonomy: Taxonomy, schem
         raise MalformedDocument("no scheme to train")
     losses = [loss for loss in LOSS_ORDER if loss in names]
     mode = train_split.mode
-    matrices, y1, y2, peak, where = staged = _stage(train_split, taxonomy)
+    matrices, y1, y2, where = _stage(train_split, taxonomy)
     widths = [X.shape[1] for X in matrices]
     dims = (dict(d_in=widths[0], d1=config.d1, d2=config.d2) if mode == M.MODE_TRUNK
             else dict(d_in=M.D_IN, d1=widths[0], d2=widths[1]))
@@ -431,12 +414,6 @@ def train(config: TrainConfig, train_split: D.Dataset, taxonomy: Taxonomy, schem
     histories: list[list[float]] = [[] for _ in losses]
     # each step's loss and activations are checked: an overflow is an error, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # beyond MAX_FEATURE: an overflow if its row alone overflows the untrained network
-        if peak.max() > MAX_FEATURE:
-            rows = peak.argmax(keepdims=True)
-            raise (_input_fault(params, grads, staged, rows, losses)
-                   or NonFiniteInput(f"{where(rows[0])}: input values up to |{peak[rows[0]]:g}| "
-                                     f"exceed {MAX_FEATURE:g}; rescale the features"))
         for epoch in range(config.epochs):
             rng = np.random.default_rng([config.seed, 1, epoch])
             order = rng.permutation(n)
@@ -450,9 +427,9 @@ def train(config: TrainConfig, train_split: D.Dataset, taxonomy: Taxonomy, schem
                 if loss is None:
                     # the input is at fault if the batch fails at the initial weights too
                     initial = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims)
-                    raise (_input_fault(initial.tile(len(losses)), grads, staged, idx, losses)
-                           or _diverged(params, grads, (inputs, y1[idx], y2[idx]), losses,
-                                        names, epoch))
+                    batch = (inputs, y1[idx], y2[idx])
+                    raise (_input_fault(initial.tile(len(losses)), grads, batch, idx, where, losses)
+                           or _diverged(params, grads, batch, losses, names, epoch))
                 loss_sum += loss * idx.shape[0]
                 velocity *= config.momentum
                 grads.vector[...] *= config.learning_rate   # in place: no (K, P) temporary

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierfish import data as D
 from hierfish import model as M
@@ -12,6 +15,7 @@ from hierfish.errors import (
     InconsistentLabels,
     InfeasibleConfig,
     MalformedRecord,
+    NonFiniteInput,
     SpeciesTooSmall,
 )
 from hierfish.taxonomy import Taxonomy, default_taxonomy
@@ -149,6 +153,57 @@ class TestTrackBlock:
         assert len(track) == 0 and track.frames == []
         with pytest.raises(EmptyTrack):
             track.model_input()
+
+
+# the cells a draw of `test_value_rule_matches_loop_oracle` sets: not
+# finite, beyond the bound, or exactly on it
+RULE_CELLS = [np.nan, np.inf, -np.inf, 2e150, -2e150, D.MAX_FEATURE, -D.MAX_FEATURE]
+
+
+def _value_rule_oracle(track, mode):
+    """The message `Track.blocks` must raise for `track`'s values, or None:
+    cell by cell, the first row of the first field with a bad value."""
+    for attr in D.VECTOR_FIELDS[mode]:
+        for k, row in zip(track.frame_index, getattr(track, attr).tolist()):
+            where = f"track {track.track_id!r} frame {k}: "
+            if not all(math.isfinite(v) for v in row):
+                return where + f"non-finite values in {attr}"
+            peak = max(abs(v) for v in row)
+            if peak > D.MAX_FEATURE:
+                return where + f"input values up to |{peak:g}| exceed 1e+150; rescale the features"
+    return None
+
+
+@given(data=st.data(), mode=st.sampled_from([M.MODE_TRUNK, M.MODE_PRECOMPUTED]),
+       T=st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_value_rule_matches_loop_oracle(data, mode, T):
+    """`Track.blocks` refuses a block iff a loop finds a non-finite value
+    or one beyond ±MAX_FEATURE, naming the loop's field, first row and
+    message, with numpy warnings as errors."""
+    blocks = {}
+    for attr in D.VECTOR_FIELDS[mode]:
+        width = data.draw(st.integers(1, 3), label=f"{attr} width")
+        values = data.draw(st.lists(st.floats(-10, 10), min_size=T * width,
+                                    max_size=T * width), label=attr)
+        block = np.array(values).reshape(T, width)
+        cells = st.tuples(st.integers(0, T - 1), st.integers(0, width - 1),
+                          st.sampled_from(RULE_CELLS))
+        for j, c, value in data.draw(st.lists(cells, max_size=3), label=f"{attr} cells"):
+            block[j, c] = value
+        blocks[attr] = block
+    frame_index = sorted(data.draw(st.sets(st.integers(0, 40), min_size=T, max_size=T)))
+    track = D.Track("t7", "X", "x1", frame_index, **blocks)
+    want = _value_rule_oracle(track, mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            got = track.blocks(mode)
+            assert all(b is blocks[attr] for b, attr in zip(got, D.VECTOR_FIELDS[mode]))
+        else:
+            with pytest.raises(NonFiniteInput) as err:
+                track.blocks(mode)
+            assert str(err.value) == want
 
 
 class TestSplit:

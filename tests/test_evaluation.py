@@ -278,12 +278,18 @@ def test_malformed_block_is_refused_as_train_refuses_it(toy_taxonomy, reader, ca
 
 @pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("attr", ["features", "shallow", "deep"])
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-def test_non_finite_input_is_named_as_train_names_it(toy_taxonomy, reader, attr, value):
-    """A NaN or inf in a frame is the input's fault, not the checkpoint's:
-    every scorer raises `train`'s type and message, with numpy warnings
-    as errors, also where the network would not carry it to an output
-    (`evaluate_flat` never reads `shallow`; a ReLU can zero an inf)."""
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "non-finite values in {attr}"), (np.inf, "non-finite values in {attr}"),
+    (1e300, "input values up to |1e+300| exceed 1e+150; rescale the features"),
+    (-1e300, "input values up to |1e+300| exceed 1e+150; rescale the features")],
+    ids=["nan", "inf", "1e300", "-1e300"])
+def test_non_finite_input_is_named_as_train_names_it(toy_taxonomy, reader, attr, value,
+                                                      message):
+    """A NaN, an inf or a value beyond MAX_FEATURE in a frame is the
+    input's fault, not the checkpoint's: every scorer raises `train`'s
+    type and message, with numpy warnings as errors, also where the
+    network would not carry it to an output (`evaluate_flat` never reads
+    `shallow`; a ReLU can zero an inf)."""
     mode = M.MODE_TRUNK if attr == "features" else M.MODE_PRECOMPUTED
     params, tracks = _split(toy_taxonomy, mode, seed=5, frames_max=4)
     track = next(t for t in tracks[7:] if len(t) > 1)
@@ -292,7 +298,7 @@ def test_non_finite_input_is_named_as_train_names_it(toy_taxonomy, reader, attr,
     with pytest.raises(NonFiniteInput) as trained:
         TR.train(TR.TrainConfig(epochs=1, d1=5, hidden=4, d2=4), ds, toy_taxonomy)
     assert str(trained.value) == (f"track {track.track_id!r} frame {track.frame_index[1]}: "
-                                  f"non-finite values in {attr}")
+                                  + message.format(attr=attr))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteInput) as scored:

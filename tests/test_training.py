@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from hierfish import data as D
+from hierfish import inference as I
 from hierfish import model as M
 from hierfish import training as T
 from hierfish.errors import (
     DimensionMismatch,
     DivergedTraining,
     EmptyDataset,
+    EmptyTrack,
     HierfishError,
     InconsistentLabels,
     InfeasibleConfig,
@@ -233,24 +235,11 @@ class TestTrain:
             T.train(cfg, ds, toy_taxonomy, ["scheme2", "scheme1"])
 
     @pytest.mark.parametrize("schemes", [None, ["scheme1", "baseline", "scheme3"]])
-    def test_input_overflow_is_an_input_fault(self, toy_taxonomy, schemes):
-        """A finite but huge feature overflows the untrained network; at
-        any step size that is the input's fault, not divergence."""
-        ds = _tiny_dataset(toy_taxonomy)
-        track = ds.tracks[3]
-        track.features[1] = 1e300
-        cfg = T.TrainConfig(epochs=1, seed=0, learning_rate=1e-9, d1=4, hidden=4, d2=3)
-        with pytest.raises(NonFiniteInput,
-                           match=rf"^track {track.track_id!r} frame 1: input values up to "
-                                 r"\|1e\+300\| overflow the network at its initial weights"):
-            T.train(cfg, ds, toy_taxonomy, schemes)
-
-    @pytest.mark.parametrize("schemes", [None, ["scheme1", "baseline", "scheme3"]])
     def test_input_overflow_below_bound_is_found_mid_training(self, toy_taxonomy, schemes):
-        """A frame of 1e10 passes the MAX_FEATURE check before the first
-        step, but the network's loss on it is not finite; the step whose
-        batch holds it fails at the initial weights too, so the error
-        blames that frame, not the learning rate."""
+        """A frame of 1e10 is within MAX_FEATURE, but the network's loss on
+        it is not finite; the step whose batch holds it fails at the
+        initial weights too, so the error blames that frame, not the
+        learning rate."""
         ds = _tiny_dataset(toy_taxonomy)
         track = ds.tracks[3]
         track.features[1] = 1e10
@@ -263,13 +252,16 @@ class TestTrain:
 
     @pytest.mark.parametrize("data, attr, column, value", [
         ("features", "features", 0, 1e300), ("features", "features", 2, -1e300),
-        ("precomputed", "shallow", 3, -1e300), ("precomputed", "deep", 0, 1e300)])
+        ("precomputed", "shallow", 3, -1e300), ("precomputed", "deep", 0, 1e300),
+        pytest.param("features", "features", slice(None), 1e300,
+                     id="row-1e+300")])
     @pytest.mark.parametrize("schemes", [None, ["scheme1", "baseline", "scheme3"]])
     def test_value_beyond_bound_is_an_input_fault(self, toy_taxonomy, data, attr, column,
                                                   value, schemes):
-        """A finite value beyond MAX_FEATURE on which the untrained
-        network saturates, rather than overflows, would train to a finite
-        loss; it is refused before the first step."""
+        """A finite value beyond MAX_FEATURE is refused before the first
+        step, by the bound: the untrained network overflows on a whole
+        row of 1e300, and it saturates on one cell, which would train to
+        a finite loss."""
         ds = _dataset(toy_taxonomy, data)
         track = ds.tracks[2]
         getattr(track, attr)[0, column] = value
@@ -342,6 +334,35 @@ class TestTrain:
         with pytest.raises(NonFiniteInput, match=r"^track 't00000' frame 1: "
                                                  "non-finite values in deep$"):
             T.train(cfg, ds, toy_taxonomy, schemes)
+
+    @pytest.mark.parametrize("schemes", [None, ["scheme1", "baseline", "scheme3"]])
+    def test_first_track_beyond_the_bound_is_named(self, toy_taxonomy, schemes):
+        """Values beyond MAX_FEATURE in two tracks: the first track's is
+        named, not the larger value of the later track."""
+        ds = _tiny_dataset(toy_taxonomy)
+        ds.tracks[2].features[1, 0] = 1e200
+        ds.tracks[5].features[0, 3] = -1e300
+        cfg = T.TrainConfig(epochs=1, seed=0, d1=4, hidden=4, d2=3)
+        with pytest.raises(NonFiniteInput, match=r"^track 't00002' frame 1: input values up to "
+                                                 r"\|1e\+200\| exceed 1e\+150; "
+                                                 r"rescale the features$"):
+            T.train(cfg, ds, toy_taxonomy, schemes)
+
+    @pytest.mark.parametrize("schemes", [None, ["scheme1", "baseline", "scheme3"]])
+    def test_empty_track_is_refused_as_scoring_refuses_it(self, toy_taxonomy, schemes):
+        """A track of no frames is an error for `train`, not a track it
+        skips, with the error every scorer raises for it."""
+        ds = _tiny_dataset(toy_taxonomy)
+        track = ds.tracks[4]
+        track.frame_index, track.features = [], track.features[:0]
+        cfg = T.TrainConfig(epochs=1, seed=0, d1=4, hidden=4, d2=3)
+        with pytest.raises(EmptyTrack) as trained:
+            T.train(cfg, ds, toy_taxonomy, schemes)
+        assert str(trained.value) == f"track {track.track_id!r} has no frames"
+        params = M.init_params(toy_taxonomy, d_in=6, d1=4, hidden=4, d2=3, seed=0)
+        with pytest.raises(EmptyTrack) as scored:
+            I.score_split(params, ds.tracks, toy_taxonomy)
+        assert str(scored.value) == str(trained.value)
 
     @pytest.mark.parametrize("data, mode", [
         ("precomputed", M.MODE_TRUNK),
