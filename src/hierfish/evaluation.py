@@ -22,8 +22,7 @@ import numpy as np
 
 from . import data as D
 from .errors import EmptyEvalSet
-from .inference import (UnitRows, best_threshold, check_threshold, score_split, stacked_forward,
-                        track_chunks)
+from .inference import UnitRows, best_threshold, check_threshold, score_split, stacked_forward
 # not called here: perfbench's tracer wraps these names on this module too
 from .inference import aggregate_avg, aggregate_vote, score_track  # noqa: F401
 from .model import ModelParams, forward_flat
@@ -119,14 +118,16 @@ def evaluate_flat(params: ModelParams, eval_split: D.Dataset,
                   taxonomy: Taxonomy) -> EvalReport:
     """Flat-classifier baseline: image-unit species accuracy only. Like
     `score_split`, it checks every track's labels before scoring any,
-    then scores the tracks in the same chunks, one `forward_flat` each."""
+    then scores the tracks in the same batches, one `forward_flat` each,
+    and writes each frame's prediction at its place in split order."""
     tracks = eval_split.tracks
     if len(tracks) == 0:
         raise EmptyEvalSet("evaluation split has no tracks")
-    truth = np.repeat([y2 for _, y2 in D.check_labels(eval_split, taxonomy)],
-                      [len(t) for t in tracks])
-    preds = np.concatenate([stacked_forward(forward_flat, params, chunk).argmax(axis=-1)
-                            for chunk in track_chunks(tracks)])
+    lengths = np.array([len(t) for t in tracks], dtype=np.intp)
+    truth = np.repeat([y2 for _, y2 in D.check_labels(eval_split, taxonomy)], lengths)
+    preds, starts = np.empty(len(truth), np.intp), np.cumsum(lengths) - lengths
+    for idx, probs in stacked_forward(forward_flat, params, tracks):
+        preds[starts[idx, None] + np.arange(probs.shape[1])] = probs.argmax(axis=-1)
     unit = UnitReport(unit="image", n_units=len(preds),
                       level2b_acc=float(100.0 * np.mean(preds == truth)),
                       per_species_precision_2b=_precision(preds, truth, taxonomy.species_names))

@@ -12,33 +12,36 @@ prediction when the fine-level score is too low.
 
 `score_split` is the one loop over a split's tracks. It first resolves
 every track's labels through `data.check_labels`, the one label rule
-training also keeps. It then scores consecutive tracks in chunks of at
-most `CHUNK_FRAMES` frames: one segmented forward a chunk (one GEMM per
-track and layer, everything else once over the chunk's rows; see
-`model`), bit-identical to scoring each track alone. Each chunk is
+training also keeps. It then scores the tracks in batches of one length
+(`track_batches`), each stacked on a leading track axis into one forward
+(one matmul call per layer, which numpy runs as one GEMM per track; see
+`model`), bit-identical to scoring each track alone. Each batch is
 reduced at once to one row per frame (image unit) or per track (video
-units), so a split's raw scores are never held. The threshold search,
-the metric suite and `hierfish infer` all read these `UnitRows`.
+units), written at the track's own place in split order, so a split's
+raw scores are never held. The threshold search, the metric suite and
+`hierfish infer` all read these `UnitRows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from . import data as D
-from .errors import EmptyEvalSet, EmptyTrack, InvalidThreshold
+from .errors import EmptyEvalSet, EmptyTrack, InvalidThreshold, MalformedDocument
 from .model import FineLocal, HeadOutputs, ModelParams, forward
 from .taxonomy import Taxonomy
 
 UNITS = ("image", "video_avg", "video_vote")
 # the most frames `score_split` and `evaluation.evaluate_flat` score in one
-# forward, unless one track alone has more. On a 24 x 5 split of ~590
-# tracks of 4-12 frames, a `score_split` took as long at 128 frames as at
-# 256 and longer at 32 and 1024; its traced allocations peaked at 1.3 MB
-# (0.4 MB track by track, 2.1 MB at 256), and the benchmark's peak_rss_mb
-# stayed within its run-to-run noise (about 1 MB) of per-track scoring
+# batch, unless one track alone has more. A `score_split` of every unit,
+# median ms and traced allocation peak at 32 / 64 / 128 / 256 frames, one
+# thread: 106 / 85 / 79 / 78 ms and 0.63 / 0.87 / 1.29 / 2.14 MB on a
+# 24 x 5 split of 587 tracks of 4-12 frames; 31 / 21 / 19 / 17 ms and
+# 0.22 / 0.30 / 0.45 / 0.66 MB on a 6 x 31 split of 116 tracks of 8-24.
+# 256 is at most 8% faster for half again the peak
 CHUNK_FRAMES = 128
 
 
@@ -74,42 +77,36 @@ def score_track(params: ModelParams, track) -> TrackScores:
     return TrackScores(frames=forward(params, track.model_input()))
 
 
-def track_chunks(tracks):
-    """`tracks` as consecutive lists of at most CHUNK_FRAMES frames in
-    all; a longer track is a list of its own."""
-    chunk, frames = [], 0
-    for track in tracks:
-        if chunk and frames + len(track) > CHUNK_FRAMES:
-            yield chunk
-            chunk, frames = [], 0
-        chunk.append(track)
-        frames += len(track)
-    if chunk:
-        yield chunk
+def track_batches(tracks):
+    """Index arrays into `tracks`, each of tracks of one length, in
+    ascending length (split order among equals); a batch holds at most
+    CHUNK_FRAMES frames, and a longer track is a batch of its own."""
+    lengths = [len(t) for t in tracks]
+    order = sorted(range(len(tracks)), key=lengths.__getitem__)
+    for T, same in groupby(order, key=lengths.__getitem__):
+        same, n = np.array(list(same)), max(CHUNK_FRAMES // max(T, 1), 1)
+        for a in range(0, len(same), n):
+            yield same[a:a + n]
 
 
 def stacked_forward(fn, params: ModelParams, tracks):
-    """`fn(params, x, segments)`, `fn` being `model.forward` or
-    `model.forward_flat`, over the blocks of `tracks` stacked into one
-    input x, one segment per track: row for row the outputs of `fn` on
-    each track alone. If it raises, the tracks are scored one by one, so
-    the error is the one the first failing track raises alone."""
-    ends = np.cumsum([len(t) for t in tracks]).tolist()
+    """(indices, `fn(params, x)`) of each batch of `track_batches`, `fn`
+    being `model.forward` or `model.forward_flat` and x the batch's
+    blocks stacked on a leading track axis, (n, T, ·): item j of the
+    outputs is, bit for bit, `fn` on track `indices[j]` alone. If a
+    batch raises, every track is scored alone, in split order, and the
+    error re-raised, so it is the one the first failing track raises
+    alone, even if that track's batch comes later."""
     try:
-        blocks = [t.model_input() for t in tracks]
-        x = (tuple(map(np.concatenate, zip(*blocks))) if isinstance(blocks[0], tuple)
-             else np.concatenate(blocks))
-        return fn(params, x, list(zip([0] + ends[:-1], ends)))
+        for idx in track_batches(tracks):
+            blocks = [tracks[k].model_input() for k in idx]
+            x = (tuple(map(np.stack, zip(*blocks))) if isinstance(blocks[0], tuple)
+                 else np.stack(blocks))
+            yield idx, fn(params, x)
     except Exception:   # whatever it is, the one-by-one pass picks the error raised
         for track in tracks:
             fn(params, track.model_input())
         raise
-
-
-def score_chunk(params: ModelParams, tracks) -> HeadOutputs:
-    """Head outputs of every frame of `tracks`, in order, on one leading
-    axis; rows a:b of a track are its `score_track` frames, bit for bit."""
-    return stacked_forward(forward, params, tracks)
 
 
 @dataclass
@@ -256,7 +253,8 @@ class UnitRows:
                    conf=np.empty(n, f))
 
     def put(self, at, coarse, coarse_conf, level2a, fine, conf) -> None:
-        """Write one reduction's selections at `at`, an index or a slice."""
+        """Write one reduction's selections at `at`, an index, a slice or
+        an index array shaped as the selections."""
         self.coarse[at], self.coarse_conf[at], self.level2a[at] = coarse, coarse_conf, level2a
         self.fine[at], self.conf[at] = fine, conf
 
@@ -273,36 +271,35 @@ class UnitRows:
 def score_split(params: ModelParams, tracks, taxonomy: Taxonomy,
                 units=UNITS) -> dict[str, UnitRows]:
     """The rows of each unit in `units` over `tracks`, in order. Every
-    track's labels are checked before any track is scored; then each
-    chunk of tracks (`track_chunks`) is scored in one `score_chunk` and
-    reduced to rows before the next is scored: `select_image` once over
-    the chunk's frames, each video aggregate once per track on views of
-    the chunk's arrays."""
+    unit's name and every track's labels are checked before any track is
+    scored; then each batch of `stacked_forward` is reduced to rows
+    before the next is scored: `select_image` once over the batch's
+    frames, each video aggregate once per track on views of the batch's
+    arrays."""
+    for unit in units:
+        if unit not in UNITS:
+            raise MalformedDocument(f"unknown unit {unit!r}")
     tracks = list(tracks)
     labels = np.array(D.check_labels(D.Dataset(tracks), taxonomy), dtype=np.intp).reshape(-1, 2)
-    lengths = [len(t) for t in tracks]
+    lengths = np.array([len(t) for t in tracks], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths   # each track's first image row
     tables = {u: UnitRows.empty(sum(lengths) if u == "image" else len(tracks)) for u in units}
     for unit, rows in tables.items():
         rows.y1[:], rows.y2[:] = (labels if unit != "image"
                                   else np.repeat(labels, lengths, axis=0)).T
     video = [(rows, aggregate_avg if unit == "video_avg" else aggregate_vote)
              for unit, rows in tables.items() if unit != "image"]
-    k = start = 0   # the next track's video row, the chunk's first image row
-    for chunk in track_chunks(tracks):
-        out = score_chunk(params, chunk)
-        ends = np.cumsum([len(t) for t in chunk]).tolist()
+    for idx, out in stacked_forward(forward, params, tracks):
         if "image" in tables:
-            s, at = select_image(out, taxonomy), slice(start, start + ends[-1])
+            s, at = select_image(out, taxonomy), starts[idx, None] + np.arange(out.joint.shape[1])
             tables["image"].put(at, s.coarse_group, s.coarse_confidence, s.level2a, s.level2b,
                                 s.level2b_confidence)
-        for a, b in zip([0] + ends[:-1], ends):
-            track = TrackScores(frames=out.rows(a, b))
+        for j, k in enumerate(idx.tolist()):
+            track = TrackScores(frames=out[j])
             for rows, aggregate in video:
                 r = aggregate(track, taxonomy)
                 rows.put(k, r.coarse_selection, r.coarse_confidence, r.level2a, r.selection,
                          r.confidence)
-            k += 1
-        start += ends[-1]
     return tables
 
 

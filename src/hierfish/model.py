@@ -10,13 +10,11 @@ The fine heads' cost grows with the number of groups, so consecutive
 heads of equal size run together: one stacked GEMM and one sum per run,
 bit-identical to one per head (see `heads_forward`).
 
-Every forward function also takes `segments`, row ranges that cover a
-batch of stacked tracks: each GEMM then runs once per segment, on those
-rows only, while every bias add, ReLU, finiteness check and softmax step
-runs once over all rows. A segment's GEMM is the one its rows get alone
-(same operands, same M) and the row-wise steps do not mix rows, so each
-segment's outputs are bit-identical to a forward of its rows alone.
-Without segments, as in training, each GEMM is one call.
+The forward functions take any leading axes: in training, K stacked
+models (`ModelParams.tile`); in scoring, n stacked tracks of one length.
+numpy runs a stacked matmul as one 2-D GEMM per leading index, and no
+step mixes rows, so each model's or track's outputs are bit-identical to
+a forward of it alone.
 """
 
 from __future__ import annotations
@@ -209,7 +207,8 @@ class FineLocal(Sequence):
 
 @dataclass
 class HeadOutputs:
-    """One example's head probabilities; a batch adds a leading axis.
+    """One example's head probabilities; a batch adds a leading axis, a
+    stack of batches one more.
     `fine_local` may be given as a list of per-group arrays: it is kept
     as the `FineLocal` of their concatenation."""
     coarse: np.ndarray              # (G,) probability vector
@@ -222,11 +221,11 @@ class HeadOutputs:
             self.fine_local = FineLocal(np.concatenate(self.fine_local, axis=-1),
                                         list(zip([0] + ends[:-1], ends)))
 
-    def rows(self, a: int, b: int) -> "HeadOutputs":
-        """Rows a..b-1 of a batch, as views."""
+    def __getitem__(self, key) -> "HeadOutputs":
+        """Item or slice `key` of the leading axis, as views."""
         fine = self.fine_local
-        return HeadOutputs(self.coarse[a:b], FineLocal(fine.fine[a:b], fine.spans),
-                           self.joint[a:b])
+        return HeadOutputs(self.coarse[key], FineLocal(fine.fine[key], fine.spans),
+                           self.joint[key])
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -301,40 +300,27 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NonFiniteActivation(f"non-finite values in {name}")
 
 
-def _gemm(A: np.ndarray, W: np.ndarray, segments=None, out=None) -> np.ndarray:
-    """`A @ W`, into `out` if given. With `segments`, row ranges (a, b)
-    over axis -2 that cover A, one product per range: rows a:b of A into
-    rows a:b of the result, the GEMM those rows get alone."""
-    if segments is None:
-        return A @ W if out is None else np.matmul(A, W, out=out)
-    if out is None:
-        out = np.empty(A.shape[:-1] + W.shape[-1:])
-    for a, b in segments:
-        np.matmul(A[..., a:b, :], W, out=out[..., a:b, :])
-    return out
-
-
-def trunk_features(params: ModelParams, X: np.ndarray, segments=None):
+def trunk_features(params: ModelParams, X: np.ndarray):
     """Batched trunk pass. Returns (z1, shallow, z2, deep)."""
     if X.shape[-1] != params.d_in:
         raise DimensionMismatch(
             f"input dim {X.shape[-1]} != model d_in {params.d_in}"
         )
-    z1 = _gemm(X, params.W1, segments) + params.b1
+    z1 = X @ params.W1 + params.b1
     A1 = np.maximum(z1, 0.0)
-    z2 = _gemm(A1, params.W2, segments) + params.b2
+    z2 = A1 @ params.W2 + params.b2
     A2 = np.maximum(z2, 0.0)
     _check_finite("trunk", z2)
     return z1, A1, z2, A2
 
 
-def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray, segments=None):
+def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
     """Hierarchical heads. Returns (cache, coarse, fine, joint).
 
     shallow: (B, d1), deep: (B, d2); probabilities are (B, G), (B, S)
     and (B, S), where `fine` holds every group's local distribution in
     its columns `params.fine_spans[g]`. Without the batch axis, one
-    example. `segments` splits every GEMM by rows (module docstring).
+    example; with more leading axes, a stack (module docstring).
 
     The fine heads run as one segmented softmax over a single (B, S)
     array. Consecutive heads of equal size form a run
@@ -353,9 +339,9 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray, se
             f"feature dims ({shallow.shape[-1]}, {deep.shape[-1]}) != "
             f"model ({params.d1}, {params.d2})"
         )
-    zc1 = _gemm(shallow, params.Wc1, segments) + params.bc1
+    zc1 = shallow @ params.Wc1 + params.bc1
     Hc = np.maximum(zc1, 0.0)
-    zc2 = _gemm(Hc, params.Wc2, segments) + params.bc2
+    zc2 = Hc @ params.Wc2 + params.bc2
     _check_finite("coarse head", zc2)
     coarse = _softmax(zc2)
     spans, group, runs = params.fine_spans, params.fine_group, params.fine_runs
@@ -366,7 +352,7 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray, se
     rows, lead = rows[..., None, :, :], cols.shape[:-1]
     for g, h, a, b, W in runs:
         block = cols[..., a:b].reshape(lead + (h - g, W.shape[-1]))
-        _gemm(rows, W, segments, out=block.swapaxes(-2, -3))
+        np.matmul(rows, W, out=block.swapaxes(-2, -3))
     fine += params.fine_bias
     if not np.isfinite(fine).all():
         g = next(g for g, (a, b) in enumerate(spans) if not np.isfinite(fine[..., a:b]).all())
@@ -382,27 +368,27 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray, se
     return cache, coarse, fine, coarse[..., group] * fine
 
 
-def flat_forward(params: ModelParams, deep: np.ndarray, segments=None):
+def flat_forward(params: ModelParams, deep: np.ndarray):
     """Flat baseline head. Returns (cache, probs (B, S)); (S,) for one
-    example. `segments` splits every GEMM by rows (module docstring)."""
+    example."""
     if deep.shape[-1] != params.d2:
         raise DimensionMismatch(
             f"deep dim {deep.shape[-1]} != model d2 {params.d2}"
         )
-    zl1 = _gemm(deep, params.Wl1, segments) + params.bl1
+    zl1 = deep @ params.Wl1 + params.bl1
     Hl = np.maximum(zl1, 0.0)
-    zl2 = _gemm(Hl, params.Wl2, segments) + params.bl2
+    zl2 = Hl @ params.Wl2 + params.bl2
     _check_finite("flat head", zl2)
     return {"zl1": zl1, "Hl": Hl}, _softmax(zl2)
 
 
-def _resolve_features(params: ModelParams, x, segments=None):
+def _resolve_features(params: ModelParams, x):
     """Map raw input or a (shallow, deep) pair to trunk outputs per mode."""
     if params.mode == MODE_TRUNK:
         if isinstance(x, tuple):
             raise DimensionMismatch("trunk mode expects raw feature input")
         x = np.asarray(x, dtype=np.float64)
-        _, shallow, _, deep = trunk_features(params, x, segments)
+        _, shallow, _, deep = trunk_features(params, x)
     else:
         if not (isinstance(x, tuple) and len(x) == 2):
             raise DimensionMismatch("precomputed mode expects a (shallow, deep) pair")
@@ -411,25 +397,25 @@ def _resolve_features(params: ModelParams, x, segments=None):
     return shallow, deep
 
 
-def forward(params: ModelParams, x, segments=None) -> HeadOutputs:
+def forward(params: ModelParams, x) -> HeadOutputs:
     """Hierarchical forward pass over one example or a batch.
 
     `x` is raw features, (d_in,) or (B, d_in), in trunk mode, or a
     (shallow, deep) pair of (d1,)/(d2,) vectors or (B, d1)/(B, d2)
-    batches in precomputed mode. The outputs keep the batch axis. With
-    `segments`, row ranges (a, b) that cover a batch, rows a:b of each
-    output are bit-identical to a forward of rows a:b of `x` alone.
+    batches in precomputed mode. The outputs keep the batch axis, and
+    any axes before it: item j of an (n, T, ·) stack is bit-identical
+    to a forward of `x[j]` alone.
     """
-    shallow, deep = _resolve_features(params, x, segments)
-    _, coarse, fine, joint = heads_forward(params, shallow, deep, segments)
+    shallow, deep = _resolve_features(params, x)
+    _, coarse, fine, joint = heads_forward(params, shallow, deep)
     return HeadOutputs(coarse=coarse, fine_local=FineLocal(fine, params.fine_spans), joint=joint)
 
 
-def forward_flat(params: ModelParams, x, segments=None) -> np.ndarray:
-    """Flat baseline pass over one example or a batch (as in `forward`,
-    `segments` too); probabilities over all species."""
-    _, deep = _resolve_features(params, x, segments)
-    return flat_forward(params, deep, segments)[1]
+def forward_flat(params: ModelParams, x) -> np.ndarray:
+    """Flat baseline pass over one example, a batch or a stack (as in
+    `forward`); probabilities over all species."""
+    _, deep = _resolve_features(params, x)
+    return flat_forward(params, deep)[1]
 
 
 def save_checkpoint(params: ModelParams, taxonomy: Taxonomy, path: str) -> None:

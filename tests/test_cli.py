@@ -229,13 +229,14 @@ class TestAblation:
         split per distinct hierarchical loss (scheme2 reuses scheme3's)."""
         ws = workspace
         scored = []
-        score_chunk = I.score_chunk
+        stacked_forward = I.stacked_forward
 
-        def counted(params, tracks):
-            scored.extend(track.track_id for track in tracks)
-            return score_chunk(params, tracks)
+        def counted(fn, params, tracks):
+            for idx, out in stacked_forward(fn, params, tracks):
+                scored.extend(tracks[k].track_id for k in idx)
+                yield idx, out
 
-        monkeypatch.setattr(I, "score_chunk", counted)   # the one attribute its callers resolve
+        monkeypatch.setattr(I, "stacked_forward", counted)   # the one name score_split resolves
         assert run(["ablation", "--config", ws / "config.json",
                     "--taxonomy", ws / "taxonomy.json", "--seed", 11, "--out", ws / "run"]) == 0
         with open(ws / "run" / "scheme3" / "report.json") as f:

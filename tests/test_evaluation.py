@@ -44,16 +44,13 @@ def _oracle_scores(taxonomy, track, y1, y2):
     return I.TrackScores(frames=[out for _ in track.frames])
 
 
-def _chunk_scorer(score_track):
-    """A stand-in for `inference.score_chunk` built from a per-track scorer:
-    the tracks' frames, in order, on one axis."""
-    def score_chunk(params, tracks):
-        outs = [score_track(params, track).frames for track in tracks]
-        return M.HeadOutputs(
-            coarse=np.concatenate([out.coarse for out in outs]),
-            fine_local=[np.concatenate(f) for f in zip(*(out.fine_local for out in outs))],
-            joint=np.concatenate([out.joint for out in outs]))
-    return score_chunk
+def _batch_scorer(score_track):
+    """A stand-in for `inference.stacked_forward` built from a per-track
+    scorer: each track a batch of its own, in split order."""
+    def stacked_forward(fn, params, tracks):
+        for k, track in enumerate(tracks):
+            yield np.array([k]), score_track(params, track).frames[None]
+    return stacked_forward
 
 
 class TestEvaluate:
@@ -65,7 +62,7 @@ class TestEvaluate:
             y2 = toy_taxonomy.species_index(track.species)
             return _oracle_scores(toy_taxonomy, track, y1, y2)
 
-        monkeypatch.setattr(I, "score_chunk", _chunk_scorer(fake_score))
+        monkeypatch.setattr(I, "stacked_forward", _batch_scorer(fake_score))
         report = E.evaluate(None, ds, toy_taxonomy, tau=0.5)
         for unit in report.units.values():
             assert unit.level1_acc == 100.0
@@ -82,7 +79,7 @@ class TestEvaluate:
             out = make_outputs([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
             return I.TrackScores(frames=[out for _ in track.frames])
 
-        monkeypatch.setattr(I, "score_chunk", _chunk_scorer(fake_score))
+        monkeypatch.setattr(I, "stacked_forward", _batch_scorer(fake_score))
         report = E.evaluate(None, ds, tax, tau=0.0)
         for unit in report.units.values():
             # every prediction is index 0 by the tie-break rule
@@ -214,7 +211,7 @@ def test_track_outside_its_species_group_is_refused(toy_taxonomy, monkeypatch, s
     track = ds.tracks[-1]
     track.group = next(g for g in toy_taxonomy.groups if g != track.group)
     scored = []
-    monkeypatch.setattr(I, "score_chunk", lambda *args: scored.append(args))
+    monkeypatch.setattr(I, "stacked_forward", lambda *args: scored.append(args))
     monkeypatch.setattr(E, "forward_flat", lambda *args: scored.append(args))
     with pytest.raises(InconsistentLabels,
                        match=rf"^track {track.track_id!r}: species {track.species!r} "
@@ -338,20 +335,25 @@ class TestFlatBaseline:
     @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
     @pytest.mark.parametrize("taxonomy", SPLIT_TAXONOMIES.values(), ids=SPLIT_TAXONOMIES)
     def test_chunks_score_as_each_track_alone(self, taxonomy, mode, monkeypatch):
-        """The chunked flat forwards are, byte for byte, `forward_flat` of
-        each track alone, and the report is that of those predictions."""
+        """The batched flat forwards are, byte for byte, `forward_flat` of
+        each track alone, and the report is that of those predictions, in
+        split order."""
         params, tracks = _split(taxonomy, mode, seed=4)
         scored, stacked_forward = [], I.stacked_forward
 
-        def recorded(fn, params, chunk):
-            scored.append(stacked_forward(fn, params, chunk))
-            return scored[-1]
+        def recorded(fn, params, tracks):
+            for idx, probs in stacked_forward(fn, params, tracks):
+                scored.extend(zip(idx.tolist(), probs))
+                yield idx, probs
 
         monkeypatch.setattr(E, "stacked_forward", recorded)
         report = E.evaluate_flat(params, D.Dataset(tracks, mode), taxonomy)
-        want = np.concatenate([M.forward_flat(params, t.model_input()) for t in tracks])
-        assert len(scored) > 1 and np.concatenate(scored).tobytes() == want.tobytes()
-        preds = want.argmax(axis=-1)
+        alone = [M.forward_flat(params, t.model_input()) for t in tracks]
+        assert sorted(k for k, _ in scored) == list(range(len(tracks)))
+        assert len({len(probs) for _, probs in scored}) > 1
+        for k, probs in scored:
+            assert probs.tobytes() == alone[k].tobytes()
+        preds = np.concatenate(alone).argmax(axis=-1)
         truth = np.repeat([taxonomy.species_index(t.species) for t in tracks],
                           [len(t) for t in tracks])
         unit = report.units["image"]

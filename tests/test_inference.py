@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hierfish import data as D
 from hierfish import inference as I
 from hierfish import model as M
-from hierfish.errors import EmptyEvalSet, EmptyTrack, InvalidThreshold
+from hierfish.errors import EmptyEvalSet, EmptyTrack, InvalidThreshold, MalformedDocument
 from hierfish.model import HeadOutputs
 from hierfish.taxonomy import Taxonomy, default_taxonomy
 
@@ -232,35 +232,43 @@ def _toy_eval_setup(taxonomy, n_tracks=20, seed=13):
     return params, ds.tracks[:n_tracks]
 
 
+def _track_of(params, tracks):
+    """The track whose `score_track` scores a `TrackScores` holds, found by
+    their bytes, so a fake aggregate needs no order of calls."""
+    by_bytes = {I.score_track(params, t).frames.joint.tobytes(): t for t in tracks}
+    assert len(by_bytes) == len(tracks)
+    return lambda ts: by_bytes[ts.frames.joint.tobytes()]
+
+
 class TestSearchThreshold:
     def test_all_correct_gives_zero(self, tiny_taxonomy, monkeypatch):
         params, tracks = _toy_eval_setup(tiny_taxonomy, n_tracks=4)
+        track_of = _track_of(params, tracks)
 
         def fake_avg(ts, taxonomy):
             # every track "correct" at fine level
-            track = fake_avg.queue.pop(0)
+            track = track_of(ts)
             y2 = taxonomy.species_index(track.species)
             y1 = taxonomy.group_index(track.group)
             return I.AvgAggregate(p1=None, p2=None, selection=y2, confidence=0.6,
                                   coarse_selection=y1, coarse_confidence=0.9,
                                   level2a=y2)
 
-        fake_avg.queue = list(tracks)
         monkeypatch.setattr(I, "aggregate_avg", fake_avg)
         assert I.search_threshold(params, tracks, tiny_taxonomy) == 0.0
 
     def test_all_fine_wrong_coarse_right_stops_everything(self, tiny_taxonomy, monkeypatch):
         params, tracks = _toy_eval_setup(tiny_taxonomy, n_tracks=4)
+        track_of = _track_of(params, tracks)
 
         def fake_avg(ts, taxonomy):
-            track = fake_avg.queue.pop(0)
+            track = track_of(ts)
             y2 = taxonomy.species_index(track.species)
             y1 = taxonomy.group_index(track.group)
             return I.AvgAggregate(p1=None, p2=None, selection=(y2 + 1) % taxonomy.S,
                                   confidence=0.6, coarse_selection=y1,
                                   coarse_confidence=0.9, level2a=y2)
 
-        fake_avg.queue = list(tracks)
         monkeypatch.setattr(I, "aggregate_avg", fake_avg)
         assert I.search_threshold(params, tracks, tiny_taxonomy) == 1.0 + I.STOP_ALL_EPS
 
@@ -527,40 +535,49 @@ class TestChunkedScoring:
             _assert_same_bytes(I.score_split(params, tracks, taxonomy, (unit,)),
                                {unit: want[unit]})
 
-    @pytest.mark.parametrize("lengths, chunks", [
-        ([1] * 12, [[1] * 10, [1, 1]]),               # one-frame tracks
-        ([3, 25, 2, 4], [[3], [25], [2, 4]]),         # a track longer than the budget
-        ([4, 6, 10, 5, 5], [[4, 6], [10], [5, 5]]),   # the split ends on a budget
-        ([11], [[11]]),
-    ], ids=["one-frame", "long-track", "ends-on-budget", "one-long-track"])
+    @pytest.mark.parametrize("lengths, batches", [
+        ([1] * 12, [list(range(10)), [10, 11]]),            # one-frame tracks, cut at the cap
+        ([3, 25, 2, 25], [[2], [0], [1], [3]]),             # a track beyond the cap is alone
+        ([4, 6, 10, 5, 5, 5], [[0], [3, 4], [5], [1], [2]]),   # a batch ends on the cap
+        ([11], [[0]]),
+        ([3, 1, 3, 2, 1, 3, 3, 2], [[1, 4], [3, 7], [0, 2, 5], [6]]),   # ascending length
+    ], ids=["one-frame", "long-track", "ends-on-budget", "one-long-track", "mixed-lengths"])
     @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
-    def test_chunk_edges(self, toy_taxonomy, monkeypatch, mode, lengths, chunks):
+    def test_batch_edges(self, toy_taxonomy, monkeypatch, mode, lengths, batches):
+        """Batches hold tracks of one length, in ascending length and
+        split order among equals, up to CHUNK_FRAMES frames; each unit's
+        rows still land in split order, as per-track scoring gives them."""
         monkeypatch.setattr(I, "CHUNK_FRAMES", 10)
         params, tracks = _split(toy_taxonomy, mode, seed=5, frames_max=30, lengths=lengths)
-        assert [[len(t) for t in chunk] for chunk in I.track_chunks(tracks)] == chunks
+        assert [idx.tolist() for idx in I.track_batches(tracks)] == batches
         _assert_same_bytes(I.score_split(params, tracks, toy_taxonomy),
                            _per_track_rows(params, tracks, toy_taxonomy))
 
     @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
     def test_score_chunk_rows_are_each_tracks_scores(self, six31, mode):
+        """Item j of each batch `stacked_forward` yields is the
+        `score_track` frames of track `indices[j]`, bit for bit, and the
+        batches cover every track once."""
         params, tracks = _split(six31, mode, seed=7)
-        chunk = next(I.track_chunks(tracks))
-        out, start = I.score_chunk(params, chunk), 0
-        for track in chunk:
-            want = I.score_track(params, track).frames
-            got = out.rows(start, start + len(track))
-            start += len(track)
-            for a, b in [(got.coarse, want.coarse), (got.joint, want.joint),
-                         *zip(got.fine_local, want.fine_local, strict=True)]:
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert start == out.coarse.shape[0]
+        seen = []
+        for idx, out in I.stacked_forward(M.forward, params, tracks):
+            assert len({len(tracks[k]) for k in idx}) == 1
+            for j, k in enumerate(idx.tolist()):
+                want, got = I.score_track(params, tracks[k]).frames, out[j]
+                for a, b in [(got.coarse, want.coarse), (got.joint, want.joint),
+                             *zip(got.fine_local, want.fine_local, strict=True)]:
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            seen.extend(idx.tolist())
+        assert sorted(seen) == list(range(len(tracks))) and seen != sorted(seen)
 
 
-def _faulty_split(taxonomy, order):
-    """Tracks of one chunk, some failing alone at different stages, in `order`:
-    'ok', 'fine' (finite trunk, fine head 0 overflows), 'trunk' (the trunk
-    overflows), 'empty' (no frames) and 'dim' (a feature too many)."""
-    params, tracks = _split(taxonomy, M.MODE_TRUNK, seed=9, lengths=[2] * len(order))
+def _faulty_split(taxonomy, order, lengths=None):
+    """Tracks of `lengths` frames (2 each by default), some failing alone
+    at different stages, in `order`: 'ok', 'fine' (finite trunk, fine head
+    0 overflows), 'trunk' (the trunk overflows), 'empty' (no frames) and
+    'dim' (a feature too many)."""
+    params, tracks = _split(taxonomy, M.MODE_TRUNK, seed=9,
+                            lengths=lengths or [2] * len(order))
     params.Wf[0][...] *= 1e200
     params.W1[0] *= 1e300   # only the trunk fault has a first feature
     for track, fault in zip(tracks, order):
@@ -585,15 +602,25 @@ def _first_error(params, tracks):
     raise AssertionError("no track fails alone")
 
 
-@pytest.mark.parametrize("order", [
-    ("ok", "fine", "trunk", "ok"), ("ok", "trunk", "fine"), ("fine", "empty"),
-    ("ok", "empty", "trunk"), ("fine", "dim", "ok"), ("dim", "fine"), ("empty", "dim"),
-], ids="-".join)
-def test_a_fault_in_a_chunk_is_the_first_tracks_own(toy_taxonomy, order):
-    """Tracks of one chunk that fail alone at different stages raise the
-    error the first of them raises alone, type and message."""
-    params, tracks = _faulty_split(toy_taxonomy, order)
-    assert len(list(I.track_chunks(tracks))) == 1
+@pytest.mark.parametrize("order, lengths", [
+    *[pytest.param(order, None, id="-".join(order)) for order in [
+        ("ok", "fine", "trunk", "ok"), ("ok", "trunk", "fine"), ("fine", "empty"),
+        ("ok", "empty", "trunk"), ("fine", "dim", "ok"), ("dim", "fine"), ("empty", "dim")]],
+    # tracks of several lengths: a later failing track's batch is scored first
+    pytest.param(("ok", "fine", "trunk"), [3, 4, 2], id="ok-fine-trunk-lengths"),
+    pytest.param(("fine", "ok", "dim"), [5, 2, 3], id="fine-ok-dim-lengths"),
+    pytest.param(("trunk", "ok", "fine"), [4, 4, 1], id="trunk-ok-fine-lengths"),
+])
+def test_a_fault_in_a_chunk_is_the_first_tracks_own(toy_taxonomy, order, lengths):
+    """Tracks that fail alone at different stages raise the error the
+    first of them raises alone, type and message, even when another
+    failing track's batch is scored before that track's."""
+    params, tracks = _faulty_split(toy_taxonomy, order, lengths)
+    if lengths is not None:
+        failing = [k for k, fault in enumerate(order) if fault != "ok"]
+        first_failing_batch = next(idx.tolist() for idx in I.track_batches(tracks)
+                                   if set(idx.tolist()) & set(failing))
+        assert failing[0] not in first_failing_batch
     want = _first_error(params, tracks)
     for fault, message in (("fine", "non-finite values in fine head 0"),
                            ("trunk", "non-finite values in trunk")):
@@ -601,3 +628,14 @@ def test_a_fault_in_a_chunk_is_the_first_tracks_own(toy_taxonomy, order):
             assert str(_first_error(params, [tracks[order.index(fault)]])) == message
     with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
         I.score_split(params, tracks, toy_taxonomy)
+
+
+def test_score_split_refuses_an_unknown_unit(toy_taxonomy, monkeypatch):
+    """An unknown unit name is refused before any track is scored."""
+    params, tracks = _split(toy_taxonomy, M.MODE_TRUNK, seed=3)
+    scored = []
+    monkeypatch.setattr(I, "stacked_forward", lambda *args: scored.append(args))
+    for units in [("video_average",), ("image", "video_average")]:
+        with pytest.raises(MalformedDocument, match=r"^unknown unit 'video_average'$"):
+            I.score_split(params, tracks, toy_taxonomy, units)
+    assert scored == []

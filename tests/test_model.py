@@ -246,6 +246,18 @@ class _Counted:
         return self.ufunc.reduce(*args, **kwargs)
 
 
+class _MatmulCounted(np.ndarray):
+    """Weights that count the matmul calls they take part in, `@` and
+    `np.matmul` alike; every other ufunc runs on them as plain arrays."""
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _MatmulCounted.calls += 1
+        plain = [x.view(np.ndarray) if isinstance(x, _MatmulCounted) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
 class TestSegmentedSoftmax:
     @pytest.mark.parametrize("taxonomy", [default_taxonomy(), _wide(24, 5),
                                           *RUN_TAXONOMIES.values()],
@@ -289,44 +301,49 @@ class TestSegmentedSoftmax:
     @pytest.mark.parametrize("taxonomy, runs", [(_wide(24, 5), 1), (default_taxonomy(), 5)],
                              ids=["24x5", "6x31"])
     def test_segments_split_only_the_gemms(self, taxonomy, runs, monkeypatch):
-        """With segments every GEMM runs once per segment, and the sums of
-        the softmaxes still once over all rows."""
+        """A stack of n tracks, (n, T, ·), costs one matmul call per layer,
+        `@` included, as one track does: every GEMM of the heads is one
+        call over all n tracks, and the softmaxes' sums one per run and one
+        for the coarse head."""
         p, shallow, deep = _random_heads(taxonomy, 0, 8)
-        segments = [(0, 3), (3, 4), (4, 8)]
-
-        matmul, add = _Counted(np.matmul), _Counted(np.add)
-        monkeypatch.setattr(np, "matmul", matmul)
+        p = M.ModelParams(p.mode, p.vector.view(_MatmulCounted), p._shapes)
+        add = _Counted(np.add)
         monkeypatch.setattr(np, "add", add)
-        M.heads_forward(p, shallow, deep, segments)
-        assert matmul.calls == (runs + 2) * len(segments)   # the coarse head's two too
+        monkeypatch.setattr(_MatmulCounted, "calls", 0)
+        M.heads_forward(p, shallow.reshape(4, 2, -1), deep.reshape(4, 2, -1))
+        assert _MatmulCounted.calls == runs + 2   # the coarse head's two too
         assert add.calls == runs + 1
+        _MatmulCounted.calls = 0
+        M.forward(p, np.ones((4, 2, p.d_in)))
+        M.forward_flat(p, np.ones((4, 2, p.d_in)))
+        assert _MatmulCounted.calls == (2 + runs + 2) + (2 + 2)
 
     @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
     @pytest.mark.parametrize("taxonomy", [default_taxonomy(), _wide(24, 5),
                                           *RUN_TAXONOMIES.values()],
                              ids=["6x31", "24x5", *RUN_TAXONOMIES])
     def test_each_segment_is_its_rows_alone(self, taxonomy, mode):
-        """A segmented forward gives each segment's rows byte for byte as a
-        forward of those rows alone, whatever the segments around them."""
+        """Item j of a forward over n tracks of T frames stacked as
+        (n, T, ·) is, byte for byte, the forward of track j alone, for
+        `forward` and `forward_flat`, one-frame tracks too."""
         rng = np.random.default_rng(4)
         p = M.init_params(taxonomy, d_in=6, seed=2, mode=mode)
         p.vector[...] += rng.normal(0.0, 0.5, p.vector.shape)
-        ends = np.cumsum([1, 7, 1, 12, 3, 1, 40]).tolist()
-        segments = list(zip([0] + ends[:-1], ends))
-        if mode == M.MODE_TRUNK:
-            x = rng.normal(0.0, 2.0, (ends[-1], 6))
-        else:
-            x = tuple(np.abs(rng.normal(0.0, 2.0, (ends[-1], d))) for d in (p.d1, p.d2))
-        out, flat = M.forward(p, x, segments), M.forward_flat(p, x, segments)
-        for a, b in segments:
-            rows = x[a:b].copy() if mode == M.MODE_TRUNK else tuple(v[a:b].copy() for v in x)
-            alone = M.forward(p, rows)
-            got = out.rows(a, b)
-            for name in ("coarse", "joint"):
-                assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
-            for f, ref in zip(got.fine_local, alone.fine_local, strict=True):
-                assert f.tobytes() == ref.tobytes()
-            assert flat[a:b].tobytes() == M.forward_flat(p, rows).tobytes()
+        for n, T in [(1, 1), (9, 1), (1, 12), (5, 3), (3, 40)]:
+            if mode == M.MODE_TRUNK:
+                x = rng.normal(0.0, 2.0, (n, T, 6))
+            else:
+                x = tuple(np.abs(rng.normal(0.0, 2.0, (n, T, d))) for d in (p.d1, p.d2))
+            out, flat = M.forward(p, x), M.forward_flat(p, x)
+            assert out.joint.shape == (n, T, taxonomy.S) and flat.shape == (n, T, taxonomy.S)
+            for j in range(n):
+                track = x[j].copy() if mode == M.MODE_TRUNK else tuple(v[j].copy() for v in x)
+                alone, got = M.forward(p, track), out[j]
+                for name in ("coarse", "joint"):
+                    assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
+                for f, ref in zip(got.fine_local, alone.fine_local, strict=True):
+                    assert f.tobytes() == ref.tobytes()
+                assert flat[j].tobytes() == M.forward_flat(p, track).tobytes()
 
     def test_fine_local_is_read_only_views(self, six31):
         p, shallow, deep = _random_heads(six31, 0, 7)
