@@ -1,0 +1,118 @@
+"""Check that the test suite still kills a fixed list of hand-made mutants.
+
+Each record names a file under src/hierfish, an exact piece of its text,
+the text that replaces it, and the tests that must fail on the result.
+For each record the script copies src/ to a temporary directory, applies
+that one replacement and runs the named tests with PYTHONPATH at the
+copy. It fails if a mutant survives, if the unmutated copy fails the
+tests, or if a record's old text is not found exactly once (a refactor
+updates the record; it never drops a mutant silently).
+
+usage: python scripts/mutants.py [NAME...]   (default: every record)
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str       # relative to src/hierfish
+    old: str
+    new: str
+    tests: tuple    # pytest node ids, relative to the repo root
+
+
+MUTANTS = [
+    Mutant("vote-mean-tie-to-highest-label", "inference.py",
+           "tied = [tied[means.index(max(means))]]",
+           "tied = [tied[len(means) - 1 - means[::-1].index(max(means))]]",
+           ("tests/test_inference.py::test_majority_matches_unique_loop",)),
+    Mutant("value-rule-lt-for-le", "data.py",
+           "if not np.maximum.reduce(np.abs(block), axis=None) <= MAX_FEATURE:",
+           "if not np.maximum.reduce(np.abs(block), axis=None) < MAX_FEATURE:",
+           ("tests/test_data.py::test_value_rule_matches_loop_oracle",)),
+    Mutant("value-rule-skips-nan", "data.py",
+           "if not np.maximum.reduce(np.abs(block), axis=None) <= MAX_FEATURE:",
+           "if not np.fmax.reduce(np.abs(block), axis=None) <= MAX_FEATURE:",
+           ("tests/test_data.py::test_value_rule_matches_loop_oracle",)),
+    Mutant("value-rule-names-last-bad-row", "data.py",
+           "j = int((peaks <= MAX_FEATURE).argmin())",
+           "j = len(peaks) - 1 - int((peaks <= MAX_FEATURE)[::-1].argmin())",
+           ("tests/test_data.py::test_value_rule_matches_loop_oracle",)),
+    Mutant("fallback-rescores-failing-batch-only", "inference.py",
+           "for track in tracks:\n            fn(params, track.model_input())",
+           "for k in idx:\n            fn(params, tracks[k].model_input())",
+           ("tests/test_inference.py::test_a_fault_in_a_chunk_is_the_first_tracks_own",)),
+    Mutant("diverged-skips-input-fault", "training.py",
+           "raise (_input_fault(initial.tile(len(losses)), grads, batch, idx, where, losses)",
+           "raise (None",
+           ("tests/test_training.py::TestTrain::"
+            "test_input_overflow_below_bound_is_found_mid_training",)),
+    Mutant("flat-joint-recomputed", "evaluation.py",
+           "return HeadOutputs(coarse, FineLocal(fine, params.fine_spans), joint)",
+           "return HeadOutputs(coarse, FineLocal(fine, params.fine_spans),"
+           " coarse[..., params.fine_group] * fine)",
+           ("tests/test_evaluation.py::TestFlatBaseline::test_flat_heads_marginalise_the_softmax",
+            "tests/test_evaluation.py::TestFlatBaseline::test_chunks_score_as_each_track_alone")),
+    Mutant("baseline-scored-by-hierarchical-heads", "evaluation.py",
+           'heads = flat_heads if scheme == "baseline" else None',
+           "heads = None",
+           ("tests/test_evaluation.py::TestFlatBaseline::test_every_unit_matches_loop_oracle",)),
+]
+
+
+def run_tests(src: Path, tests) -> bool:
+    """True if every test in `tests` passes against the package in `src`."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           *tests], cwd=ROOT, env=env, capture_output=True, text=True)
+    return done.returncode == 0
+
+
+def copy_src(dest: Path) -> Path:
+    shutil.copytree(ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def check(m: Mutant, src: Path) -> str | None:
+    """Why mutant `m`, applied to the copy `src`, fails the check; None if
+    its tests kill it."""
+    path = src / "hierfish" / m.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(m.old) != 1:
+        return f"old text found {text.count(m.old)} times in {m.path}, not once"
+    path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+    return f"survived {', '.join(m.tests)}" if run_tests(src, m.tests) else None
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        if not run_tests(copy_src(Path(tmp) / "clean"), sorted({t for m in chosen
+                                                                for t in m.tests})):
+            print("the unmutated copy fails its tests", file=sys.stderr)
+            return 1
+        for k, m in enumerate(chosen):
+            error = check(m, copy_src(Path(tmp) / f"m{k}"))
+            print(f"{m.name}: {error or 'killed'}")
+            failed += error is not None
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

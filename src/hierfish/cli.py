@@ -139,14 +139,6 @@ def _write_threshold(tau: float, out_dir: str) -> float:
     return tau
 
 
-def _evaluate(params, dataset: D.Dataset, taxonomy: Taxonomy, tau, scheme: str) -> E.EvalReport:
-    """The baseline is evaluated on its flat head alone; a hierarchical
-    scheme with `tau` None at the threshold searched on the same scoring."""
-    if scheme == "baseline":
-        return E.evaluate_flat(params, dataset, taxonomy)
-    return E.evaluate(params, dataset, taxonomy, tau, scheme=scheme)
-
-
 def cmd_gen(args) -> int:
     s = resolve(args)
     dataset = D.generate(s.gen)
@@ -192,8 +184,8 @@ def cmd_search_threshold(args) -> int:
 def cmd_eval(args) -> int:
     s = resolve(args)
     params = M.load_checkpoint(args.model, s.taxonomy)
-    report = _evaluate(params, D.load_jsonl(args.data), s.taxonomy, args.threshold,
-                       s.train.scheme)
+    report = E.evaluate(params, D.load_jsonl(args.data), s.taxonomy, args.threshold,
+                        s.train.scheme)
     E.write_report(report, args.out)
     for row in E.table_rows(report):
         print(",".join(row))
@@ -231,11 +223,10 @@ def run_scheme(scheme: str, params, history, eval_split: D.Dataset, taxonomy: Ta
     `report`, another scheme's evaluation of the same trained model, is
     taken under this scheme's name instead of scoring the split again."""
     _write_model(params, history, taxonomy, out_dir)
-    report = (_evaluate(params, eval_split, taxonomy, None, scheme) if report is None
+    report = (E.evaluate(params, eval_split, taxonomy, None, scheme) if report is None
               else dataclasses.replace(report, scheme=scheme))
     E.write_report(report, out_dir)
-    if report.tau is not None:   # the baseline has no threshold
-        _write_threshold(report.tau, out_dir)
+    _write_threshold(report.tau, out_dir)
     return report
 
 

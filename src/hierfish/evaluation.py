@@ -6,9 +6,10 @@ per-species coarse-stop rates.
 
 Accuracies are micro accuracy over units, reported as percentages.
 
-Every metric is read from the per-unit rows of one
-`inference.score_split` call, so a split that is thresholded and
-evaluated is scored once.
+Every scheme is scored the same way: `evaluate` picks the scheme's heads
+(the flat baseline's through `flat_heads`) and reads every metric from
+the per-unit rows of one `inference.score_split` call, so a split that
+is thresholded and evaluated is scored once.
 """
 
 from __future__ import annotations
@@ -16,43 +17,43 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import data as D
-from .errors import EmptyEvalSet
-from .inference import UnitRows, best_threshold, check_threshold, score_split, stacked_forward
+from .errors import EmptyEvalSet, MalformedDocument
+from .inference import UnitRows, best_threshold, check_threshold, score_split
 # not called here: perfbench's tracer wraps these names on this module too
 from .inference import aggregate_avg, aggregate_vote, score_track  # noqa: F401
-from .model import ModelParams, forward_flat
+from .model import FineLocal, HeadOutputs, ModelParams, forward_flat
 from .taxonomy import Taxonomy
+from .training import SCHEMES
 
 
 @dataclass(kw_only=True)
 class UnitReport:
-    # the fields that default to None are those the flat baseline lacks
     unit: str
     n_units: int
-    level1_acc: float | None = None
-    level2a_acc: float | None = None
+    level1_acc: float
+    level2a_acc: float
     level2b_acc: float
-    level2c_acc: float | None = None
-    stopped: int | None = None
-    proceeded: int | None = None
-    tau: float | None = None
+    level2c_acc: float
+    stopped: int
+    proceeded: int
+    tau: float
     # per-class precision; None where a class was never predicted
-    per_group_precision_level1: dict[str, float | None] = field(default_factory=dict)
-    per_species_precision_2a: dict[str, float | None] = field(default_factory=dict)
-    per_species_precision_2b: dict[str, float | None] = field(default_factory=dict)
+    per_group_precision_level1: dict[str, float | None]
+    per_species_precision_2a: dict[str, float | None]
+    per_species_precision_2b: dict[str, float | None]
     # fraction of units with this ground-truth species that stopped coarse
-    per_species_stop_fraction: dict[str, float | None] = field(default_factory=dict)
+    per_species_stop_fraction: dict[str, float | None]
 
 
 @dataclass
 class EvalReport:
     scheme: str
-    tau: float | None
+    tau: float
     units: dict[str, UnitReport]
 
 
@@ -93,45 +94,48 @@ def _unit_report(unit: str, rows: UnitRows, tau: float, taxonomy: Taxonomy) -> U
     )
 
 
+def flat_heads(params: ModelParams, x) -> HeadOutputs:
+    """The flat baseline's softmax as hierarchical outputs, a flat
+    classifier with a post-hoc hierarchy: `joint` is the softmax itself,
+    `coarse` its sum over each group's columns and `fine_local` each
+    group's columns over that sum. A group whose sum underflows to 0 gets
+    NaN columns, but it never wins the coarse argmax, and `select_image`
+    reads only the winner's columns."""
+    joint = forward_flat(params, x)
+    coarse = np.add.reduceat(joint, params.fine_starts, axis=-1)
+    fine = joint / coarse[..., params.fine_group]
+    return HeadOutputs(coarse, FineLocal(fine, params.fine_spans), joint)
+
+
 def evaluate(params: ModelParams, eval_split: D.Dataset, taxonomy: Taxonomy,
              tau: float | None, scheme: str = "scheme3") -> EvalReport:
-    """Full hierarchical metric suite over image and both video units, at
-    `tau`, or, if it is None, at the threshold `best_threshold` finds on
-    the video_avg rows of the same scoring of the split.
+    """Full hierarchical metric suite of `scheme`'s heads over image and
+    both video units, at `tau`, or, if it is None, at the threshold
+    `best_threshold` finds on the video_avg rows of the same scoring of
+    the split.
 
     A unit stopped at the coarse level counts correct iff its coarse
     label is right; a proceeding unit iff its species label is right.
     """
+    if scheme not in SCHEMES:
+        raise MalformedDocument(f"unknown scheme {scheme!r}")
     if len(eval_split.tracks) == 0:
         raise EmptyEvalSet("evaluation split has no tracks")
     if tau is not None:
         check_threshold(tau)
-    rows = score_split(params, eval_split.tracks, taxonomy)
+    # None: `score_split` resolves the hierarchical `forward` when it runs
+    heads = flat_heads if scheme == "baseline" else None
+    rows = score_split(params, eval_split.tracks, taxonomy, heads=heads)
     if tau is None:
         tau = best_threshold(rows["video_avg"])
     units = {u: _unit_report(u, r, tau, taxonomy) for u, r in rows.items()}
     return EvalReport(scheme=scheme, tau=tau, units=units)
 
 
-@np.errstate(over="ignore", invalid="ignore")   # a non-finite activation raises instead
 def evaluate_flat(params: ModelParams, eval_split: D.Dataset,
                   taxonomy: Taxonomy) -> EvalReport:
-    """Flat-classifier baseline: image-unit species accuracy only. Like
-    `score_split`, it checks every track's labels before scoring any,
-    then scores the tracks in the same batches, one `forward_flat` each,
-    and writes each frame's prediction at its place in split order."""
-    tracks = eval_split.tracks
-    if len(tracks) == 0:
-        raise EmptyEvalSet("evaluation split has no tracks")
-    lengths = np.array([len(t) for t in tracks], dtype=np.intp)
-    truth = np.repeat([y2 for _, y2 in D.check_labels(eval_split, taxonomy)], lengths)
-    preds, starts = np.empty(len(truth), np.intp), np.cumsum(lengths) - lengths
-    for idx, probs in stacked_forward(forward_flat, params, tracks):
-        preds[starts[idx, None] + np.arange(probs.shape[1])] = probs.argmax(axis=-1)
-    unit = UnitReport(unit="image", n_units=len(preds),
-                      level2b_acc=float(100.0 * np.mean(preds == truth)),
-                      per_species_precision_2b=_precision(preds, truth, taxonomy.species_names))
-    return EvalReport(scheme="baseline", tau=None, units={"image": unit})
+    """The flat baseline's metric suite at its searched threshold."""
+    return evaluate(params, eval_split, taxonomy, None, "baseline")
 
 
 def _fmt(value, decimals=1) -> str:
@@ -145,16 +149,10 @@ TABLE_COLUMNS = ["model", "unit", "level1", "level2a", "level2b",
 def table_rows(report: EvalReport) -> list[list[str]]:
     rows = []
     for unit in ("image", "video_vote", "video_avg"):
-        if unit not in report.units:
-            continue
         u = report.units[unit]
-        rows.append([
-            report.scheme, unit,
-            _fmt(u.level1_acc), _fmt(u.level2a_acc), _fmt(u.level2b_acc),
-            _fmt(u.level2c_acc),
-            "" if u.stopped is None else str(u.stopped),
-            "" if u.proceeded is None else str(u.proceeded),
-        ])
+        rows.append([report.scheme, unit, _fmt(u.level1_acc), _fmt(u.level2a_acc),
+                     _fmt(u.level2b_acc), _fmt(u.level2c_acc), str(u.stopped),
+                     str(u.proceeded)])
     return rows
 
 
@@ -186,19 +184,13 @@ PER_CLASS_CSVS = {
 
 def write_report(report: EvalReport, out_dir: str) -> None:
     """report.json (full precision), table.csv (1 decimal place), and
-    each per-class CSV of `PER_CLASS_CSVS` whose field has classes, one
-    column per unit."""
+    each per-class CSV of `PER_CLASS_CSVS`, one column per unit."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
         json.dump(report_to_dict(report), f, indent=2)
     write_table_csv([report], os.path.join(out_dir, "table.csv"))
-    units = [report.units[u] for u in ("image", "video_avg", "video_vote")
-             if u in report.units]
-    if not units:
-        return
+    units = [report.units[u] for u in ("image", "video_avg", "video_vote")]
     for name, (key, attr, scale) in PER_CLASS_CSVS.items():
-        if not getattr(units[0], attr):
-            continue
         with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)
             writer.writerow([key] + [u.unit for u in units])

@@ -15,10 +15,12 @@ every track's labels through `data.check_labels`, the one label rule
 training also keeps. It then scores the tracks in batches of one length
 (`track_batches`), each stacked on a leading track axis into one forward
 (one matmul call per layer, which numpy runs as one GEMM per track; see
-`model`), bit-identical to scoring each track alone. Each batch is
-reduced at once to one row per frame (image unit) or per track (video
-units), written at the track's own place in split order, so a split's
-raw scores are never held. The threshold search, the metric suite and
+`model`), bit-identical to scoring each track alone. The forward is
+`model.forward` unless the caller passes another that gives
+`HeadOutputs` (the flat baseline's `evaluation.flat_heads`). Each batch
+is reduced at once to one row per frame (image unit) or per track
+(video units), written at the track's own place in split order, so a
+split's raw scores are never held. The threshold search, the metric suite and
 `hierfish infer` all read these `UnitRows`.
 """
 
@@ -35,13 +37,13 @@ from .model import FineLocal, HeadOutputs, ModelParams, forward
 from .taxonomy import Taxonomy
 
 UNITS = ("image", "video_avg", "video_vote")
-# the most frames `score_split` and `evaluation.evaluate_flat` score in one
-# batch, unless one track alone has more. A `score_split` of every unit,
-# median ms and traced allocation peak at 32 / 64 / 128 / 256 frames, one
-# thread: 106 / 85 / 79 / 78 ms and 0.63 / 0.87 / 1.29 / 2.14 MB on a
-# 24 x 5 split of 587 tracks of 4-12 frames; 31 / 21 / 19 / 17 ms and
-# 0.22 / 0.30 / 0.45 / 0.66 MB on a 6 x 31 split of 116 tracks of 8-24.
-# 256 is at most 8% faster for half again the peak
+# the most frames `score_split` scores in one batch, unless one track
+# alone has more. A `score_split` of every unit, median ms and traced
+# allocation peak at 32 / 64 / 128 / 256 frames, one thread: 106 / 85 /
+# 79 / 78 ms and 0.63 / 0.87 / 1.29 / 2.14 MB on a 24 x 5 split of 587
+# tracks of 4-12 frames; 31 / 21 / 19 / 17 ms and 0.22 / 0.30 / 0.45 /
+# 0.66 MB on a 6 x 31 split of 116 tracks of 8-24. 256 is at most 8%
+# faster for half again the peak
 CHUNK_FRAMES = 128
 
 
@@ -91,12 +93,12 @@ def track_batches(tracks):
 
 def stacked_forward(fn, params: ModelParams, tracks):
     """(indices, `fn(params, x)`) of each batch of `track_batches`, `fn`
-    being `model.forward` or `model.forward_flat` and x the batch's
-    blocks stacked on a leading track axis, (n, T, ·): item j of the
-    outputs is, bit for bit, `fn` on track `indices[j]` alone. If a
-    batch raises, every track is scored alone, in split order, and the
-    error re-raised, so it is the one the first failing track raises
-    alone, even if that track's batch comes later."""
+    being a forward such as `model.forward` and x the batch's blocks
+    stacked on a leading track axis, (n, T, ·): item j of the outputs
+    is, bit for bit, `fn` on track `indices[j]` alone. If a batch
+    raises, every track is scored alone, in split order, and the error
+    re-raised, so it is the one the first failing track raises alone,
+    even if that track's batch comes later."""
     try:
         for idx in track_batches(tracks):
             blocks = [tracks[k].model_input() for k in idx]
@@ -269,11 +271,12 @@ class UnitRows:
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite activation raises instead
 def score_split(params: ModelParams, tracks, taxonomy: Taxonomy,
-                units=UNITS) -> dict[str, UnitRows]:
-    """The rows of each unit in `units` over `tracks`, in order. Every
-    unit's name and every track's labels are checked before any track is
-    scored; then each batch of `stacked_forward` is reduced to rows
-    before the next is scored: `select_image` once over the batch's
+                units=UNITS, heads=None) -> dict[str, UnitRows]:
+    """The rows of each unit in `units` over `tracks`, in order, of the
+    `HeadOutputs` that `heads(params, x)` gives, by default `forward`'s.
+    Every unit's name and every track's labels are checked before any
+    track is scored; then each batch of `stacked_forward` is reduced to
+    rows before the next is scored: `select_image` once over the batch's
     frames, each video aggregate once per track on views of the batch's
     arrays."""
     for unit in units:
@@ -289,7 +292,7 @@ def score_split(params: ModelParams, tracks, taxonomy: Taxonomy,
                                   else np.repeat(labels, lengths, axis=0)).T
     video = [(rows, aggregate_avg if unit == "video_avg" else aggregate_vote)
              for unit, rows in tables.items() if unit != "image"]
-    for idx, out in stacked_forward(forward, params, tracks):
+    for idx, out in stacked_forward(heads or forward, params, tracks):
         if "image" in tables:
             s, at = select_image(out, taxonomy), starts[idx, None] + np.arange(out.joint.shape[1])
             tables["image"].put(at, s.coarse_group, s.coarse_confidence, s.level2a, s.level2b,

@@ -5,6 +5,8 @@ head) and a deep feature vector (shared by all per-group fine heads and
 the flat baseline head). The joint score of a species is the product of
 its group's coarse probability and its within-group fine probability, so
 the joint vector is itself a probability distribution over all species.
+The flat head's softmax is one too; `evaluation.flat_heads` sums it per
+group for the baseline's coarse scores.
 
 The fine heads' cost grows with the number of groups, so consecutive
 heads of equal size run together: one stacked GEMM and one sum per run,

@@ -182,8 +182,8 @@ class TestAblation:
             assert a[name] == b[name], f"{name} differs between identical runs"
         with open(ws / "run_a" / "ablation_table.csv") as f:
             rows = list(csv.reader(f))
-        # header + baseline (1 unit) + 2 hierarchical schemes x 3 units
-        assert len(rows) == 1 + 1 + 2 * 3
+        # header + 3 schemes x 3 units, the baseline's too
+        assert len(rows) == 1 + 3 * 3
         schemes = {r[0] for r in rows[1:]}
         assert schemes == {"baseline", "scheme1", "scheme3"}
 
@@ -226,7 +226,8 @@ class TestAblation:
 
     def test_scores_eval_split_once_per_model(self, workspace, monkeypatch):
         """Threshold search and evaluation share one scoring of the eval
-        split per distinct hierarchical loss (scheme2 reuses scheme3's)."""
+        split per distinct loss (scheme2 reuses scheme3's), the baseline's
+        too."""
         ws = workspace
         scored = []
         stacked_forward = I.stacked_forward
@@ -241,8 +242,7 @@ class TestAblation:
                     "--taxonomy", ws / "taxonomy.json", "--seed", 11, "--out", ws / "run"]) == 0
         with open(ws / "run" / "scheme3" / "report.json") as f:
             n_eval = json.load(f)["units"]["video_avg"]["n_units"]
-        hierarchical = {T.LOSSES[s] for s in T.SCHEMES if s != "baseline"}
-        assert len(scored) == n_eval * len(hierarchical) == 2 * n_eval
+        assert len(scored) == n_eval * len(set(T.LOSSES.values())) == 3 * n_eval
         assert len(set(scored)) == n_eval
 
     def test_diverging_scheme_fails_before_any_file_is_written(self, workspace, capsys):
@@ -601,6 +601,24 @@ def test_infer_matches_decide_rule(workspace, unit):
     got = (ws / "preds" / "predictions.jsonl").read_text(encoding="utf-8")
     assert got == _decide_lines(params, tracks, TAXONOMY, tau, unit)
     assert {json.loads(line)["level"] for line in got.splitlines()} == {"coarse", "fine"}
+
+
+def test_baseline_eval_applies_its_threshold(workspace):
+    """`eval --scheme baseline --threshold X` stops every frame whose top
+    flat score is below X, as any scheme's eval does."""
+    args, _ = _scoring_inputs(workspace)
+    dataset = D.load_jsonl(str(workspace / "frames.jsonl"))
+    params = M.load_checkpoint(str(workspace / "model.json"), TAXONOMY)
+    top = np.concatenate([M.forward_flat(params, t.model_input()).max(axis=-1)
+                          for t in dataset.tracks])
+    tau = float(np.median(top))
+    assert run(["eval", "--scheme", "baseline", "--threshold", tau, *args]) == 0
+    report = json.loads((workspace / "out" / "report.json").read_text())
+    assert report["tau"] == tau
+    image = report["units"]["image"]
+    assert image["tau"] == tau
+    assert 0 < image["stopped"] == int(np.sum(top < tau)) < len(top)
+    assert image["stopped"] + image["proceeded"] == len(top)
 
 
 @pytest.mark.parametrize("command", ["search-threshold", "eval", "infer"])

@@ -12,11 +12,13 @@ from hierfish import inference as I
 from hierfish import model as M
 from hierfish import training as TR
 from hierfish.errors import (DimensionMismatch, EmptyEvalSet, InconsistentLabels,
-                             NonFiniteActivation, NonFiniteInput, TaxonomyMismatch)
+                             MalformedDocument, NonFiniteActivation, NonFiniteInput,
+                             TaxonomyMismatch)
 from hierfish.taxonomy import Taxonomy
 
 from conftest import make_outputs
-from test_inference import SPLIT_TAXONOMIES, _split
+from test_inference import (SPLIT_TAXONOMIES, _best_threshold_oracle, _level2a_oracle,
+                            _split, _vote_oracle)
 
 
 def _dataset(taxonomy, tracks_total, seed=0, dim=6, **kw):
@@ -179,6 +181,21 @@ class TestEvaluate:
         with pytest.raises(EmptyEvalSet):
             E.evaluate(None, D.Dataset(tracks=[]), toy_taxonomy, 0.0)
 
+    @pytest.mark.parametrize("scheme", ["Baseline", "scheme4", ""])
+    def test_unknown_scheme_is_refused_before_scoring(self, toy_taxonomy, monkeypatch,
+                                                      scheme):
+        """The scheme picks the heads, so a typo is `TrainConfig`'s error,
+        not a report of heads the checkpoint's loss never trained."""
+        scored = []
+        monkeypatch.setattr(I, "stacked_forward", lambda *args: scored.append(args))
+        with pytest.raises(MalformedDocument) as trained:
+            TR.TrainConfig(scheme=scheme)
+        with pytest.raises(MalformedDocument) as evaluated:
+            E.evaluate(_random_model(toy_taxonomy, seed=5), _dataset(toy_taxonomy, 16, seed=5),
+                       toy_taxonomy, 0.0, scheme=scheme)
+        assert str(evaluated.value) == str(trained.value) == f"unknown scheme {scheme!r}"
+        assert scored == []
+
     def test_species_outside_taxonomy(self, toy_taxonomy):
         params = _random_model(toy_taxonomy, seed=5)
         ds = _dataset(toy_taxonomy, 16, seed=5)
@@ -212,7 +229,6 @@ def test_track_outside_its_species_group_is_refused(toy_taxonomy, monkeypatch, s
     track.group = next(g for g in toy_taxonomy.groups if g != track.group)
     scored = []
     monkeypatch.setattr(I, "stacked_forward", lambda *args: scored.append(args))
-    monkeypatch.setattr(E, "forward_flat", lambda *args: scored.append(args))
     with pytest.raises(InconsistentLabels,
                        match=rf"^track {track.track_id!r}: species {track.species!r} "
                              rf"is not in group {track.group!r}$"):
@@ -315,44 +331,81 @@ def _frac(ds, tax, unit, pred):
     return hits / total
 
 
+def _flat_oracle(params, tracks, taxonomy):
+    """{unit: UnitRows} of the flat baseline, one frame at a time through
+    `M.forward_flat`: a frame's coarse scores are its softmax summed per
+    group, so Level-1 is their argmax and Level-2A the argmax within the
+    winner; video_avg reads the mean softmax, video_vote `_vote_oracle`."""
+    spans = [(taxonomy.to_global(g, 0), taxonomy.to_global(g, 0) + n)
+             for g, n in enumerate(taxonomy.group_sizes)]
+    rows = {unit: [] for unit in I.UNITS}
+    for track in tracks:
+        y = (taxonomy.group_index(track.group), taxonomy.species_index(track.species))
+        frames = []
+        for fr in track.frames:
+            p = M.forward_flat(params, fr.model_input())
+            sums = np.array([p[a:b].sum() for a, b in spans])
+            out = M.HeadOutputs(sums, [p[a:b] / c for (a, b), c in zip(spans, sums)], p)
+            rows["image"].append((*y, sums.argmax(), _level2a_oracle(out, taxonomy),
+                                  p.argmax(), p.max()))
+            frames.append(out)
+        p1, p2 = (np.mean([getattr(f, key) for f in frames], axis=0) for key in ("coarse", "joint"))
+        a, b = spans[p1.argmax()]
+        rows["video_avg"].append((*y, p1.argmax(), a + p2[a:b].argmax(), p2.argmax(), p2.max()))
+        v = _vote_oracle(I.TrackScores(frames=frames), taxonomy)
+        rows["video_vote"].append((*y, v.coarse_selection, v.level2a, v.selection, v.confidence))
+    fields = ("y1", "y2", "coarse", "level2a", "fine", "conf")
+    return {unit: I.UnitRows(coarse_conf=None, **dict(zip(fields, map(np.array, zip(*r)))))
+            for unit, r in rows.items()}
+
+
 class TestFlatBaseline:
-    def test_only_image_2b(self, toy_taxonomy):
-        params = _random_model(toy_taxonomy, seed=6)
-        ds = _dataset(toy_taxonomy, 16, seed=6)
-        report = E.evaluate_flat(params, ds, toy_taxonomy)
-        assert set(report.units) == {"image"}
-        unit = report.units["image"]
-        assert unit.level1_acc is None and unit.level2c_acc is None
-        # oracle: recompute by hand
-        hits = total = 0
-        for track in ds.tracks:
-            y2 = toy_taxonomy.species_index(track.species)
-            for fr in track.frames:
-                hits += int(np.argmax(M.forward_flat(params, fr.model_input()))) == y2
-                total += 1
-        assert unit.level2b_acc == pytest.approx(100 * hits / total, abs=1e-9)
+    @pytest.mark.parametrize("taxonomy", SPLIT_TAXONOMIES.values(), ids=SPLIT_TAXONOMIES)
+    def test_every_unit_matches_loop_oracle(self, taxonomy):
+        """The baseline is scored on every unit, by its flat softmax summed
+        per group, at the threshold searched on its own video_avg rows."""
+        params, tracks = _split(taxonomy, M.MODE_TRUNK, seed=6, frames_max=6)
+        report = E.evaluate_flat(params, D.Dataset(tracks), taxonomy)
+        assert report.scheme == "baseline"
+        oracle = _flat_oracle(params, tracks, taxonomy)
+        # one frame alone may round unlike the frames of its track at once
+        tau = _best_threshold_oracle(oracle["video_avg"])
+        assert report.tau == pytest.approx(tau, rel=1e-12)
+        assert set(report.units) == set(I.UNITS)
+        for unit, rows in oracle.items():
+            u, stop = report.units[unit], rows.stopped(tau)
+            assert u.n_units == len(rows.y1) and u.tau == report.tau
+            assert u.level1_acc == pytest.approx(100 * np.mean(rows.coarse == rows.y1), abs=1e-9)
+            assert u.level2a_acc == pytest.approx(100 * np.mean(rows.level2a == rows.y2), abs=1e-9)
+            assert u.level2b_acc == pytest.approx(100 * np.mean(rows.fine == rows.y2), abs=1e-9)
+            assert u.level2c_acc == pytest.approx(100 * np.mean(rows.correct(tau)), abs=1e-9)
+            assert (u.stopped, u.proceeded) == (int(stop.sum()), int((~stop).sum()))
 
     @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
     @pytest.mark.parametrize("taxonomy", SPLIT_TAXONOMIES.values(), ids=SPLIT_TAXONOMIES)
     def test_chunks_score_as_each_track_alone(self, taxonomy, mode, monkeypatch):
-        """The batched flat forwards are, byte for byte, `forward_flat` of
-        each track alone, and the report is that of those predictions, in
-        split order."""
+        """The batched flat heads are, byte for byte, `flat_heads` of each
+        track alone, their joint scores `forward_flat`'s softmax itself, and
+        the image Level-2B is that of the softmax's argmax, in split order."""
         params, tracks = _split(taxonomy, mode, seed=4)
         scored, stacked_forward = [], I.stacked_forward
 
         def recorded(fn, params, tracks):
-            for idx, probs in stacked_forward(fn, params, tracks):
-                scored.extend(zip(idx.tolist(), probs))
-                yield idx, probs
+            for idx, out in stacked_forward(fn, params, tracks):
+                scored.extend((k, out[j]) for j, k in enumerate(idx.tolist()))
+                yield idx, out
 
-        monkeypatch.setattr(E, "stacked_forward", recorded)
+        monkeypatch.setattr(I, "stacked_forward", recorded)
         report = E.evaluate_flat(params, D.Dataset(tracks, mode), taxonomy)
         alone = [M.forward_flat(params, t.model_input()) for t in tracks]
         assert sorted(k for k, _ in scored) == list(range(len(tracks)))
-        assert len({len(probs) for _, probs in scored}) > 1
-        for k, probs in scored:
-            assert probs.tobytes() == alone[k].tobytes()
+        assert len({len(out.joint) for _, out in scored}) > 1
+        for k, out in scored:
+            assert out.joint.tobytes() == alone[k].tobytes()
+            heads = E.flat_heads(params, tracks[k].model_input())
+            for got, want in ((out.coarse, heads.coarse),
+                              (out.fine_local.fine, heads.fine_local.fine)):
+                assert got.tobytes() == want.tobytes()
         preds = np.concatenate(alone).argmax(axis=-1)
         truth = np.repeat([taxonomy.species_index(t.species) for t in tracks],
                           [len(t) for t in tracks])
@@ -362,16 +415,57 @@ class TestFlatBaseline:
         assert unit.per_species_precision_2b == E._precision(preds, truth,
                                                              taxonomy.species_names)
 
+    def test_flat_heads_marginalise_the_softmax(self, toy_taxonomy):
+        """`joint` is the softmax itself, `coarse` its group sums, and each
+        group's `fine_local` its columns over their sum."""
+        params = _random_model(toy_taxonomy, seed=9)
+        x = np.random.default_rng(9).normal(size=(3, 5, params.d_in))
+        probs, heads = M.forward_flat(params, x), E.flat_heads(params, x)
+        assert heads.joint.tobytes() == probs.tobytes()
+        for g, (a, b) in enumerate(params.fine_spans):
+            np.testing.assert_allclose(heads.coarse[..., g], probs[..., a:b].sum(axis=-1),
+                                       rtol=1e-14)
+            np.testing.assert_allclose(heads.fine_local[g],
+                                       probs[..., a:b] / heads.coarse[..., g, None], rtol=0)
+            np.testing.assert_allclose(heads.fine_local[g].sum(axis=-1), 1.0, rtol=1e-14)
+
+    def test_group_that_underflows_is_never_selected(self, toy_taxonomy):
+        """A group whose softmax columns all round to 0 has NaN local
+        scores; it never wins the coarse argmax, so no selection reads them
+        and numpy warns of nothing."""
+        params = _random_model(toy_taxonomy, seed=6)
+        a, b = params.fine_spans[1]
+        params.bl2[a:b] = -1e4
+        ds = _dataset(toy_taxonomy, 16, seed=6)
+        with np.errstate(invalid="ignore"):
+            heads = E.flat_heads(params, ds.tracks[0].model_input())
+        assert np.isnan(heads.fine_local[1]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = E.evaluate_flat(params, ds, toy_taxonomy)
+        group_a = [toy_taxonomy.species_index(name) for name in toy_taxonomy.species_by_group[0]]
+        in_a = np.array([toy_taxonomy.species_index(t.species) in group_a for t in ds.tracks])
+        frames_in_a = np.repeat(in_a, [len(t) for t in ds.tracks])
+        for unit in report.units.values():
+            share = np.mean(frames_in_a if unit.unit == "image" else in_a)
+            assert unit.level1_acc == pytest.approx(100 * share, abs=1e-9)
+            assert unit.level2a_acc == unit.level2b_acc
+            assert not any(unit.per_species_precision_2a[name] is not None
+                           for name in toy_taxonomy.species_by_group[1])
+
 
 class TestWriteReport:
-    def test_single_unit_one_row(self, tmp_path, toy_taxonomy):
+    def test_flat_report_has_three_full_rows(self, tmp_path, toy_taxonomy):
         params = _random_model(toy_taxonomy, seed=6)
         ds = _dataset(toy_taxonomy, 16, seed=6)
         report = E.evaluate_flat(params, ds, toy_taxonomy)
         E.write_table_csv([report], str(tmp_path / "t.csv"))
         with open(tmp_path / "t.csv") as f:
             rows = list(csv.reader(f))
-        assert len(rows) == 2  # header + one data row
+        assert len(rows) == 4  # header + three units
+        assert [r[:2] for r in rows[1:]] == [["baseline", u]
+                                             for u in ("image", "video_vote", "video_avg")]
+        assert all(all(cell != "" for cell in row) for row in rows)
 
     def test_three_schemes_three_units_nine_rows(self, tmp_path, toy_taxonomy):
         params = _random_model(toy_taxonomy, seed=7)
@@ -405,12 +499,12 @@ class TestWriteReport:
             rows = list(csv.reader(f))
         assert len(rows) == 1 + toy_taxonomy.S
 
-    def test_flat_report_writes_its_one_per_class_csv(self, tmp_path, toy_taxonomy):
+    def test_flat_report_writes_every_per_class_csv(self, tmp_path, toy_taxonomy):
         report = E.evaluate_flat(_random_model(toy_taxonomy, seed=6),
                                  _dataset(toy_taxonomy, 16, seed=6), toy_taxonomy)
         E.write_report(report, str(tmp_path))
-        assert sorted(os.listdir(tmp_path)) == ["per_species_level2b.csv", "report.json",
-                                                "table.csv"]
+        assert sorted(os.listdir(tmp_path)) == sorted([*E.PER_CLASS_CSVS, "report.json",
+                                                       "table.csv"])
 
     def test_per_class_cells(self, tmp_path):
         """Precision cells are the report's percentages and stop-rate cells
