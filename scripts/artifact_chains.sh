@@ -2,6 +2,9 @@
 # Write the artifacts of every hierfish chain a bit-for-bit change is
 # checked on into OUT:
 #   ablation-3/, ablation-11/  `hierfish ablation` at seeds 3 and 11
+#   ablation-3-scheme1-scheme3/, ablation-3-baseline-scheme3/  the same at
+#              seed 3 with two schemes: two hierarchical models trained in
+#              lockstep, then the flat model and one hierarchical one
 #   readme/    the README file chain, with baseline, scheme1 and scheme3
 #              trained, evaluated and (scheme1, scheme3) searched and
 #              inferred for both video units; then the baseline checkpoint
@@ -84,6 +87,10 @@ schemes() {
 
 for seed in 3 11; do
   run "ablation-$seed" hierfish ablation --seed "$seed" --out "ablation-$seed"
+done
+for schemes in scheme1,scheme3 baseline,scheme3; do
+  run "ablation-3-${schemes/,/-}" hierfish ablation --seed 3 --schemes "$schemes" \
+    --out "ablation-3-${schemes/,/-}"
 done
 
 echo '{}' > readme/config.json

@@ -58,6 +58,10 @@ MUTANTS = [
            "raise (None",
            ("tests/test_training.py::TestTrain::"
             "test_input_overflow_below_bound_is_found_mid_training",)),
+    Mutant("absent-group-keeps-stale-gradient", "training.py",
+           "dp.Wf[g].fill(0.0)\n                dp.bf[g].fill(0.0)\n                continue",
+           "continue",
+           ("tests/test_training.py::test_lockstep_is_bit_identical_to_solo_training",)),
     Mutant("flat-joint-recomputed", "evaluation.py",
            "return HeadOutputs(coarse, FineLocal(fine, params.fine_spans), joint)",
            "return HeadOutputs(coarse, FineLocal(fine, params.fine_spans),"

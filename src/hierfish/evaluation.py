@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,7 +165,13 @@ def write_table_csv(reports: list[EvalReport], path: str) -> None:
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return asdict(report)
+    """The report as `dataclasses.asdict` gives it, built without its
+    recursive deep copy: each unit's fields in order, every per-class
+    dict copied."""
+    return {"scheme": report.scheme, "tau": report.tau,
+            "units": {name: {key: dict(value) if type(value) is dict else value
+                             for key, value in vars(unit).items()}
+                      for name, unit in report.units.items()}}
 
 
 def report_from_dict(doc: dict) -> EvalReport:

@@ -283,8 +283,8 @@ def joint_scores(coarse: np.ndarray, fine_local: list[np.ndarray]) -> np.ndarray
     """Product of each group's coarse score with its local fine scores.
 
     One example or a batch; the concatenated result sums to 1 because
-    each local vector does. `heads_forward` forms the same products on
-    its one (B, S) fine array.
+    each local vector does. `forward` forms the same products on
+    `heads_forward`'s (B, S) fine array, training only at the labels.
     """
     coarse = np.asarray(coarse, dtype=np.float64)
     if coarse.ndim == 0 or len(fine_local) != coarse.shape[-1]:
@@ -317,12 +317,14 @@ def trunk_features(params: ModelParams, X: np.ndarray):
 
 
 def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
-    """Hierarchical heads. Returns (cache, coarse, fine, joint).
+    """Hierarchical heads. Returns (cache, coarse, fine).
 
-    shallow: (B, d1), deep: (B, d2); probabilities are (B, G), (B, S)
-    and (B, S), where `fine` holds every group's local distribution in
-    its columns `params.fine_spans[g]`. Without the batch axis, one
-    example; with more leading axes, a stack (module docstring).
+    shallow: (B, d1), deep: (B, d2); probabilities are (B, G) and
+    (B, S), where `fine` holds every group's local distribution in its
+    columns `params.fine_spans[g]`. Without the batch axis, one
+    example; with more leading axes, a stack (module docstring). The
+    joint is left to the caller: `forward` forms all of it, training
+    only the product at each row's label.
 
     The fine heads run as one segmented softmax over a single (B, S)
     array. Consecutive heads of equal size form a run
@@ -366,8 +368,7 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
         np.add.reduce(fine[..., a:b].reshape(fine.shape[:-1] + (h - g, W.shape[-1])),
                       axis=-1, out=sums[..., g:h])
     fine /= sums[..., group]
-    cache = {"zc1": zc1, "Hc": Hc}
-    return cache, coarse, fine, coarse[..., group] * fine
+    return {"zc1": zc1, "Hc": Hc}, coarse, fine
 
 
 def flat_forward(params: ModelParams, deep: np.ndarray):
@@ -406,11 +407,13 @@ def forward(params: ModelParams, x) -> HeadOutputs:
     (shallow, deep) pair of (d1,)/(d2,) vectors or (B, d1)/(B, d2)
     batches in precomputed mode. The outputs keep the batch axis, and
     any axes before it: item j of an (n, T, ·) stack is bit-identical
-    to a forward of `x[j]` alone.
+    to a forward of `x[j]` alone. The joint is formed here, from the
+    heads' outputs.
     """
     shallow, deep = _resolve_features(params, x)
-    _, coarse, fine, joint = heads_forward(params, shallow, deep)
-    return HeadOutputs(coarse=coarse, fine_local=FineLocal(fine, params.fine_spans), joint=joint)
+    _, coarse, fine = heads_forward(params, shallow, deep)
+    return HeadOutputs(coarse=coarse, fine_local=FineLocal(fine, params.fine_spans),
+                       joint=coarse[..., params.fine_group] * fine)
 
 
 def forward_flat(params: ModelParams, x) -> np.ndarray:

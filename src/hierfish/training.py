@@ -37,15 +37,21 @@ from the same weights and draws the same batches, so each step makes
 one gather, one stacked trunk pass, the flat head on the baseline row
 (row 0), the coarse and fine heads stacked on the hierarchical rows,
 and one momentum update over (K, P). What differs per loss stays per
-row: scheme1's row reads `fine`, and scheme3's reads `joint` and doubles
-its coarse-logit gradient. Every dense layer back-propagates through
-`_dense_back`, the per-group fine heads once per group on all the
-hierarchical rows. numpy runs a stacked matmul or reduction as the same
-2-D operation per row, so each row is bit-identical to its model
-trained alone (tests/test_training.py checks this); a single model is
-the K = 1 case. The gradient buffer has the layout of the parameters,
-so the kernel writes each gradient into its view and `train` applies
-the mean and momentum to the whole (K, P) array at once.
+row: scheme1's row reads `fine` at the label, and scheme3's the joint
+there (coarse × fine, the product `model.forward` forms; no other joint
+entry is formed) and doubles its coarse-logit gradient. Every dense
+layer back-propagates through `_dense_back`, the per-group fine heads
+once per group on all the hierarchical rows. numpy runs a stacked
+matmul or reduction as the same 2-D operation per row, so each row is
+bit-identical to its model trained alone (tests/test_training.py
+checks this); a single model is the K = 1 case.
+
+The gradient buffer has the layout of the parameters and is never
+refilled (the rule is at `_loss_and_grads`): `_dense_back` writes each
+gradient, and the heads' input gradients, through `out=`, and `train`
+applies the mean and momentum to the whole (K, P) array at once. One
+`np.errstate` decorator on the kernel silences the divide warning of a
+zero probability, an inf loss that `train` turns into an error.
 
 `train` validates the data once per call: it resolves each track's
 labels, takes its checked blocks (`data.Track.blocks`: shapes, then
@@ -158,45 +164,57 @@ def compute_loss(scheme: str, outputs, example: LabeledExample, taxonomy: Taxono
     return float(-np.log(outputs.coarse[g]) - np.log(fine))
 
 
-def _dense_back(A, G, W, dW, db):
+def _dense_back(A, G, W, dW, db, out=None):
     """Back-propagate the gradient G of a dense layer's output A @ W + b:
     writes dW = AᵀG and db = ΣG over the batch axis (-2), and returns the
-    input gradient GWᵀ, or None when W is None."""
+    input gradient GWᵀ, written into `out` if given, or None when W is
+    None."""
     np.matmul(A.swapaxes(-1, -2), G, out=dW)
     np.add.reduce(G, axis=-2, keepdims=True, out=db)
     if W is not None:
-        return G @ W.swapaxes(-1, -2)
+        return np.matmul(G, W.swapaxes(-1, -2), out=out)
 
 
 @functools.cache
 def _hierarchical_rows(losses: tuple) -> tuple[np.ndarray, np.ndarray]:
     """For the hierarchical rows `losses`: the (K', 1) mask of rows whose
-    loss reads `fine` (scheme1; the others read `joint`), and the
+    loss reads `fine` (scheme1; the others read the joint), and the
     (K', 1, 1) coarse-logit gradient scale, 2.0 on the rows that read
-    `joint` (see `_loss_and_grads`), else 1.0."""
+    the joint (see `_loss_and_grads`), else 1.0."""
     reads_fine = np.array([loss == "scheme1" for loss in losses])[:, None]
     scale = np.where(reads_fine, 1.0, 2.0)[..., None]
     reads_fine.flags.writeable = scale.flags.writeable = False
     return reads_fine, scale
 
 
+@functools.cache
+def _cells(K: int, B: int, n: int) -> np.ndarray:
+    """The (K, B) flat index of each row's first entry in a (K, B, n)
+    array: the label of row b of model k is at cells[k, b] + label."""
+    cells = np.arange(0, K * B * n, n).reshape(K, B)
+    cells.flags.writeable = False
+    return cells
+
+
+@np.errstate(divide="ignore")   # a zero probability: an inf loss, not a warning
 def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
                     losses) -> np.ndarray:
     """Mean batch loss of each model of stacked `params`, as a (K,) array;
-    overwrites `grads` with their gradients.
+    writes their gradients into `grads`.
 
     `losses[k]` is model k's loss, in `LOSS_ORDER`. `inputs` is (X,) with
     X of shape (B, d_in) in trunk mode, or the (shallow, deep) pair in
     precomputed mode; every model reads the same batch. y1/y2 are the
-    coarse and global fine labels. `grads` has the layout of `params`.
+    coarse and global fine labels. `grads` has the layout of `params`
+    and starts as zeros (`zeros_like`): each call writes every gradient
+    its losses own and zeroes the fine heads of a group with no row in
+    the batch, so the weights no loss of a row trains (the baseline's
+    coarse and fine heads, the other rows' flat head, precomputed
+    mode's trunk) keep those zeros.
     """
     K, B = len(losses), y1.shape[0]
     h = int(losses[0] == "baseline")   # models h: are hierarchical
-    # the label of row b of model k in a (K, B, n) array is at the flat
-    # index cells[k, b] * n + label
-    cells = np.arange(K * B).reshape(K, B)
     trunk = params.mode == M.MODE_TRUNK
-    grads.vector.fill(0.0)
     if trunk:
         X, = inputs
         z1, A1, z2, A2 = M.trunk_features(params, X)
@@ -205,64 +223,65 @@ def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
         A1, A2 = (np.broadcast_to(a, (K,) + a.shape) for a in inputs)
     out = np.empty((K, B))
 
-    # a zero probability yields an inf loss; the train loop turns that
-    # into DivergedTraining rather than warning here. Precomputed mode
-    # has no trunk, so the heads compute no input gradient (W is None)
+    # precomputed mode has no trunk, so the heads compute no input
+    # gradient (W is None)
     if h:
         p, dp = params.rows(0, 1), grads.rows(0, 1)
         cache, flat = M.flat_forward(p, A2[:1])
-        label = cells[0] * params.S + y2
-        with np.errstate(divide="ignore"):
-            out[0] = -np.log(flat.ravel()[label])
+        label = _cells(1, B, params.S)[0] + y2
+        out[0] = -np.log(flat.ravel()[label])
         Gl = flat   # the probabilities become the logit gradient in place
         Gl.ravel()[label] -= 1.0
-        dzl1 = _dense_back(cache["Hl"], Gl, p.Wl2, dp.Wl2, dp.bl2) * (cache["zl1"] > 0)
-        dA2l = _dense_back(A2[:1], dzl1, p.Wl1 if trunk else None, dp.Wl1, dp.bl1)
-        if trunk:
-            dA2[:1] = dA2l
+        dzl1 = _dense_back(cache["Hl"], Gl, p.Wl2, dp.Wl2, dp.bl2)
+        dzl1 *= cache["zl1"] > 0
+        _dense_back(A2[:1], dzl1, p.Wl1 if trunk else None, dp.Wl1, dp.bl1,
+                    out=dA2[:1] if trunk else None)
     if h < K:
         p, dp = params.rows(h, K), grads.rows(h, K)
         A1h, A2h = A1[h:], A2[h:]
-        cache, coarse, fine, joint = M.heads_forward(p, A1h, A2h)
-        group, species = cells[:K - h] * params.G + y1, cells[:K - h] * params.S + y2
+        cache, coarse, fine = M.heads_forward(p, A1h, A2h)
+        group, species = _cells(K - h, B, params.G) + y1, _cells(K - h, B, params.S) + y2
         # scheme1 scores the true species within its group's head, scheme3
-        # on the joint simplex. Coarse-logit gradient: the joint term
-        # contributes a second (coarse - onehot) for scheme3, since log
-        # joint splits into log coarse + log fine
+        # on the joint simplex, read only at the label: coarse × fine there
+        # is the joint `forward` forms. Coarse-logit gradient: the joint
+        # term contributes a second (coarse - onehot) for scheme3, since
+        # log joint splits into log coarse + log fine
         reads_fine, coarse_scale = _hierarchical_rows(tuple(losses[h:]))
-        with np.errstate(divide="ignore"):
-            coarse_nll = -np.log(coarse.ravel()[group])
-            out[h:] = coarse_nll - np.log(np.where(reads_fine, fine.ravel()[species],
-                                                   joint.ravel()[species]))
-        Gc = coarse   # joint and the coarse term are computed; reuse in place
+        coarse_at, fine_at = coarse.ravel()[group], fine.ravel()[species]
+        out[h:] = -np.log(coarse_at) - np.log(np.where(reads_fine, fine_at,
+                                                        coarse_at * fine_at))
+        Gc = coarse   # the loss terms are read; reuse the probabilities in place
         Gc.ravel()[group] -= 1.0
         Gc *= coarse_scale
-        dzc1 = _dense_back(cache["Hc"], Gc, p.Wc2, dp.Wc2, dp.bc2) * (cache["zc1"] > 0)
+        dzc1 = _dense_back(cache["Hc"], Gc, p.Wc2, dp.Wc2, dp.bc2)
+        dzc1 *= cache["zc1"] > 0
         dA1h = _dense_back(A1h, dzc1, p.Wc1 if trunk else None, dp.Wc1, dp.bc1)
         # fine-logit gradient, in place: only the true group's block of a
         # row is nonzero. Rows sorted by group, ascending within a group;
-        # group g owns the rows a:b of Gf and its columns fine_spans[g]
+        # group g owns the rows a:b of Gf and its columns fine_spans[g],
+        # and writes its input gradient into the rows a:b of dA2_s
         fine.ravel()[species] -= 1.0
         by_group = np.argsort(y1, kind="stable")
         ends = np.bincount(y1, minlength=params.G).cumsum().tolist()
-        Gf, A2_s = fine[:, by_group], A2h[:, by_group]
-        if trunk:
-            dA2_s = np.zeros((K - h, B, params.d2))
+        Gf, A2_s = np.take(fine, by_group, axis=1), np.take(A2h, by_group, axis=1)
+        dA2_s = np.empty((K - h, B, params.d2)) if trunk else None
         for g, a, b, (c, d) in zip(range(params.G), [0] + ends[:-1], ends, params.fine_spans):
-            if a == b:
+            if a == b:   # no row of group g: its heads get no gradient
+                dp.Wf[g].fill(0.0)
+                dp.bf[g].fill(0.0)
                 continue
-            dA = _dense_back(A2_s[:, a:b], Gf[:, a:b, c:d], p.Wf[g] if trunk else None,
-                             dp.Wf[g], dp.bf[g])
-            if trunk:
-                dA2_s[:, a:b] += dA
+            _dense_back(A2_s[:, a:b], Gf[:, a:b, c:d], p.Wf[g] if trunk else None,
+                        dp.Wf[g], dp.bf[g], out=dA2_s[:, a:b] if trunk else None)
         if trunk:
             dA2[h:, by_group] = dA2_s
 
     if trunk:
-        dA1 = _dense_back(A1, dA2 * (z2 > 0), params.W2, grads.W2, grads.b2)
+        dA2 *= z2 > 0
+        dA1 = _dense_back(A1, dA2, params.W2, grads.W2, grads.b2)
         if h < K:
             dA1[h:] += dA1h
-        _dense_back(X, dA1 * (z1 > 0), None, grads.W1, grads.b1)
+        dA1 *= z1 > 0
+        _dense_back(X, dA1, None, grads.W1, grads.b1)
 
     grads.vector[...] /= B
     return np.add.reduce(out, axis=-1) / B   # as `out.mean(axis=-1)`, with less overhead
@@ -417,7 +436,7 @@ def train(config: TrainConfig, train_split: D.Dataset, taxonomy: Taxonomy, schem
         for epoch in range(config.epochs):
             rng = np.random.default_rng([config.seed, 1, epoch])
             order = rng.permutation(n)
-            loss_sum = np.zeros(len(losses))
+            loss_sums = [0.0] * len(losses)   # Python floats round as float64 does
             for start in range(0, n, B):
                 idx = order[start:start + B]
                 # mode="clip" (`idx` is in range) lets np.take write into `out` unbuffered
@@ -430,13 +449,13 @@ def train(config: TrainConfig, train_split: D.Dataset, taxonomy: Taxonomy, schem
                     batch = (inputs, y1[idx], y2[idx])
                     raise (_input_fault(initial.tile(len(losses)), grads, batch, idx, where, losses)
                            or _diverged(params, grads, batch, losses, names, epoch))
-                loss_sum += loss * idx.shape[0]
+                loss_sums = [s + x * idx.shape[0] for s, x in zip(loss_sums, loss.tolist())]
                 velocity *= config.momentum
                 grads.vector[...] *= config.learning_rate   # in place: no (K, P) temporary
                 velocity -= grads.vector
                 params.vector[...] += velocity
-            for history, value in zip(histories, (loss_sum / n).tolist()):
-                history.append(value)
+            for history, value in zip(histories, loss_sums):
+                history.append(value / n)
     trained = [(params.row(k), history) for k, history in enumerate(histories)]
     if schemes is None:
         return trained[0]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import warnings
@@ -485,6 +486,18 @@ class TestWriteReport:
         with open(tmp_path / "report.json") as f:
             loaded = E.report_from_dict(json.load(f))
         assert loaded == report or E.report_to_dict(loaded) == E.report_to_dict(report)
+
+    def test_report_dict_is_asdict(self, toy_taxonomy):
+        """`report_to_dict` builds what `dataclasses.asdict` gives, in the
+        same key order, and shares no dict with the report."""
+        params = _random_model(toy_taxonomy, seed=8)
+        report = E.evaluate(params, _dataset(toy_taxonomy, 16, seed=8), toy_taxonomy, 0.2)
+        doc = E.report_to_dict(report)
+        assert json.dumps(doc) == json.dumps(dataclasses.asdict(report))
+        for name, unit in report.units.items():
+            for key, value in vars(unit).items():
+                if type(value) is dict:
+                    assert doc["units"][name][key] is not value, key
 
     def test_per_class_csvs_written(self, tmp_path, toy_taxonomy):
         params = _random_model(toy_taxonomy, seed=8)
