@@ -49,6 +49,12 @@ MUTANTS = [
            "j = int((peaks <= MAX_FEATURE).argmin())",
            "j = len(peaks) - 1 - int((peaks <= MAX_FEATURE)[::-1].argmin())",
            ("tests/test_data.py::test_value_rule_matches_loop_oracle",)),
+    Mutant("avg-level2a-by-averaged-fine", "inference.py",
+           "level2a=_pick_in_group(g, p2, taxonomy),",
+           "level2a=_pick_in_group(g, np.add.reduce(track.frames.fine_local.fine, axis=-2),"
+           " taxonomy),",
+           ("tests/test_inference.py::TestAggregateAvg::"
+            "test_level2a_follows_the_averaged_joint_not_the_averaged_fine",)),
     Mutant("fallback-rescores-failing-batch-only", "inference.py",
            "for track in tracks:\n            fn(params, track.model_input())",
            "for k in idx:\n            fn(params, tracks[k].model_input())",

@@ -2,7 +2,8 @@
 
 A track is scored in one forward pass: `TrackScores` holds one
 `HeadOutputs` whose arrays carry a leading frame axis (T, ·), which
-`select_image` and both aggregates read directly.
+`select_image` and both aggregates read directly; a batch of tracks of
+one length adds a leading track axis, (n, T, ·).
 
 Track-level aggregation comes in two flavours: averaging per-frame
 score vectors, and per-frame argmax voting with confidence averaged
@@ -18,10 +19,12 @@ training also keeps. It then scores the tracks in batches of one length
 `model`), bit-identical to scoring each track alone. The forward is
 `model.forward` unless the caller passes another that gives
 `HeadOutputs` (the flat baseline's `evaluation.flat_heads`). Each batch
-is reduced at once to one row per frame (image unit) or per track
-(video units), written at the track's own place in split order, so a
-split's raw scores are never held. The threshold search, the metric suite and
-`hierfish infer` all read these `UnitRows`.
+is reduced to one row per frame (image unit) or per track (video
+units), written at the track's own place in split order, so a split's
+raw scores are never held: `select_image` and the frame average
+(`aggregate_avg`) reduce the whole batch at once, the vote
+(`aggregate_vote`) one track at a time. The threshold search, the
+metric suite and `hierfish infer` all read these `UnitRows`.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class Prediction:
 @dataclass
 class TrackScores:
     """Head outputs of one track's frames, in order, on a leading frame
-    axis. A list of per-frame `HeadOutputs` is stacked on construction."""
+    axis (T, ·), or of a batch of tracks of one length (n, T, ·). A list
+    of per-frame `HeadOutputs` is stacked on construction."""
     frames: HeadOutputs
 
     def __post_init__(self):
@@ -121,17 +125,22 @@ class ImageSelection:
     level2b_confidence: float
 
 
+def _pick_in_group(g, scores: np.ndarray, taxonomy: Taxonomy):
+    """Level-2A: each row's argmax of `scores` (..., S) within its group
+    `g` (...,), in one argmax over the S columns (group-major, so column
+    s is global species s), the columns outside the group at -inf."""
+    in_group = np.repeat(np.arange(taxonomy.G), taxonomy.group_sizes) == g[..., None]
+    return np.where(in_group, scores, -np.inf).argmax(axis=-1)
+
+
 def select_image(outputs: HeadOutputs, taxonomy: Taxonomy) -> ImageSelection:
     """Image-based selections for one frame or a stack of frames; ties
     broken by lowest index (np.argmax)."""
     g = outputs.coarse.argmax(axis=-1)
-    # 2A: one argmax over the S fine columns (group-major, so column s is
-    # global species s), the columns outside each frame's coarse winner at -inf
-    in_winner = np.repeat(np.arange(taxonomy.G), taxonomy.group_sizes) == g[..., None]
     return ImageSelection(
         coarse_group=g,
         coarse_confidence=outputs.coarse.max(axis=-1),
-        level2a=np.where(in_winner, outputs.fine_local.fine, -np.inf).argmax(axis=-1),
+        level2a=_pick_in_group(g, outputs.fine_local.fine, taxonomy),
         level2b=outputs.joint.argmax(axis=-1),
         level2b_confidence=outputs.joint.max(axis=-1),
     )
@@ -145,6 +154,8 @@ def _mean(x: np.ndarray):
 
 @dataclass
 class AvgAggregate:
+    """One track's fields, numpy scalars; a batch of n tracks adds a
+    leading (n,) axis to each."""
     p1: np.ndarray            # (G,) frame-averaged coarse scores
     p2: np.ndarray            # (S,) frame-averaged joint scores
     selection: int            # argmax of p2
@@ -155,19 +166,18 @@ class AvgAggregate:
 
 
 def aggregate_avg(track: TrackScores, taxonomy: Taxonomy) -> AvgAggregate:
-    """Average per-frame score vectors over the track, then select."""
-    p1 = _mean(track.frames.coarse)
-    p2 = _mean(track.frames.joint)
-    sel = int(p2.argmax())
-    g = int(p1.argmax())
-    start = taxonomy.to_global(g, 0)
-    size = taxonomy.group_sizes[g]
-    s2a = start + int(p2[start:start + size].argmax())
+    """Average the per-frame score vectors over the frame axis, then
+    select as `select_image` does: of one track's frames (T, ·), or of
+    each track of a batch of one length (n, T, ·), bit for bit as each
+    track alone."""
+    p1, p2 = (np.add.reduce(x, axis=-2) / x.shape[-2]
+              for x in (track.frames.coarse, track.frames.joint))
+    g = p1.argmax(axis=-1)
     return AvgAggregate(
         p1=p1, p2=p2,
-        selection=sel, confidence=float(p2[sel]),
-        coarse_selection=g, coarse_confidence=float(p1[g]),
-        level2a=s2a,
+        selection=p2.argmax(axis=-1), confidence=p2.max(axis=-1),
+        coarse_selection=g, coarse_confidence=p1.max(axis=-1),
+        level2a=_pick_in_group(g, p2, taxonomy),
     )
 
 
@@ -276,9 +286,9 @@ def score_split(params: ModelParams, tracks, taxonomy: Taxonomy,
     `HeadOutputs` that `heads(params, x)` gives, by default `forward`'s.
     Every unit's name and every track's labels are checked before any
     track is scored; then each batch of `stacked_forward` is reduced to
-    rows before the next is scored: `select_image` once over the batch's
-    frames, each video aggregate once per track on views of the batch's
-    arrays."""
+    rows before the next is scored: `select_image` and `aggregate_avg`
+    once over the whole batch, `aggregate_vote` once per track on views
+    of the batch's arrays."""
     for unit in units:
         if unit not in UNITS:
             raise MalformedDocument(f"unknown unit {unit!r}")
@@ -290,19 +300,19 @@ def score_split(params: ModelParams, tracks, taxonomy: Taxonomy,
     for unit, rows in tables.items():
         rows.y1[:], rows.y2[:] = (labels if unit != "image"
                                   else np.repeat(labels, lengths, axis=0)).T
-    video = [(rows, aggregate_avg if unit == "video_avg" else aggregate_vote)
-             for unit, rows in tables.items() if unit != "image"]
     for idx, out in stacked_forward(heads or forward, params, tracks):
         if "image" in tables:
             s, at = select_image(out, taxonomy), starts[idx, None] + np.arange(out.joint.shape[1])
             tables["image"].put(at, s.coarse_group, s.coarse_confidence, s.level2a, s.level2b,
                                 s.level2b_confidence)
-        for j, k in enumerate(idx.tolist()):
-            track = TrackScores(frames=out[j])
-            for rows, aggregate in video:
-                r = aggregate(track, taxonomy)
-                rows.put(k, r.coarse_selection, r.coarse_confidence, r.level2a, r.selection,
-                         r.confidence)
+        if "video_avg" in tables:
+            a = aggregate_avg(TrackScores(frames=out), taxonomy)
+            tables["video_avg"].put(idx, a.coarse_selection, a.coarse_confidence, a.level2a,
+                                    a.selection, a.confidence)
+        for j, k in enumerate(idx.tolist() if "video_vote" in tables else ()):
+            v = aggregate_vote(TrackScores(frames=out[j]), taxonomy)
+            tables["video_vote"].put(k, v.coarse_selection, v.coarse_confidence, v.level2a,
+                                     v.selection, v.confidence)
     return tables
 
 

@@ -380,8 +380,8 @@ def _input_fault(initial, grads, batch, rows, where, losses):
         return None
     peak = np.maximum.reduce([np.abs(X).max(axis=1) for X in batch[0]])
     j = int(np.argmax(peak))
-    return NonFiniteInput(f"{where(rows[j])}: input values up to |{peak[j]:g}| overflow the "
-                          "network at its initial weights; rescale the features")
+    return NonFiniteInput(f"{where(rows[j])}: input values up to |{peak[j]:g}| give a "
+                          "non-finite loss at the network's initial weights; rescale the features")
 
 
 def _diverged(params, grads, batch, losses, names, epoch):

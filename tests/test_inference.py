@@ -78,6 +78,35 @@ class TestAggregateAvg:
         assert abs(agg.p1.sum() - 1.0) <= 1e-9
         assert abs(agg.p2.sum() - 1.0) <= 1e-9
 
+    def test_level2a_follows_the_averaged_joint_not_the_averaged_fine(self, tiny_taxonomy):
+        # group X wins the averaged coarse [0.6, 0.4]; the averaged joint
+        # [0.35, 0.25, 0.4] picks x1 within it, the averaged fine [0.35, 0.65] x2
+        a = make_outputs([1.0, 0.0], [[0.7, 0.3], [1.0]])
+        b = make_outputs([0.2, 0.8], [[0.0, 1.0], [1.0]])
+        agg = I.aggregate_avg(I.TrackScores(frames=[a, b]), tiny_taxonomy)
+        assert agg.coarse_selection == 0 and agg.selection == 2
+        assert agg.level2a == 0
+
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_batch_is_each_track_alone(self, toy_taxonomy, T):
+        """A batch of n tracks (n, T, ·) gives each track's fields, bit for
+        bit, on a leading (n,) axis."""
+        rng = np.random.default_rng(T)
+        tracks = [I.TrackScores(frames=[
+            make_outputs(random_simplex(rng, toy_taxonomy.G),
+                         [random_simplex(rng, n) for n in toy_taxonomy.group_sizes])
+            for _ in range(T)]).frames for _ in range(5)]
+        batch = HeadOutputs(np.stack([t.coarse for t in tracks]),
+                            M.FineLocal(np.stack([t.fine_local.fine for t in tracks]),
+                                        tracks[0].fine_local.spans),
+                            np.stack([t.joint for t in tracks]))
+        got = I.aggregate_avg(I.TrackScores(frames=batch), toy_taxonomy)
+        for j, track in enumerate(tracks):
+            one = I.aggregate_avg(I.TrackScores(frames=track), toy_taxonomy)
+            for f in fields(I.AvgAggregate):
+                a, b = getattr(got, f.name)[j], getattr(one, f.name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
     def test_empty_track(self, toy_taxonomy):
         with pytest.raises(EmptyTrack):
             I.TrackScores(frames=[])
@@ -232,45 +261,22 @@ def _toy_eval_setup(taxonomy, n_tracks=20, seed=13):
     return params, ds.tracks[:n_tracks]
 
 
-def _track_of(params, tracks):
-    """The track whose `score_track` scores a `TrackScores` holds, found by
-    their bytes, so a fake aggregate needs no order of calls."""
-    by_bytes = {I.score_track(params, t).frames.joint.tobytes(): t for t in tracks}
-    assert len(by_bytes) == len(tracks)
-    return lambda ts: by_bytes[ts.frames.joint.tobytes()]
+def _rows(n, fine_right):
+    """`n` hand-built rows of rising confidence, every group right and
+    every fine pick right, or every fine pick wrong."""
+    rows = I.UnitRows.empty(n)
+    rows.y1[:], rows.y2[:], rows.conf[:] = 0, 0, np.linspace(0.1, 0.9, n)
+    rows.coarse[:], rows.coarse_conf[:] = 0, 0.9
+    rows.fine[:] = rows.level2a[:] = 0 if fine_right else 1
+    return rows
 
 
 class TestSearchThreshold:
-    def test_all_correct_gives_zero(self, tiny_taxonomy, monkeypatch):
-        params, tracks = _toy_eval_setup(tiny_taxonomy, n_tracks=4)
-        track_of = _track_of(params, tracks)
+    def test_all_correct_gives_zero(self):
+        assert I.best_threshold(_rows(4, fine_right=True)) == 0.0
 
-        def fake_avg(ts, taxonomy):
-            # every track "correct" at fine level
-            track = track_of(ts)
-            y2 = taxonomy.species_index(track.species)
-            y1 = taxonomy.group_index(track.group)
-            return I.AvgAggregate(p1=None, p2=None, selection=y2, confidence=0.6,
-                                  coarse_selection=y1, coarse_confidence=0.9,
-                                  level2a=y2)
-
-        monkeypatch.setattr(I, "aggregate_avg", fake_avg)
-        assert I.search_threshold(params, tracks, tiny_taxonomy) == 0.0
-
-    def test_all_fine_wrong_coarse_right_stops_everything(self, tiny_taxonomy, monkeypatch):
-        params, tracks = _toy_eval_setup(tiny_taxonomy, n_tracks=4)
-        track_of = _track_of(params, tracks)
-
-        def fake_avg(ts, taxonomy):
-            track = track_of(ts)
-            y2 = taxonomy.species_index(track.species)
-            y1 = taxonomy.group_index(track.group)
-            return I.AvgAggregate(p1=None, p2=None, selection=(y2 + 1) % taxonomy.S,
-                                  confidence=0.6, coarse_selection=y1,
-                                  coarse_confidence=0.9, level2a=y2)
-
-        monkeypatch.setattr(I, "aggregate_avg", fake_avg)
-        assert I.search_threshold(params, tracks, tiny_taxonomy) == 1.0 + I.STOP_ALL_EPS
+    def test_all_fine_wrong_coarse_right_stops_everything(self):
+        assert I.best_threshold(_rows(4, fine_right=False)) == 1.0 + I.STOP_ALL_EPS
 
     def test_matches_exhaustive_scan_oracle(self, toy_taxonomy):
         params, tracks = _toy_eval_setup(toy_taxonomy, n_tracks=20)
@@ -491,7 +497,8 @@ def _split(taxonomy, mode, seed, frames_max=20, lengths=None):
 
 def _per_track_rows(params, tracks, taxonomy):
     """The reference `score_split`: each track scored alone by `score_track`
-    and reduced at once."""
+    and reduced at once; the frame average from the track's frame means
+    and a slice argmax inside the coarse winner's group."""
     tables = {u: I.UnitRows.empty(sum(map(len, tracks)) if u == "image" else len(tracks))
               for u in I.UNITS}
     end = 0
@@ -500,12 +507,16 @@ def _per_track_rows(params, tracks, taxonomy):
         ts = I.score_track(params, track)
         s, frames = I.select_image(ts.frames, taxonomy), slice(end, end + len(track))
         end = frames.stop
+        p1, p2 = ts.frames.coarse.mean(axis=0), ts.frames.joint.mean(axis=0)
+        g, b = int(np.argmax(p1)), int(np.argmax(p2))
+        start = taxonomy.to_global(g, 0)
+        s2a = start + int(np.argmax(p2[start:start + taxonomy.group_sizes[g]]))
+        v = I.aggregate_vote(ts, taxonomy)
         rows = [("image", frames, (s.coarse_group, s.coarse_confidence, s.level2a, s.level2b,
-                                   s.level2b_confidence))]
-        for unit, aggregate in (("video_avg", I.aggregate_avg), ("video_vote", I.aggregate_vote)):
-            a = aggregate(ts, taxonomy)
-            rows.append((unit, k, (a.coarse_selection, a.coarse_confidence, a.level2a,
-                                   a.selection, a.confidence)))
+                                   s.level2b_confidence)),
+                ("video_avg", k, (g, p1[g], s2a, b, p2[b])),
+                ("video_vote", k, (v.coarse_selection, v.coarse_confidence, v.level2a,
+                                   v.selection, v.confidence))]
         for unit, at, values in rows:
             t = tables[unit]
             t.y1[at], t.y2[at] = y1, y2
@@ -552,6 +563,25 @@ class TestChunkedScoring:
         assert [idx.tolist() for idx in I.track_batches(tracks)] == batches
         _assert_same_bytes(I.score_split(params, tracks, toy_taxonomy),
                            _per_track_rows(params, tracks, toy_taxonomy))
+
+    def test_frame_average_reduces_a_batch_and_the_vote_a_track(self, toy_taxonomy,
+                                                                 monkeypatch):
+        """`score_split` calls `aggregate_avg` once per batch, on the
+        batch's (n, T, ·) stack, and `aggregate_vote` once per track."""
+        params, tracks = _split(toy_taxonomy, M.MODE_TRUNK, seed=3)
+        calls = {"avg": [], "vote": []}
+        for name, key in (("aggregate_avg", "avg"), ("aggregate_vote", "vote")):
+            def spy(ts, taxonomy, aggregate=getattr(I, name), key=key):
+                calls[key].append(ts.frames.joint.shape)
+                return aggregate(ts, taxonomy)
+            monkeypatch.setattr(I, name, spy)
+        I.score_split(params, tracks, toy_taxonomy)
+        batches = list(I.track_batches(tracks))
+        assert len(batches) < len(tracks)
+        assert calls["avg"] == [(len(idx), len(tracks[idx[0]]), toy_taxonomy.S)
+                                for idx in batches]
+        assert calls["vote"] == [(len(tracks[k]), toy_taxonomy.S)
+                                 for idx in batches for k in idx]
 
     @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
     def test_score_chunk_rows_are_each_tracks_scores(self, six31, mode):

@@ -246,8 +246,8 @@ class TestTrain:
         cfg = T.TrainConfig(epochs=1, seed=0, learning_rate=1e-9, d1=4, hidden=4, d2=3)
         with pytest.raises(NonFiniteInput,
                            match=rf"^track {track.track_id!r} frame 1: input values up to "
-                                 r"\|1e\+10\| overflow the network at its initial weights; "
-                                 r"rescale the features$"):
+                                 r"\|1e\+10\| give a non-finite loss at the network's initial "
+                                 r"weights; rescale the features$"):
             T.train(cfg, ds, toy_taxonomy, schemes)
 
     @pytest.mark.parametrize("data, attr, column, value", [
