@@ -12,7 +12,9 @@
 #   wide/      a 24 x 5 taxonomy: 1,200 tracks of 4-12 frames, split 0.5,
 #              baseline and scheme3 trained for 3 epochs
 #   pre/       a precomputed chain: the README split through a seeded trunk
-#   errors/    the errors `train`, `ablation` and `eval` report on bad input
+#   errors/    the errors `gen`, `train`, `ablation` and the scoring commands
+#              report on bad input, each as every refusal is: exit status 1
+#              and one stderr line `error: ...`
 # logs/ holds each command's stdout, stderr and, for a refused one, its
 # exit status. Every command runs inside OUT on relative paths, so two
 # runs compare with one `diff -r`.
@@ -45,14 +47,16 @@ run() {
   }
 }
 
-# refused NAME COMMAND...: as run, for a COMMAND that must fail
+# refused NAME COMMAND...: as run, for a COMMAND that must be refused:
+# exit status 1 and a stderr of one line, starting `error: `
 refused() {
   local name=$1 status=0
   shift
   "$@" > "logs/$name.out" 2> "logs/$name.err" || status=$?
   echo "$status" > "logs/$name.status"
-  if [ "$status" -eq 0 ]; then
-    echo "artifact_chains: $name did not fail" >&2
+  if [ "$status" -ne 1 ] || [ "$(wc -l < "logs/$name.err")" -ne 1 ] \
+    || ! grep -q '^error: ' "logs/$name.err"; then
+    echo "artifact_chains: $name was not refused with status 1 and one 'error: ' line" >&2
     return 1
   fi
 }
@@ -135,45 +139,70 @@ for name in ("train", "eval"):
 echo '{}' > pre/config.json
 schemes pre readme/data/taxonomy.json pre/train.jsonl pre/eval.jsonl baseline scheme3
 
-# the README train split with one edit each
+# the README splits and scheme3 checkpoint with one edit each
 python3 -c '
 import json
-lines = open("readme/splits/train.jsonl").read().splitlines()
-last = json.loads(lines[-1])["track_id"]
 
-def write(name, edit):
-    recs = [json.loads(line) for line in lines]
+def write(name, edit, split="train"):   # edit(record, in the last track) on each record
+    recs = [json.loads(line) for line in open(f"readme/splits/{split}.jsonl")]
     for rec in recs:
-        edit(rec)
+        edit(rec, rec["track_id"] == recs[-1]["track_id"])
     with open(f"errors/{name}.jsonl", "w") as f:
         f.writelines(json.dumps(rec) + "\n" for rec in recs)
 
-def frame(rec, value, width):   # the last track first frame: width values set to value
-    if rec["track_id"] == last and rec["frame_index"] == 0:
-        rec["features"][:width] = [value] * width
+def frame(value, width=None):   # the first width values (default all) of the last track first frame
+    def edit(rec, last):
+        if last and rec["frame_index"] == 0:
+            rec["features"][:width] = [value] * len(rec["features"][:width])
+    return edit
 
-def label(rec, key, value):     # every frame of the last track
-    if rec["track_id"] == last:
-        rec[key] = value
+def checkpoint(name, **first):   # each named weight first value set
+    doc = json.load(open("readme/scheme3/model.json"))
+    for key, value in first.items():
+        weight = doc["weights"][key]
+        (weight[0] if type(weight[0]) is list else weight)[0] = value
+    with open(f"errors/{name}.json", "w") as f:
+        json.dump(doc, f)
 
-write("overflow", lambda rec: frame(rec, 1e300, 1))
-write("saturate", lambda rec: frame(rec, -1e300, 1))
-write("mid-training", lambda rec: frame(rec, 1e10, len(rec["features"])))
-write("species", lambda rec: label(rec, "species", "not-a-species"))
-write("group", lambda rec: label(rec, "group", "Sharks" if rec["group"] != "Sharks" else "Skates"))
+write("overflow", frame(1e300, 1))
+write("saturate", frame(-1e100, 1))
+write("mid-training", frame(1e10))
+write("species", lambda rec, last: last and rec.update(species="not-a-species"))
+write("group", lambda rec, last: last and rec.update(
+    group="Sharks" if rec["group"] != "Sharks" else "Skates"))
+write("no-features", lambda rec, last: rec.update(features=[]))
+write("huge-input", frame(1e300, 1), "eval")
+checkpoint("string-weight", b1="0.5")
+checkpoint("huge-weights", W1=1e300, W2=1e300)
 '
 echo '{"train": {"epochs": 1}}' > errors/config.json
 echo '{"gen": {"tracks_total": 62}, "train": {"epochs": 1, "learning_rate": 1e300}}' \
   > errors/rate.json
-for case in overflow saturate mid-training species group; do
+echo '{"schemes": []}' > errors/no-schemes.json
+echo '{"gen": {"sigma_frame": -0.0}}' > errors/negative-zero.json
+for case in overflow saturate mid-training species group no-features; do
   refused "errors-train-$case" hierfish train --config errors/config.json --seed 0 \
     --taxonomy readme/data/taxonomy.json --data "errors/$case.jsonl" --out "errors/$case"
 done
+
+# score CASE COMMAND MODEL DATA: a scoring COMMAND refused on MODEL and DATA
+score() {
+  refused "errors-$2-$1" hierfish "$2" --taxonomy readme/data/taxonomy.json --model "$3" \
+    --data "$4" --out "errors/$2-$1"
+}
 for case in species group; do
-  refused "errors-eval-$case" hierfish eval --taxonomy readme/data/taxonomy.json \
-    --model readme/scheme3/model.json --data "errors/$case.jsonl" --out "errors/eval-$case"
+  score "$case" eval readme/scheme3/model.json "errors/$case.jsonl"
+done
+score string-weight eval errors/string-weight.json readme/splits/eval.jsonl
+for command in eval infer search-threshold; do
+  score huge-input "$command" readme/scheme3/model.json errors/huge-input.jsonl
+  score huge-weights "$command" errors/huge-weights.json readme/splits/eval.jsonl
 done
 refused errors-train-rate hierfish train --config errors/rate.json --seed 0 \
   --taxonomy readme/data/taxonomy.json --data readme/splits/train.jsonl --out errors/rate
 refused errors-ablation-rate hierfish ablation --config errors/rate.json --seed 0 \
   --out errors/ablation-rate
+refused errors-ablation-no-schemes hierfish ablation --config errors/no-schemes.json \
+  --out errors/no-schemes
+refused errors-gen-negative-zero hierfish gen --config errors/negative-zero.json \
+  --out errors/negative-zero

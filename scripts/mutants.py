@@ -69,11 +69,20 @@ MUTANTS = [
            "continue",
            ("tests/test_training.py::test_lockstep_is_bit_identical_to_solo_training",)),
     Mutant("flat-joint-recomputed", "evaluation.py",
-           "return HeadOutputs(coarse, FineLocal(fine, params.fine_spans), joint)",
-           "return HeadOutputs(coarse, FineLocal(fine, params.fine_spans),"
-           " coarse[..., params.fine_group] * fine)",
+           "return HeadOutputs(coarse, FineLocal(fine, t.spans), joint)",
+           "return HeadOutputs(coarse, FineLocal(fine, t.spans),"
+           " coarse[..., t.column_group] * fine)",
            ("tests/test_evaluation.py::TestFlatBaseline::test_flat_heads_marginalise_the_softmax",
             "tests/test_evaluation.py::TestFlatBaseline::test_chunks_score_as_each_track_alone")),
+    Mutant("layout-tables-writable", "taxonomy.py",
+           "            table.flags.writeable = False\n",
+           "",
+           ("tests/test_taxonomy.py::"
+            "test_layout_tables_are_read_only_and_follow_the_index_arithmetic",)),
+    Mutant("vote-level2a-over-every-frame", "inference.py",
+           "joint[support, a:b]",
+           "joint[:, a:b]",
+           ("tests/test_inference.py::test_track_selections_match_loop_oracles",)),
     Mutant("baseline-scored-by-hierarchical-heads", "evaluation.py",
            'heads = flat_heads if scheme == "baseline" else None',
            "heads = None",

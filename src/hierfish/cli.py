@@ -123,9 +123,9 @@ def resolve(args) -> Settings:
 
 # one body per stage, shared by the single-stage commands and `run_scheme`
 
-def _write_model(params, history, taxonomy: Taxonomy, out_dir: str) -> None:
+def _write_model(params, history, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    M.save_checkpoint(params, taxonomy, os.path.join(out_dir, "model.json"))
+    M.save_checkpoint(params, os.path.join(out_dir, "model.json"))
     with open(os.path.join(out_dir, "loss.csv"), "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "mean_loss"])
@@ -166,7 +166,7 @@ def cmd_train(args) -> int:
     s = resolve(args)
     dataset = D.load_jsonl(args.data)
     params, history = T.train(s.train, dataset, s.taxonomy)   # checks the labels
-    _write_model(params, history, s.taxonomy, args.out)
+    _write_model(params, history, args.out)
     final = f"{history[-1]:.4f}" if history else "n/a"
     print(f"trained {s.train.scheme} for {s.train.epochs} epochs, final loss {final}")
     return 0
@@ -222,7 +222,7 @@ def run_scheme(scheme: str, params, history, eval_split: D.Dataset, taxonomy: Ta
     """Write one trained scheme's artifacts, search its threshold, evaluate.
     `report`, another scheme's evaluation of the same trained model, is
     taken under this scheme's name instead of scoring the split again."""
-    _write_model(params, history, taxonomy, out_dir)
+    _write_model(params, history, out_dir)
     report = (E.evaluate(params, eval_split, taxonomy, None, scheme) if report is None
               else dataclasses.replace(report, scheme=scheme))
     E.write_report(report, out_dir)

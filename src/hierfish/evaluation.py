@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data as D
 from .errors import EmptyEvalSet, MalformedDocument
-from .inference import UnitRows, best_threshold, check_threshold, score_split
+from .inference import UNITS, UnitRows, best_threshold, check_threshold, score_split
 # not called here: perfbench's tracer wraps these names on this module too
 from .inference import aggregate_avg, aggregate_vote, score_track  # noqa: F401
 from .model import FineLocal, HeadOutputs, ModelParams, forward_flat
@@ -101,10 +101,10 @@ def flat_heads(params: ModelParams, x) -> HeadOutputs:
     group's columns over that sum. A group whose sum underflows to 0 gets
     NaN columns, but it never wins the coarse argmax, and `select_image`
     reads only the winner's columns."""
-    joint = forward_flat(params, x)
-    coarse = np.add.reduceat(joint, params.fine_starts, axis=-1)
-    fine = joint / coarse[..., params.fine_group]
-    return HeadOutputs(coarse, FineLocal(fine, params.fine_spans), joint)
+    t, joint = params.taxonomy, forward_flat(params, x)
+    coarse = np.add.reduceat(joint, t.starts, axis=-1)
+    fine = joint / coarse[..., t.column_group]
+    return HeadOutputs(coarse, FineLocal(fine, t.spans), joint)
 
 
 def evaluate(params: ModelParams, eval_split: D.Dataset, taxonomy: Taxonomy,
@@ -138,8 +138,8 @@ def evaluate_flat(params: ModelParams, eval_split: D.Dataset,
     return evaluate(params, eval_split, taxonomy, None, "baseline")
 
 
-def _fmt(value, decimals=1) -> str:
-    return "" if value is None else f"{value:.{decimals}f}"
+def _fmt(value) -> str:
+    return "" if value is None else f"{value:.1f}"
 
 
 TABLE_COLUMNS = ["model", "unit", "level1", "level2a", "level2b",
@@ -195,7 +195,7 @@ def write_report(report: EvalReport, out_dir: str) -> None:
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
         json.dump(report_to_dict(report), f, indent=2)
     write_table_csv([report], os.path.join(out_dir, "table.csv"))
-    units = [report.units[u] for u in ("image", "video_avg", "video_vote")]
+    units = [report.units[u] for u in UNITS]
     for name, (key, attr, scale) in PER_CLASS_CSVS.items():
         with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)

@@ -129,7 +129,7 @@ def _pick_in_group(g, scores: np.ndarray, taxonomy: Taxonomy):
     """Level-2A: each row's argmax of `scores` (..., S) within its group
     `g` (...,), in one argmax over the S columns (group-major, so column
     s is global species s), the columns outside the group at -inf."""
-    in_group = np.repeat(np.arange(taxonomy.G), taxonomy.group_sizes) == g[..., None]
+    in_group = taxonomy.column_group == g[..., None]
     return np.where(in_group, scores, -np.inf).argmax(axis=-1)
 
 
@@ -218,8 +218,8 @@ def aggregate_vote(track: TrackScores, taxonomy: Taxonomy) -> VoteAggregate:
     conf = float(_mean(top[support]))
     gsel, support, top = _vote(track.frames.coarse)
     gconf = float(_mean(top[support]))
-    start = taxonomy.to_global(gsel, 0)
-    sel_2a = start + _vote(joint[support, start:start + taxonomy.group_sizes[gsel]])[0]
+    a, b = taxonomy.spans[gsel].tolist()
+    sel_2a = a + _vote(joint[support, a:b])[0]
     return VoteAggregate(selection=sel, confidence=conf, coarse_selection=gsel,
                          coarse_confidence=gconf, level2a=sel_2a)
 

@@ -62,14 +62,15 @@ def weight_shapes(taxonomy: Taxonomy, d_in: int, d1: int, hidden: int, d2: int) 
 
 
 class ModelParams:
-    """Every weight array of the network in one contiguous float64 vector.
+    """Every weight array of a network for `taxonomy` and `dims` (the
+    `DIM_KEYS`, each also an attribute) in one contiguous float64 vector.
 
-    `shapes` is the layout `weight_shapes` returns: each name a field,
-    a view into `vector` in table order, so an optimizer can update all
-    of them with whole-vector operations. Assigning to a field (or to
-    `vector`) writes into its view. `Wf` and `bf` are the tuples of the
-    `Wf{g}` and `bf{g}` views, so their items cannot be replaced.
-
+    The layout is `weight_shapes(taxonomy, **dims)`: each name a field, a
+    view into `vector` in table order, so an optimizer can update all of
+    them with whole-vector operations. Assigning to a field (or `vector`)
+    writes into its view; `Wf` and `bf`, the tuples of the `Wf{g}` and
+    `bf{g}` views, cannot have their items replaced. The fine heads'
+    columns are read from the taxonomy's tables (`Taxonomy.spans`).
     `fine_runs` lists the runs of consecutive fine heads of equal size n
     as (g, h, a, b, W): heads g..h-1, their columns a..b-1 of the S, and
     W, one (k, d2, n) view of their k = h - g matrices `Wf{g}` (stacked,
@@ -81,8 +82,10 @@ class ModelParams:
     models a..b-1 and `row(k)` model k alone, both sharing the memory.
     """
 
-    def __init__(self, mode: str, vector: np.ndarray, shapes: dict):
+    def __init__(self, mode: str, vector: np.ndarray, taxonomy: Taxonomy, dims: dict):
         lead = vector.shape[:-1]
+        dims = {key: dims[key] for key in DIM_KEYS}
+        shapes = weight_shapes(taxonomy, **dims)
 
         def view(start, shape):
             pad = (1,) * (len(lead) and 2 - len(shape))   # a stacked bias is (K, 1, n)
@@ -95,25 +98,18 @@ class ModelParams:
         views = {name: view(start, shape) for (name, shape), start in zip(shapes.items(), starts)}
         Wf = tuple(arr for name, arr in views.items() if name.startswith("Wf"))
         bf = tuple(arr for name, arr in views.items() if name.startswith("bf"))
-        sizes = [arr.shape[-1] for arr in bf]
-        ends = np.cumsum(sizes)
-        fine_starts = ends - sizes
-        spans = list(zip(fine_starts.tolist(), ends.tolist()))
         wf_starts = [start for name, start in zip(shapes, starts) if name.startswith("Wf")]
-        runs, g = [], 0
-        for _, heads in groupby(sizes):
+        spans, runs, g = taxonomy.spans.tolist(), [], 0
+        for _, heads in groupby(taxonomy.group_sizes):
             k = len(list(heads))
             runs.append((g, g + k, spans[g][0], spans[g + k - 1][1],
                          view(wf_starts[g], (k,) + shapes[f"Wf{g}"])))
             g += k
-        self.__dict__.update(views, mode=mode, vector=vector, _views=views, _shapes=shapes,
+        self.__dict__.update(views, **dims, G=taxonomy.G, S=taxonomy.S, mode=mode,
+                             vector=vector, taxonomy=taxonomy, dims=dims, _views=views,
                              _rows={}, Wf=Wf, bf=bf,
-                             # the fine heads share one axis of S columns; group g
-                             # owns fine_spans[g]. bf is last, so fine_bias is one view
-                             fine_bias=view(starts[-1] - int(ends[-1]), (int(ends[-1]),)),
-                             fine_spans=spans,
-                             fine_starts=fine_starts,
-                             fine_group=np.repeat(np.arange(len(bf)), sizes),
+                             # bf is last, so the fine heads' biases are one view
+                             fine_bias=view(starts[-1] - taxonomy.S, (taxonomy.S,)),
                              fine_runs=runs)
 
     def __setattr__(self, name, value):
@@ -133,30 +129,6 @@ class ModelParams:
         for view, new in zip(views, values):
             view[...] = new
 
-    @property
-    def d_in(self) -> int:
-        return self.W1.shape[-2]
-
-    @property
-    def d1(self) -> int:
-        return self.W1.shape[-1]
-
-    @property
-    def d2(self) -> int:
-        return self.W2.shape[-1]
-
-    @property
-    def hidden(self) -> int:
-        return self.Wc1.shape[-1]
-
-    @property
-    def G(self) -> int:
-        return self.Wc2.shape[-1]
-
-    @property
-    def S(self) -> int:
-        return self.Wl2.shape[-1]
-
     def fields(self):
         """(name, array) of every weight, in `vector` order; used by
         checkpoints and the finite-difference gradient check."""
@@ -166,7 +138,7 @@ class ModelParams:
         return self._views[name]
 
     def _with(self, vector: np.ndarray) -> "ModelParams":
-        return ModelParams(self.mode, vector, self._shapes)
+        return ModelParams(self.mode, vector, self.taxonomy, self.dims)
 
     def copy(self) -> "ModelParams":
         return self._with(self.vector.copy())
@@ -196,7 +168,7 @@ class FineLocal(Sequence):
     g's local distribution `fine[..., a:b]`, (a, b) = `spans[g]`, built
     on access."""
 
-    def __init__(self, fine: np.ndarray, spans: list[tuple[int, int]]):
+    def __init__(self, fine: np.ndarray, spans: np.ndarray | list[tuple[int, int]]):
         self.fine, self.spans = fine, spans
 
     def __len__(self) -> int:
@@ -254,7 +226,8 @@ def init_params(
         raise MalformedDocument(f"unknown mode {mode!r}")
     rng = np.random.default_rng([seed, 0])
     shapes = weight_shapes(taxonomy, d_in, d1, hidden, d2)
-    params = ModelParams(mode, np.zeros(sum(map(math.prod, shapes.values()))), shapes)
+    params = ModelParams(mode, np.zeros(sum(map(math.prod, shapes.values()))), taxonomy,
+                         dict(d_in=d_in, d1=d1, hidden=hidden, d2=d2))
     # the fine heads draw first, then the other matrices in table order
     matrices = [name for name, shape in shapes.items() if len(shape) == 2]
     for name in sorted(matrices, key=lambda name: not name.startswith("Wf")):
@@ -321,7 +294,7 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
 
     shallow: (B, d1), deep: (B, d2); probabilities are (B, G) and
     (B, S), where `fine` holds every group's local distribution in its
-    columns `params.fine_spans[g]`. Without the batch axis, one
+    columns `params.taxonomy.spans[g]`. Without the batch axis, one
     example; with more leading axes, a stack (module docstring). The
     joint is left to the caller: `forward` forms all of it, training
     only the product at each row's label.
@@ -348,8 +321,8 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
     zc2 = Hc @ params.Wc2 + params.bc2
     _check_finite("coarse head", zc2)
     coarse = _softmax(zc2)
-    spans, group, runs = params.fine_spans, params.fine_group, params.fine_runs
-    fine = np.empty(deep.shape[:-1] + group.shape)
+    t, runs = params.taxonomy, params.fine_runs
+    fine = np.empty(deep.shape[:-1] + (params.S,))
     # (..., 1, B, d2) @ (..., k, d2, n) lands in the run's columns seen as
     # (..., k, B, n); one example is a batch of one
     rows, cols = (deep, fine) if deep.ndim > 1 else (deep[None], fine[None])
@@ -359,15 +332,15 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
         np.matmul(rows, W, out=block.swapaxes(-2, -3))
     fine += params.fine_bias
     if not np.isfinite(fine).all():
-        g = next(g for g, (a, b) in enumerate(spans) if not np.isfinite(fine[..., a:b]).all())
+        g = next(g for g, (a, b) in enumerate(t.spans) if not np.isfinite(fine[..., a:b]).all())
         raise NonFiniteActivation(f"non-finite values in fine head {g}")
-    fine -= np.maximum.reduceat(fine, params.fine_starts, axis=-1)[..., group]
+    fine -= np.maximum.reduceat(fine, t.starts, axis=-1)[..., t.column_group]
     np.exp(fine, out=fine)
     sums = np.empty(coarse.shape)
     for g, h, a, b, W in runs:
         np.add.reduce(fine[..., a:b].reshape(fine.shape[:-1] + (h - g, W.shape[-1])),
                       axis=-1, out=sums[..., g:h])
-    fine /= sums[..., group]
+    fine /= sums[..., t.column_group]
     return {"zc1": zc1, "Hc": Hc}, coarse, fine
 
 
@@ -412,8 +385,8 @@ def forward(params: ModelParams, x) -> HeadOutputs:
     """
     shallow, deep = _resolve_features(params, x)
     _, coarse, fine = heads_forward(params, shallow, deep)
-    return HeadOutputs(coarse=coarse, fine_local=FineLocal(fine, params.fine_spans),
-                       joint=coarse[..., params.fine_group] * fine)
+    return HeadOutputs(coarse=coarse, fine_local=FineLocal(fine, params.taxonomy.spans),
+                       joint=coarse[..., params.taxonomy.column_group] * fine)
 
 
 def forward_flat(params: ModelParams, x) -> np.ndarray:
@@ -423,11 +396,11 @@ def forward_flat(params: ModelParams, x) -> np.ndarray:
     return flat_forward(params, deep)[1]
 
 
-def save_checkpoint(params: ModelParams, taxonomy: Taxonomy, path: str) -> None:
+def save_checkpoint(params: ModelParams, path: str) -> None:
     doc = {
         "mode": params.mode,
-        "dims": {key: getattr(params, key) for key in DIM_KEYS},
-        "taxonomy_digest": taxonomy.digest(),
+        "dims": params.dims,
+        "taxonomy_digest": params.taxonomy.digest(),
         "weights": {name: arr.tolist() for name, arr in params.fields()},
     }
     with open(path, "w", encoding="utf-8") as f:
@@ -500,4 +473,4 @@ def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
         if not np.isfinite(arr).all():
             raise MalformedDocument(f"checkpoint weight {name!r} has non-finite values")
         arrays.append(arr.ravel())
-    return ModelParams(mode, np.concatenate(arrays), shapes)
+    return ModelParams(mode, np.concatenate(arrays), taxonomy, dims)

@@ -1,7 +1,7 @@
 """Two-level group -> species label structure and its index arithmetic.
 
-The global species index is group-major: all species of group 0 first,
-then group 1, and so on. Every other module relies on this ordering.
+The global species index is group-major (group 0's species first, then
+group 1's, ...); `Taxonomy` owns that layout, which every module reads.
 """
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     DuplicateName,
@@ -23,13 +25,16 @@ class Taxonomy:
     groups: tuple[str, ...]
     species_by_group: tuple[tuple[str, ...], ...]
     # lookup tables, computed once at construction: group-major offsets,
-    # species names in global order, name -> global index, global index
-    # -> group, group sizes
+    # species names in global order, name -> global index, group sizes
     _offsets: tuple[int, ...] = field(init=False, repr=False)
     _species_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _species_ids: dict = field(init=False, repr=False, compare=False)
-    _group_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _group_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the species axis, read-only arrays: group g owns the columns
+    # spans[g] = (starts[g], starts[g] + |S_g|), column s is group column_group[s]
+    spans: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    column_group: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.groups) == 0:
@@ -44,18 +49,19 @@ class Taxonomy:
         all_species = tuple(s for sp in self.species_by_group for s in sp)
         if len(set(all_species)) != len(all_species):
             raise DuplicateName("duplicate species name")
-        offsets = []
-        acc = 0
-        for sp in self.species_by_group:
-            offsets.append(acc)
-            acc += len(sp)
-        object.__setattr__(self, "_offsets", tuple(offsets))
+        sizes = tuple(map(len, self.species_by_group))
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        tables = {"spans": np.stack([starts, ends], axis=1), "starts": starts,
+                  "column_group": np.repeat(np.arange(len(sizes)), sizes)}
+        for name, table in tables.items():
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+        object.__setattr__(self, "_offsets", tuple(starts.tolist()))
         object.__setattr__(self, "_species_names", all_species)
         object.__setattr__(self, "_species_ids",
                            {name: s for s, name in enumerate(all_species)})
-        object.__setattr__(self, "_group_of", tuple(
-            g for g, sp in enumerate(self.species_by_group) for _ in sp))
-        object.__setattr__(self, "_group_sizes", tuple(map(len, self.species_by_group)))
+        object.__setattr__(self, "_group_sizes", sizes)
 
     @property
     def G(self) -> int:
@@ -79,7 +85,7 @@ class Taxonomy:
     def to_local(self, s: int) -> tuple[int, int]:
         if not (0 <= s < self.S):
             raise IndexOutOfRange(f"global species index {s} out of range")
-        g = self._group_of[s]
+        g = self.column_group.item(s)
         return g, s - self._offsets[g]
 
     def group_of(self, s: int) -> int:

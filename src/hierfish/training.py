@@ -20,7 +20,7 @@ One kernel, `_loss_and_grads`, computes the batch loss and its gradient
 for every scheme; `compute_gradients` (the finite-difference oracle's
 subject), `batch_loss` and `train` all call it. The fine heads run as
 one segmented softmax over a (B, S) array, group g in the columns
-`ModelParams.fine_spans[g]`, with one stacked GEMM per run of
+`Taxonomy.spans[g]`, with one stacked GEMM per run of
 equal-size heads (see `model.heads_forward`); the backward pass
 subtracts the one-hot label from that array once and takes each
 group's gradient as a block of one by-group row gather.
@@ -258,14 +258,15 @@ def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
         dA1h = _dense_back(A1h, dzc1, p.Wc1 if trunk else None, dp.Wc1, dp.bc1)
         # fine-logit gradient, in place: only the true group's block of a
         # row is nonzero. Rows sorted by group, ascending within a group;
-        # group g owns the rows a:b of Gf and its columns fine_spans[g],
+        # group g owns the rows a:b of Gf and its columns (c, d) = spans[g],
         # and writes its input gradient into the rows a:b of dA2_s
         fine.ravel()[species] -= 1.0
         by_group = np.argsort(y1, kind="stable")
         ends = np.bincount(y1, minlength=params.G).cumsum().tolist()
         Gf, A2_s = np.take(fine, by_group, axis=1), np.take(A2h, by_group, axis=1)
         dA2_s = np.empty((K - h, B, params.d2)) if trunk else None
-        for g, a, b, (c, d) in zip(range(params.G), [0] + ends[:-1], ends, params.fine_spans):
+        spans = params.taxonomy.spans.tolist()
+        for g, a, b, (c, d) in zip(range(params.G), [0] + ends[:-1], ends, spans):
             if a == b:   # no row of group g: its heads get no gradient
                 dp.Wf[g].fill(0.0)
                 dp.bf[g].fill(0.0)

@@ -374,7 +374,7 @@ class TestErrors:
                                          frames_min=2, frames_max=3, dim=6, seed=1))
         D.save_jsonl(dataset, str(ws / "frames.jsonl"))
         params = M.init_params(TAXONOMY, d_in=6, d1=5, hidden=4, d2=4, seed=1)
-        M.save_checkpoint(params, TAXONOMY, str(ws / "model.json"))
+        M.save_checkpoint(params, str(ws / "model.json"))
         doc = json.loads((ws / "model.json").read_text())
         del doc["weights"]["Wf1"]
         (ws / "model.json").write_text(json.dumps(doc))
@@ -447,7 +447,7 @@ def test_checkpoint_commands_on_a_taxonomy_of_301_species(workspace):
     data = D.generate(D.GenConfig(taxonomy=tax, tracks_total=602, frames_min=1, frames_max=2,
                                   dim=6, seed=1))
     D.save_jsonl(D.Dataset(tracks=data.tracks[::60]), str(ws / "frames.jsonl"))
-    M.save_checkpoint(M.init_params(tax, d_in=6, d1=5, hidden=4, d2=4, seed=1), tax,
+    M.save_checkpoint(M.init_params(tax, d_in=6, d1=5, hidden=4, d2=4, seed=1),
                       str(ws / "model.json"))
     common = ["--taxonomy", ws / "big.json", "--model", ws / "model.json",
               "--data", ws / "frames.jsonl"]
@@ -478,7 +478,7 @@ def test_gen_section_sized_for_another_taxonomy_trains(tmp_path, capsys):
 def test_infer_checks_threshold_before_reading_tracks(workspace, capsys, threshold):
     ws = workspace
     M.save_checkpoint(M.init_params(TAXONOMY, d_in=6, d1=5, hidden=4, d2=4, seed=1),
-                      TAXONOMY, str(ws / "model.json"))
+                      str(ws / "model.json"))
     (ws / "empty.jsonl").write_text("")
     common = ["infer", "--taxonomy", ws / "taxonomy.json", "--model", ws / "model.json",
               "--data", ws / "empty.jsonl"]
@@ -505,7 +505,7 @@ def _scoring_inputs(ws, edit_track=None, edit_params=None):
     if edit_params:
         edit_params(params)
     D.save_jsonl(dataset, str(ws / "frames.jsonl"))
-    M.save_checkpoint(params, TAXONOMY, str(ws / "model.json"))
+    M.save_checkpoint(params, str(ws / "model.json"))
     return ["--taxonomy", ws / "taxonomy.json", "--model", ws / "model.json",
             "--data", ws / "frames.jsonl", "--out", ws / "out"], track
 
@@ -728,7 +728,7 @@ def test_gen_and_eval_on_fuzzed_config_and_checkpoint(tmp_path_factory, config_f
                                      frames_max=3, dim=4, seed=1))
     D.save_jsonl(dataset, str(ws / "frames.jsonl"))
     params = M.init_params(TAXONOMY, d_in=4, d1=3, hidden=3, d2=3, seed=1)
-    M.save_checkpoint(params, TAXONOMY, str(ws / "model.json"))
+    M.save_checkpoint(params, str(ws / "model.json"))
     doc = json.loads((ws / "model.json").read_text())
     part, name = checkpoint_field
     if part == "dims":

@@ -423,7 +423,7 @@ class TestFlatBaseline:
         x = np.random.default_rng(9).normal(size=(3, 5, params.d_in))
         probs, heads = M.forward_flat(params, x), E.flat_heads(params, x)
         assert heads.joint.tobytes() == probs.tobytes()
-        for g, (a, b) in enumerate(params.fine_spans):
+        for g, (a, b) in enumerate(toy_taxonomy.spans):
             np.testing.assert_allclose(heads.coarse[..., g], probs[..., a:b].sum(axis=-1),
                                        rtol=1e-14)
             np.testing.assert_allclose(heads.fine_local[g],
@@ -435,7 +435,7 @@ class TestFlatBaseline:
         scores; it never wins the coarse argmax, so no selection reads them
         and numpy warns of nothing."""
         params = _random_model(toy_taxonomy, seed=6)
-        a, b = params.fine_spans[1]
+        a, b = toy_taxonomy.spans[1]
         params.bl2[a:b] = -1e4
         ds = _dataset(toy_taxonomy, 16, seed=6)
         with np.errstate(invalid="ignore"):

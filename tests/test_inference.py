@@ -107,6 +107,17 @@ class TestAggregateAvg:
                 a, b = getattr(got, f.name)[j], getattr(one, f.name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
+    def test_one_track_builds_no_column_map(self, toy_taxonomy, monkeypatch):
+        """A one-track average and an image selection read the taxonomy's
+        column -> group map; neither builds one with `np.repeat`."""
+        params, track = _track_and_model(toy_taxonomy, M.MODE_TRUNK, 5)
+        ts, calls, repeat = I.score_track(params, track), [], np.repeat
+        monkeypatch.setattr(np, "repeat",
+                            lambda *args, **kw: calls.append(args) or repeat(*args, **kw))
+        I.aggregate_avg(ts, toy_taxonomy)
+        I.select_image(ts.frames, toy_taxonomy)
+        assert calls == []
+
     def test_empty_track(self, toy_taxonomy):
         with pytest.raises(EmptyTrack):
             I.TrackScores(frames=[])

@@ -272,7 +272,7 @@ class TestSegmentedSoftmax:
             ref_coarse, ref_fine, ref_joint = _per_group_heads(p, shallow, deep)
             assert fine.shape == ref_joint.shape
             assert np.array_equal(coarse, ref_coarse)
-            for (a, b), ref in zip(p.fine_spans, ref_fine, strict=True):
+            for (a, b), ref in zip(taxonomy.spans, ref_fine, strict=True):
                 assert np.array_equal(fine[..., a:b], ref)
             assert np.array_equal(joint, ref_joint)
 
@@ -308,7 +308,7 @@ class TestSegmentedSoftmax:
         call over all n tracks, and the softmaxes' sums one per run and one
         for the coarse head."""
         p, shallow, deep = _random_heads(taxonomy, 0, 8)
-        p = M.ModelParams(p.mode, p.vector.view(_MatmulCounted), p._shapes)
+        p = M.ModelParams(p.mode, p.vector.view(_MatmulCounted), p.taxonomy, p.dims)
         add = _Counted(np.add)
         monkeypatch.setattr(np, "add", add)
         monkeypatch.setattr(_MatmulCounted, "calls", 0)
@@ -352,7 +352,7 @@ class TestSegmentedSoftmax:
         p.mode = M.MODE_PRECOMPUTED
         out = M.forward(p, (shallow, deep))
         assert len(out.fine_local) == six31.G
-        for (a, b), f in zip(p.fine_spans, out.fine_local, strict=True):
+        for (a, b), f in zip(six31.spans, out.fine_local, strict=True):
             assert np.shares_memory(f, out.fine_local.fine) and f.shape == (7, b - a)
         with pytest.raises(TypeError):
             out.fine_local[0] = np.zeros((7, 5))
@@ -391,7 +391,7 @@ class TestParamsLayout:
         assert vector[-3:].tolist() == [3.0, -3.0, 0.5]      # bf comes last
         shapes = M.weight_shapes(tiny_taxonomy, d_in=2, d1=2, hidden=2, d2=2)
         ref = M.ModelParams(p.mode, np.concatenate([p.get(name).ravel() for name in shapes]),
-                            shapes)
+                            tiny_taxonomy, dict(d_in=2, d1=2, hidden=2, d2=2))
         after, expected = M.forward(p, x), M.forward(ref, x)
         assert not np.array_equal(after.joint, before.joint)
         assert np.array_equal(after.joint, expected.joint)
@@ -416,12 +416,23 @@ class TestParamsLayout:
         assert hashlib.sha256(p.vector.tobytes()).hexdigest() == (
             "04fc546e22d3def79acea54db2c55a77eb0d22cca2e39d959e66cbb8e6efeab1")
 
+    def test_every_copy_and_view_keeps_its_taxonomy(self, tmp_path, toy_taxonomy):
+        """A model is built for one taxonomy: a loaded checkpoint and every
+        stack, view and copy read that taxonomy's tables, not copies."""
+        p = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=9)
+        path = str(tmp_path / "ckpt.json")
+        M.save_checkpoint(p, path)
+        q, stacked = M.load_checkpoint(path, toy_taxonomy), p.tile(3)
+        for params in (p, q, stacked, stacked.rows(1, 3), stacked.row(2), q.tile(2).row(0),
+                       p.zeros_like(), p.copy(), stacked.zeros_like(), stacked.copy()):
+            assert params.taxonomy is toy_taxonomy
+
     def test_vector_must_fit_the_layout(self, tiny_taxonomy):
-        shapes = M.weight_shapes(tiny_taxonomy, d_in=2, d1=2, hidden=2, d2=2)
-        P = M.init_params(tiny_taxonomy, d_in=2, d1=2, hidden=2, d2=2).vector.size
+        dims = dict(d_in=2, d1=2, hidden=2, d2=2)
+        P = M.init_params(tiny_taxonomy, **dims).vector.size
         for size in (P - 1, P + 1):
             with pytest.raises(DimensionMismatch, match=f"{P} weights"):
-                M.ModelParams(M.MODE_TRUNK, np.zeros(size), shapes)
+                M.ModelParams(M.MODE_TRUNK, np.zeros(size), tiny_taxonomy, dims)
 
     def test_stacked_forward_is_each_row_forward(self, six31):
         """K stacked models run through the one forward by broadcasting,
@@ -478,7 +489,7 @@ class TestParamsLayout:
         for g, h, a, b, W in p.fine_runs:
             assert np.shares_memory(W, p.vector)
             assert W.shape == p.vector.shape[:-1] + (h - g, 4, sizes[g])
-            assert (a, b) == (p.fine_spans[g][0], p.fine_spans[h - 1][1])
+            assert (a, b) == (taxonomy.spans[g][0], taxonomy.spans[h - 1][1])
             assert set(sizes[g:h]) == {sizes[g]}
             for j, head in enumerate(range(g, h)):
                 view, field = W[..., j, :, :], p.Wf[head]
@@ -492,7 +503,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path, toy_taxonomy):
         p = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=9)
         path = str(tmp_path / "ckpt.json")
-        M.save_checkpoint(p, toy_taxonomy, path)
+        M.save_checkpoint(p, path)
         q = M.load_checkpoint(path, toy_taxonomy)
         assert q.mode == p.mode
         for (ka, a), (kb, b) in zip(p.fields(), q.fields()):
@@ -502,7 +513,7 @@ class TestCheckpoint:
     def test_taxonomy_mismatch(self, tmp_path, toy_taxonomy, tiny_taxonomy):
         p = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=9)
         path = str(tmp_path / "ckpt.json")
-        M.save_checkpoint(p, toy_taxonomy, path)
+        M.save_checkpoint(p, path)
         with pytest.raises(TaxonomyMismatch):
             M.load_checkpoint(path, tiny_taxonomy)
 
@@ -531,7 +542,7 @@ class TestCheckpoint:
                                                   mutate, match):
         p = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=9)
         path = tmp_path / "ckpt.json"
-        M.save_checkpoint(p, toy_taxonomy, str(path))
+        M.save_checkpoint(p, str(path))
         doc = json.loads(path.read_text())
         mutate(doc)
         path.write_text(json.dumps(doc))
@@ -541,7 +552,7 @@ class TestCheckpoint:
     def test_absurd_dims_allocate_nothing(self, tmp_path, toy_taxonomy, monkeypatch):
         p = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=9)
         path = tmp_path / "ckpt.json"
-        M.save_checkpoint(p, toy_taxonomy, str(path))
+        M.save_checkpoint(p, str(path))
         doc = json.loads(path.read_text())
         doc["dims"]["d_in"] = 10**9
         path.write_text(json.dumps(doc))
@@ -560,10 +571,10 @@ class TestCheckpoint:
         dims = dict(d_in=5, d1=4, hidden=3, d2=2)
         p = M.init_params(toy_taxonomy, **dims, seed=9, mode=mode)
         first, second = tmp_path / "first.json", tmp_path / "second.json"
-        M.save_checkpoint(p, toy_taxonomy, str(first))
+        M.save_checkpoint(p, str(first))
         weights = json.loads(first.read_text())["weights"]
         assert list(weights) == list(M.weight_shapes(toy_taxonomy, **dims))
-        M.save_checkpoint(M.load_checkpoint(str(first), toy_taxonomy), toy_taxonomy, str(second))
+        M.save_checkpoint(M.load_checkpoint(str(first), toy_taxonomy), str(second))
         assert first.read_bytes() == second.read_bytes()
 
     def test_not_an_object(self, tmp_path, toy_taxonomy):
@@ -576,7 +587,7 @@ class TestCheckpoint:
         p = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=9,
                           mode=M.MODE_PRECOMPUTED)
         path = str(tmp_path / "ckpt.json")
-        M.save_checkpoint(p, toy_taxonomy, path)
+        M.save_checkpoint(p, path)
         q = M.load_checkpoint(path, toy_taxonomy)
         assert q.mode == M.MODE_PRECOMPUTED
         assert np.array_equal(p.vector, q.vector)

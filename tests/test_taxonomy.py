@@ -119,3 +119,20 @@ def test_bijection_property(t):
             seen.add(s)
             assert t.to_local(s) == (g, i)
     assert len(seen) == t.S
+
+
+@given(taxonomies())
+def test_layout_tables_are_read_only_and_follow_the_index_arithmetic(t):
+    """`spans`, `starts` and `column_group` are the species axis that
+    `to_global` and `group_sizes` give, and no reader can write them."""
+    starts = [t.to_global(g, 0) for g in range(t.G)]
+    column_group = [None] * t.S
+    for g, n in enumerate(t.group_sizes):
+        for i in range(n):
+            column_group[t.to_global(g, i)] = g
+    assert t.starts.tolist() == starts
+    assert t.spans.tolist() == [[a, a + n] for a, n in zip(starts, t.group_sizes)]
+    assert t.column_group.tolist() == column_group
+    for table in (t.spans, t.starts, t.column_group):
+        with pytest.raises(ValueError):
+            table[0] = 1
