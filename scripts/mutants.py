@@ -83,6 +83,11 @@ MUTANTS = [
            "joint[support, a:b]",
            "joint[:, a:b]",
            ("tests/test_inference.py::test_track_selections_match_loop_oracles",)),
+    Mutant("view-rebind-replaces-the-attribute", "model.py",
+           'if name in self._views or name in ("vector", "Wf", "bf", "fine_bias", "fine_runs"):',
+           "if False:",
+           ("tests/test_model.py::TestParamsLayout::"
+            "test_rebinding_a_view_raises_and_keeps_the_vector",)),
     Mutant("baseline-scored-by-hierarchical-heads", "evaluation.py",
            'heads = flat_heads if scheme == "baseline" else None',
            "heads = None",

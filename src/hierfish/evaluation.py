@@ -174,11 +174,6 @@ def report_to_dict(report: EvalReport) -> dict:
                       for name, unit in report.units.items()}}
 
 
-def report_from_dict(doc: dict) -> EvalReport:
-    units = {u: UnitReport(**ur) for u, ur in doc["units"].items()}
-    return EvalReport(scheme=doc["scheme"], tau=doc["tau"], units=units)
-
-
 # per-class CSV -> (its key column, the UnitReport field, that field's scale to percent)
 PER_CLASS_CSVS = {
     "per_group_level1.csv": ("group", "per_group_precision_level1", 1.0),

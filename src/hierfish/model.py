@@ -21,11 +21,13 @@ a forward of it alone.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +49,7 @@ DIM_KEYS = ("d_in", "d1", "hidden", "d2")
 
 
 def weight_shapes(taxonomy: Taxonomy, d_in: int, d1: int, hidden: int, d2: int) -> dict:
-    """The parameter layout: checkpoint name -> shape of every weight, in
+    """The parameter table: checkpoint name -> shape of every weight, in
     `ModelParams.vector` order. The trunk (input -> shallow -> deep), the
     coarse head (shallow -> hidden -> G), the flat baseline head (deep ->
     hidden -> S), then the per-group fine heads (deep -> |S_g|): every
@@ -61,20 +63,45 @@ def weight_shapes(taxonomy: Taxonomy, d_in: int, d1: int, hidden: int, d2: int) 
     return shapes
 
 
+# a weight's place in the vector: entries start..start + prod(shape)
+Slot = NamedTuple("Slot", [("name", str), ("start", int), ("shape", tuple)])
+# the vector's format: every weight's Slot in `weight_shapes` order; the
+# names of the `Wf{g}` and of the `bf{g}`; the fine runs, (g, h, a, b,
+# Slot of the run's (k, d2, n) matrices) each; the Slot of every `bf{g}`
+# back to back, (S,); and the vector's length
+Layout = NamedTuple("Layout", [("slots", tuple), ("Wf", tuple), ("bf", tuple),
+                               ("fine_runs", tuple), ("fine_bias", Slot), ("size", int)])
+
+
+@functools.cache   # keyed by the arguments, so the dims are positional: one entry a pair
+def weight_layout(taxonomy: Taxonomy, d_in: int, d1: int, hidden: int, d2: int, /) -> Layout:
+    """The vector's format for a taxonomy and dims, derived once per pair."""
+    shapes = weight_shapes(taxonomy, d_in, d1, hidden, d2)
+    starts = list(accumulate(map(math.prod, shapes.values()), initial=0))
+    slots = tuple(map(Slot, shapes, starts, shapes.values()))
+    G, sizes, spans = taxonomy.G, taxonomy.group_sizes, taxonomy.spans.tolist()
+    wf, bf = slots[-2 * G:-G], slots[-G:]   # the table ends with every Wf{g}, then every bf{g}
+    # a run's heads g..h-1: its bounds are the running sums of its lengths
+    bounds = pairwise(accumulate((len(list(run)) for _, run in groupby(sizes)), initial=0))
+    runs = tuple((g, h, spans[g][0], spans[h - 1][1],
+                  Slot(f"Wf{g}:{h}", wf[g].start, (h - g, d2, sizes[g]))) for g, h in bounds)
+    return Layout(slots, tuple(s.name for s in wf), tuple(s.name for s in bf), runs,
+                  Slot("fine_bias", bf[0].start, (taxonomy.S,)), starts[-1])
+
+
 class ModelParams:
     """Every weight array of a network for `taxonomy` and `dims` (the
     `DIM_KEYS`, each also an attribute) in one contiguous float64 vector.
 
-    The layout is `weight_shapes(taxonomy, **dims)`: each name a field, a
-    view into `vector` in table order, so an optimizer can update all of
-    them with whole-vector operations. Assigning to a field (or `vector`)
-    writes into its view; `Wf` and `bf`, the tuples of the `Wf{g}` and
-    `bf{g}` views, cannot have their items replaced. The fine heads'
-    columns are read from the taxonomy's tables (`Taxonomy.spans`).
+    A model only cuts views from their `weight_layout`: each weight a
+    field, a view into `vector` in `weight_shapes` order, so an optimizer
+    can update all of them with whole-vector operations. Every view is
+    written into (`p.W1[...] = x`); rebinding one raises AttributeError.
+    `Wf` and `bf` are the tuples of the `Wf{g}` and `bf{g}` views, and
     `fine_runs` lists the runs of consecutive fine heads of equal size n
-    as (g, h, a, b, W): heads g..h-1, their columns a..b-1 of the S, and
-    W, one (k, d2, n) view of their k = h - g matrices `Wf{g}` (stacked,
-    (K, k, d2, n)), which lie back to back in `vector`.
+    as (g, h, a, b, W): heads g..h-1, their columns a..b-1 of the S
+    (`Taxonomy.spans`), and W, one (k, d2, n) view of their k = h - g
+    matrices `Wf{g}` (stacked, (K, k, d2, n)), back to back in `vector`.
 
     `tile(K)` stacks K models: `vector` is then (K, P), every matrix
     (K, a, b) and every bias (K, 1, n), so the forward functions run all
@@ -83,51 +110,30 @@ class ModelParams:
     """
 
     def __init__(self, mode: str, vector: np.ndarray, taxonomy: Taxonomy, dims: dict):
-        lead = vector.shape[:-1]
         dims = {key: dims[key] for key in DIM_KEYS}
-        shapes = weight_shapes(taxonomy, **dims)
+        layout = weight_layout(taxonomy, *dims.values())
+        if vector.shape[-1] != layout.size:
+            raise DimensionMismatch(f"{layout.size} weights need a vector of that length, "
+                                    f"not {vector.shape[-1]}")
+        lead = vector.shape[:-1]
 
-        def view(start, shape):
+        def view(name, start, shape):
             pad = (1,) * (len(lead) and 2 - len(shape))   # a stacked bias is (K, 1, n)
             return vector[..., start:start + math.prod(shape)].reshape(lead + pad + shape)
 
-        starts = np.cumsum([0] + [math.prod(shape) for shape in shapes.values()]).tolist()
-        if vector.shape[-1] != starts[-1]:
-            raise DimensionMismatch(f"{starts[-1]} weights need a vector of that length, "
-                                    f"not {vector.shape[-1]}")
-        views = {name: view(start, shape) for (name, shape), start in zip(shapes.items(), starts)}
-        Wf = tuple(arr for name, arr in views.items() if name.startswith("Wf"))
-        bf = tuple(arr for name, arr in views.items() if name.startswith("bf"))
-        wf_starts = [start for name, start in zip(shapes, starts) if name.startswith("Wf")]
-        spans, runs, g = taxonomy.spans.tolist(), [], 0
-        for _, heads in groupby(taxonomy.group_sizes):
-            k = len(list(heads))
-            runs.append((g, g + k, spans[g][0], spans[g + k - 1][1],
-                         view(wf_starts[g], (k,) + shapes[f"Wf{g}"])))
-            g += k
+        views = {slot.name: view(*slot) for slot in layout.slots}
         self.__dict__.update(views, **dims, G=taxonomy.G, S=taxonomy.S, mode=mode,
                              vector=vector, taxonomy=taxonomy, dims=dims, _views=views,
-                             _rows={}, Wf=Wf, bf=bf,
-                             # bf is last, so the fine heads' biases are one view
-                             fine_bias=view(starts[-1] - taxonomy.S, (taxonomy.S,)),
-                             fine_runs=runs)
+                             _rows={}, Wf=tuple(map(views.get, layout.Wf)),
+                             bf=tuple(map(views.get, layout.bf)), fine_bias=view(*layout.fine_bias),
+                             fine_runs=tuple((g, h, a, b, view(*W))
+                                             for g, h, a, b, W in layout.fine_runs))
 
     def __setattr__(self, name, value):
-        """A weight array (or `vector`) is written into its view, never replaced."""
-        if name in ("Wf", "bf"):
-            views, values = getattr(self, name), list(value)
-            if len(values) != len(views):
-                raise DimensionMismatch(f"{name} needs {len(views)} arrays, not {len(values)}")
-        elif name in self._views or name == "vector":
-            views, values = [getattr(self, name)], [value]
-        else:
-            return super().__setattr__(name, value)
-        values = [np.asarray(v, dtype=np.float64) for v in values]
-        for view, new in zip(views, values):
-            if new.shape != view.shape:
-                raise DimensionMismatch(f"{name} needs shape {view.shape}, not {new.shape}")
-        for view, new in zip(views, values):
-            view[...] = new
+        """A view is written into, never rebound; other attributes are set."""
+        if name in self._views or name in ("vector", "Wf", "bf", "fine_bias", "fine_runs"):
+            raise AttributeError(f"{name!r} is a view: write into it, as p.{name}[...] = x")
+        super().__setattr__(name, value)
 
     def fields(self):
         """(name, array) of every weight, in `vector` order; used by
@@ -225,13 +231,13 @@ def init_params(
     if mode not in (MODE_TRUNK, MODE_PRECOMPUTED):
         raise MalformedDocument(f"unknown mode {mode!r}")
     rng = np.random.default_rng([seed, 0])
-    shapes = weight_shapes(taxonomy, d_in, d1, hidden, d2)
-    params = ModelParams(mode, np.zeros(sum(map(math.prod, shapes.values()))), taxonomy,
+    layout = weight_layout(taxonomy, d_in, d1, hidden, d2)
+    params = ModelParams(mode, np.zeros(layout.size), taxonomy,
                          dict(d_in=d_in, d1=d1, hidden=hidden, d2=d2))
     # the fine heads draw first, then the other matrices in table order
-    matrices = [name for name, shape in shapes.items() if len(shape) == 2]
-    for name in sorted(matrices, key=lambda name: not name.startswith("Wf")):
-        params.get(name)[...] = _glorot(rng, *shapes[name])
+    matrices = [slot for slot in layout.slots if len(slot.shape) == 2]
+    for name, _, shape in sorted(matrices, key=lambda slot: not slot.name.startswith("Wf")):
+        params.get(name)[...] = _glorot(rng, *shape)
     return params
 
 
@@ -427,11 +433,11 @@ def number_array(values, key: str, ndim: int = 1) -> np.ndarray:
 
 
 def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
-    """Read a checkpoint, checking it against the layout its dims and the
+    """Read a checkpoint, checking it against the table its dims and the
     taxonomy give (`weight_shapes`): every weight present, of its shape,
-    made of JSON numbers and finite, and no name outside the layout.
-    Nothing is allocated beyond the document's own weights, whatever its
-    dims claim."""
+    made of JSON numbers and finite, and no name outside the table; then
+    write each weight into its view. Nothing is allocated beyond the
+    document's own weights and their model, whatever its dims claim."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
@@ -439,11 +445,11 @@ def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
             raise MalformedDocument(f"invalid checkpoint JSON: {e}") from e
     if not isinstance(doc, dict):
         raise MalformedDocument("checkpoint must hold a JSON object")
-    if doc.get("taxonomy_digest") != taxonomy.digest():
-        raise TaxonomyMismatch("checkpoint was trained against a different taxonomy")
-    for key in ("mode", "dims", "weights"):
+    for key in ("taxonomy_digest", "mode", "dims", "weights"):
         if key not in doc:
             raise MalformedDocument(f"checkpoint has no {key!r}")
+    if doc["taxonomy_digest"] != taxonomy.digest():
+        raise TaxonomyMismatch("checkpoint was trained against a different taxonomy")
     mode, dims, weights = doc["mode"], doc["dims"], doc["weights"]
     if not (isinstance(dims, dict) and sorted(dims) == sorted(DIM_KEYS)
             and all(type(v) is int and v > 0 for v in dims.values())):
@@ -458,7 +464,7 @@ def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
     for name in weights:
         if name not in shapes:
             raise MalformedDocument(f"checkpoint has unknown weight {name!r}")
-    arrays = []
+    arrays = {}
     for name, shape in shapes.items():
         if name not in weights:
             raise MalformedDocument(f"checkpoint has no weight {name!r}")
@@ -472,5 +478,9 @@ def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
             )
         if not np.isfinite(arr).all():
             raise MalformedDocument(f"checkpoint weight {name!r} has non-finite values")
-        arrays.append(arr.ravel())
-    return ModelParams(mode, np.concatenate(arrays), taxonomy, dims)
+        arrays[name] = arr
+    size = weight_layout(taxonomy, *map(dims.get, DIM_KEYS)).size
+    params = ModelParams(mode, np.empty(size), taxonomy, dims)
+    for name, arr in arrays.items():
+        params.get(name)[...] = arr
+    return params

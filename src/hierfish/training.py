@@ -25,14 +25,13 @@ equal-size heads (see `model.heads_forward`); the backward pass
 subtracts the one-hot label from that array once and takes each
 group's gradient as a block of one by-group row gather.
 
-Parameter layout: `ModelParams` keeps every weight of a model in one
-contiguous float64 vector of P entries, in the order and shapes
-`model.weight_shapes` lists (each matrix row-major). The kernel always
-sees K models stacked into a (K, P) array, one row per distinct loss in
-`LOSS_ORDER`: every matrix is a (K, a, b) view and every bias a
-(K, 1, n) view, so one call of the forward functions runs all K models
-by broadcasting. `train` trains
-all the losses of a run in lockstep: every model of one seed starts
+Parameter layout: one function, `model.weight_layout`, owns the format
+of a model's one float64 vector of P entries; every weight is a view
+into it, written in place. The kernel always sees K models stacked
+into a (K, P) array, one row per distinct loss in `LOSS_ORDER`: every
+matrix is a (K, a, b) view and every bias a (K, 1, n) view, so one call
+of the forward functions runs all K models by broadcasting. `train`
+trains all the losses of a run in lockstep: every model of one seed starts
 from the same weights and draws the same batches, so each step makes
 one gather, one stacked trunk pass, the flat head on the baseline row
 (row 0), the coarse and fine heads stacked on the hierarchical rows,
@@ -356,7 +355,7 @@ def _stage(dataset: D.Dataset, taxonomy: Taxonomy):
 
 def _check_size(taxonomy: Taxonomy, K: int, dims: dict) -> None:
     """Refuse to allocate K models of more than MAX_WEIGHTS weights in all."""
-    size = K * sum(math.prod(shape) for shape in M.weight_shapes(taxonomy, **dims).values())
+    size = K * M.weight_layout(taxonomy, *map(dims.get, M.DIM_KEYS)).size
     if size > MAX_WEIGHTS:
         raise InfeasibleConfig(
             f"{K} model(s) of d1={dims['d1']}, hidden={dims['hidden']}, d2={dims['d2']} "
@@ -425,7 +424,8 @@ def train(config: TrainConfig, train_split: D.Dataset, taxonomy: Taxonomy, schem
             else dict(d_in=M.D_IN, d1=widths[0], d2=widths[1]))
     dims.update(hidden=config.hidden)
     _check_size(taxonomy, len(losses), dims)
-    params = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims).tile(len(losses))
+    initial = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims)
+    params = initial.tile(len(losses))
     grads = params.zeros_like()
     velocity = np.zeros_like(params.vector)
     n = y1.shape[0]
@@ -446,7 +446,6 @@ def train(config: TrainConfig, train_split: D.Dataset, taxonomy: Taxonomy, schem
                 loss = _step(params, grads, inputs, y1[idx], y2[idx], losses)
                 if loss is None:
                     # the input is at fault if the batch fails at the initial weights too
-                    initial = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims)
                     batch = (inputs, y1[idx], y2[idx])
                     raise (_input_fault(initial.tile(len(losses)), grads, batch, idx, where, losses)
                            or _diverged(params, grads, batch, losses, names, epoch))

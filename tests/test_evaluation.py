@@ -484,8 +484,7 @@ class TestWriteReport:
         report = E.evaluate(params, ds, toy_taxonomy, 0.2)
         E.write_report(report, str(tmp_path))
         with open(tmp_path / "report.json") as f:
-            loaded = E.report_from_dict(json.load(f))
-        assert loaded == report or E.report_to_dict(loaded) == E.report_to_dict(report)
+            assert json.load(f) == json.loads(json.dumps(E.report_to_dict(report)))
 
     def test_report_dict_is_asdict(self, toy_taxonomy):
         """`report_to_dict` builds what `dataclasses.asdict` gives, in the

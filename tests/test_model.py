@@ -92,20 +92,17 @@ class TestJointScores:
 def _toy_params(tiny_taxonomy):
     """2-group/3-species model with hand-set weights, d_in=2, d1=2, h=2, d2=2."""
     p = M.init_params(tiny_taxonomy, d_in=2, d1=2, hidden=2, d2=2, seed=0)
-    p.W1 = np.array([[0.5, -0.2], [0.1, 0.4]])
-    p.b1 = np.array([0.05, -0.1])
-    p.W2 = np.array([[0.3, 0.7], [-0.6, 0.2]])
-    p.b2 = np.array([0.1, 0.0])
-    p.Wc1 = np.array([[1.0, -0.5], [0.2, 0.8]])
-    p.bc1 = np.array([0.0, 0.1])
-    p.Wc2 = np.array([[0.4, -0.3], [-0.2, 0.6]])
-    p.bc2 = np.array([0.05, -0.05])
-    p.Wf = [np.array([[0.9, -0.4], [0.3, 0.2]]), np.array([[0.5], [-0.7]])]
-    p.bf = [np.array([0.1, -0.1]), np.array([0.0])]
-    p.Wl1 = np.array([[0.6, -0.1], [0.2, 0.5]])
-    p.bl1 = np.array([-0.05, 0.05])
-    p.Wl2 = np.array([[0.3, -0.2, 0.4], [0.1, 0.6, -0.5]])
-    p.bl2 = np.array([0.0, 0.1, -0.1])
+    weights = {"W1": [[0.5, -0.2], [0.1, 0.4]], "b1": [0.05, -0.1],
+               "W2": [[0.3, 0.7], [-0.6, 0.2]], "b2": [0.1, 0.0],
+               "Wc1": [[1.0, -0.5], [0.2, 0.8]], "bc1": [0.0, 0.1],
+               "Wc2": [[0.4, -0.3], [-0.2, 0.6]], "bc2": [0.05, -0.05],
+               "Wf0": [[0.9, -0.4], [0.3, 0.2]], "Wf1": [[0.5], [-0.7]],
+               "bf0": [0.1, -0.1], "bf1": [0.0],
+               "Wl1": [[0.6, -0.1], [0.2, 0.5]], "bl1": [-0.05, 0.05],
+               "Wl2": [[0.3, -0.2, 0.4], [0.1, 0.6, -0.5]], "bl2": [0.0, 0.1, -0.1]}
+    for name, value in weights.items():
+        assert p.get(name).shape == np.shape(value)
+        p.get(name)[...] = value
     return p
 
 
@@ -383,12 +380,13 @@ class TestParamsLayout:
         p = M.init_params(tiny_taxonomy, d_in=2, d1=2, hidden=2, d2=2, seed=0)
         vector, x = p.vector, np.array([0.8, -1.3])
         before = M.forward(p, x)
-        bf = [np.array([3.0, -3.0]), np.array([0.5])]
-        p.bf = bf
-        p.W1 = np.eye(2)
+        p.bf[0][...] = [3.0, -3.0]
+        p.get("bf1")[...] = 0.5
+        p.W1[...] = np.eye(2)
         assert p.vector is vector
         assert vector[:4].tolist() == [1.0, 0.0, 0.0, 1.0]   # W1 comes first
         assert vector[-3:].tolist() == [3.0, -3.0, 0.5]      # bf comes last
+        assert p.fine_bias.tolist() == [3.0, -3.0, 0.5]
         shapes = M.weight_shapes(tiny_taxonomy, d_in=2, d1=2, hidden=2, d2=2)
         ref = M.ModelParams(p.mode, np.concatenate([p.get(name).ravel() for name in shapes]),
                             tiny_taxonomy, dict(d_in=2, d1=2, hidden=2, d2=2))
@@ -403,11 +401,39 @@ class TestParamsLayout:
         saved = p.vector.copy()
         with pytest.raises(TypeError):
             p.bf[0] = np.zeros(2)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(AttributeError, match="'b1' is a view"):
             p.b1 = np.zeros(3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(AttributeError, match="'Wf' is a view"):
             p.Wf = [np.zeros((2, 2))]
         assert np.array_equal(p.vector, saved)
+        p.mode = M.MODE_PRECOMPUTED   # an attribute that is no view is set
+        assert p.mode == M.MODE_PRECOMPUTED
+
+    @pytest.mark.parametrize("name", ["W1", "Wf", "bf", "fine_bias", "vector"])
+    def test_rebinding_a_view_raises_and_keeps_the_vector(self, six31, name):
+        """A right-shaped value is refused too: the attribute stays the
+        view, and the vector its bytes."""
+        p = M.init_params(six31, seed=4).tile(2)
+        view, saved = getattr(p, name), p.vector.copy()
+        value = (tuple(np.ones_like(a) for a in view) if isinstance(view, tuple)
+                 else np.ones_like(view))
+        with pytest.raises(AttributeError, match=f"'{name}' is a view"):
+            setattr(p, name, value)
+        assert getattr(p, name) is view
+        assert np.array_equal(p.vector, saved)
+
+    def test_built_models_derive_no_layout(self, six31, monkeypatch):
+        """The layout is derived once per taxonomy and dims: a model's
+        stacks, copies and views only cut views from it."""
+        p = M.init_params(six31, seed=0)
+        stacked = p.tile(3)
+        calls = []
+        shapes = M.weight_shapes
+        monkeypatch.setattr(M, "weight_shapes", lambda *a, **k: calls.append(a) or shapes(*a, **k))
+        for q in (p.tile(3), p.copy(), p.zeros_like(), stacked.copy(), stacked.zeros_like(),
+                  stacked.rows(0, 2), stacked.rows(1, 3), stacked.row(0), stacked.row(2)):
+            assert q.taxonomy is six31
+        assert calls == []
 
     def test_seeded_init_is_pinned(self, six31):
         """The weights every seeded run starts from: the fine heads draw
@@ -537,6 +563,7 @@ class TestCheckpoint:
         (lambda doc: doc["weights"].update(b1=["0.5", True, 0.0]), "convert '0.5' in 'b1'"),
         (lambda doc: doc["weights"]["Wc1"][2].__setitem__(1, True), "convert True in 'Wc1'"),
         (lambda doc: doc["weights"].update(Wf9=[[0.0]]), "unknown weight 'Wf9'"),
+        (lambda doc: doc.pop("taxonomy_digest"), "'taxonomy_digest'"),
     ])
     def test_malformed_checkpoint_names_the_key(self, tmp_path, toy_taxonomy,
                                                   mutate, match):

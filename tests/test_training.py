@@ -250,6 +250,20 @@ class TestTrain:
                                  r"weights; rescale the features$"):
             T.train(cfg, ds, toy_taxonomy, schemes)
 
+    def test_input_fault_draws_the_initial_weights_once(self, toy_taxonomy, monkeypatch):
+        """The failed step is checked against the weights the run started
+        from, not a second draw of them."""
+        ds = _tiny_dataset(toy_taxonomy)
+        ds.tracks[3].features[1] = 1e10
+        draws = []
+        init_params = M.init_params
+        monkeypatch.setattr(M, "init_params",
+                            lambda *a, **k: draws.append(k) or init_params(*a, **k))
+        cfg = T.TrainConfig(epochs=1, seed=0, learning_rate=1e-9, d1=4, hidden=4, d2=3)
+        with pytest.raises(NonFiniteInput, match="at the network's initial weights"):
+            T.train(cfg, ds, toy_taxonomy, ["scheme1", "baseline", "scheme3"])
+        assert len(draws) == 1
+
     @pytest.mark.parametrize("data, attr, column, value", [
         ("features", "features", 0, 1e300), ("features", "features", 2, -1e300),
         ("precomputed", "shallow", 3, -1e300), ("precomputed", "deep", 0, 1e300),
