@@ -88,6 +88,10 @@ MUTANTS = [
            "if False:",
            ("tests/test_model.py::TestParamsLayout::"
             "test_rebinding_a_view_raises_and_keeps_the_vector",)),
+    Mutant("finiteness-shortcut-sums-ints-exactly", "data.py",
+           "math.isfinite(sum(vec, 0.0))",
+           "math.isfinite(sum(vec))",
+           ("tests/test_data.py::test_reader_follows_the_number_rule",)),
     Mutant("baseline-scored-by-hierarchical-heads", "evaluation.py",
            'heads = flat_heads if scheme == "baseline" else None',
            "heads = None",

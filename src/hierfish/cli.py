@@ -152,12 +152,14 @@ def cmd_gen(args) -> int:
 
 def cmd_split(args) -> int:
     s = resolve(args)
-    dataset = D.load_jsonl(args.data)
+    lines = {}   # track id -> where its frames' lines lie in the file
+    dataset = D.load_jsonl(args.data, lines)
     D.check_labels(dataset, s.taxonomy)
     train, evaln = D.split_by_track(dataset, s.split_ratio, s.seed)
     os.makedirs(args.out, exist_ok=True)
-    D.save_jsonl(train, os.path.join(args.out, "train.jsonl"))
-    D.save_jsonl(evaln, os.path.join(args.out, "eval.jsonl"))
+    # each side's lines copied from the file, not printed again
+    D.copy_lines(args.data, lines, {os.path.join(args.out, "train.jsonl"): train,
+                                    os.path.join(args.out, "eval.jsonl"): evaln})
     print(f"split: {len(train)} train / {len(evaln)} eval tracks")
     return 0
 

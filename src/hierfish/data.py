@@ -8,12 +8,21 @@ generator places a centroid per group, offsets per species, adds a
 jitter vector shared by all frames of a track (deformation/occlusion
 is correlated within one catch), and independent per-frame noise.
 Species track counts follow a Zipf profile over species rank.
+
+A frames file (JSONL) holds one frame per line. `save_jsonl` spells
+each line as `json.dumps` does; `load_jsonl` reads the file in one
+streaming pass, checking each line as it comes, and can note where
+each frame's line lies, so that `copy_lines` (what `hierfish split`
+writes) copies lines instead of printing their floats again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import struct
 from array import array
 from dataclasses import dataclass
 
@@ -30,7 +39,7 @@ from .errors import (
     SpeciesTooSmall,
     TaxonomyMismatch,
 )
-from .model import MODE_PRECOMPUTED, MODE_TRUNK, number_array
+from .model import MODE_PRECOMPUTED, MODE_TRUNK, NUMBER_TYPES, number_array
 from .taxonomy import Taxonomy
 
 
@@ -275,19 +284,51 @@ def hash_str(s: str) -> int:
 VECTOR_FIELDS = {MODE_TRUNK: ("features",), MODE_PRECOMPUTED: ("shallow", "deep")}
 
 
+def _json(value) -> str:
+    return json.dumps(value, ensure_ascii=False)
+
+
 def save_jsonl(dataset: Dataset, path: str) -> None:
+    """One line per frame, `json.dumps(record, ensure_ascii=False)` of the
+    record `load_jsonl` reads: tracks in dataset order, rows in block
+    order. A track of finite float64 blocks and int frame indices is
+    written from one template that encodes its labels once; each row is
+    the `repr` of its list, which spells a finite float as json does.
+    Any other track (one holding NaN, which json spells `NaN`, say) is
+    encoded record by record."""
     with open(path, "w", encoding="utf-8") as f:
         for t in dataset.tracks:
             keys = VECTOR_FIELDS[MODE_TRUNK if t.features is not None else MODE_PRECOMPUTED]
-            columns = [getattr(t, key).tolist() for key in keys]
-            for k, *vectors in zip(t.frame_index, *columns):
-                rec = {"track_id": t.track_id, "frame_index": k, "group": t.group,
-                       "species": t.species, **dict(zip(keys, vectors))}
-                f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            blocks = [getattr(t, key) for key in keys]
+            rows = zip(t.frame_index, *(block.tolist() for block in blocks))
+            if (all(block.dtype == np.float64 and np.isfinite(block).all() for block in blocks)
+                    and all(type(k) is int for k in t.frame_index)):
+                # the labels, escaped for the % template: a name may hold a %
+                labels = tuple(_json(v).replace("%", "%%")
+                               for v in (t.track_id, t.group, t.species))
+                template = ('{"track_id": %s, "frame_index": %%d, "group": %s, "species": %s'
+                            % labels + "".join(f', "{key}": %s' for key in keys) + "}\n")
+                f.writelines(map(template.__mod__, rows))
+                continue
+            for k, *vectors in rows:
+                f.write(_json({"track_id": t.track_id, "frame_index": k, "group": t.group,
+                               "species": t.species, **dict(zip(keys, vectors))}) + "\n")
 
 
-def _vector(rec: dict, key: str, lineno: int) -> np.ndarray:
-    vec = number_array(rec[key], key)
+def _vector(rec: dict, key: str, lineno: int) -> list:
+    """`rec[key]` by the one number rule (`number_array`), as a list: a
+    non-empty flat list of JSON numbers, all finite. A list of numbers
+    whose float sum is finite passes as it is, since a sum is finite only
+    if every term is; any other value takes the exact path, which raises
+    the rule's own message."""
+    vec = rec[key]
+    try:
+        if (type(vec) is list and vec and NUMBER_TYPES.issuperset(map(type, vec))
+                and math.isfinite(sum(vec, 0.0))):
+            return vec
+    except OverflowError:   # an int too large for a float; the exact path says so
+        pass
+    vec = number_array(vec, key)
     if not vec.shape[0]:   # a model input needs at least one value
         raise MalformedRecord(f"line {lineno}: {key!r} is empty")
     if not np.isfinite(vec).all():
@@ -295,7 +336,7 @@ def _vector(rec: dict, key: str, lineno: int) -> np.ndarray:
             f"track {rec['track_id']!r} frame {rec['frame_index']}: "
             f"non-finite values in {key} on line {lineno}"
         )
-    return vec
+    return vec.tolist()
 
 
 # the JSON type each label field of a frame record must have
@@ -303,20 +344,29 @@ _LABEL_TYPES = {"track_id": (str, "a string"), "frame_index": (int, "an integer"
                 "group": (str, "a string"), "species": (str, "a string")}
 
 
-def load_jsonl(path: str) -> Dataset:
-    # track id -> (group, species, frame indices, one array of doubles per vector
-    # field, rows back to back: no object per frame), in first-seen order
+def load_jsonl(path: str, lines: dict | None = None) -> Dataset:
+    """The frames file at `path`, one streaming pass. Each non-blank line
+    is checked as it is read, so the first bad line names the error. If
+    `lines` is a dict, it receives each track id's lines as an
+    `array('q')` of (byte offset, byte length) pairs of the stripped
+    line, one pair per row of the track's block, for `copy_lines`."""
+    # track id -> (group, species, frame indices, one array of doubles per
+    # vector field, rows back to back: no object per frame, and the lines'
+    # offset/length pairs), in first-seen order
     rows_by_track: dict[str, tuple] = {}
     mode = None
     dims = None
+    end = 0
     # read as bytes and decode line by line, so a line that is not UTF-8
     # is reported with its number
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
+            start, end = end, end + len(raw)
             try:
-                line = raw.decode("utf-8").strip()
+                text = raw.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise MalformedRecord(f"line {lineno}: not UTF-8: {e}") from e
+            line = text.strip()
             if not line:
                 continue
             try:
@@ -340,9 +390,10 @@ def load_jsonl(path: str) -> Dataset:
                 vectors = [_vector(rec, key, lineno) for key in VECTOR_FIELDS[rec_mode]]
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise MalformedRecord(f"line {lineno}: {e}") from e
-            rec_dims = tuple(vec.shape[0] for vec in vectors)
+            rec_dims = tuple(map(len, vectors))
             if mode is None:
                 mode, dims = rec_mode, rec_dims
+                packs = [struct.Struct(f"{width}d").pack for width in dims]
             elif rec_mode != mode or rec_dims != dims:
                 raise DimensionMismatch(
                     f"line {lineno}: feature layout {rec_mode}{rec_dims} "
@@ -352,8 +403,9 @@ def load_jsonl(path: str) -> Dataset:
             track = rows_by_track.get(tid)
             if track is None:
                 track = rows_by_track[tid] = (rec["group"], rec["species"], [],
-                                              tuple(array("d") for _ in vectors))
-            group, species, indices, columns = track
+                                              tuple(array("d") for _ in vectors),
+                                              None if lines is None else array("q"))
+            group, species, indices, columns, spans = track
             if group != rec["group"] or species != rec["species"]:
                 raise InconsistentLabels(
                     f"line {lineno}: track {tid!r} frames carry different labels"
@@ -363,10 +415,13 @@ def load_jsonl(path: str) -> Dataset:
             if indices and indices[-1] >= k and k in indices:
                 raise MalformedRecord(f"line {lineno}: track {tid!r} repeats frame {k}")
             indices.append(k)
-            for column, vec in zip(columns, vectors):
-                column.frombytes(vec.tobytes())
+            for column, pack, vec in zip(columns, packs, vectors):
+                column.frombytes(pack(*vec))
+            if spans is not None:
+                lead = text[:len(text) - len(text.lstrip())]
+                spans.extend((start + len(lead.encode()), len(line.encode())))
     tracks = []
-    for tid, (group, species, indices, columns) in rows_by_track.items():
+    for tid, (group, species, indices, columns, spans) in rows_by_track.items():
         # each block is a view of its column's buffer, unless the file
         # listed the frames out of order
         blocks = [np.frombuffer(column).reshape(len(indices), width)
@@ -374,9 +429,41 @@ def load_jsonl(path: str) -> Dataset:
         if indices != sorted(indices):
             order = np.argsort(indices)
             blocks, indices = [block[order] for block in blocks], sorted(indices)
+            if spans is not None:
+                spans = array("q", np.frombuffer(spans, np.int64).reshape(-1, 2)[order].tobytes())
+        if spans is not None:
+            lines[tid] = spans
         tracks.append(Track(tid, group, species, indices,
                             **dict(zip(VECTOR_FIELDS[mode], blocks))))
     return Dataset(tracks=tracks, mode=mode or MODE_TRUNK)
+
+
+def copy_lines(source: str, lines: dict, outputs: dict) -> None:
+    """Write each dataset of `outputs` (path -> Dataset of tracks that
+    `load_jsonl(source, lines)` read) as its frames' lines of `source`,
+    each stripped and ended by a newline: tracks in dataset order, frames
+    by index, as `save_jsonl` orders them. So a file `save_jsonl` wrote
+    gives the bytes `save_jsonl` writes, and any other keeps each line's
+    own JSON text. Every output goes to a new `.tmp` file beside its path
+    and replaces the path once all are written, so `source` may be one of
+    them."""
+    made = []
+    try:
+        with open(source, "rb") as src:
+            for path, dataset in outputs.items():
+                with open(path + ".tmp", "xb") as out:
+                    made.append(path)
+                    for t in dataset.tracks:
+                        spans = lines[t.track_id]
+                        for j in range(0, len(spans), 2):
+                            src.seek(spans[j])
+                            out.write(src.read(spans[j + 1]) + b"\n")
+        for path in made:
+            os.replace(path + ".tmp", path)
+    finally:   # a temporary file left by a failure
+        for path in made:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".tmp")
 
 
 def check_labels(dataset: Dataset, taxonomy: Taxonomy) -> list[tuple[int, int]]:

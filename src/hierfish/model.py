@@ -157,7 +157,10 @@ class ModelParams:
         return self._with(np.tile(self.vector, (K, 1)))
 
     def rows(self, a: int, b: int) -> "ModelParams":
-        """Stacked view of models a..b-1; built once per (a, b)."""
+        """Stacked view of models a..b-1; built once per (a, b). Every row
+        of a stack is the stack itself."""
+        if (a, b) == (0, len(self.vector)):
+            return self
         if (a, b) not in self._rows:
             self._rows[a, b] = self._with(self.vector[a:b])
         return self._rows[a, b]
@@ -413,7 +416,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         json.dump(doc, f)
 
 
-_NUMBERS = frozenset({int, float})   # the JSON number types; a bool is no number
+NUMBER_TYPES = frozenset({int, float})   # the JSON number types; a bool is no number
 _LISTS = {1: "flat list of numbers", 2: "list of lists of numbers"}
 
 
@@ -424,8 +427,8 @@ def number_array(values, key: str, ndim: int = 1) -> np.ndarray:
     if type(values) is not list or (ndim == 2 and any(type(row) is not list for row in values)):
         raise ValueError(f"{key!r} must be a {_LISTS[ndim]}")
     items = values if ndim == 1 else list(chain.from_iterable(values))
-    if not _NUMBERS.issuperset(map(type, items)):
-        bad = next(v for v in items if type(v) not in _NUMBERS)
+    if not NUMBER_TYPES.issuperset(map(type, items)):
+        bad = next(v for v in items if type(v) not in NUMBER_TYPES)
         if type(bad) is list:
             raise ValueError(f"{key!r} must be a {_LISTS[ndim]}")
         raise ValueError(f"could not convert {bad!r} in {key!r} to a number")

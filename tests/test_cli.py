@@ -766,6 +766,113 @@ def test_split_on_non_utf8_jsonl(workspace, capsys, lineno):
     assert "Traceback" not in err
 
 
+def _split_files(out):
+    return [(out / name).read_bytes() for name in ("train.jsonl", "eval.jsonl")]
+
+
+def _same_tracks(a, b):
+    assert a.mode == b.mode
+    assert [(t.track_id, t.group, t.species, t.frame_index) for t in a.tracks] == \
+           [(t.track_id, t.group, t.species, t.frame_index) for t in b.tracks]
+    for s, t in zip(a.tracks, b.tracks):
+        for key in D.VECTOR_FIELDS[a.mode]:
+            assert getattr(s, key).tobytes() == getattr(t, key).tobytes()
+
+
+# group and species names that JSON escapes or spells beyond ASCII, and a
+# `%`, which the writer's template must keep as text
+ESCAPED_TAXONOMY = Taxonomy(groups=('Raies "à" 100%', "Requins\\n"),
+                            species_by_group=(("ä1", "a%s2"), ("鱼1", "b\t2", "b3")))
+
+
+class TestSplit:
+    """`split` copies each track's lines of its input, not new prints."""
+
+    @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
+    def test_a_written_file_splits_into_the_bytes_save_jsonl_writes(self, workspace, mode):
+        ws = workspace
+        (ws / "taxonomy.json").write_text(ESCAPED_TAXONOMY.to_json())
+        dataset = D.generate(D.GenConfig(ESCAPED_TAXONOMY, tracks_total=30, frames_min=1,
+                                         frames_max=4, dim=6, seed=5))
+        if mode == M.MODE_PRECOMPUTED:
+            dataset = D.Dataset([D.Track(t.track_id, t.group, t.species, t.frame_index,
+                                         shallow=t.features[:, :4], deep=t.features[:, 4:])
+                                 for t in dataset.tracks], mode)
+        D.save_jsonl(dataset, str(ws / "frames.jsonl"))
+        assert run(["split", "--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json",
+                    "--data", ws / "frames.jsonl", "--out", ws / "out"]) == 0
+        sides = D.split_by_track(D.load_jsonl(str(ws / "frames.jsonl")), 0.8, 11)
+        (ws / "want").mkdir()
+        for side, name in zip(sides, ("train.jsonl", "eval.jsonl")):
+            D.save_jsonl(side, str(ws / "want" / name))
+        assert _split_files(ws / "out") == _split_files(ws / "want")
+        assert sorted(os.listdir(ws / "out")) == ["eval.jsonl", "train.jsonl"]
+
+    def test_any_other_file_keeps_its_lines(self, workspace):
+        """Compact separators, integer features, an extra key, CRLF ends,
+        blank and indented lines, frames out of order and two interleaved
+        tracks: each side loads as the split of the loaded file, and each
+        of its lines is an input line, stripped."""
+        ws = workspace
+        species = [(g, s) for g, names in zip(TAXONOMY.groups, TAXONOMY.species_by_group)
+                   for s in names]
+        lines = []
+        for k, (group, name) in enumerate(species * 2):
+            for i in (2, 0, 1) if k % 3 == 0 else (0, 1, 2):
+                rec = {"track_id": f"t{k}", "frame_index": i, "group": group,
+                       "species": name, "features": [k, i, 0.5]}
+                if k % 2:
+                    rec = {**rec, "note": "é"}
+                text = json.dumps(rec, separators=(",", ":") if k % 4 else (", ", ": "),
+                                  ensure_ascii=k % 5 == 0)
+                lines.append(("  " if i == 1 else "") + text + ("\r\n" if k % 3 == 1 else "\n"))
+            lines.append("\n" if k % 2 else " \r\n")
+        # t0 and t1 interleaved, frame by frame
+        lines[:8] = [lines[j] for j in (0, 4, 1, 5, 2, 6, 3, 7)]
+        (ws / "frames.jsonl").write_bytes("".join(lines).encode())
+        assert run(["split", "--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json",
+                    "--data", ws / "frames.jsonl", "--out", ws / "out"]) == 0
+        sides = D.split_by_track(D.load_jsonl(str(ws / "frames.jsonl")), 0.8, 11)
+        stripped = {line.strip().encode() for line in lines}
+        for side, name in zip(sides, ("train.jsonl", "eval.jsonl")):
+            _same_tracks(D.load_jsonl(str(ws / "out" / name)), side)
+            written = (ws / "out" / name).read_bytes().split(b"\n")
+            assert written[-1] == b"" and set(written[:-1]) <= stripped
+            assert len(written) - 1 == sum(len(t) for t in side.tracks)
+
+    def test_a_split_may_overwrite_its_input(self, workspace):
+        ws = workspace
+        # enough tracks that the train side splits again
+        (ws / "big.json").write_text(json.dumps({**SMALL_CONFIG, "gen": {
+            **SMALL_CONFIG["gen"], "tracks_total": 60}}))
+        common = ["--config", ws / "big.json", "--taxonomy", ws / "taxonomy.json"]
+        assert run(["gen", *common, "--out", ws / "data"]) == 0
+        assert run(["split", *common, "--data", ws / "data" / "dataset.jsonl",
+                    "--out", ws / "out"]) == 0
+        (ws / "copy").mkdir()
+        (ws / "copy" / "train.jsonl").write_bytes((ws / "out" / "train.jsonl").read_bytes())
+        assert run(["split", *common, "--data", ws / "copy" / "train.jsonl",
+                    "--out", ws / "want"]) == 0
+        assert run(["split", *common, "--data", ws / "out" / "train.jsonl",
+                    "--out", ws / "out"]) == 0
+        assert _split_files(ws / "out") == _split_files(ws / "want")
+        assert sorted(os.listdir(ws / "out")) == ["eval.jsonl", "train.jsonl"]
+
+    def test_a_file_in_the_way_is_an_error_and_kept(self, workspace, capsys):
+        ws = workspace
+        common = ["--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json"]
+        assert run(["gen", *common, "--out", ws / "data"]) == 0
+        (ws / "out").mkdir()
+        (ws / "out" / "eval.jsonl.tmp").write_text("mine")
+        capsys.readouterr()
+        assert run(["split", *common, "--data", ws / "data" / "dataset.jsonl",
+                    "--out", ws / "out"]) == 1
+        assert re.fullmatch(r"error: \[Errno 17\] File exists: '.*eval\.jsonl\.tmp'\n",
+                            capsys.readouterr().err)
+        assert sorted(os.listdir(ws / "out")) == ["eval.jsonl.tmp"]
+        assert (ws / "out" / "eval.jsonl.tmp").read_text() == "mine"
+
+
 DEEP = "[" * 200_000 + "]" * 200_000   # past any recursion limit of the JSON decoder
 
 

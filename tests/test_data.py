@@ -1,10 +1,11 @@
 import dataclasses
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierfish import data as D
@@ -251,6 +252,29 @@ class TestSplit:
             D.split_by_track(ds, 0.8, 0)
 
 
+# a bad second line of a frames file: its fields after the labels, and
+# the message that names it
+BAD_VECTOR_VALUES = [
+    ('"features":["a",1.0]', "line 2: could not convert"),
+    ('"features":5', "line 2: 'features' must be a flat list"),
+    ('"features":[[0.0],[1.0]]', "line 2: 'features' must be a flat list"),
+    ('"features":null', "line 2"),
+    ('"shallow":[0.1],"deep":{"a":1}', "line 2"),
+    ('"features":["1",2.0]', "line 2: could not convert '1' in 'features' to a number"),
+    ('"features":[true]', "line 2: could not convert True in 'features' to a number"),
+    ('"features":[0.5,false,1]', "line 2: could not convert False in 'features'"),
+    ('"shallow":[0.1],"deep":[null]', "line 2: could not convert None in 'deep'"),
+    ('"features":[NaN]', "track 't0' frame 1: non-finite values in features on line 2"),
+    ('"shallow":[0.1],"deep":[Infinity]',
+     "track 't0' frame 1: non-finite values in deep on line 2"),
+    ('"features":[0.0],"frame_index":1.7', "line 2: frame_index must be an integer, not 1.7"),
+    ('"features":[0.0],"frame_index":"2"', "line 2: frame_index must be an integer, not '2'"),
+    ('"features":[0.0],"frame_index":true', "line 2: frame_index must be an integer, not True"),
+    ('"features":[1%s,-1%s]' % ("0" * 400, "0" * 400),
+     "line 2: int too large to convert to float"),
+]
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path, toy_taxonomy):
         cfg = D.GenConfig(taxonomy=toy_taxonomy, tracks_total=15, frames_min=1,
@@ -326,23 +350,7 @@ class TestJsonl:
         assert ds.tracks[0].frame_index == [0, 1]
         assert ds.tracks[0].features.tolist() == [[1.0], [0.0]]
 
-    @pytest.mark.parametrize("fields, match", [
-        ('"features":["a",1.0]', "line 2: could not convert"),
-        ('"features":5', "line 2: 'features' must be a flat list"),
-        ('"features":[[0.0],[1.0]]', "line 2: 'features' must be a flat list"),
-        ('"features":null', "line 2"),
-        ('"shallow":[0.1],"deep":{"a":1}', "line 2"),
-        ('"features":["1",2.0]', "line 2: could not convert '1' in 'features' to a number"),
-        ('"features":[true]', "line 2: could not convert True in 'features' to a number"),
-        ('"features":[0.5,false,1]', "line 2: could not convert False in 'features'"),
-        ('"shallow":[0.1],"deep":[null]', "line 2: could not convert None in 'deep'"),
-        ('"features":[NaN]', "track 't0' frame 1: non-finite values in features on line 2"),
-        ('"shallow":[0.1],"deep":[Infinity]',
-         "track 't0' frame 1: non-finite values in deep on line 2"),
-        ('"features":[0.0],"frame_index":1.7', "line 2: frame_index must be an integer, not 1.7"),
-        ('"features":[0.0],"frame_index":"2"', "line 2: frame_index must be an integer, not '2'"),
-        ('"features":[0.0],"frame_index":true', "line 2: frame_index must be an integer, not True"),
-    ])
+    @pytest.mark.parametrize("fields, match", BAD_VECTOR_VALUES)
     def test_bad_vector_values(self, tmp_path, fields, match):
         path = tmp_path / "bad.jsonl"
         first = ('"shallow":[0.0],"deep":[0.0]' if "shallow" in fields
@@ -351,6 +359,25 @@ class TestJsonl:
             '{"track_id":"t0","frame_index":0,"group":"X","species":"x1",%s}\n'
             '{"track_id":"t0","frame_index":1,"group":"X","species":"x1",%s}\n'
             % (first, fields)
+        )
+        with pytest.raises(MalformedRecord, match=match):
+            D.load_jsonl(str(path))
+
+    @pytest.mark.parametrize("third", [
+        '{"track_id":"t0","frame_index":0,"group":"X","species":"x1",%s}',
+        '{"track_id":"t0","frame_index":2,"group":"X","species":"x2",%s}',
+    ], ids=["repeated-frame", "label-change"])
+    @pytest.mark.parametrize("fields, match", BAD_VECTOR_VALUES)
+    def test_first_bad_line_wins(self, tmp_path, fields, match, third):
+        """A bad vector on line 2 is the error, though line 3 repeats a
+        frame or changes the track's labels."""
+        path = tmp_path / "bad.jsonl"
+        first = ('"shallow":[0.0],"deep":[0.0]' if "shallow" in fields
+                 else '"features":[0.0]')
+        path.write_text(
+            '{"track_id":"t0","frame_index":0,"group":"X","species":"x1",%s}\n'
+            '{"track_id":"t0","frame_index":1,"group":"X","species":"x1",%s}\n'
+            % (first, fields) + third % first + "\n"
         )
         with pytest.raises(MalformedRecord, match=match):
             D.load_jsonl(str(path))
@@ -372,3 +399,89 @@ class TestJsonl:
         )
         with pytest.raises(MalformedRecord, match="line 1"):
             D.load_jsonl(str(path))
+
+
+# JSON values a frame vector may hold, good and bad: floats at the edges
+# of float64, ints beyond it, and the non-numbers the rule refuses
+VECTOR_ITEMS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 1e308, 5e-324, 1e16, 1e-5]),
+    st.integers(-2**1100, 2**1100),
+    st.sampled_from([True, False, None, "1", [1.0], {}]),
+)
+
+
+@given(values=st.lists(VECTOR_ITEMS, max_size=6))
+@example(values=[1e308, 1e308])          # finite, though their float sum is not
+@example(values=[10**400, -10**400])     # beyond float64, though their sum is 0
+@example(values=[2**53 + 1, 2**64 + 3])  # rounded to float64 as numpy rounds them
+@settings(max_examples=300, deadline=None)
+def test_reader_follows_the_number_rule(tmp_path_factory, values):
+    """`load_jsonl` keeps a vector exactly when `number_array` does, with
+    its values, and refuses any other with the rule's own message."""
+    path = tmp_path_factory.getbasetemp() / "vector.jsonl"
+    path.write_text(json.dumps({"track_id": "t0", "frame_index": 0, "group": "X",
+                                "species": "x1", "features": values}) + "\n")
+    try:
+        want = M.number_array(values, "features")
+    except (ValueError, OverflowError) as e:
+        want = f"line 1: {e}"
+    else:
+        if not want.size:
+            want = "line 1: 'features' is empty"
+        elif not np.isfinite(want).all():
+            want = "track 't0' frame 0: non-finite values in features on line 1"
+    try:
+        got = D.load_jsonl(str(path)).tracks[0].features[0].tobytes()
+    except MalformedRecord as e:
+        got = str(e)
+    assert got == (want if isinstance(want, str) else want.tobytes())
+
+
+# labels of any text a file can hold (no lone surrogates, which no UTF-8
+# file can), and floats whose spelling is easy to get wrong
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 1e16, 1e-5, 5e-324, 1e-310, 1.5e300]))
+NON_FINITE = st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def saved_tracks(draw):
+    """Tracks of one mode; a track's blocks hold NaN or ±inf only if
+    it draws them."""
+    keys = D.VECTOR_FIELDS[draw(st.sampled_from([M.MODE_TRUNK, M.MODE_PRECOMPUTED]))]
+    tracks = []
+    for _ in range(draw(st.integers(1, 3))):
+        T = draw(st.integers(1, 3))
+        values = NON_FINITE if draw(st.booleans()) else FINITE
+        blocks = {key: np.array(draw(st.lists(st.lists(values, min_size=w, max_size=w),
+                                              min_size=T, max_size=T)), dtype=np.float64)
+                  for key, w in zip(keys, draw(st.lists(st.integers(1, 3), min_size=2,
+                                                        max_size=2)))}
+        tracks.append(D.Track(draw(NAMES), draw(NAMES), draw(NAMES),
+                              draw(st.lists(st.integers(-5, 10**12), min_size=T, max_size=T,
+                                            unique=True)), **blocks))
+    return D.Dataset(tracks)
+
+
+def _reference_jsonl(dataset):
+    """The frames file as `json.dumps` spells it, record by record."""
+    lines = []
+    for t in dataset.tracks:
+        keys = D.VECTOR_FIELDS[M.MODE_TRUNK if t.features is not None else M.MODE_PRECOMPUTED]
+        for j, k in enumerate(t.frame_index):
+            rec = {"track_id": t.track_id, "frame_index": k, "group": t.group,
+                   "species": t.species, **{key: getattr(t, key)[j].tolist() for key in keys}}
+            lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+@given(dataset=saved_tracks())
+@example(dataset=D.Dataset([D.Track('Requins 100% "x"', "é%s", "鱼\\n", [3, 0],
+                                    features=np.array([[-0.0, 1e16], [5e-324, math.nan]]))]))
+@settings(max_examples=300, deadline=None)
+def test_writer_spells_records_as_json(tmp_path_factory, dataset):
+    path = tmp_path_factory.getbasetemp() / "saved.jsonl"
+    D.save_jsonl(dataset, str(path))
+    assert path.read_bytes() == _reference_jsonl(dataset)

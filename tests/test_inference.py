@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierfish import data as D
@@ -428,7 +428,17 @@ def track_scores(draw):
     return taxonomy, I.TrackScores(frames=[distinct[k] for k in order])
 
 
+# one frame per group: the coarse vote ties and goes to g0 on its higher
+# mean, and the Level-2A vote over g0's columns is the g0 frame's alone;
+# the g1 frame's stronger g0 column would win a vote over every frame
+VOTE_SUPPORT_CASE = (
+    Taxonomy(groups=("g0", "g1"), species_by_group=(("g0s0", "g0s1", "g0s2"), ("g1s0",))),
+    I.TrackScores(frames=[make_outputs([0.9, 0.1], [[0.4, 0.3, 0.3], [1.0]]),
+                          make_outputs([0.45, 0.55], [[0.0, 1.0, 0.0], [1.0]])]))
+
+
 @given(track_scores())
+@example(VOTE_SUPPORT_CASE)
 @settings(max_examples=300, deadline=None)
 def test_track_selections_match_loop_oracles(case):
     taxonomy, track = case

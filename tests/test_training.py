@@ -170,6 +170,23 @@ class TestGradients:
         for key, a in g2.fields():
             np.testing.assert_allclose(a, g3.get(key), atol=1e-12)
 
+    def test_a_loss_call_builds_the_stack_and_its_gradient_only(self, toy_taxonomy,
+                                                                monkeypatch):
+        """Every row of a stack is the stack itself, so `batch_loss` builds
+        two models, and `compute_gradients` a third: the gradient's row."""
+        params = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=5)
+        stacked = params.tile(2)
+        assert stacked.rows(0, 2) is stacked and stacked.rows(0, 1) is not stacked
+        batch = _random_batch(np.random.default_rng(4), toy_taxonomy, params)
+        built = []
+        init = M.ModelParams.__init__
+        monkeypatch.setattr(M.ModelParams, "__init__",
+                            lambda self, *args: built.append(self) or init(self, *args))
+        T.batch_loss(params, batch, "scheme3", toy_taxonomy)
+        assert len(built) == 2
+        T.compute_gradients(params, batch, "scheme3", toy_taxonomy)
+        assert len(built) == 5
+
     def test_empty_batch(self, toy_taxonomy):
         params = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=5)
         with pytest.raises(EmptyDataset):
