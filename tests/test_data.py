@@ -275,6 +275,20 @@ BAD_VECTOR_VALUES = [
 ]
 
 
+def _bad_second_line(tmp_path, fields, third="") -> str:
+    """A file of one good frame, then one of `fields` (a case of
+    `BAD_VECTOR_VALUES`), then `third` (a line template for a good
+    vector, if any)."""
+    path = tmp_path / "bad.jsonl"
+    first = '"shallow":[0.0],"deep":[0.0]' if "shallow" in fields else '"features":[0.0]'
+    path.write_text(
+        '{"track_id":"t0","frame_index":0,"group":"X","species":"x1",%s}\n'
+        '{"track_id":"t0","frame_index":1,"group":"X","species":"x1",%s}\n'
+        % (first, fields) + (third % first + "\n" if third else "")
+    )
+    return str(path)
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path, toy_taxonomy):
         cfg = D.GenConfig(taxonomy=toy_taxonomy, tracks_total=15, frames_min=1,
@@ -352,16 +366,8 @@ class TestJsonl:
 
     @pytest.mark.parametrize("fields, match", BAD_VECTOR_VALUES)
     def test_bad_vector_values(self, tmp_path, fields, match):
-        path = tmp_path / "bad.jsonl"
-        first = ('"shallow":[0.0],"deep":[0.0]' if "shallow" in fields
-                 else '"features":[0.0]')
-        path.write_text(
-            '{"track_id":"t0","frame_index":0,"group":"X","species":"x1",%s}\n'
-            '{"track_id":"t0","frame_index":1,"group":"X","species":"x1",%s}\n'
-            % (first, fields)
-        )
         with pytest.raises(MalformedRecord, match=match):
-            D.load_jsonl(str(path))
+            D.load_jsonl(_bad_second_line(tmp_path, fields))
 
     @pytest.mark.parametrize("third", [
         '{"track_id":"t0","frame_index":0,"group":"X","species":"x1",%s}',
@@ -371,16 +377,8 @@ class TestJsonl:
     def test_first_bad_line_wins(self, tmp_path, fields, match, third):
         """A bad vector on line 2 is the error, though line 3 repeats a
         frame or changes the track's labels."""
-        path = tmp_path / "bad.jsonl"
-        first = ('"shallow":[0.0],"deep":[0.0]' if "shallow" in fields
-                 else '"features":[0.0]')
-        path.write_text(
-            '{"track_id":"t0","frame_index":0,"group":"X","species":"x1",%s}\n'
-            '{"track_id":"t0","frame_index":1,"group":"X","species":"x1",%s}\n'
-            % (first, fields) + third % first + "\n"
-        )
         with pytest.raises(MalformedRecord, match=match):
-            D.load_jsonl(str(path))
+            D.load_jsonl(_bad_second_line(tmp_path, fields, third))
 
     def test_repeated_frame(self, tmp_path):
         path = tmp_path / "dup.jsonl"
