@@ -67,7 +67,9 @@ MUTANTS = [
     Mutant("absent-group-keeps-stale-gradient", "training.py",
            "dp.Wf[g].fill(0.0)\n                dp.bf[g].fill(0.0)\n                continue",
            "continue",
-           ("tests/test_training.py::test_lockstep_is_bit_identical_to_solo_training",)),
+           ("tests/test_training.py::test_lockstep_is_bit_identical_to_solo_training",
+            "tests/test_training.py::"
+            "test_a_step_zeroes_the_fine_gradients_of_every_absent_group")),
     Mutant("flat-joint-recomputed", "evaluation.py",
            "return HeadOutputs(coarse, FineLocal(fine, t.spans), joint)",
            "return HeadOutputs(coarse, FineLocal(fine, t.spans),"

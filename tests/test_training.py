@@ -575,3 +575,34 @@ def test_gradient_of_a_batch_that_misses_a_group(loss, mode):
     grads = T.compute_gradients(params, batch, loss, EIGHT_GROUPS)
     fd = finite_difference_grads(params, batch, loss, EIGHT_GROUPS)
     assert max_rel_error(grads, fd) <= 1e-4
+
+
+@pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
+def test_a_step_zeroes_the_fine_gradients_of_every_absent_group(mode):
+    """The gradient buffer is never refilled: a step on a batch that holds
+    every group, then one on a batch that misses groups 1, 2 and 4, on the
+    same buffer, leaves exact zeros in the missing groups' `Wf{g}` and
+    `bf{g}` gradients on every row, not the first step's values."""
+    rng = np.random.default_rng(7)
+    params = M.init_params(EIGHT_GROUPS, d_in=4, d1=3, hidden=3, d2=3, seed=4,
+                           mode=mode).tile(len(T.LOSS_ORDER))
+    grads = params.zeros_like()
+
+    def step(y2):
+        y2 = np.array(y2)
+        y1 = np.array([EIGHT_GROUPS.to_local(s)[0] for s in y2])
+        inputs = ((rng.normal(0, 1, (len(y2), params.d_in)),) if mode == M.MODE_TRUNK
+                  else (rng.normal(0, 1, (len(y2), params.d1)),
+                        rng.normal(0, 1, (len(y2), params.d2))))
+        T._loss_and_grads(params, grads, inputs, y1, y2, T.LOSS_ORDER)
+        return set(y1.tolist())
+
+    # groups of one species always get a zero fine gradient, so the
+    # groups checked have two or three
+    absent, present = (1, 2, 4), (0, 5)
+    assert step(range(EIGHT_GROUPS.S)) == set(range(EIGHT_GROUPS.G))
+    assert all(grads.Wf[g][k].any() and grads.bf[g][k].all() for g in absent for k in (1, 2))
+    assert step([0, 1, 6, 10, 11, 12, 13, 14]) == {*present, 3, 6, 7}
+    for g in absent:
+        assert not grads.Wf[g].any() and not grads.bf[g].any(), g
+    assert all(grads.Wf[g][k].any() for g in present for k in (1, 2))
