@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Write the artifacts of every hierfish chain a bit-for-bit change is
 # checked on into OUT:
-#   ablation-3/, ablation-11/  `hierfish ablation` at seeds 3 and 11
+#   ablation-0/, ablation-1/, ablation-3/, ablation-11/  `hierfish ablation`
+#              at seeds 0, 1, 3 and 11. Seed 1's 7,841 train frames end
+#              each epoch on a batch of one row (seeds 0, 3, 11: 8, 32, 14)
 #   ablation-3-scheme1-scheme3/, ablation-3-baseline-scheme3/  the same at
 #              seed 3 with two schemes: two hierarchical models trained in
 #              lockstep, then the flat model and one hierarchical one
@@ -10,28 +12,38 @@
 #              inferred for both video units; then the baseline checkpoint
 #              evaluated and inferred as scheme3, and scheme3's as baseline
 #   wide/      a 24 x 5 taxonomy: 1,200 tracks of 4-12 frames, split 0.5,
-#              baseline and scheme3 trained for 3 epochs
+#              baseline and scheme3 trained for 3 epochs, then by
+#              `ablation` into wide/ablation/
+#   neighbours/  300 tracks of 1-160 frames: scheme3 trained for 1 epoch,
+#              searched and inferred on the eval file and, into rev/, on its reversal
 #   pre/       a precomputed chain: the README split through a seeded trunk
 #   errors/    the errors `gen`, `train`, `ablation` and the scoring commands
-#              report on bad input, each as every refusal is: exit status 1
-#              and one stderr line `error: ...`
+#              report on bad input
 # logs/ holds each command's stdout, stderr and, for a refused one, its
 # exit status. Every command runs inside OUT on relative paths, so two
-# runs compare with one `diff -r`.
+# runs compare with one `diff -r`. The script exits 1 with a line naming
+# the first of these identities that fails:
+#   split      `split` writes what save_jsonl(split_by_track(...)) writes
+#   scheme2    each ablation's scheme2/ is its scheme3/ but for the name
+#   lockstep   ablation-0/ and wide/ablation/ hold the model.json and
+#              loss.csv of the solo runs in readme/ and wide/
+#   units      reports and predictions are not empty, and both units'
+#              predictions have one line a track
+#   neighbours neighbours/rev/ has the same tau and sorted predictions
+#   refused    each bad input is refused with exit status 1 and a stderr
+#              of one line `error: ...`
 #
 # usage: scripts/artifact_chains.sh OUT [SRC]
 #   SRC is the hierfish source directory to run, by default this
-#   checkout's src/. To compare a parent commit with a change:
-#     mkdir /tmp/parent && git archive PARENT | tar -x -C /tmp/parent
-#     scripts/artifact_chains.sh /tmp/before /tmp/parent/src
-#     scripts/artifact_chains.sh /tmp/after
-#     diff -r /tmp/before /tmp/after
+#   checkout's src/. To compare a parent commit with a change, run it on
+#   the parent's src/ and on the change's, and `diff -r` the two OUTs
+#   (README "Tests").
 set -euo pipefail
 
 src=$(cd "${2:-$(dirname "$0")/../src}" && pwd)
 mkdir -p "$1"
 cd "$1"
-mkdir -p logs readme wide pre errors
+mkdir -p logs readme wide neighbours pre errors
 
 hierfish() {
   PYTHONPATH="$src" python3 -c 'import sys; from hierfish.cli import main; sys.exit(main())' "$@"
@@ -45,6 +57,11 @@ run() {
     echo "artifact_chains: $name failed; see $PWD/logs/$name.err" >&2
     return 1
   }
+}
+
+# check NAME COMMAND...: exit 1, naming the identity NAME, unless COMMAND succeeds
+check() {
+  "${@:2}" > /dev/null || { echo "artifact_chains: $1 does not hold: ${*:2} failed" >&2; exit 1; }
 }
 
 # refused NAME COMMAND...: as run, for a COMMAND that must be refused:
@@ -61,11 +78,16 @@ refused() {
   fi
 }
 
+# tau DIR: the threshold `search-threshold` wrote into DIR
+tau() {
+  python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["tau"])' "$1/threshold.json"
+}
+
 # schemes DIR TAXONOMY TRAIN EVAL SCHEME...: train each scheme on TRAIN
 # into DIR/SCHEME and evaluate it on EVAL; a hierarchical scheme also
 # gets its threshold searched, and `infer` for both video units at it
 schemes() {
-  local dir=$1 taxonomy=$2 train=$3 eval=$4 scheme tau
+  local dir=$1 taxonomy=$2 train=$3 eval=$4 scheme tau out
   shift 4
   for scheme in "$@"; do
     run "$dir-$scheme-train" hierfish train --config "$dir/config.json" --seed 0 \
@@ -77,8 +99,7 @@ schemes() {
     fi
     run "$dir-$scheme-search" hierfish search-threshold --taxonomy "$taxonomy" \
       --model "$dir/$scheme/model.json" --data "$eval" --out "$dir/$scheme"
-    tau=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["tau"])' \
-      "$dir/$scheme/threshold.json")
+    tau=$(tau "$dir/$scheme")
     run "$dir-$scheme-eval" hierfish eval --taxonomy "$taxonomy" --model "$dir/$scheme/model.json" \
       --data "$eval" --threshold "$tau" --scheme "$scheme" --out "$dir/$scheme/report"
     for unit in video_avg video_vote; do
@@ -86,11 +107,39 @@ schemes() {
         --model "$dir/$scheme/model.json" --data "$eval" --threshold "$tau" --unit "$unit" \
         --out "$dir/$scheme/infer-$unit"
     done
+    out=$dir/$scheme/infer-video
+    check units test -s "$dir/$scheme/report/report.json" -a -s "${out}_avg/predictions.jsonl" \
+      -a "$(wc -l < "${out}_avg/predictions.jsonl")" -eq "$(wc -l < "${out}_vote/predictions.jsonl")"
   done
 }
 
-for seed in 3 11; do
+# saved_split DIR: DIR/splits/ holds what save_jsonl writes for DIR's data split at seed 0
+saved_split() {
+  mkdir -p "$1/saved"
+  PYTHONPATH="$src" python3 -c '
+import json, sys
+from hierfish import cli, data as D
+run = sys.argv[1]
+ratio = json.load(open(f"{run}/config.json")).get("split_ratio", cli.DEFAULT_SPLIT_RATIO)
+sides = D.split_by_track(D.load_jsonl(f"{run}/data/dataset.jsonl"), ratio, 0)
+[D.save_jsonl(side, f"{run}/saved/{name}.jsonl") for side, name in zip(sides, ("train", "eval"))]
+' "$1"
+  check split diff -r "$1/splits" "$1/saved"
+  rm -r "$1/saved"
+}
+
+# lockstep ABLATION SOLO SCHEME...: each scheme's model.json and loss.csv
+# in ABLATION are those its solo run wrote into SOLO
+lockstep() {
+  for scheme in "${@:3}"; do
+    check lockstep cmp "$1/$scheme/model.json" "$2/$scheme/model.json"
+    check lockstep cmp "$1/$scheme/loss.csv" "$2/$scheme/loss.csv"
+  done
+}
+
+for seed in 0 1 3 11; do
   run "ablation-$seed" hierfish ablation --seed "$seed" --out "ablation-$seed"
+  check scheme2 diff -r -x report.json -x table.csv "ablation-$seed/scheme2" "ablation-$seed/scheme3"
 done
 for schemes in scheme1,scheme3 baseline,scheme3; do
   run "ablation-3-${schemes/,/-}" hierfish ablation --seed 3 --schemes "$schemes" \
@@ -101,8 +150,10 @@ echo '{}' > readme/config.json
 run readme-gen hierfish gen --seed 0 --out readme/data
 run readme-split hierfish split --seed 0 --taxonomy readme/data/taxonomy.json \
   --data readme/data/dataset.jsonl --out readme/splits
+saved_split readme
 schemes readme readme/data/taxonomy.json readme/splits/train.jsonl readme/splits/eval.jsonl \
   baseline scheme1 scheme3
+lockstep ablation-0 readme baseline scheme1 scheme3
 # every checkpoint carries every head and none records the loss that
 # trained it, so a checkpoint is scored as another scheme without error
 run readme-baseline-eval-as-scheme3 hierfish eval --taxonomy readme/data/taxonomy.json \
@@ -116,13 +167,40 @@ run readme-scheme3-eval-as-baseline hierfish eval --taxonomy readme/data/taxonom
 python3 -c 'import json; print(json.dumps({"groups": [
     {"name": f"Group{g:02d}", "species": [f"Group{g:02d} species{i}" for i in range(5)]}
     for g in range(24)]}))' > wide/taxonomy.json
-echo '{"gen": {"tracks_total": 1200, "frames_min": 4, "frames_max": 12},
+echo '{"split_ratio": 0.5, "gen": {"tracks_total": 1200, "frames_min": 4, "frames_max": 12},
        "train": {"epochs": 3}}' > wide/config.json
 run wide-gen hierfish gen --config wide/config.json --seed 0 --taxonomy wide/taxonomy.json \
   --out wide/data
-run wide-split hierfish split --seed 0 --ratio 0.5 --taxonomy wide/taxonomy.json \
+run wide-split hierfish split --config wide/config.json --seed 0 --taxonomy wide/taxonomy.json \
   --data wide/data/dataset.jsonl --out wide/splits
+saved_split wide
 schemes wide wide/taxonomy.json wide/splits/train.jsonl wide/splits/eval.jsonl baseline scheme3
+run wide-ablation hierfish ablation --config wide/config.json --seed 0 \
+  --taxonomy wide/taxonomy.json --schemes baseline,scheme3 --out wide/ablation
+lockstep wide/ablation wide baseline scheme3
+
+# infer scores tracks, and search-threshold averages their frames, in
+# batches of one length; reversed, every batch holds other tracks (and
+# load_jsonl sorts the frames back). Up to 160 frames, some tracks exceed
+# inference.CHUNK_FRAMES and are batches of their own
+echo '{"gen": {"tracks_total": 300, "frames_min": 1, "frames_max": 160},
+       "train": {"epochs": 1}}' > neighbours/config.json
+run neighbours-gen hierfish gen --config neighbours/config.json --seed 0 --out neighbours/data
+run neighbours-split hierfish split --seed 0 --taxonomy neighbours/data/taxonomy.json \
+  --data neighbours/data/dataset.jsonl --out neighbours/splits
+schemes neighbours neighbours/data/taxonomy.json neighbours/splits/train.jsonl \
+  neighbours/splits/eval.jsonl scheme3
+tac neighbours/splits/eval.jsonl > neighbours/rev.jsonl
+run neighbours-rev-search hierfish search-threshold --taxonomy neighbours/data/taxonomy.json \
+  --model neighbours/scheme3/model.json --data neighbours/rev.jsonl --out neighbours/rev
+check neighbours cmp neighbours/scheme3/threshold.json neighbours/rev/threshold.json
+for unit in video_avg video_vote; do
+  run "neighbours-rev-infer-$unit" hierfish infer --taxonomy neighbours/data/taxonomy.json \
+    --model neighbours/scheme3/model.json --data neighbours/rev.jsonl \
+    --threshold "$(tau neighbours/rev)" --unit "$unit" --out "neighbours/rev/infer-$unit"
+  check "neighbours $unit" cmp <(sort "neighbours/scheme3/infer-$unit/predictions.jsonl") \
+    <(sort "neighbours/rev/infer-$unit/predictions.jsonl")
+done
 
 # each frame as the (shallow, deep) pair of a seeded, untrained trunk
 run pre-convert env PYTHONPATH="$src" python3 -c '

@@ -554,6 +554,23 @@ def test_lockstep_is_bit_identical_to_solo_training(toy_taxonomy, schemes, data,
         assert params.vector.tobytes() == solo.vector.tobytes() == ref.vector.tobytes(), scheme
 
 
+@pytest.mark.parametrize("data", ["features", "precomputed"])
+def test_lockstep_is_solo_training_and_repeats_on_a_one_row_last_batch(toy_taxonomy, data):
+    """Each epoch ends on a batch of one row, as `hierfish ablation --seed 1`
+    does: every model of a lockstep run is still the model its scheme
+    trains alone, and a second run repeats every byte."""
+    ds = _dataset(toy_taxonomy, data)
+    cfg = T.TrainConfig(epochs=3, batch_size=10, seed=5, d1=4, hidden=4, d2=3)
+    assert ds.n_frames % cfg.batch_size == 1
+    runs = [T.train(cfg, ds, toy_taxonomy, list(T.SCHEMES)) for _ in range(2)]
+    for scheme in T.SCHEMES:
+        solo, solo_history = T.train(dataclasses.replace(cfg, scheme=scheme), ds, toy_taxonomy)
+        for trained in runs:
+            params, history = trained[scheme]
+            assert history == solo_history, scheme
+            assert params.vector.tobytes() == solo.vector.tobytes(), scheme
+
+
 @pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
 @pytest.mark.parametrize("loss", T.LOSS_ORDER)
 def test_gradient_of_a_batch_that_misses_a_group(loss, mode):
