@@ -85,6 +85,10 @@ MUTANTS = [
            "joint[support, a:b]",
            "joint[:, a:b]",
            ("tests/test_inference.py::test_track_selections_match_loop_oracles",)),
+    Mutant("vote-reducer-reads-the-first-track", "inference.py",
+           "_track_rows(aggregate_vote, out[j], taxonomy)",
+           "_track_rows(aggregate_vote, out[0], taxonomy)",
+           ("tests/test_inference.py::TestChunkedScoring::test_score_split_is_per_track_scoring",)),
     Mutant("view-rebind-replaces-the-attribute", "model.py",
            'if name in self._views or name in ("vector", "Wf", "bf", "fine_bias", "fine_runs"):',
            "if False:",

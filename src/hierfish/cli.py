@@ -26,7 +26,7 @@ from . import training as T
 from .errors import ConfigError, HierfishError, MalformedDocument
 from .taxonomy import Taxonomy, default_taxonomy, load_taxonomy
 
-DEFAULT_SCHEMES = ["baseline", "scheme1", "scheme2", "scheme3"]
+DEFAULT_SCHEMES = list(T.SCHEMES)
 DEFAULT_SPLIT_RATIO = 0.8
 CONFIG_KEYS = ("seed", "split_ratio", "schemes", "gen", "train")
 # the JSON values a field of each type accepts; a bool is no number
@@ -296,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="per-track predictions JSONL")
     common(p, data=True, model=True, threshold=True)
-    p.add_argument("--unit", choices=["video_avg", "video_vote"],
-                   default="video_avg")
+    # any track unit; by default the one `search-threshold` searches tau on
+    p.add_argument("--unit", choices=[u for u, unit in I.UNITS.items() if not unit.frames],
+                   default=I.TAU_UNIT)
 
     p = sub.add_parser("ablation", help="run all schemes end to end")
     common(p)

@@ -1,8 +1,8 @@
 """Metric suite over an evaluation split: coarse accuracy (Level-1),
 within-group fine accuracy (Level-2 A), joint-score accuracy (Level-2 B),
 and thresholded fallback accuracy (Level-2 C) with stop/proceed counts,
-for the image unit and both video units, plus per-class precision and
-per-species coarse-stop rates.
+for every scoring unit of `inference.UNITS`, plus per-class precision
+and per-species coarse-stop rates.
 
 Accuracies are micro accuracy over units, reported as percentages.
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data as D
 from .errors import EmptyEvalSet, MalformedDocument
-from .inference import UNITS, UnitRows, best_threshold, check_threshold, score_split
+from .inference import TAU_UNIT, UnitRows, best_threshold, check_threshold, score_split
 # not called here: perfbench's tracer wraps these names on this module too
 from .inference import aggregate_avg, aggregate_vote, score_track  # noqa: F401
 from .model import FineLocal, HeadOutputs, ModelParams, forward_flat
@@ -109,9 +109,9 @@ def flat_heads(params: ModelParams, x) -> HeadOutputs:
 
 def evaluate(params: ModelParams, eval_split: D.Dataset, taxonomy: Taxonomy,
              tau: float | None, scheme: str = "scheme3") -> EvalReport:
-    """Full hierarchical metric suite of `scheme`'s heads over image and
-    both video units, at `tau`, or, if it is None, at the threshold
-    `best_threshold` finds on the video_avg rows of the same scoring of
+    """Full hierarchical metric suite of `scheme`'s heads over every unit
+    of `inference.UNITS`, at `tau`, or, if it is None, at the threshold
+    `best_threshold` finds on the `TAU_UNIT` rows of the same scoring of
     the split.
 
     A unit stopped at the coarse level counts correct iff its coarse
@@ -127,7 +127,7 @@ def evaluate(params: ModelParams, eval_split: D.Dataset, taxonomy: Taxonomy,
     heads = flat_heads if scheme == "baseline" else None
     rows = score_split(params, eval_split.tracks, taxonomy, heads=heads)
     if tau is None:
-        tau = best_threshold(rows["video_avg"])
+        tau = best_threshold(rows[TAU_UNIT])
     units = {u: _unit_report(u, r, tau, taxonomy) for u, r in rows.items()}
     return EvalReport(scheme=scheme, tau=tau, units=units)
 
@@ -148,6 +148,8 @@ TABLE_COLUMNS = ["model", "unit", "level1", "level2a", "level2b",
 
 def table_rows(report: EvalReport) -> list[list[str]]:
     rows = []
+    # the results table's own row order, not that of `inference.UNITS`:
+    # the bytes of every table.csv and ablation_table.csv written so far pin it
     for unit in ("image", "video_vote", "video_avg"):
         u = report.units[unit]
         rows.append([report.scheme, unit, _fmt(u.level1_acc), _fmt(u.level2a_acc),
@@ -185,12 +187,13 @@ PER_CLASS_CSVS = {
 
 def write_report(report: EvalReport, out_dir: str) -> None:
     """report.json (full precision), table.csv (1 decimal place), and
-    each per-class CSV of `PER_CLASS_CSVS`, one column per unit."""
+    each per-class CSV of `PER_CLASS_CSVS`, one column per unit in the
+    order of `report.units`."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
         json.dump(report_to_dict(report), f, indent=2)
     write_table_csv([report], os.path.join(out_dir, "table.csv"))
-    units = [report.units[u] for u in UNITS]
+    units = list(report.units.values())
     for name, (key, attr, scale) in PER_CLASS_CSVS.items():
         with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)

@@ -18,19 +18,24 @@ training also keeps. It then scores the tracks in batches of one length
 (one matmul call per layer, which numpy runs as one GEMM per track; see
 `model`), bit-identical to scoring each track alone. The forward is
 `model.forward` unless the caller passes another that gives
-`HeadOutputs` (the flat baseline's `evaluation.flat_heads`). Each batch
-is reduced to one row per frame (image unit) or per track (video
-units), written at the track's own place in split order, so a split's
-raw scores are never held: `select_image` and the frame average
-(`aggregate_avg`) reduce the whole batch at once, the vote
-(`aggregate_vote`) one track at a time. The threshold search, the
-metric suite and `hierfish infer` all read these `UnitRows`.
+`HeadOutputs` (the flat baseline's `evaluation.flat_heads`).
+
+`UNITS` is the one table of scoring units: each names whether its rows
+are frames (image) or tracks (video units) and the reducer of a batch's
+outputs to those rows. `score_split` runs each asked-for unit's reducer
+on every batch and writes its rows at the tracks' own places in split
+order, so a split's raw scores are never held: `select_image` and the
+frame average (`aggregate_avg`) reduce the whole batch at once, the
+vote (`aggregate_vote`) one track at a time. The threshold search
+(on `TAU_UNIT`), the metric suite and `hierfish infer` (on any track
+unit) all read these `UnitRows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +44,6 @@ from .errors import EmptyEvalSet, EmptyTrack, InvalidThreshold, MalformedDocumen
 from .model import FineLocal, HeadOutputs, ModelParams, forward
 from .taxonomy import Taxonomy
 
-UNITS = ("image", "video_avg", "video_vote")
 # the most frames `score_split` scores in one batch, unless one track
 # alone has more. A `score_split` of every unit, median ms and traced
 # allocation peak at 32 / 64 / 128 / 256 frames, one thread: 106 / 85 /
@@ -247,7 +251,7 @@ def decide(confidence: float, coarse_scores: np.ndarray, fine_selection: int,
 @dataclass
 class UnitRows:
     """One unit's labels and selections over a split: a row per frame for
-    the image unit, per track for a video unit."""
+    a frame unit (image), per track for a track unit (video)."""
     y1: np.ndarray            # true group
     y2: np.ndarray            # true global species
     coarse: np.ndarray        # coarse selection
@@ -257,12 +261,12 @@ class UnitRows:
     conf: np.ndarray          # its confidence, held against the threshold
 
     @classmethod
-    def empty(cls, n: int) -> UnitRows:
-        """`n` rows to fill."""
-        i, f = np.intp, float
-        return cls(y1=np.empty(n, i), y2=np.empty(n, i), coarse=np.empty(n, i),
-                   coarse_conf=np.empty(n, f), level2a=np.empty(n, i), fine=np.empty(n, i),
-                   conf=np.empty(n, f))
+    def labelled(cls, labels: np.ndarray) -> UnitRows:
+        """Rows of `labels`, (n, 2) pairs of true group and species, their
+        selections to fill."""
+        n, i, f = len(labels), np.intp, float
+        return cls(*labels.T.copy(), coarse=np.empty(n, i), coarse_conf=np.empty(n, f),
+                   level2a=np.empty(n, i), fine=np.empty(n, i), conf=np.empty(n, f))
 
     def put(self, at, coarse, coarse_conf, level2a, fine, conf) -> None:
         """Write one reduction's selections at `at`, an index, a slice or
@@ -279,40 +283,55 @@ class UnitRows:
         return np.where(self.stopped(tau), self.coarse == self.y1, self.fine == self.y2)
 
 
+def _image_rows(out: HeadOutputs, taxonomy: Taxonomy):
+    s = select_image(out, taxonomy)
+    return s.coarse_group, s.coarse_confidence, s.level2a, s.level2b, s.level2b_confidence
+
+
+def _track_rows(aggregate, out: HeadOutputs, taxonomy: Taxonomy):
+    """The selections of `aggregate(TrackScores(out))`, of one track's
+    outputs (T, ·) or of a batch's (n, T, ·)."""
+    a = aggregate(TrackScores(frames=out), taxonomy)
+    return a.coarse_selection, a.coarse_confidence, a.level2a, a.selection, a.confidence
+
+
+def _vote_rows(out: HeadOutputs, taxonomy: Taxonomy):
+    """The vote's selections, one track at a time."""
+    return zip(*[_track_rows(aggregate_vote, out[j], taxonomy) for j in range(len(out.joint))])
+
+
+# a scoring unit: whether its rows are frames (else tracks), and its reducer
+# of a batch's outputs (n, T, ·) to the rows' selections in `UnitRows.put`
+# order, each (n, T) for frames or (n,) for tracks
+Unit = NamedTuple("Unit", [("frames", bool), ("reduce", object)])
+UNITS = {"image": Unit(True, _image_rows),
+         "video_avg": Unit(False, lambda out, taxonomy: _track_rows(aggregate_avg, out, taxonomy)),
+         "video_vote": Unit(False, _vote_rows)}
+TAU_UNIT = "video_avg"   # the unit whose rows the threshold is searched on
+
+
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite activation raises instead
 def score_split(params: ModelParams, tracks, taxonomy: Taxonomy,
                 units=UNITS, heads=None) -> dict[str, UnitRows]:
-    """The rows of each unit in `units` over `tracks`, in order, of the
-    `HeadOutputs` that `heads(params, x)` gives, by default `forward`'s.
-    Every unit's name and every track's labels are checked before any
-    track is scored; then each batch of `stacked_forward` is reduced to
-    rows before the next is scored: `select_image` and `aggregate_avg`
-    once over the whole batch, `aggregate_vote` once per track on views
-    of the batch's arrays."""
-    for unit in units:
-        if unit not in UNITS:
-            raise MalformedDocument(f"unknown unit {unit!r}")
+    """The rows of each unit of `UNITS` named in `units` over `tracks`, in
+    order, of the `HeadOutputs` that `heads(params, x)` gives, by default
+    `forward`'s. Every unit's name and every track's labels are checked
+    before any track is scored; then each batch of `stacked_forward` is
+    reduced by each unit's reducer, before the next is scored, to rows
+    at the batch's tracks' places, or at their frames' for a frame unit."""
+    if unknown := [u for u in units if u not in UNITS]:
+        raise MalformedDocument(f"unknown unit {unknown[0]!r}")
     tracks = list(tracks)
     labels = np.array(D.check_labels(D.Dataset(tracks), taxonomy), dtype=np.intp).reshape(-1, 2)
     lengths = np.array([len(t) for t in tracks], dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths   # each track's first image row
-    tables = {u: UnitRows.empty(sum(lengths) if u == "image" else len(tracks)) for u in units}
-    for unit, rows in tables.items():
-        rows.y1[:], rows.y2[:] = (labels if unit != "image"
-                                  else np.repeat(labels, lengths, axis=0)).T
+    starts = np.cumsum(lengths) - lengths   # each track's first frame row
+    # a frame's labels are its track's
+    tables = {u: UnitRows.labelled(np.repeat(labels, lengths if UNITS[u].frames else 1, axis=0))
+              for u in units}
     for idx, out in stacked_forward(heads or forward, params, tracks):
-        if "image" in tables:
-            s, at = select_image(out, taxonomy), starts[idx, None] + np.arange(out.joint.shape[1])
-            tables["image"].put(at, s.coarse_group, s.coarse_confidence, s.level2a, s.level2b,
-                                s.level2b_confidence)
-        if "video_avg" in tables:
-            a = aggregate_avg(TrackScores(frames=out), taxonomy)
-            tables["video_avg"].put(idx, a.coarse_selection, a.coarse_confidence, a.level2a,
-                                    a.selection, a.confidence)
-        for j, k in enumerate(idx.tolist() if "video_vote" in tables else ()):
-            v = aggregate_vote(TrackScores(frames=out[j]), taxonomy)
-            tables["video_vote"].put(k, v.coarse_selection, v.coarse_confidence, v.level2a,
-                                     v.selection, v.confidence)
+        for unit, rows in tables.items():
+            at = starts[idx, None] + np.arange(out.joint.shape[1]) if UNITS[unit].frames else idx
+            rows.put(at, *UNITS[unit].reduce(out, taxonomy))
     return tables
 
 
@@ -343,5 +362,5 @@ def best_threshold(rows: UnitRows) -> float:
 
 
 def search_threshold(params: ModelParams, eval_tracks, taxonomy: Taxonomy) -> float:
-    """`best_threshold` on the frame-averaged video unit of `eval_tracks`."""
-    return best_threshold(score_split(params, eval_tracks, taxonomy, ("video_avg",))["video_avg"])
+    """`best_threshold` on the `TAU_UNIT` rows of `eval_tracks`."""
+    return best_threshold(score_split(params, eval_tracks, taxonomy, (TAU_UNIT,))[TAU_UNIT])

@@ -603,6 +603,39 @@ def test_infer_matches_decide_rule(workspace, unit):
     assert {json.loads(line)["level"] for line in got.splitlines()} == {"coarse", "fine"}
 
 
+def _track_units():
+    return [u for u, unit in I.UNITS.items() if not unit.frames]
+
+
+def test_infer_offers_exactly_the_track_units(workspace, capsys, monkeypatch):
+    """`infer --unit` runs every track unit of `inference.UNITS`, and one
+    added to the table alone; its parser refuses a frame unit before any
+    file is read, naming the track units as the choices."""
+    monkeypatch.setitem(I.UNITS, "video_avg_again", I.UNITS["video_avg"])
+    args, _ = _scoring_inputs(workspace)
+    preds = workspace / "out" / "predictions.jsonl"
+    lines = {}
+    for unit in _track_units():
+        assert run(["infer", *args, "--unit", unit]) == 0
+        lines[unit] = [json.loads(line) for line in preds.read_text(encoding="utf-8").splitlines()]
+        assert len(lines[unit]) == 10 and {p["unit"] for p in lines[unit]} == {unit}
+    assert lines["video_avg_again"] == [{**p, "unit": "video_avg_again"}
+                                        for p in lines["video_avg"]]
+    frame_units = [u for u in I.UNITS if u not in _track_units()]
+    assert frame_units == ["image"]
+    missing = workspace / "missing"
+    for unit in frame_units:
+        with pytest.raises(SystemExit) as exit_:
+            run(["infer", "--taxonomy", missing / "t.json", "--model", missing / "m.json",
+                 "--data", missing / "d.jsonl", "--unit", unit, "--out", missing / "out"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{unit}'" in err
+        choices = re.search(r"\(choose from (.*)\)", err).group(1)
+        assert [c.strip(" '") for c in choices.split(",")] == _track_units()
+    assert not missing.exists()
+
+
 def test_baseline_eval_applies_its_threshold(workspace):
     """`eval --scheme baseline --threshold X` stops every frame whose top
     flat score is below X, as any scheme's eval does."""

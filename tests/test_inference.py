@@ -275,8 +275,8 @@ def _toy_eval_setup(taxonomy, n_tracks=20, seed=13):
 def _rows(n, fine_right):
     """`n` hand-built rows of rising confidence, every group right and
     every fine pick right, or every fine pick wrong."""
-    rows = I.UnitRows.empty(n)
-    rows.y1[:], rows.y2[:], rows.conf[:] = 0, 0, np.linspace(0.1, 0.9, n)
+    rows = I.UnitRows.labelled(np.zeros((n, 2), np.intp))
+    rows.conf[:] = np.linspace(0.1, 0.9, n)
     rows.coarse[:], rows.coarse_conf[:] = 0, 0.9
     rows.fine[:] = rows.level2a[:] = 0 if fine_right else 1
     return rows
@@ -477,8 +477,7 @@ def test_majority_matches_unique_loop(votes, data):
 @settings(max_examples=300, deadline=None)
 def test_best_threshold_matches_candidate_loop(cases):
     """Rows of (confidence, coarse right, fine right)."""
-    rows = I.UnitRows.empty(len(cases))
-    rows.y1[:] = rows.y2[:] = 0
+    rows = I.UnitRows.labelled(np.zeros((len(cases), 2), np.intp))
     for k, (conf, coarse_ok, fine_ok) in enumerate(cases):
         rows.conf[k], rows.coarse[k], rows.fine[k] = conf, not coarse_ok, not fine_ok
     assert I.best_threshold(rows) == _best_threshold_oracle(rows)
@@ -520,7 +519,8 @@ def _per_track_rows(params, tracks, taxonomy):
     """The reference `score_split`: each track scored alone by `score_track`
     and reduced at once; the frame average from the track's frame means
     and a slice argmax inside the coarse winner's group."""
-    tables = {u: I.UnitRows.empty(sum(map(len, tracks)) if u == "image" else len(tracks))
+    tables = {u: I.UnitRows.labelled(np.zeros((sum(map(len, tracks)) if u == "image"
+                                               else len(tracks), 2), np.intp))
               for u in I.UNITS}
     end = 0
     for k, track in enumerate(tracks):
