@@ -102,11 +102,22 @@ MUTANTS = [
            'heads = flat_heads if scheme == "baseline" else None',
            "heads = None",
            ("tests/test_evaluation.py::TestFlatBaseline::test_every_unit_matches_loop_oracle",)),
+    # orjson 3.8.3 has no nesting limit: the deep line crashes the test
+    # process, which counts as a failure
+    Mutant("orjson-reads-any-nesting", "data.py",
+           'if raw.count(b"[") + raw.count(b"{") <= MAX_ORJSON_BRACKETS:',
+           "if True:",
+           ("tests/test_cli.py::test_deeply_nested_json_is_an_error",)),
+    Mutant("orjson-spells-from-1e-5", "data.py",
+           "REPR_BELOW, REPR_FROM = 1e-4, 1e16",
+           "REPR_BELOW, REPR_FROM = 1e-5, 1e16",
+           ("tests/test_data.py::test_writer_spells_records_as_json",)),
 ]
 
 
 def run_tests(src: Path, tests) -> bool:
-    """True if every test in `tests` passes against the package in `src`."""
+    """True if every test in `tests` passes against the package in `src`;
+    a crash of the test process is a failure."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                            *tests], cwd=ROOT, env=env, capture_output=True, text=True)

@@ -13,7 +13,9 @@ A frames file (JSONL) holds one frame per line. `save_jsonl` spells
 each line as `json.dumps` does; `load_jsonl` reads the file in one
 streaming pass, checking each line as it comes, and can note where
 each frame's line lies, so that `copy_lines` (what `hierfish split`
-writes) copies lines instead of printing their floats again.
+writes) copies lines instead of printing their floats again. orjson
+prints and parses the floats; json stays the exact path, for the
+values and lines where the two would differ.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import (
     DimensionMismatch,
@@ -288,19 +291,36 @@ def _json(value) -> str:
     return json.dumps(value, ensure_ascii=False)
 
 
+# orjson spells a finite float as `repr` does, but for a nonzero |x| below
+# REPR_BELOW (`0.00001` for 1e-05) and any |x| from REPR_FROM on (`1e16`
+# for 1e+16)
+REPR_BELOW, REPR_FROM = 1e-4, 1e16
+
+
+def _spelled_rows(block: np.ndarray, rows: list) -> list[str]:
+    """`rows`, the `tolist` of a finite float64 `block`, each as `repr`
+    spells it: by orjson with json's `", "` separators, or by `repr` if
+    the row holds a value that orjson spells otherwise."""
+    a = np.abs(block)
+    odd = ((a < REPR_BELOW) & (a != 0)) | (a >= REPR_FROM)
+    own = np.any(odd, axis=tuple(range(1, odd.ndim))).tolist()
+    return [repr(row) if o else orjson.dumps(row).decode().replace(",", ", ")
+            for row, o in zip(rows, own)]
+
+
 def save_jsonl(dataset: Dataset, path: str) -> None:
     """One line per frame, `json.dumps(record, ensure_ascii=False)` of the
     record `load_jsonl` reads: tracks in dataset order, rows in block
     order. A track of finite float64 blocks and int frame indices is
     written from one template that encodes its labels once; each row is
-    the `repr` of its list, which spells a finite float as json does.
-    Any other track (one holding NaN, which json spells `NaN`, say) is
-    encoded record by record."""
+    spelled as the `repr` of its list (`_spelled_rows`), which spells a
+    finite float as json does. Any other track (one holding NaN, which
+    json spells `NaN`, say) is encoded record by record."""
     with open(path, "w", encoding="utf-8") as f:
         for t in dataset.tracks:
             keys = VECTOR_FIELDS[MODE_TRUNK if t.features is not None else MODE_PRECOMPUTED]
             blocks = [getattr(t, key) for key in keys]
-            rows = zip(t.frame_index, *(block.tolist() for block in blocks))
+            lists = [block.tolist() for block in blocks]
             if (all(block.dtype == np.float64 and np.isfinite(block).all() for block in blocks)
                     and all(type(k) is int for k in t.frame_index)):
                 # the labels, escaped for the % template: a name may hold a %
@@ -308,9 +328,10 @@ def save_jsonl(dataset: Dataset, path: str) -> None:
                                for v in (t.track_id, t.group, t.species))
                 template = ('{"track_id": %s, "frame_index": %%d, "group": %s, "species": %s'
                             % labels + "".join(f', "{key}": %s' for key in keys) + "}\n")
+                rows = zip(t.frame_index, *map(_spelled_rows, blocks, lists))
                 f.writelines(map(template.__mod__, rows))
                 continue
-            for k, *vectors in rows:
+            for k, *vectors in zip(t.frame_index, *lists):
                 f.write(_json({"track_id": t.track_id, "frame_index": k, "group": t.group,
                                "species": t.species, **dict(zip(keys, vectors))}) + "\n")
 
@@ -344,12 +365,66 @@ _LABEL_TYPES = {"track_id": (str, "a string"), "frame_index": (int, "an integer"
                 "group": (str, "a string"), "species": (str, "a string")}
 
 
+def _fields(rec, lineno: int) -> tuple[str, list]:
+    """The mode and vectors of `rec`, a parsed line, if it is a frame
+    record: labels of their JSON types (`_LABEL_TYPES`), then the vector
+    fields of one mode, each by `_vector`. Raises MalformedRecord."""
+    try:
+        for key, (kind, name) in _LABEL_TYPES.items():
+            if type(rec[key]) is not kind:   # a bool is no integer
+                raise MalformedRecord(
+                    f"line {lineno}: {key} must be {name}, not {rec[key]!r}"
+                )
+        if "features" in rec:
+            rec_mode = MODE_TRUNK
+        elif "shallow" in rec and "deep" in rec:
+            rec_mode = MODE_PRECOMPUTED
+        else:
+            raise MalformedRecord(
+                f"line {lineno}: needs 'features' or 'shallow'+'deep'"
+            )
+        return rec_mode, [_vector(rec, key, lineno) for key in VECTOR_FIELDS[rec_mode]]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise MalformedRecord(f"line {lineno}: {e}") from e
+
+
+def _json_record(raw: bytes, lineno: int) -> tuple | None:
+    """The exact path: the record on the line `raw` as `json.loads`
+    reads its decoded, stripped text, with that text's byte offset in
+    `raw` and byte length; None for a blank line."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MalformedRecord(f"line {lineno}: not UTF-8: {e}") from e
+    line = text.strip()
+    if not line:
+        return None
+    try:
+        rec = json.loads(line)
+    except (ValueError, RecursionError) as e:   # invalid, too deep or too many digits
+        raise MalformedRecord(f"line {lineno}: invalid JSON: {e}") from e
+    lead = text[:len(text) - len(text.lstrip())]
+    return rec, len(lead.encode()), len(line.encode())
+
+
+# the most `[` and `{` a line orjson parses may hold: orjson 3.8.3 has no
+# nesting limit, and a line nested deep enough overflows the C stack
+MAX_ORJSON_BRACKETS = 16
+
+
 def load_jsonl(path: str, lines: dict | None = None) -> Dataset:
     """The frames file at `path`, one streaming pass. Each non-blank line
     is checked as it is read, so the first bad line names the error. If
     `lines` is a dict, it receives each track id's lines as an
     `array('q')` of (byte offset, byte length) pairs of the stripped
-    line, one pair per row of the track's block, for `copy_lines`."""
+    line, one pair per row of the track's block, for `copy_lines`.
+
+    orjson parses each line. `_json_record` (json) reads a line again,
+    and gives the record or the message, where orjson might differ: a
+    line orjson refuses (a blank one, NaN, 1e400, a lone surrogate, a
+    BOM), one of over `MAX_ORJSON_BRACKETS` brackets, and a record whose
+    checks fail on orjson's values (an int outside [-2**63, 2**64) is a
+    float to orjson)."""
     # track id -> (group, species, frame indices, one array of doubles per
     # vector field, rows back to back: no object per frame, and the lines'
     # offset/length pairs), in first-seen order
@@ -357,39 +432,23 @@ def load_jsonl(path: str, lines: dict | None = None) -> Dataset:
     mode = None
     dims = None
     end = 0
-    # read as bytes and decode line by line, so a line that is not UTF-8
-    # is reported with its number
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             start, end = end, end + len(raw)
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise MalformedRecord(f"line {lineno}: not UTF-8: {e}") from e
-            line = text.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as e:   # invalid or nested too deep
-                raise MalformedRecord(f"line {lineno}: invalid JSON: {e}") from e
-            try:
-                for key, (kind, name) in _LABEL_TYPES.items():
-                    if type(rec[key]) is not kind:   # a bool is no integer
-                        raise MalformedRecord(
-                            f"line {lineno}: {key} must be {name}, not {rec[key]!r}"
-                        )
-                if "features" in rec:
-                    rec_mode = MODE_TRUNK
-                elif "shallow" in rec and "deep" in rec:
-                    rec_mode = MODE_PRECOMPUTED
-                else:
-                    raise MalformedRecord(
-                        f"line {lineno}: needs 'features' or 'shallow'+'deep'"
-                    )
-                vectors = [_vector(rec, key, lineno) for key in VECTOR_FIELDS[rec_mode]]
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise MalformedRecord(f"line {lineno}: {e}") from e
+            fields = span = None
+            if raw.count(b"[") + raw.count(b"{") <= MAX_ORJSON_BRACKETS:
+                try:
+                    rec = orjson.loads(raw)
+                    fields = _fields(rec, lineno)
+                except (orjson.JSONDecodeError, MalformedRecord):
+                    pass
+            if fields is None:
+                got = _json_record(raw, lineno)
+                if got is None:
+                    continue
+                rec, *span = got
+                fields = _fields(rec, lineno)
+            rec_mode, vectors = fields
             rec_dims = tuple(map(len, vectors))
             if mode is None:
                 mode, dims = rec_mode, rec_dims
@@ -418,8 +477,9 @@ def load_jsonl(path: str, lines: dict | None = None) -> Dataset:
             for column, pack, vec in zip(columns, packs, vectors):
                 column.frombytes(pack(*vec))
             if spans is not None:
-                lead = text[:len(text) - len(text.lstrip())]
-                spans.extend((start + len(lead.encode()), len(line.encode())))
+                # a line orjson read has only JSON blanks around its record
+                lead, size = span or (len(raw) - len(raw.lstrip()), len(raw.strip()))
+                spans.extend((start + lead, size))
     tracks = []
     for tid, (group, species, indices, columns, spans) in rows_by_track.items():
         # each block is a view of its column's buffer, unless the file

@@ -272,6 +272,9 @@ BAD_VECTOR_VALUES = [
     ('"features":[0.0],"frame_index":true', "line 2: frame_index must be an integer, not True"),
     ('"features":[1%s,-1%s]' % ("0" * 400, "0" * 400),
      "line 2: int too large to convert to float"),
+    # past the int digit limit of Pythons that have one (3.11, 3.10.7)
+    ('"features":[1%s]' % ("0" * 5000),
+     "line 2: (invalid JSON: Exceeds the limit|int too large to convert to float)"),
 ]
 
 
@@ -436,11 +439,47 @@ def test_reader_follows_the_number_rule(tmp_path_factory, values):
     assert got == (want if isinstance(want, str) else want.tobytes())
 
 
+def _frame_line(track_id='"t0"', frame_index=0) -> str:
+    return ('{"track_id": %s, "frame_index": %s, "group": "X", "species": "x1", '
+            '"features": [0.5]}' % (track_id, frame_index))
+
+
+@pytest.mark.parametrize("text, want", [
+    (_frame_line(frame_index=2**64), ("t0", 2**64)),
+    (_frame_line(frame_index=-2**63 - 1), ("t0", -2**63 - 1)),
+    ("\ufeff" + _frame_line(), "line 1: invalid JSON: Unexpected UTF-8 BOM "
+                                "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (_frame_line(track_id=r'"\ud800"'), ("\ud800", 0)),
+    (_frame_line(track_id='"%s"' % ("[" * D.MAX_ORJSON_BRACKETS)),
+     ("[" * D.MAX_ORJSON_BRACKETS, 0)),
+], ids=["frame-2**64", "frame-below-int64", "bom", "lone-surrogate", "brackets"])
+def test_reader_keeps_json_where_orjson_differs(tmp_path, text, want):
+    """On each line orjson reads otherwise than json (an int beyond its
+    range is a float) or refuses, and on one past the bracket guard,
+    `load_jsonl` gives json's record, with the line's span, or json's
+    message."""
+    path = tmp_path / "d.jsonl"
+    path.write_text(text + "\n", encoding="utf-8")
+    lines = {}
+    try:
+        track = D.load_jsonl(str(path), lines).tracks[0]
+    except MalformedRecord as e:
+        got = str(e)
+    else:
+        got = (track.track_id, track.frame_index[0])
+        assert track.features.tolist() == [[0.5]]
+        assert lines[track.track_id].tolist() == [0, len(text.encode())]
+    assert got == want
+
+
 # labels of any text a file can hold (no lone surrogates, which no UTF-8
 # file can), and floats whose spelling is easy to get wrong
 NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+# (1e-4 and 9999999999999998.0 are the edges of the values orjson spells
+# as repr does; their neighbours 9.999999999999999e-05 and 1e16 are not)
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                   st.sampled_from([-0.0, 1e16, 1e-5, 5e-324, 1e-310, 1.5e300]))
+                   st.sampled_from([-0.0, 1e16, 1e-5, 5e-324, 1e-310, 1.5e300, 1e-4, -1e-4,
+                                    np.nextafter(1e-4, 0), 1e15, 9999999999999998.0]))
 NON_FINITE = st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
@@ -478,6 +517,8 @@ def _reference_jsonl(dataset):
 @given(dataset=saved_tracks())
 @example(dataset=D.Dataset([D.Track('Requins 100% "x"', "é%s", "鱼\\n", [3, 0],
                                     features=np.array([[-0.0, 1e16], [5e-324, math.nan]]))]))
+@example(dataset=D.Dataset([D.Track("t0", "X", "x1", [0, 1, 2], features=np.array(
+    [[1e-4, -1e-4], [np.nextafter(1e-4, 0), 1e15], [9999999999999998.0, -1e16]]))]))
 @settings(max_examples=300, deadline=None)
 def test_writer_spells_records_as_json(tmp_path_factory, dataset):
     path = tmp_path_factory.getbasetemp() / "saved.jsonl"
