@@ -258,6 +258,9 @@ echo '{"gen": {"tracks_total": 62}, "train": {"epochs": 1, "learning_rate": 1e30
   > errors/rate.json
 echo '{"schemes": []}' > errors/no-schemes.json
 echo '{"gen": {"sigma_frame": -0.0}}' > errors/negative-zero.json
+# a species that is an integer of 5,000 digits, past Python's int digit limit
+python3 -c 'print("{\"groups\": [{\"name\": \"A\", \"species\": [\"a1\", 1%s]}]}" % ("0" * 4999))' \
+  > errors/digits-taxonomy.json
 for case in overflow saturate mid-training species group no-features; do
   refused "errors-train-$case" hierfish train --config errors/config.json --seed 0 \
     --taxonomy readme/data/taxonomy.json --data "errors/$case.jsonl" --out "errors/$case"
@@ -284,3 +287,5 @@ refused errors-ablation-no-schemes hierfish ablation --config errors/no-schemes.
   --out errors/no-schemes
 refused errors-gen-negative-zero hierfish gen --config errors/negative-zero.json \
   --out errors/negative-zero
+refused errors-gen-digits-taxonomy hierfish gen --taxonomy errors/digits-taxonomy.json \
+  --out errors/digits-taxonomy

@@ -108,6 +108,21 @@ MUTANTS = [
            'if raw.count(b"[") + raw.count(b"{") <= MAX_ORJSON_BRACKETS:',
            "if True:",
            ("tests/test_cli.py::test_deeply_nested_json_is_an_error",)),
+    # the block path in front of the per-line loop: a bool in a vector, a
+    # track whose labels change, and a line nested past what orjson parses
+    # must still go down that loop
+    Mutant("block-path-takes-bools", "data.py",
+           "or not NUMBER_TYPES.issuperset(map(type, flat))",
+           "or False",
+           ("tests/test_data.py::test_block_reads_as_the_per_line_loop",)),
+    Mutant("block-path-skips-label-check", "data.py",
+           "or not len(runs) == len(labels) == len(set(tids))",
+           "or not len(runs) == len(set(tids))",
+           ("tests/test_data.py::test_block_reads_as_the_per_line_loop",)),
+    Mutant("block-path-ignores-its-bound", "data.py",
+           "nbytes <= MAX_BLOCK_BYTES",
+           "True",
+           ("tests/test_data.py::test_a_deep_record_after_the_first_block_is_an_error",)),
     Mutant("orjson-spells-from-1e-5", "data.py",
            "REPR_BELOW, REPR_FROM = 1e-4, 1e16",
            "REPR_BELOW, REPR_FROM = 1e-5, 1e16",

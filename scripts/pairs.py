@@ -15,9 +15,12 @@ side that goes first alternating. The probes, by data:
       a 587-track backlog; a scheme3 model trained 3 epochs on the
       former). The two steps, `score_split` of every unit, and perfbench's
       per-track infer rule (`score_track`, both aggregates, `decide`).
-  save, load, split: perfbench cli_files' data (6 x 31, 1,200 tracks at
-      seed 0, a temporary directory per side). `save_jsonl`, `load_jsonl`
-      and `hierfish split` through `cli.main`.
+  save, load, split, files: perfbench cli_files' data (6 x 31, 1,200
+      tracks at seed 0, a temporary directory per side). `save_jsonl`,
+      `load_jsonl`, `hierfish split` through `cli.main`, and cli_files'
+      pass: `gen`, `split`, `train` (scheme3, 1 epoch), `search-threshold`,
+      `eval` and `infer` (video_avg) through `cli.main`, every file they
+      write compared.
 
 A step alternates two batches and ends each round on the first, so a
 gradient one batch leaves behind shows in the bytes. Prints, per probe,
@@ -34,6 +37,7 @@ import functools
 import importlib.util
 import io
 import itertools
+import json
 import statistics
 import sys
 import tempfile
@@ -174,10 +178,40 @@ def split(pkg):
         Path(work, "splits", name).read_bytes() for name in ("train.jsonl", "eval.jsonl")), 1
 
 
+def chain(pkg):
+    """cli_files' pass: its six commands through `cli.main`, into one directory."""
+    work = files(pkg)[0].name
+    Path(work, "config.json").write_text('{"gen": {"tracks_total": 1200}}', encoding="utf-8")
+    common = ["--taxonomy", f"{work}/taxonomy.json", "--seed", "0"]
+    scoring = ["--taxonomy", f"{work}/taxonomy.json", "--model", f"{work}/run/s3/model.json",
+               "--data", f"{work}/run/splits/eval.jsonl"]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            codes = [pkg.cli.main(["gen", "--config", f"{work}/config.json", *common,
+                                   "--out", f"{work}/run/data"]),
+                     pkg.cli.main(["split", *common, "--data", f"{work}/run/data/dataset.jsonl",
+                                   "--out", f"{work}/run/splits"]),
+                     pkg.cli.main(["train", *common, "--scheme", "scheme3", "--epochs", "1",
+                                   "--data", f"{work}/run/splits/train.jsonl",
+                                   "--out", f"{work}/run/s3"]),
+                     pkg.cli.main(["search-threshold", *scoring, "--out", f"{work}/run/s3"])]
+            tau = json.loads(Path(work, "run", "s3", "threshold.json").read_text())["tau"]
+            scoring_at = [*scoring, "--threshold", repr(tau)]
+            codes += [pkg.cli.main(["eval", *scoring_at, "--scheme", "scheme3",
+                                    "--out", f"{work}/run/s3/report"]),
+                      pkg.cli.main(["infer", *scoring_at, "--unit", "video_avg",
+                                    "--out", f"{work}/run/s3/infer"])]
+        return codes, printed.getvalue().replace(work, "WORK")   # each side's own directory
+    return run, lambda result: repr(result).encode() + b"".join(
+        str(path.relative_to(work)).encode() + path.read_bytes()
+        for path in sorted(Path(work, "run").rglob("*")) if path.is_file()), 1
+
+
 PROBES = {"k1": functools.partial(step, 1, ablation), "k3": functools.partial(step, 3, ablation),
           "train": train, "forward": forward, "k1_24x5": functools.partial(step, 1, backlog),
           "k3_24x5": functools.partial(step, 3, backlog), "score": score, "infer": infer,
-          "save": save, "load": load_frames, "split": split}
+          "save": save, "load": load_frames, "split": split, "files": chain}
 
 
 def main(argv=None) -> int:

@@ -133,7 +133,8 @@ def load_taxonomy(text: str) -> Taxonomy:
     """Parse the taxonomy JSON document; order-preserving."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:   # invalid or nested too deep
+    # invalid, nested too deep, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as e:
         raise MalformedDocument(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict) or "groups" not in doc:
         raise MalformedDocument("expected top-level object with a 'groups' list")

@@ -786,6 +786,40 @@ def test_gen_and_eval_on_fuzzed_config_and_checkpoint(tmp_path_factory, config_f
         assert "Traceback" not in err.getvalue()
 
 
+# a valid taxonomy document, and the places in it the taxonomy fuzz sets
+FUZZ_TAXONOMY = {"groups": [{"name": "A", "species": ["a1", "a2"]},
+                            {"name": "B", "species": ["b1", "b2"]}]}
+TAXONOMY_PLACES = [("groups",), ("groups", 1), ("groups", 0, "name"), ("groups", 1, "species"),
+                   ("groups", 0, "species", 1), ("version",)]
+
+
+@given(place=st.sampled_from(TAXONOMY_PLACES), value=JSON_VALUES.map(json.dumps))
+# an integer of 5,000 digits, past the int digit limit of Pythons that have one
+@example(place=("groups", 0, "species", 1), value="1" + "0" * 4999)
+@settings(max_examples=100, deadline=None)
+def test_gen_on_fuzzed_taxonomy(tmp_path_factory, place, value):
+    """One place of the taxonomy set to a JSON value: `gen` exits 0, or
+    1 with one `error: ` line."""
+    ws = tmp_path_factory.getbasetemp() / "fuzz_taxonomy"
+    ws.mkdir(exist_ok=True)
+    doc = json.loads(json.dumps(FUZZ_TAXONOMY))
+    parent = doc
+    for key in place[:-1]:
+        parent = parent[key]
+    parent[place[-1]] = "@"   # stands for the value's JSON text
+    (ws / "taxonomy.json").write_text(json.dumps(doc).replace('"@"', value), encoding="utf-8")
+    (ws / "config.json").write_text(json.dumps(
+        {"gen": {"tracks_total": 40, "frames_min": 1, "frames_max": 2, "dim": 2}}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run(["gen", "--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json",
+                  "--out", ws / "gen"])
+    assert rc in (0, 1)
+    if rc == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.mark.parametrize("lineno", [1, 2])
 def test_split_on_non_utf8_jsonl(workspace, capsys, lineno):
     ws = workspace
@@ -872,6 +906,28 @@ class TestSplit:
             written = (ws / "out" / name).read_bytes().split(b"\n")
             assert written[-1] == b"" and set(written[:-1]) <= stripped
             assert len(written) - 1 == sum(len(t) for t in side.tracks)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_a_file_of_many_blocks_splits_as_the_per_line_loop(self, workspace, monkeypatch,
+                                                               end):
+        """`load_jsonl` reads a file `save_jsonl` wrote a block at a time,
+        and one with CRLF ends line by line: either way, `split` copies
+        the lines the per-line loop notes, each ended by one newline."""
+        ws = workspace
+        dataset = D.generate(D.GenConfig(TAXONOMY, tracks_total=80, frames_min=2,
+                                         frames_max=6, dim=6, seed=2))
+        D.save_jsonl(dataset, str(ws / "saved.jsonl"))
+        saved = (ws / "saved.jsonl").read_bytes()
+        assert len(saved) > 3 * D.BLOCK_HINT
+        (ws / "frames.jsonl").write_bytes(saved.replace(b"\n", end))
+        args = ["split", "--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json",
+                "--data", ws / "frames.jsonl", "--out"]
+        assert run([*args, ws / "out"]) == 0
+        monkeypatch.setattr(D, "MAX_BLOCK_BYTES", 0)   # every block through the per-line loop
+        assert run([*args, ws / "want"]) == 0
+        assert _split_files(ws / "out") == _split_files(ws / "want")
+        assert sorted(b"".join(_split_files(ws / "out")).split(b"\n")[:-1]) == \
+            sorted(saved.split(b"\n")[:-1])
 
     def test_a_split_may_overwrite_its_input(self, workspace):
         ws = workspace

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +16,7 @@ from hierfish import model as M
 from hierfish.errors import (
     DimensionMismatch,
     EmptyTrack,
+    HierfishError,
     InconsistentLabels,
     InfeasibleConfig,
     MalformedRecord,
@@ -412,31 +416,87 @@ VECTOR_ITEMS = st.one_of(
 )
 
 
+def _filler(k: int, width: int = 1, pad: int = 0) -> bytes:
+    """Frame `k` of track "f", `width` values, `pad` blanks before its `}`."""
+    return ('{"track_id": "f", "frame_index": %d, "group": "X", "species": "x1", '
+            '"features": %s%s}\n' % (k, json.dumps([0.5] * width), " " * pad)).encode()
+
+
+def _blocks(path) -> list:
+    """The blocks of lines `load_jsonl` reads from the file at `path`."""
+    with open(path, "rb") as f:
+        return list(iter(functools.partial(f.readlines, D.BLOCK_HINT), []))
+
+
+def _first_block(width: int = 1, step: int = 1) -> list:
+    """Lines of track "f" (frames 0, `step`, 2 `step`, ...) that make the
+    first block `load_jsonl` reads."""
+    head = []
+    while sum(map(len, head)) <= D.BLOCK_HINT:
+        head.append(_filler(step * len(head), width))
+    return head
+
+
+# where `_placed` puts a line: alone in its file, or in the second block
+PLACES = ("alone", "first", "middle", "last")
+
+
+def _placed(path, line: str, place: str, width: int = 1) -> tuple[int, int]:
+    """Write a frames file to `path` that holds `line` (a text, no newline)
+    alone, or after a first block of track "f" (`width` values a frame)
+    as the first, a middle or the last line of the second block, with
+    frames of "f" after it. Returns the line's number and byte offset."""
+    text = (line + "\n").encode()
+    head, before = [], []
+    if place != "alone":
+        head = _first_block(width)
+        if place == "middle":
+            before = [_filler(len(head), width)]
+        elif place == "last":   # lines of exactly BLOCK_HINT bytes, so `line` ends the block
+            while sum(map(len, before)) + len(_filler(len(head) + len(before), width)) \
+                    <= D.BLOCK_HINT:
+                before.append(_filler(len(head) + len(before), width))
+            before[-1] = _filler(len(head) + len(before) - 1, width,
+                                 D.BLOCK_HINT - sum(map(len, before)))
+    after = [_filler(len(head) + len(before) + j, width) for j in range(40)]
+    path.write_bytes(b"".join(head + before + [text] + after))
+    if place != "alone":
+        block = _blocks(path)[1]
+        assert text in block and {"first": 0, "middle": 1, "last": len(block) - 1}[place] \
+            == block.index(text) and len(block) >= 3
+    return len(head) + len(before) + 1, sum(map(len, head + before))
+
+
 @given(values=st.lists(VECTOR_ITEMS, max_size=6))
 @example(values=[1e308, 1e308])          # finite, though their float sum is not
 @example(values=[10**400, -10**400])     # beyond float64, though their sum is 0
 @example(values=[2**53 + 1, 2**64 + 3])  # rounded to float64 as numpy rounds them
+@example(values=[0.5, True])             # a bool, which the other entries sum with
 @settings(max_examples=300, deadline=None)
 def test_reader_follows_the_number_rule(tmp_path_factory, values):
     """`load_jsonl` keeps a vector exactly when `number_array` does, with
-    its values, and refuses any other with the rule's own message."""
+    its values, and refuses any other with the rule's own message: on a
+    line alone, and on the first, a middle and the last line of a block."""
     path = tmp_path_factory.getbasetemp() / "vector.jsonl"
-    path.write_text(json.dumps({"track_id": "t0", "frame_index": 0, "group": "X",
-                                "species": "x1", "features": values}) + "\n")
-    try:
-        want = M.number_array(values, "features")
-    except (ValueError, OverflowError) as e:
-        want = f"line 1: {e}"
-    else:
-        if not want.size:
-            want = "line 1: 'features' is empty"
-        elif not np.isfinite(want).all():
-            want = "track 't0' frame 0: non-finite values in features on line 1"
-    try:
-        got = D.load_jsonl(str(path)).tracks[0].features[0].tobytes()
-    except MalformedRecord as e:
-        got = str(e)
-    assert got == (want if isinstance(want, str) else want.tobytes())
+    line = json.dumps({"track_id": "t0", "frame_index": 0, "group": "X", "species": "x1",
+                       "features": values})
+    for place in PLACES:
+        lineno, _ = _placed(path, line, place, max(len(values), 1))
+        try:
+            want = M.number_array(values, "features")
+        except (ValueError, OverflowError) as e:
+            want = f"line {lineno}: {e}"
+        else:
+            if not want.size:
+                want = f"line {lineno}: 'features' is empty"
+            elif not np.isfinite(want).all():
+                want = f"track 't0' frame 0: non-finite values in features on line {lineno}"
+        try:
+            track = next(t for t in D.load_jsonl(str(path)).tracks if t.track_id == "t0")
+            got = track.features[0].tobytes()
+        except MalformedRecord as e:
+            got = str(e)
+        assert got == (want if isinstance(want, str) else want.tobytes()), place
 
 
 def _frame_line(track_id='"t0"', frame_index=0) -> str:
@@ -453,23 +513,98 @@ def _frame_line(track_id='"t0"', frame_index=0) -> str:
     (_frame_line(track_id='"%s"' % ("[" * D.MAX_ORJSON_BRACKETS)),
      ("[" * D.MAX_ORJSON_BRACKETS, 0)),
 ], ids=["frame-2**64", "frame-below-int64", "bom", "lone-surrogate", "brackets"])
-def test_reader_keeps_json_where_orjson_differs(tmp_path, text, want):
+@pytest.mark.parametrize("place", PLACES)
+def test_reader_keeps_json_where_orjson_differs(tmp_path, text, want, place):
     """On each line orjson reads otherwise than json (an int beyond its
     range is a float) or refuses, and on one past the bracket guard,
     `load_jsonl` gives json's record, with the line's span, or json's
-    message."""
+    message: on a line alone, and on the first, a middle and the last
+    line of a block."""
     path = tmp_path / "d.jsonl"
-    path.write_text(text + "\n", encoding="utf-8")
+    lineno, offset = _placed(path, text, place)
     lines = {}
     try:
-        track = D.load_jsonl(str(path), lines).tracks[0]
+        track = next(t for t in D.load_jsonl(str(path), lines).tracks if t.track_id != "f")
     except MalformedRecord as e:
         got = str(e)
+        want = want.replace("line 1: ", f"line {lineno}: ", 1)
     else:
         got = (track.track_id, track.frame_index[0])
         assert track.features.tolist() == [[0.5]]
-        assert lines[track.track_id].tolist() == [0, len(text.encode())]
+        assert lines[track.track_id].tolist() == [offset, len(text.encode())]
     assert got == want
+
+
+def _read(path) -> tuple:
+    """What `load_jsonl` reads from `path`: each track's labels, frames,
+    vectors and line spans, or its error's type and message."""
+    lines = {}
+    try:
+        dataset = D.load_jsonl(str(path), lines)
+    except HierfishError as e:
+        return type(e), str(e)
+    return dataset.mode, [(t.track_id, t.group, t.species, t.frame_index,
+                           [getattr(t, key).tobytes() for key in D.VECTOR_FIELDS[dataset.mode]],
+                           lines[t.track_id].tolist()) for t in dataset.tracks]
+
+
+def _frame(track_id="g", k=0, species="x1", vectors='"features": [0.25]', extra="") -> str:
+    return ('{"track_id": "%s", "frame_index": %s, "group": "X", "species": "%s", %s%s}'
+            % (track_id, k, species, vectors, extra))
+
+
+# the lines after a first block of track "f" (frames 0, 2, 4, ...): eight
+# frames of track "g", with one edit each, and what the edit makes of them
+G = [_frame(k=k) for k in range(8)]
+BLOCK_CASES = {
+    "clean": (G, None),
+    "label-change": (G[:5] + [_frame(k=5, species="x2")] + G[6:],
+                     "line L6: track 'g' frames carry different labels"),
+    "label-change-across-blocks": (G[:5] + [_frame("f", 1, species="x2")] + G[5:],
+                                   "line L6: track 'f' frames carry different labels"),
+    "repeated-frame": (G[:5] + [_frame(k=4)] + G[5:], "line L6: track 'g' repeats frame 4"),
+    "repeated-frame-across-blocks": (G[:5] + [_frame("f", 0)] + G[5:],
+                                     "line L6: track 'f' repeats frame 0"),
+    "frames-out-of-order": (G[:4] + [G[5], G[4]] + G[6:], None),
+    "frame-before-a-stored-one": (G[:5] + [_frame("f", 1)] + G[5:], None),
+    "track-in-two-runs": (G[:3] + [_frame("h")] + G[3:] + [_frame("h", 1)], None),
+    "width-change": (G[:5] + [_frame(k=5, vectors='"features": [0.25, 0.5]')] + G[6:],
+                     "line L6: feature layout trunk(2,) disagrees with trunk(1,)"),
+    "mode-change": (G[:5] + [_frame(k=5, vectors='"shallow": [0.25], "deep": [0.5]')] + G[6:],
+                    "line L6: feature layout precomputed(1, 1) disagrees with trunk(1,)"),
+    "blank-line": (G[:5] + [""] + G[5:], None),
+    "blank-padded-line": (G[:5] + [" " + G[5] + "\t"] + G[6:], None),
+    "extra-key": (G[:5] + [_frame(k=5, extra=', "note": [1]')] + G[6:], None),
+    "bool": (G[:5] + [_frame(k=5, vectors='"features": [true]')] + G[6:],
+             "line L6: could not convert True in 'features' to a number"),
+    "string-frame": (G[:5] + [_frame(k='"5"')] + G[6:],
+                     "line L6: frame_index must be an integer, not '5'"),
+}
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_reads_as_the_per_line_loop(tmp_path, monkeypatch, case, crlf):
+    """A second block of lines reads as the per-line loop reads it: the
+    same tracks, frames, vectors and line spans, or the same error for
+    the first bad line; a clean block is stored as a whole."""
+    lines, message = BLOCK_CASES[case]
+    head = _first_block(step=2)
+    end = b"\r\n" if crlf else b"\n"
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"".join(head).replace(b"\n", end)
+                     + b"".join(line.encode() + end for line in lines))
+    assert len(_blocks(path)) == 2
+    stored = []
+    block_path = D._stored_block
+    monkeypatch.setattr(D, "_stored_block", lambda *a: stored.append(block_path(*a))
+                        or stored[-1])
+    got = _read(path)
+    if message is not None:
+        assert got[1] == message.replace("L6", str(len(head) + 6))
+    monkeypatch.setattr(D, "MAX_BLOCK_BYTES", 0)   # every block through the per-line loop
+    assert got == _read(path)
+    assert stored == [case == "clean" and not crlf]
 
 
 # labels of any text a file can hold (no lone surrogates, which no UTF-8
@@ -524,3 +659,52 @@ def test_writer_spells_records_as_json(tmp_path_factory, dataset):
     path = tmp_path_factory.getbasetemp() / "saved.jsonl"
     D.save_jsonl(dataset, str(path))
     assert path.read_bytes() == _reference_jsonl(dataset)
+
+
+def test_a_refused_block_sends_its_next_blocks_down_the_per_line_loop(tmp_path, monkeypatch):
+    """After a refused block, the next 1, 3, 7, ... blocks go line by line
+    unparsed, and a block stored as a whole ends the run."""
+    frames = [_filler(k) for k in range(1500)]
+    frames[300] = b"\n"   # a blank line refuses the block that holds it
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"".join(frames))
+    blocks = _blocks(path)
+    bad = next(j for j, block in enumerate(blocks) if b"\n" in block)
+    assert 1 <= bad < len(blocks) - 4
+    stored = []
+    block_path = D._stored_block
+    monkeypatch.setattr(D, "_stored_block", lambda *a: stored.append(block_path(*a))
+                        or stored[-1])
+    assert D.load_jsonl(str(path)).tracks[0].frame_index == [k for k in range(1500) if k != 300]
+    # the first block sets the mode; the one after the refused one is skipped
+    assert stored == [True] * (bad - 1) + [False] + [True] * (len(blocks) - bad - 2)
+
+
+def test_a_deep_record_after_the_first_block_is_an_error(tmp_path):
+    """A line nested past any decoder's depth, though it looks like a
+    record, is read alone and named, wherever it lies."""
+    head = _first_block()
+    deep = _frame(vectors='"features": %s%s' % ("[" * 200_000, "]" * 200_000))
+    path = tmp_path / "deep.jsonl"
+    path.write_bytes(b"".join(head) + deep.encode() + b"\n" + _filler(len(head)))
+    with pytest.raises(MalformedRecord, match=f"line {len(head) + 1}: invalid JSON"):
+        D.load_jsonl(str(path))
+
+
+# one document per nesting a block can hold: `[` and `{"a":` as deep as
+# MAX_BLOCK_BYTES bytes of lines and the block's own `[` allow, and an
+# unclosed `[` run, which orjson refuses
+NESTED = {"arrays": 'b"[" * n + b"]" * n', "objects": 'b\'{"a":\' * n + b"1" + b"}" * n',
+          "unclosed": 'b"[" * n'}
+
+
+@pytest.mark.parametrize("doc", NESTED)
+def test_orjson_parses_a_block_nested_as_deep_as_its_bound(doc):
+    """orjson has no nesting limit: a document nested deep enough
+    overflows the C stack. The block bound keeps a block within the depth
+    this orjson is checked at, in a subprocess, so that a crash fails
+    the test instead of the test process."""
+    code = ("import orjson\nn = %d\ntry:\n    orjson.loads(%s)\n"
+            "except orjson.JSONDecodeError:\n    pass\n" % (D.MAX_BLOCK_BYTES + 1, NESTED[doc]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
