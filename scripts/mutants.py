@@ -95,8 +95,8 @@ MUTANTS = [
            ("tests/test_model.py::TestParamsLayout::"
             "test_rebinding_a_view_raises_and_keeps_the_vector",)),
     Mutant("finiteness-shortcut-sums-ints-exactly", "data.py",
-           "math.isfinite(sum(vec, 0.0))",
-           "math.isfinite(sum(vec))",
+           "math.isfinite(sum(values, 0.0))",
+           "math.isfinite(sum(values))",
            ("tests/test_data.py::test_reader_follows_the_number_rule",)),
     Mutant("baseline-scored-by-hierarchical-heads", "evaluation.py",
            'heads = flat_heads if scheme == "baseline" else None',
@@ -112,12 +112,12 @@ MUTANTS = [
     # track whose labels change, and a line nested past what orjson parses
     # must still go down that loop
     Mutant("block-path-takes-bools", "data.py",
-           "or not NUMBER_TYPES.issuperset(map(type, flat))",
+           "or not _finite_numbers(flat)",
            "or False",
            ("tests/test_data.py::test_block_reads_as_the_per_line_loop",)),
     Mutant("block-path-skips-label-check", "data.py",
-           "or not len(runs) == len(labels) == len(set(tids))",
-           "or not len(runs) == len(set(tids))",
+           "if not len(runs) == len(labels) == len(set(tids)):",
+           "if not len(runs) == len(set(tids)):",
            ("tests/test_data.py::test_block_reads_as_the_per_line_loop",)),
     Mutant("block-path-ignores-its-bound", "data.py",
            "nbytes <= MAX_BLOCK_BYTES",

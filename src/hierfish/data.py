@@ -345,19 +345,23 @@ def save_jsonl(dataset: Dataset, path: str) -> None:
                         + b"\n")
 
 
+def _finite_numbers(values: list) -> bool:
+    """Whether `values` are all JSON numbers (`NUMBER_TYPES`) of finite
+    float sum, so each is finite: a sum is finite only if every term is."""
+    try:
+        return NUMBER_TYPES.issuperset(map(type, values)) and math.isfinite(sum(values, 0.0))
+    except OverflowError:   # an int too large for a float
+        return False
+
+
 def _vector(rec: dict, key: str, lineno: int) -> list:
     """`rec[key]` by the one number rule (`number_array`), as a list: a
-    non-empty flat list of JSON numbers, all finite. A list of numbers
-    whose float sum is finite passes as it is, since a sum is finite only
-    if every term is; any other value takes the exact path, which raises
-    the rule's own message."""
+    non-empty flat list of JSON numbers, all finite. A list that passes
+    `_finite_numbers` passes as it is; any other value takes the exact
+    path, which raises the rule's own message."""
     vec = rec[key]
-    try:
-        if (type(vec) is list and vec and NUMBER_TYPES.issuperset(map(type, vec))
-                and math.isfinite(sum(vec, 0.0))):
-            return vec
-    except OverflowError:   # an int too large for a float; the exact path says so
-        pass
+    if type(vec) is list and vec and _finite_numbers(vec):
+        return vec
     vec = number_array(vec, key)
     if not vec.shape[0]:   # a model input needs at least one value
         raise MalformedRecord(f"line {lineno}: {key!r} is empty")
@@ -427,8 +431,6 @@ MAX_ORJSON_BRACKETS = 16
 # bytes, so lines of up to 4,000 bytes make blocks within the bound
 MAX_BLOCK_BYTES = 16_000
 BLOCK_HINT = 12_000
-# the most blocks in a row a refused block sends down the per-line loop
-MAX_SKIPPED = 63
 
 
 def _new_track(group: str, species: str, fields: int, lines: dict | None) -> tuple:
@@ -445,8 +447,8 @@ def _stored_block(block: list, start: int, keys: tuple, dims: tuple, rows_by_tra
     (`{...}` and a newline), orjson parses them as one document, and the
     block passes every check as a whole. Each record holds exactly the
     `keys`, the label keys and one mode's vector keys, of their JSON
-    types and vector widths `dims`; its vector entries are ints and
-    floats of finite sum. Each track id makes one run of lines, of one
+    types (`_LABEL_TYPES`) and vector widths `dims`; its vector entries
+    pass `_finite_numbers`. Each track id makes one run of lines, of one
     label pair and ascending frames; a track the table holds has the
     same labels, and frames in order (not in `shuffled`) below them."""
     if not (all(map(bytes.startswith, block, repeat(b"{")))
@@ -462,25 +464,24 @@ def _stored_block(block: list, start: int, keys: tuple, dims: tuple, rows_by_tra
         # means one record a line
         if len(recs) != len(block) or set(map(len, recs)) != {len(keys)}:
             return False
-        tids, ks, groups, species, *vectors = zip(*map(itemgetter(*keys), recs))
+        values = list(zip(*map(itemgetter(*keys), recs)))
+        if any(set(map(type, column)) != {kind}
+               for column, (kind, _) in zip(values, _LABEL_TYPES.values())):
+            return False
+        tids, ks, groups, species, *vectors = values
         labels = set(zip(tids, groups, species))
         runs = [(tid, len(list(run))) for tid, run in groupby(tids)]
-        if (set(map(type, chain.from_iterable(labels))) != {str}
-                or set(map(type, ks)) != {int}
-                or not len(runs) == len(labels) == len(set(tids))):
+        if not len(runs) == len(labels) == len(set(tids)):
             return False
         columns = []
         for vecs, width in zip(vectors, dims):
             flat = list(chain.from_iterable(vecs))
-            # a sum is finite only if every term is
             if (set(map(type, vecs)) != {list} or set(map(len, vecs)) != {width}
-                    or not NUMBER_TYPES.issuperset(map(type, flat))
-                    or not math.isfinite(sum(flat, 0.0))):
+                    or not _finite_numbers(flat)):
                 return False
             columns.append(memoryview(struct.pack(f"{len(flat)}d", *flat)))
-    # a value that is no record, a key missing, an unhashable label, a
-    # vector that is no list, an int too large for a float
-    except (KeyError, TypeError, OverflowError):
+    # a value that is no record, a key missing, a vector that is no list
+    except (KeyError, TypeError):
         return False
     b = 0
     for tid, n in runs:
@@ -519,15 +520,15 @@ def load_jsonl(path: str, lines: dict | None = None) -> Dataset:
     The file is read in blocks of lines, each stored as a whole by
     `_stored_block` if it passes every check. A per-line loop reads the
     rest: the first block, which sets the mode and vector widths, a
-    block of over `MAX_BLOCK_BYTES`, and any block `_stored_block`
-    refuses, which it has left unstored. The loop alone names an error,
-    so the first bad line is named as it always was. orjson parses each
-    line there; `_json_record` (json) reads a line again, and gives the
-    record or the message, where orjson might differ: a line orjson
-    refuses (a blank one, NaN, 1e400, a lone surrogate, a BOM), one of
-    over `MAX_ORJSON_BRACKETS` brackets, and a record whose checks fail
-    on orjson's values (an int outside [-2**63, 2**64) is a float to
-    orjson)."""
+    block of over `MAX_BLOCK_BYTES`, the first block `_stored_block`
+    refuses (it has left it unstored) and every block after that one.
+    The loop alone names an error, so the first bad line is named as it
+    always was. orjson parses each line there; `_json_record` (json)
+    reads a line again, and gives the record or the message, where
+    orjson might differ: a line orjson refuses (a blank one, NaN, 1e400,
+    a lone surrogate, a BOM), one of over `MAX_ORJSON_BRACKETS`
+    brackets, and a record whose checks fail on orjson's values (an int
+    outside [-2**63, 2**64) is a float to orjson)."""
     # track id -> (group, species, frame indices, one array of doubles per
     # vector field, rows back to back: no object per frame, and the lines'
     # offset/length pairs), in first-seen order
@@ -536,21 +537,18 @@ def load_jsonl(path: str, lines: dict | None = None) -> Dataset:
     mode = None
     dims = None
     lineno = end = 0
-    # a refused block sends the next 1, 3, 7, ... blocks in a row (at most
-    # MAX_SKIPPED) down the per-line loop unparsed, so a file whose blocks
-    # `_stored_block` refuses (one listing frames out of order, say) is
-    # seldom parsed twice
-    skip = skipped = 0
+    # a block refused after its parse (one listing frames out of order,
+    # say) is parsed again line by line, so after a refused block the
+    # rest of the file goes line by line
+    by_block = True
     with open(path, "rb") as f:
         for block in iter(partial(f.readlines, BLOCK_HINT), []):
             nbytes = sum(map(len, block))
-            if skipped:
-                skipped -= 1
-            elif mode is not None and nbytes <= MAX_BLOCK_BYTES:
+            if by_block and mode is not None and nbytes <= MAX_BLOCK_BYTES:
                 if _stored_block(block, end, keys, dims, rows_by_track, shuffled, lines):
-                    skip, lineno, end = 0, lineno + len(block), end + nbytes
+                    lineno, end = lineno + len(block), end + nbytes
                     continue
-                skip = skipped = min(2 * skip + 1, MAX_SKIPPED)
+                by_block = False
             for raw in block:
                 lineno += 1
                 start, end = end, end + len(raw)

@@ -661,23 +661,28 @@ def test_writer_spells_records_as_json(tmp_path_factory, dataset):
     assert path.read_bytes() == _reference_jsonl(dataset)
 
 
-def test_a_refused_block_sends_its_next_blocks_down_the_per_line_loop(tmp_path, monkeypatch):
-    """After a refused block, the next 1, 3, 7, ... blocks go line by line
-    unparsed, and a block stored as a whole ends the run."""
+def test_a_refused_block_sends_the_rest_of_the_file_down_the_per_line_loop(tmp_path,
+                                                                         monkeypatch):
+    """A block refused after its parse, here for frames out of order,
+    ends the block path: every later block goes line by line, and the
+    file reads as the per-line loop reads it."""
     frames = [_filler(k) for k in range(1500)]
-    frames[300] = b"\n"   # a blank line refuses the block that holds it
+    frames[300], frames[301] = frames[301], frames[300]
     path = tmp_path / "d.jsonl"
     path.write_bytes(b"".join(frames))
     blocks = _blocks(path)
-    bad = next(j for j, block in enumerate(blocks) if b"\n" in block)
-    assert 1 <= bad < len(blocks) - 4
+    bad = next(j for j, block in enumerate(blocks) if frames[300] in block)
+    assert 1 <= bad < len(blocks) - 1 and frames[301] in blocks[bad]
     stored = []
     block_path = D._stored_block
     monkeypatch.setattr(D, "_stored_block", lambda *a: stored.append(block_path(*a))
                         or stored[-1])
-    assert D.load_jsonl(str(path)).tracks[0].frame_index == [k for k in range(1500) if k != 300]
-    # the first block sets the mode; the one after the refused one is skipped
-    assert stored == [True] * (bad - 1) + [False] + [True] * (len(blocks) - bad - 2)
+    got = _read(path)
+    assert got[1][0][3] == list(range(1500))
+    # the first block sets the mode
+    assert stored == [True] * (bad - 1) + [False]
+    monkeypatch.setattr(D, "MAX_BLOCK_BYTES", 0)   # every block through the per-line loop
+    assert got == _read(path)
 
 
 def test_a_deep_record_after_the_first_block_is_an_error(tmp_path):
