@@ -1,7 +1,7 @@
 """Print the GEMM kernel that numpy's bundled OpenBLAS runs, and exit
 non-zero unless it is EXPECTED. OpenBLAS picks the kernel by CPU at run
 time unless OPENBLAS_CORETYPE forces one, so this shows whether a force
-took.
+took. `kernel()` gives the name to other scripts and the tests.
 
 usage: python scripts/blas_kernel.py [EXPECTED]
 """
@@ -12,11 +12,20 @@ import sys
 
 import numpy
 
-lib, = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
-                              "numpy.libs", "*openblas*"))
-corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
-corename.argtypes, corename.restype = [], ctypes.c_char_p
-name = corename().decode()
-print("OpenBLAS kernel:", name)
-if len(sys.argv) > 1 and name != sys.argv[1]:
-    raise SystemExit(f"expected the {sys.argv[1]} kernel, not {name}")
+
+def kernel() -> str | None:
+    """The kernel's name, or None if numpy bundles no OpenBLAS."""
+    libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    if len(libs) != 1:
+        return None
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+if __name__ == "__main__":
+    name = kernel()
+    print("OpenBLAS kernel:", name)
+    if len(sys.argv) > 1 and name != sys.argv[1]:
+        raise SystemExit(f"expected the {sys.argv[1]} kernel, not {name}")

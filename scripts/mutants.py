@@ -60,16 +60,27 @@ MUTANTS = [
            "for k in idx:\n            fn(params, tracks[k].model_input())",
            ("tests/test_inference.py::test_a_fault_in_a_chunk_is_the_first_tracks_own",)),
     Mutant("diverged-skips-input-fault", "training.py",
-           "raise (_input_fault(initial.tile(len(losses)), grads, batch, idx, where, losses)",
+           "raise (_input_fault(initial, batch, idx, where, losses)",
            "raise (None",
            ("tests/test_training.py::TestTrain::"
             "test_input_overflow_below_bound_is_found_mid_training",)),
     Mutant("absent-group-keeps-stale-gradient", "training.py",
-           "dp.Wf[g].fill(0.0)\n                dp.bf[g].fill(0.0)\n                continue",
+           "dWf.fill(0.0)\n                dbf.fill(0.0)\n                continue",
            "continue",
            ("tests/test_training.py::test_lockstep_is_bit_identical_to_solo_training",
             "tests/test_training.py::"
             "test_a_step_zeroes_the_fine_gradients_of_every_absent_group")),
+    # a step's mean over the batch multiplies by 1 / B only when B is a
+    # power of two: for B = 7 that is not the division's bytes
+    Mutant("batch-mean-multiplies-for-every-B", "training.py",
+           "if B & (B - 1) == 0 else",
+           "if True else",
+           ("tests/test_training.py::test_train_is_pinned",
+            "tests/test_training.py::test_a_reused_workspace_steps_as_a_one_off_one")),
+    Mutant("ragged-batch-reads-the-full-batches-workspace", "training.py",
+           "_label_tables(ws, y1[rows], y2[rows])",
+           "_label_tables(spaces[0][0], y1[rows], y2[rows])",
+           ("tests/test_training.py::test_train_is_pinned",)),
     Mutant("flat-joint-recomputed", "evaluation.py",
            "return HeadOutputs(coarse, FineLocal(fine, t.spans), joint)",
            "return HeadOutputs(coarse, FineLocal(fine, t.spans),"

@@ -23,12 +23,25 @@ side that goes first alternating. The probes, by data:
       write compared.
 
 A step alternates two batches and ends each round on the first, so a
-gradient one batch leaves behind shows in the bytes. Prints, per probe,
-each side's min and median, the median per-round change/parent ratio,
-the rounds the change won and whether the outputs were the same. Exits
-1 unless every probe gave byte-identical outputs on both sides.
+gradient one batch leaves behind shows in the bytes. A side with a step
+workspace (`training._Workspace`) builds it, and each batch's label
+table, before the rounds, as `train` does once per call and per epoch,
+so its step probes and `forward` time calls on it; a side without one
+calls `_loss_and_grads` and `heads_forward` as they were. Prints, per
+probe, each side's min and median, the median per-round change/parent
+ratio, the rounds the change won and whether the outputs were the
+same. Exits 1 unless every probe gave byte-identical outputs on both
+sides.
+
+With --record PATH, also appends the run's record to the JSON list in
+PATH (the repository keeps BENCH_pairs.json, one record per change;
+nothing reads it): the sides' labels, the rounds, `env` (Python, numpy,
+OpenBLAS and the GEMM kernel of scripts/blas_kernel.py), and per probe
+each side's min and median in seconds, the median ratio, the rounds the
+change won and `same` or `DIFFER`.
 
 usage: python scripts/pairs.py PARENT_SRC [PROBE ...] [--rounds N]
+                               [--record PATH [--labels PARENT CHANGE]]
 """
 
 import argparse
@@ -38,13 +51,17 @@ import importlib.util
 import io
 import itertools
 import json
+import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+
+import blas_kernel
 
 ROOT = Path(__file__).resolve().parent.parent
 STEPS = 200      # calls per round of a step or `heads_forward` probe
@@ -110,11 +127,21 @@ def batches(pkg, data, K):
 # A probe builds, for one package, (fn, out, calls): a round calls fn()
 # `calls` times, timed, and out(the last result) is the round's bytes
 def step(K, data, pkg):
+    """A step on each batch of the pair in turn. A side with a step
+    workspace builds one per batch, over the one gradient, and the
+    batch's label table once, so a round times steps only."""
     T = pkg.training
     params, pair = batches(pkg, data, K)
-    grads, losses, cycle = params.zeros_like(), T.LOSS_ORDER[3 - K:], itertools.cycle(pair)
-    return (lambda: T._loss_and_grads(params, grads, *next(cycle), losses),
-            lambda loss: loss.tobytes() + grads.vector.tobytes(), STEPS)
+    grads, losses = params.zeros_like(), T.LOSS_ORDER[3 - K:]
+    if hasattr(T, "_Workspace"):
+        spaces = [T._Workspace(params, grads, inputs, losses) for inputs, _, _ in pair]
+        cycle = itertools.cycle([(ws, next(T._label_tables(ws, y1[None], y2[None])))
+                                 for ws, (_, y1, y2) in zip(spaces, pair)])
+        fn = lambda: T._loss_and_grads(*next(cycle))
+    else:   # a parent from before the step workspace
+        cycle = itertools.cycle(pair)
+        fn = lambda: T._loss_and_grads(params, grads, *next(cycle), losses)
+    return fn, lambda loss: loss.tobytes() + grads.vector.tobytes(), STEPS
 
 
 def train(pkg):
@@ -126,10 +153,19 @@ def train(pkg):
 
 
 def forward(pkg):
+    """`heads_forward` of K = 2 models on one batch; a side with a step
+    workspace builds one and runs the trunk into it once."""
+    T, M = pkg.training, pkg.model
     params, pair = batches(pkg, ablation, 2)
-    _, shallow, _, deep = pkg.model.trunk_features(params, pair[1][0][0])
-    return (lambda: pkg.model.heads_forward(params, shallow, deep),
-            lambda out: out[1].tobytes() + out[2].tobytes(), STEPS)
+    X = pair[1][0][0]
+    if hasattr(T, "_Workspace"):
+        ws = T._Workspace(params, params.zeros_like(), (X,), ("scheme1", "scheme3"))
+        M.trunk_features(params, X, ws)
+        fn = lambda: M.heads_forward(params, ws.A1h, ws.A2h, ws)
+    else:
+        _, shallow, _, deep = M.trunk_features(params, X)
+        fn = lambda: M.heads_forward(params, shallow, deep)
+    return fn, lambda out: out[1].tobytes() + out[2].tobytes(), STEPS
 
 
 def score(pkg):
@@ -214,11 +250,39 @@ PROBES = {"k1": functools.partial(step, 1, ablation), "k3": functools.partial(st
           "save": save, "load": load_frames, "split": split, "files": chain}
 
 
+def environment() -> dict:
+    """The versions and the GEMM kernel that timed a run."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "openblas": f"{blas['name']} {blas['version']}", "kernel": blas_kernel.kernel()}
+
+
+def checkout_label() -> str:
+    """This checkout's commit, `-dirty` if its src/ differs from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout
+    return git("rev-parse", "--short", "HEAD").strip() + ("-dirty" if git("status", "--porcelain",
+                                                                          "--", "src") else "")
+
+
+def record(path: Path, labels, rounds: int, stats: dict) -> None:
+    """Append one run's record to the JSON list in `path`."""
+    records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    records.append({"labels": dict(zip(("parent", "change"), labels)), "rounds": rounds,
+                    "env": environment(), "probes": stats})
+    path.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path, help="the parent's src/ directory")
     parser.add_argument("probes", nargs="*", help=f"of {', '.join(PROBES)} (default: all)")
     parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--record", type=Path, metavar="PATH",
+                        help="append the run's record to the JSON list in PATH")
+    parser.add_argument("--labels", nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="the sides' labels in the record (default: PARENT_SRC as given "
+                             "and this checkout's commit)")
     args = parser.parse_args(argv)
     if set(args.probes) - set(PROBES):
         parser.error(f"unknown probe(s): {sorted(set(args.probes) - set(PROBES))}")
@@ -238,15 +302,23 @@ def main(argv=None) -> int:
                 times[name][s].append((time.perf_counter() - t0) / calls)
                 outputs[s] = out(result)
             same[name] &= outputs[0] == outputs[1]
+    stats = {}
     for name, (p, c) in times.items():
+        stats[name] = {"parent": {"min_s": min(p), "median_s": statistics.median(p)},
+                       "change": {"min_s": min(c), "median_s": statistics.median(c)},
+                       "ratio": statistics.median([b / a for a, b in zip(p, c)]),
+                       "wins": sum(b < a for a, b in zip(p, c)),
+                       "outputs": "same" if same[name] else "DIFFER"}
         scale, unit = (1e6, "us") if min(p) < 1e-3 else (1e3, "ms")
-        print(f"{name:8s}", *(f"{side} min {min(t) * scale:9.3f} median "
-                              f"{statistics.median(t) * scale:9.3f} {unit} "
-                              for side, t in (("parent", p), ("change", c))),
-              f"ratio {statistics.median([b / a for a, b in zip(p, c)]):.3f}  "
-              f"wins {sum(b < a for a, b in zip(p, c))}/{len(p)}  "
-              f"{'same' if same[name] else 'DIFFER'}")
+        print(f"{name:8s}", *(f"{side} min {stats[name][side]['min_s'] * scale:9.3f} median "
+                              f"{stats[name][side]['median_s'] * scale:9.3f} {unit} "
+                              for side in ("parent", "change")),
+              f"ratio {stats[name]['ratio']:.3f}  wins {stats[name]['wins']}/{len(p)}  "
+              f"{stats[name]['outputs']}")
     print("outputs byte-identical" if all(same.values()) else "outputs DIFFER")
+    if args.record:
+        record(args.record, args.labels or (str(args.parent_src), checkout_label()),
+               args.rounds, stats)
     return 0 if all(same.values()) else 1
 
 

@@ -246,19 +246,22 @@ def init_params(
 
 def stable_softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by the max to avoid overflow."""
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.array(logits, dtype=np.float64)   # a copy: `_softmax` writes over it
     if not np.isfinite(logits).all():
         raise NonFiniteInput("non-finite logits")
     return _softmax(logits)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax(logits: np.ndarray, top=None, total=None) -> np.ndarray:
     """`stable_softmax` of float64 logits that the caller has checked to
-    be finite, as the head functions do."""
+    be finite, as the head functions do, written over them; the max and
+    the sum go into `top` and `total` if given."""
     if logits.size == 0 or logits.shape[-1] == 0:
         raise EmptyInput("softmax over an empty vector")
-    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True, out=top)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True, out=total)
+    return logits
 
 
 def joint_scores(coarse: np.ndarray, fine_local: list[np.ndarray]) -> np.ndarray:
@@ -284,21 +287,66 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NonFiniteActivation(f"non-finite values in {name}")
 
 
-def trunk_features(params: ModelParams, X: np.ndarray):
+class Buffers:
+    """Where the forward functions write: one attribute per array, None
+    for a fresh one. Scoring hands them `FRESH`, every attribute None, so
+    each ufunc allocates its result and `heads_forward` cuts its views.
+    A training step hands them its workspace (`training._Workspace`),
+    whose arrays and views are built once and written through `out=`,
+    with the same ufuncs on the same operands, so the bytes are the same.
+
+    trunk_features: z1, A1, z2, A2. flat_forward: zl1, Hl, flat (the
+    logits, then the probabilities), flat_top and flat_total (the
+    softmax's max and sum). heads_forward: zc1, Hc, coarse, coarse_top,
+    coarse_total, fine, sums (each head's sum), fine_top (each head's
+    max), fine_spread (a per-group value spread over its columns), and
+    deep_rows and fine_blocks, `fine_views` of fine, sums and the deep
+    array the step hands `heads_forward`, which reads them in its place.
+    """
+    z1 = A1 = z2 = A2 = None
+    zl1 = Hl = flat = flat_top = flat_total = None
+    zc1 = Hc = coarse = coarse_top = coarse_total = None
+    fine = sums = fine_top = fine_spread = deep_rows = fine_blocks = None
+
+
+FRESH = Buffers()
+
+
+def trunk_features(params: ModelParams, X: np.ndarray, ws: Buffers = FRESH):
     """Batched trunk pass. Returns (z1, shallow, z2, deep)."""
     if X.shape[-1] != params.d_in:
         raise DimensionMismatch(
             f"input dim {X.shape[-1]} != model d_in {params.d_in}"
         )
-    z1 = X @ params.W1 + params.b1
-    A1 = np.maximum(z1, 0.0)
-    z2 = A1 @ params.W2 + params.b2
-    A2 = np.maximum(z2, 0.0)
+    z1 = np.matmul(X, params.W1, out=ws.z1)
+    z1 += params.b1
+    A1 = np.maximum(z1, 0.0, out=ws.A1)
+    z2 = np.matmul(A1, params.W2, out=ws.z2)
+    z2 += params.b2
+    A2 = np.maximum(z2, 0.0, out=ws.A2)
     _check_finite("trunk", z2)
     return z1, A1, z2, A2
 
 
-def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
+def fine_views(params: ModelParams, deep: np.ndarray, fine: np.ndarray, sums: np.ndarray):
+    """The views `heads_forward` runs the fine heads through, for `deep`
+    (..., B, d2) and the arrays it fills, fine (..., B, S) and sums
+    (..., B, G); one example is a batch of one. Returns deep as (..., 1,
+    B, d2) and, per run of `params.fine_runs`, (W, the run's columns of
+    fine as (..., k, B, n), the same as (..., B, k, n), and their sums'
+    columns (..., B, k)): (..., 1, B, d2) @ (..., k, d2, n) lands in the
+    first."""
+    if deep.ndim == 1:
+        deep, fine, sums = deep[None], fine[None], sums[None]
+    lead, blocks = fine.shape[:-1], []
+    for g, h, a, b, W in params.fine_runs:
+        block = fine[..., a:b].reshape(lead + (h - g, W.shape[-1]))
+        blocks.append((W, block.swapaxes(-2, -3), block, sums[..., g:h]))
+    return deep[..., None, :, :], tuple(blocks)
+
+
+def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray,
+                  ws: Buffers = FRESH):
     """Hierarchical heads. Returns (cache, coarse, fine).
 
     shallow: (B, d1), deep: (B, d2); probabilities are (B, G) and
@@ -325,46 +373,48 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray):
             f"feature dims ({shallow.shape[-1]}, {deep.shape[-1]}) != "
             f"model ({params.d1}, {params.d2})"
         )
-    zc1 = shallow @ params.Wc1 + params.bc1
-    Hc = np.maximum(zc1, 0.0)
-    zc2 = Hc @ params.Wc2 + params.bc2
+    zc1 = np.matmul(shallow, params.Wc1, out=ws.zc1)
+    zc1 += params.bc1
+    Hc = np.maximum(zc1, 0.0, out=ws.Hc)
+    zc2 = np.matmul(Hc, params.Wc2, out=ws.coarse)
+    zc2 += params.bc2
     _check_finite("coarse head", zc2)
-    coarse = _softmax(zc2)
-    t, runs = params.taxonomy, params.fine_runs
-    fine = np.empty(deep.shape[:-1] + (params.S,))
-    # (..., 1, B, d2) @ (..., k, d2, n) lands in the run's columns seen as
-    # (..., k, B, n); one example is a batch of one
-    rows, cols = (deep, fine) if deep.ndim > 1 else (deep[None], fine[None])
-    rows, lead = rows[..., None, :, :], cols.shape[:-1]
-    for g, h, a, b, W in runs:
-        block = cols[..., a:b].reshape(lead + (h - g, W.shape[-1]))
-        np.matmul(rows, W, out=block.swapaxes(-2, -3))
+    coarse = _softmax(zc2, ws.coarse_top, ws.coarse_total)
+    t, fine, sums = params.taxonomy, ws.fine, ws.sums
+    if fine is None:
+        fine, sums = np.empty(deep.shape[:-1] + (params.S,)), np.empty(coarse.shape)
+        rows, blocks = fine_views(params, deep, fine, sums)
+    else:
+        rows, blocks = ws.deep_rows, ws.fine_blocks
+    for W, out, _, _ in blocks:
+        np.matmul(rows, W, out=out)
     fine += params.fine_bias
     if not np.isfinite(fine).all():
         g = next(g for g, (a, b) in enumerate(t.spans) if not np.isfinite(fine[..., a:b]).all())
         raise NonFiniteActivation(f"non-finite values in fine head {g}")
-    fine -= np.maximum.reduceat(fine, t.starts, axis=-1)[..., t.column_group]
+    top = np.maximum.reduceat(fine, t.starts, axis=-1, out=ws.fine_top)
+    fine -= top.take(t.column_group, axis=-1, out=ws.fine_spread, mode="clip")
     np.exp(fine, out=fine)
-    sums = np.empty(coarse.shape)
-    for g, h, a, b, W in runs:
-        np.add.reduce(fine[..., a:b].reshape(fine.shape[:-1] + (h - g, W.shape[-1])),
-                      axis=-1, out=sums[..., g:h])
-    fine /= sums[..., t.column_group]
+    for _, _, block, out in blocks:
+        np.add.reduce(block, axis=-1, out=out)
+    fine /= sums.take(t.column_group, axis=-1, out=ws.fine_spread, mode="clip")
     return {"zc1": zc1, "Hc": Hc}, coarse, fine
 
 
-def flat_forward(params: ModelParams, deep: np.ndarray):
+def flat_forward(params: ModelParams, deep: np.ndarray, ws: Buffers = FRESH):
     """Flat baseline head. Returns (cache, probs (B, S)); (S,) for one
     example."""
     if deep.shape[-1] != params.d2:
         raise DimensionMismatch(
             f"deep dim {deep.shape[-1]} != model d2 {params.d2}"
         )
-    zl1 = deep @ params.Wl1 + params.bl1
-    Hl = np.maximum(zl1, 0.0)
-    zl2 = Hl @ params.Wl2 + params.bl2
+    zl1 = np.matmul(deep, params.Wl1, out=ws.zl1)
+    zl1 += params.bl1
+    Hl = np.maximum(zl1, 0.0, out=ws.Hl)
+    zl2 = np.matmul(Hl, params.Wl2, out=ws.flat)
+    zl2 += params.bl2
     _check_finite("flat head", zl2)
-    return {"zl1": zl1, "Hl": Hl}, _softmax(zl2)
+    return {"zl1": zl1, "Hl": Hl}, _softmax(zl2, ws.flat_top, ws.flat_total)
 
 
 def _resolve_features(params: ModelParams, x):

@@ -45,12 +45,35 @@ matmul or reduction as the same 2-D operation per row, so each row is
 bit-identical to its model trained alone (tests/test_training.py
 checks this); a single model is the K = 1 case.
 
+A step runs on a workspace (`_Workspace`), built once per batch size:
+`train` builds one for its full batches and one for the ragged last
+batch if there is one, and `compute_gradients`, `batch_loss` and the
+reruns of a failed step (`_input_fault`, `_diverged`) a one-off one.
+It holds every array a step writes (the input buffers its rows are
+gathered into; activations, probabilities, masks, label gathers and
+backward buffers) and every view it reads (weight and gradient views,
+transposes, the fine runs' blocks, each group's columns of the fine
+gradient). The model's forward functions write their arrays through
+`out=` (`model.Buffers`), so `model.py` keeps the only copy of the
+forward math; scoring hands them no workspace. The step runs the ufuncs
+the allocating code ran, on the same operands in the same order, so
+its bytes are that code's (`test_train_is_pinned`).
+
+`train` builds each epoch's label tables at once for each workspace's
+batches (`_label_tables`): the label cells of the flat, coarse and fine
+probabilities, the rows sorted by group (`np.argsort(..., kind="stable")`
+over the (steps, B) labels) and its inverse, and each group's end row,
+from one `np.bincount`. The mean over the batch divides by B, or
+multiplies by 1 / B when B is a power of two: then 1 / B is exact, and
+x / B and x * (1 / B) are one correctly rounded operation on the same
+exact value, so they give the same bits; for any other B they need not.
+
 The gradient buffer has the layout of the parameters and is never
 refilled (the rule is at `_loss_and_grads`): `_dense_back` writes each
 gradient, and the heads' input gradients, through `out=`, and `train`
-applies the mean and momentum to the whole (K, P) array at once. One
-`np.errstate` decorator on the kernel silences the divide warning of a
-zero probability, an inf loss that `train` turns into an error.
+applies the mean and momentum to the whole (K, P) array at once. The
+callers silence the divide warning of a zero probability, an inf loss
+that `train` turns into an error.
 
 `train` validates the data once per call: it resolves each track's
 labels, takes its checked blocks (`data.Track.blocks`: shapes, then
@@ -163,15 +186,22 @@ def compute_loss(scheme: str, outputs, example: LabeledExample, taxonomy: Taxono
     return float(-np.log(outputs.coarse[g]) - np.log(fine))
 
 
-def _dense_back(A, G, W, dW, db, out=None):
-    """Back-propagate the gradient G of a dense layer's output A @ W + b:
-    writes dW = AᵀG and db = ΣG over the batch axis (-2), and returns the
-    input gradient GWᵀ, written into `out` if given, or None when W is
-    None."""
-    np.matmul(A.swapaxes(-1, -2), G, out=dW)
+def _layer(A, W, dW, db):
+    """A dense layer's backward operands for `_dense_back`: (Aᵀ, Wᵀ or
+    None when W is, dW, db), views cut once."""
+    return A.swapaxes(-1, -2), None if W is None else W.swapaxes(-1, -2), dW, db
+
+
+def _dense_back(layer, G, out=None):
+    """Back-propagate the gradient G of a dense layer's output A @ W + b,
+    `layer` being `_layer(A, W, dW, db)`: writes dW = AᵀG and db = ΣG
+    over the batch axis (-2), and the input gradient GWᵀ into `out`
+    unless W is None."""
+    AT, WT, dW, db = layer
+    np.matmul(AT, G, out=dW)
     np.add.reduce(G, axis=-2, keepdims=True, out=db)
-    if W is not None:
-        return np.matmul(G, W.swapaxes(-1, -2), out=out)
+    if WT is not None:
+        np.matmul(G, WT, out=out)
 
 
 @functools.cache
@@ -195,96 +225,196 @@ def _cells(K: int, B: int, n: int) -> np.ndarray:
     return cells
 
 
-@np.errstate(divide="ignore")   # a zero probability: an inf loss, not a warning
-def _loss_and_grads(params: ModelParams, grads: ModelParams, inputs, y1, y2,
-                    losses) -> np.ndarray:
-    """Mean batch loss of each model of stacked `params`, as a (K,) array;
-    writes their gradients into `grads`.
+class _Workspace(M.Buffers):
+    """Every array a step of the stacked models `params` on a batch of B
+    rows writes, and every view it cuts, built once: `train` builds one
+    per batch size it uses, and a one-off step one for its batch.
 
-    `losses[k]` is model k's loss, in `LOSS_ORDER`. `inputs` is (X,) with
-    X of shape (B, d_in) in trunk mode, or the (shallow, deep) pair in
-    precomputed mode; every model reads the same batch. y1/y2 are the
-    coarse and global fine labels. `grads` has the layout of `params`
-    and starts as zeros (`zeros_like`): each call writes every gradient
-    its losses own and zeroes the fine heads of a group with no row in
-    the batch, so the weights no loss of a row trains (the baseline's
-    coarse and fine heads, the other rows' flat head, precomputed
-    mode's trunk) keep those zeros.
+    `inputs` are the batch's input arrays, (B, d) each (X in trunk mode,
+    the (shallow, deep) pair in precomputed mode), which the caller fills
+    before each step; `grads` has the layout of `params`; `losses[k]` is
+    model k's loss, in `LOSS_ORDER`. The forward arrays are `M.Buffers`'
+    attributes, so the model's functions write them; the rest are the
+    step's label gathers, losses and gradients, and the views it reads:
+    Aᵀ, Wᵀ, dW and db of each dense layer (`_layer`), the labels' cells
+    of the probabilities, and each group's columns of the fine gradient.
     """
-    K, B = len(losses), y1.shape[0]
-    h = int(losses[0] == "baseline")   # models h: are hierarchical
-    trunk = params.mode == M.MODE_TRUNK
-    if trunk:
-        X, = inputs
-        z1, A1, z2, A2 = M.trunk_features(params, X)
-        dA2 = np.empty_like(A2)
-    else:
-        A1, A2 = (np.broadcast_to(a, (K,) + a.shape) for a in inputs)
-    out = np.empty((K, B))
 
-    # precomputed mode has no trunk, so the heads compute no input
-    # gradient (W is None)
-    if h:
-        p, dp = params.rows(0, 1), grads.rows(0, 1)
-        cache, flat = M.flat_forward(p, A2[:1])
-        label = _cells(1, B, params.S)[0] + y2
-        out[0] = -np.log(flat.ravel()[label])
-        Gl = flat   # the probabilities become the logit gradient in place
-        Gl.ravel()[label] -= 1.0
-        dzl1 = _dense_back(cache["Hl"], Gl, p.Wl2, dp.Wl2, dp.bl2)
-        dzl1 *= cache["zl1"] > 0
-        _dense_back(A2[:1], dzl1, p.Wl1 if trunk else None, dp.Wl1, dp.bl1,
-                    out=dA2[:1] if trunk else None)
-    if h < K:
-        p, dp = params.rows(h, K), grads.rows(h, K)
-        A1h, A2h = A1[h:], A2[h:]
-        cache, coarse, fine = M.heads_forward(p, A1h, A2h)
-        group, species = _cells(K - h, B, params.G) + y1, _cells(K - h, B, params.S) + y2
+    def __init__(self, params: ModelParams, grads: ModelParams, inputs, losses):
+        K, B = len(losses), inputs[0].shape[0]
+        h = int(losses[0] == "baseline")   # models h: are hierarchical
+        trunk = params.mode == M.MODE_TRUNK
+        G, S, d1, d2, hidden = params.G, params.S, params.d1, params.d2, params.hidden
+
+        def arrays(n, *shape):
+            return [np.empty(shape) for _ in range(n)]
+
+        self.params, self.grads, self.inputs, self.losses = params, grads, inputs, tuple(losses)
+        self.B, self.h = B, h
+        self.trunk, self.heads, self.vector = trunk, h < K, grads.vector
+        # the mean over the batch: x / B, or x * (1 / B) when B is a power
+        # of two, one correctly rounded operation on the same exact value
+        self.mean = (np.multiply, 1.0 / B) if B & (B - 1) == 0 else (np.divide, B)
+        self.out = np.empty((K, B))
+        # the label tables' bases (see `_label_tables`)
+        self.fine_base, self.coarse_base = _cells(1, B, S)[0], _cells(1, B, G)[0]
+        if trunk:
+            X, = inputs
+            self.X = X
+            self.z1, self.A1, self.dA1 = arrays(3, K, B, d1)
+            self.z2, self.A2, self.dA2 = arrays(3, K, B, d2)
+            self.relu1, self.relu2 = np.empty((K, B, d1), bool), np.empty((K, B, d2), bool)
+            self.trunk1 = _layer(X, None, grads.W1, grads.b1)
+            self.trunk2 = _layer(self.A1, params.W2, grads.W2, grads.b2)
+            A1, A2 = self.A1, self.A2
+        else:
+            A1, A2 = (np.broadcast_to(a, (K,) + a.shape) for a in inputs)
+        # precomputed mode has no trunk, so the heads compute no input
+        # gradient (W is None)
+        if h:
+            p, dp = params.rows(0, 1), grads.rows(0, 1)
+            self.flat_params, self.flat_deep = p, A2[:1]
+            self.zl1, self.Hl, self.dzl1 = arrays(3, 1, B, hidden)
+            self.relu_l1, self.flat = np.empty((1, B, hidden), bool), np.empty((1, B, S))
+            self.flat_top, self.flat_total = arrays(2, 1, B, 1)
+            self.flat_ravel, self.flat_at = self.flat.reshape(-1), np.empty(B)
+            self.flat_loss = self.out[0]
+            self.flat2 = _layer(self.Hl, p.Wl2, dp.Wl2, dp.bl2)
+            self.flat1 = _layer(A2[:1], p.Wl1 if trunk else None, dp.Wl1, dp.bl1)
+            self.flat_dA2 = self.dA2[:1] if trunk else None
+        if h < K:
+            Kh, p, dp = K - h, params.rows(h, K), grads.rows(h, K)
+            self.heads_params, self.A1h, self.A2h = p, A1[h:], A2[h:]
+            self.zc1, self.Hc, self.dzc1 = arrays(3, Kh, B, hidden)
+            self.relu_c1 = np.empty((Kh, B, hidden), bool)
+            self.coarse, self.sums, self.fine_top = arrays(3, Kh, B, G)
+            self.coarse_top, self.coarse_total = arrays(2, Kh, B, 1)
+            self.fine, self.fine_spread, self.Gf = arrays(3, Kh, B, S)
+            self.deep_rows, self.fine_blocks = M.fine_views(p, self.A2h, self.fine, self.sums)
+            self.coarse_ravel, self.fine_ravel = self.coarse.reshape(-1), self.fine.reshape(-1)
+            self.coarse_at, self.fine_at, self.joint_at = arrays(3, Kh, B)
+            # a batch's coarse and species label cells on every hierarchical
+            # row: its (B,) cells on row 0, plus each row's offset
+            self.coarse_cells, self.species_cells = (np.empty((Kh, B), np.intp) for _ in range(2))
+            self.coarse_rows, self.species_rows = (_cells(Kh, 1, B * n) for n in (G, S))
+            self.heads_loss = self.out[h:]
+            self.reads_fine, self.coarse_scale = _hierarchical_rows(tuple(losses[h:]))
+            self.coarse2 = _layer(self.Hc, p.Wc2, dp.Wc2, dp.bc2)
+            self.coarse1 = _layer(self.A1h, p.Wc1 if trunk else None, dp.Wc1, dp.bc1)
+            # the fine heads' backward reads the rows sorted by group: Gf
+            # and A2_s, and writes dA2_s; group g reads its columns of Gf
+            self.A2_s, self.dA2_s = np.empty((Kh, B, d2)), np.empty((Kh, B, d2)) if trunk else None
+            self.A2_sT = self.A2_s.swapaxes(-1, -2)
+            self.groups = tuple((self.Gf[..., c:d], p.Wf[g].swapaxes(-1, -2) if trunk else None,
+                                 dp.Wf[g], dp.bf[g])
+                                for g, (c, d) in enumerate(params.taxonomy.spans.tolist()))
+            self.dA1h = np.empty((Kh, B, d1)) if trunk else None
+            if trunk:
+                self.dA1_heads, self.dA2_heads = self.dA1[h:], self.dA2[h:]
+
+
+def _label_tables(ws: _Workspace, Y1: np.ndarray, Y2: np.ndarray):
+    """The label tables of the batches whose coarse and global fine
+    labels are the rows of Y1 and Y2, (n, B) each, for `ws` of batch
+    size B, built at once; yields per batch (the flat index of each
+    row's fine label in a (B, S) array and of its coarse label in a (B,
+    G) array, (B,) each, the rows sorted by group, stably, (B,), its
+    inverse, and the running row count of groups 0..g, a list of G
+    ints)."""
+    n, G = Y1.shape[0], ws.params.G
+    by_group = np.argsort(Y1, axis=1, kind="stable")
+    counts = np.bincount((Y1 + np.arange(0, n * G, G)[:, None]).ravel(), minlength=n * G)
+    return zip(Y2 + ws.fine_base, Y1 + ws.coarse_base, by_group, np.argsort(by_group, axis=1),
+               counts.reshape(n, G).cumsum(axis=1).tolist())
+
+
+def _loss_and_grads(ws: _Workspace, table) -> np.ndarray:
+    """Mean batch loss of each model of the workspace's stacked `params`,
+    as a (K,) array, on the batch in `ws.inputs` whose `_label_tables`
+    entry is `table`; writes their gradients into `ws.grads`.
+
+    `grads` starts as zeros (`zeros_like`) and is never refilled: each
+    call writes every gradient its losses own and zeroes the fine heads
+    of a group with no row in the batch, so the weights no loss of a row
+    trains (the baseline's coarse and fine heads, the other rows' flat
+    head, precomputed mode's trunk) keep those zeros. A zero probability
+    gives an inf loss; the caller silences its divide warning.
+    """
+    fine_cells, coarse_cells, by_group, from_group, ends = table
+    if ws.trunk:
+        M.trunk_features(ws.params, ws.X, ws)
+    if ws.h:
+        M.flat_forward(ws.flat_params, ws.flat_deep, ws)
+        at = ws.flat_ravel.take(fine_cells, out=ws.flat_at, mode="clip")
+        np.negative(np.log(at, out=ws.flat_loss), out=ws.flat_loss)
+        # the probabilities become the logit gradient in place
+        at -= 1.0
+        ws.flat_ravel[fine_cells] = at
+        _dense_back(ws.flat2, ws.flat, ws.dzl1)
+        ws.dzl1 *= np.greater(ws.zl1, 0.0, out=ws.relu_l1)
+        _dense_back(ws.flat1, ws.dzl1, ws.flat_dA2)
+    if ws.heads:
+        M.heads_forward(ws.heads_params, ws.A1h, ws.A2h, ws)
         # scheme1 scores the true species within its group's head, scheme3
         # on the joint simplex, read only at the label: coarse × fine there
         # is the joint `forward` forms. Coarse-logit gradient: the joint
         # term contributes a second (coarse - onehot) for scheme3, since
         # log joint splits into log coarse + log fine
-        reads_fine, coarse_scale = _hierarchical_rows(tuple(losses[h:]))
-        coarse_at, fine_at = coarse.ravel()[group], fine.ravel()[species]
-        out[h:] = -np.log(coarse_at) - np.log(np.where(reads_fine, fine_at,
-                                                        coarse_at * fine_at))
-        Gc = coarse   # the loss terms are read; reuse the probabilities in place
-        Gc.ravel()[group] -= 1.0
-        Gc *= coarse_scale
-        dzc1 = _dense_back(cache["Hc"], Gc, p.Wc2, dp.Wc2, dp.bc2)
-        dzc1 *= cache["zc1"] > 0
-        dA1h = _dense_back(A1h, dzc1, p.Wc1 if trunk else None, dp.Wc1, dp.bc1)
+        coarse_cells = np.add(coarse_cells, ws.coarse_rows, out=ws.coarse_cells)
+        species_cells = np.add(fine_cells, ws.species_rows, out=ws.species_cells)
+        coarse_at = ws.coarse_ravel.take(coarse_cells, out=ws.coarse_at, mode="clip")
+        fine_at = ws.fine_ravel.take(species_cells, out=ws.fine_at, mode="clip")
+        read = np.multiply(coarse_at, fine_at, out=ws.joint_at)
+        np.copyto(read, fine_at, where=ws.reads_fine)
+        loss = np.negative(np.log(coarse_at, out=ws.heads_loss), out=ws.heads_loss)
+        loss -= np.log(read, out=read)
+        coarse_at -= 1.0   # the loss terms are read; the probabilities become gradients
+        ws.coarse_ravel[coarse_cells] = coarse_at
+        ws.coarse *= ws.coarse_scale
+        _dense_back(ws.coarse2, ws.coarse, ws.dzc1)
+        ws.dzc1 *= np.greater(ws.zc1, 0.0, out=ws.relu_c1)
+        _dense_back(ws.coarse1, ws.dzc1, ws.dA1h)
         # fine-logit gradient, in place: only the true group's block of a
         # row is nonzero. Rows sorted by group, ascending within a group;
-        # group g owns the rows a:b of Gf and its columns (c, d) = spans[g],
-        # and writes its input gradient into the rows a:b of dA2_s
-        fine.ravel()[species] -= 1.0
-        by_group = np.argsort(y1, kind="stable")
-        ends = np.bincount(y1, minlength=params.G).cumsum().tolist()
-        Gf, A2_s = np.take(fine, by_group, axis=1), np.take(A2h, by_group, axis=1)
-        dA2_s = np.empty((K - h, B, params.d2)) if trunk else None
-        spans = params.taxonomy.spans.tolist()
-        for g, a, b, (c, d) in zip(range(params.G), [0] + ends[:-1], ends, spans):
+        # group g owns the rows a:b of Gf and its columns spans[g], and
+        # writes its input gradient into the rows a:b of dA2_s
+        fine_at -= 1.0
+        ws.fine_ravel[species_cells] = fine_at
+        ws.fine.take(by_group, axis=1, out=ws.Gf, mode="clip")
+        ws.A2h.take(by_group, axis=1, out=ws.A2_s, mode="clip")
+        a = 0
+        for (Gf, WfT, dWf, dbf), b in zip(ws.groups, ends):
             if a == b:   # no row of group g: its heads get no gradient
-                dp.Wf[g].fill(0.0)
-                dp.bf[g].fill(0.0)
+                dWf.fill(0.0)
+                dbf.fill(0.0)
                 continue
-            _dense_back(A2_s[:, a:b], Gf[:, a:b, c:d], p.Wf[g] if trunk else None,
-                        dp.Wf[g], dp.bf[g], out=dA2_s[:, a:b] if trunk else None)
-        if trunk:
-            dA2[h:, by_group] = dA2_s
+            rows = Gf[:, a:b]
+            np.matmul(ws.A2_sT[..., a:b], rows, out=dWf)
+            np.add.reduce(rows, axis=-2, keepdims=True, out=dbf)
+            if WfT is not None:
+                np.matmul(rows, WfT, out=ws.dA2_s[:, a:b])
+            a = b
+        if ws.trunk:
+            ws.dA2_s.take(from_group, axis=1, out=ws.dA2_heads, mode="clip")
 
-    if trunk:
-        dA2 *= z2 > 0
-        dA1 = _dense_back(A1, dA2, params.W2, grads.W2, grads.b2)
-        if h < K:
-            dA1[h:] += dA1h
-        dA1 *= z1 > 0
-        _dense_back(X, dA1, None, grads.W1, grads.b1)
+    if ws.trunk:
+        ws.dA2 *= np.greater(ws.z2, 0.0, out=ws.relu2)
+        _dense_back(ws.trunk2, ws.dA2, ws.dA1)
+        if ws.heads:
+            ws.dA1_heads += ws.dA1h
+        ws.dA1 *= np.greater(ws.z1, 0.0, out=ws.relu1)
+        _dense_back(ws.trunk1, ws.dA1)
 
-    grads.vector[...] /= B
-    return np.add.reduce(out, axis=-1) / B   # as `out.mean(axis=-1)`, with less overhead
+    mean, by = ws.mean
+    mean(ws.vector, by, out=ws.vector)
+    return mean(np.add.reduce(ws.out, axis=-1), by)   # as `out.mean(axis=-1)`, with less overhead
+
+
+def _one_off(params: ModelParams, inputs, y1, y2, losses):
+    """(workspace, label table) of one step of `params` on one batch, with
+    a gradient of zeros of its own."""
+    ws = _Workspace(params, params.zeros_like(), inputs, losses)
+    return ws, next(_label_tables(ws, y1[None], y2[None]))
 
 
 def _batch_arrays(batch: list[LabeledExample], params: ModelParams, taxonomy: Taxonomy):
@@ -308,19 +438,19 @@ def compute_gradients(params: ModelParams, batch: list[LabeledExample],
                       scheme: str, taxonomy: Taxonomy) -> ModelParams:
     """Gradient of the mean batch loss, shaped like the parameters."""
     inputs, y1, y2 = _batch_arrays(batch, params, taxonomy)
-    stacked = params.tile(1)
-    grads = stacked.zeros_like()
-    _loss_and_grads(stacked, grads, inputs, y1, y2, (LOSSES[scheme],))
-    return grads.row(0)
+    ws, table = _one_off(params.tile(1), inputs, y1, y2, (LOSSES[scheme],))
+    with np.errstate(divide="ignore"):   # a zero probability: an inf loss, not a warning
+        _loss_and_grads(ws, table)
+    return ws.grads.row(0)
 
 
 def batch_loss(params: ModelParams, batch: list[LabeledExample],
                scheme: str, taxonomy: Taxonomy) -> float:
     """Mean batch loss only; used by the finite-difference check."""
     inputs, y1, y2 = _batch_arrays(batch, params, taxonomy)
-    stacked = params.tile(1)
-    return float(_loss_and_grads(stacked, stacked.zeros_like(), inputs, y1, y2,
-                                 (LOSSES[scheme],))[0])
+    with np.errstate(divide="ignore"):
+        return float(_loss_and_grads(*_one_off(params.tile(1), inputs, y1, y2,
+                                               (LOSSES[scheme],)))[0])
 
 
 def _stage(dataset: D.Dataset, taxonomy: Taxonomy):
@@ -362,21 +492,21 @@ def _check_size(taxonomy: Taxonomy, K: int, dims: dict) -> None:
             f"hold {size} weights, more than {MAX_WEIGHTS}; lower hidden, d1 or d2")
 
 
-def _step(params, grads, inputs, y1, y2, losses):
+def _step(ws: _Workspace, table):
     """One `_loss_and_grads` step: the (K,) losses, or None if a loss or an
     activation is not finite."""
     try:
-        loss = _loss_and_grads(params, grads, inputs, y1, y2, losses)
+        loss = _loss_and_grads(ws, table)
     except NonFiniteActivation:
         return None
     return loss if np.isfinite(loss).all() else None
 
 
-def _input_fault(initial, grads, batch, rows, where, losses):
+def _input_fault(initial, batch, rows, where, losses):
     """None if the (inputs, y1, y2) `batch` of the staged rows `rows` has a
     finite loss at the `initial` weights. Otherwise the input is at fault:
     the error names the batch's row with the largest |value|."""
-    if _step(initial, grads, *batch, losses) is not None:
+    if _step(*_one_off(initial.tile(len(losses)), *batch, losses)) is not None:
         return None
     peak = np.maximum.reduce([np.abs(X).max(axis=1) for X in batch[0]])
     j = int(np.argmax(peak))
@@ -384,12 +514,12 @@ def _input_fault(initial, grads, batch, rows, where, losses):
                           "non-finite loss at the network's initial weights; rescale the features")
 
 
-def _diverged(params, grads, batch, losses, names, epoch):
+def _diverged(params, batch, losses, names, epoch):
     """The error for a step whose loss is not finite on the (inputs, y1,
     y2) `batch`: names the first model that fails it on its own, as it
     does in lockstep."""
     for k, loss in enumerate(losses):
-        if _step(params.rows(k, k + 1), grads.rows(k, k + 1), *batch, (loss,)) is None:
+        if _step(*_one_off(params.rows(k, k + 1), *batch, (loss,))) is None:
             break
     return DivergedTraining(f"{names[loss]} diverged at epoch {epoch}; lower the learning rate")
 
@@ -427,33 +557,40 @@ def train(config: TrainConfig, train_split: D.Dataset, taxonomy: Taxonomy, schem
     initial = M.init_params(taxonomy, seed=config.seed, mode=mode, **dims)
     params = initial.tile(len(losses))
     grads = params.zeros_like()
-    velocity = np.zeros_like(params.vector)
-    n = y1.shape[0]
-    B = config.batch_size
-    buffers = [np.empty((min(B, n), width)) for width in widths]
+    # in-place updates of the (K, P) arrays: no temporaries
+    weights, gradient, velocity = params.vector, grads.vector, np.zeros_like(params.vector)
+    n, B = y1.shape[0], config.batch_size
+    # a workspace for the full batches and one for the ragged last batch,
+    # each with the input buffers its steps gather their rows into
+    spaces = [(_Workspace(params, grads, [np.empty((size, width)) for width in widths], losses),
+               count) for size, count in ((B, n // B), (n % B, 1)) if size and count]
     histories: list[list[float]] = [[] for _ in losses]
-    # each step's loss and activations are checked: an overflow is an error, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # each step's loss and activations are checked: an overflow is an
+    # error, and a zero probability an inf loss, not a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
             rng = np.random.default_rng([config.seed, 1, epoch])
             order = rng.permutation(n)
             loss_sums = [0.0] * len(losses)   # Python floats round as float64 does
-            for start in range(0, n, B):
-                idx = order[start:start + B]
-                # mode="clip" (`idx` is in range) lets np.take write into `out` unbuffered
-                inputs = [np.take(X, idx, axis=0, out=buf[:idx.shape[0]], mode="clip")
-                          for X, buf in zip(matrices, buffers)]
-                loss = _step(params, grads, inputs, y1[idx], y2[idx], losses)
-                if loss is None:
-                    # the input is at fault if the batch fails at the initial weights too
-                    batch = (inputs, y1[idx], y2[idx])
-                    raise (_input_fault(initial.tile(len(losses)), grads, batch, idx, where, losses)
-                           or _diverged(params, grads, batch, losses, names, epoch))
-                loss_sums = [s + x * idx.shape[0] for s, x in zip(loss_sums, loss.tolist())]
-                velocity *= config.momentum
-                grads.vector[...] *= config.learning_rate   # in place: no (K, P) temporary
-                velocity -= grads.vector
-                params.vector[...] += velocity
+            start = 0
+            for ws, count in spaces:
+                rows = order[start:start + count * ws.B].reshape(count, ws.B)
+                start += count * ws.B
+                for idx, table in zip(rows, _label_tables(ws, y1[rows], y2[rows])):
+                    # mode="clip" (`idx` is in range) lets np.take write into `out` unbuffered
+                    for X, buf in zip(matrices, ws.inputs):
+                        X.take(idx, axis=0, out=buf, mode="clip")
+                    loss = _step(ws, table)
+                    if loss is None:
+                        # the input is at fault if the batch fails at the initial weights too
+                        batch = (ws.inputs, y1[idx], y2[idx])
+                        raise (_input_fault(initial, batch, idx, where, losses)
+                               or _diverged(params, batch, losses, names, epoch))
+                    loss_sums = [s + x * ws.B for s, x in zip(loss_sums, loss.tolist())]
+                    velocity *= config.momentum
+                    gradient *= config.learning_rate
+                    velocity -= gradient
+                    weights += velocity
             for history, value in zip(histories, loss_sums):
                 history.append(value / n)
     trained = [(params.row(k), history) for k, history in enumerate(histories)]

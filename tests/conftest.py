@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,3 +41,13 @@ def make_outputs(coarse, fine_local):
 def random_simplex(rng, n):
     v = rng.random(n) + 1e-3
     return v / v.sum()
+
+
+def blas_kernel() -> str | None:
+    """The GEMM kernel numpy's bundled OpenBLAS runs (scripts/blas_kernel.py),
+    or None without one."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "blas_kernel.py"
+    spec = importlib.util.spec_from_file_location("blas_kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.kernel()

@@ -195,7 +195,7 @@ class TestAblation:
         train, kernel = T.train, T._loss_and_grads
         monkeypatch.setattr(T, "train", lambda *args: calls.append(args) or train(*args))
         monkeypatch.setattr(T, "_loss_and_grads",
-                            lambda *args: trained.add(tuple(args[-1])) or kernel(*args))
+                            lambda space, table: trained.add(space.losses) or kernel(space, table))
         common = ["--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json"]
         assert run(["ablation", *common, "--seed", 11, "--schemes", "scheme3,scheme2",
                     "--out", ws / "run"]) == 0

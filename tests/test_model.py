@@ -286,7 +286,8 @@ class TestSegmentedSoftmax:
                              ids=["24x5", "6x31", "mixed"])
     def test_one_gemm_and_one_sum_per_run(self, taxonomy, runs, monkeypatch):
         """The fine heads cost one matmul and one sum reduction per run of
-        equal-size heads, not one per group."""
+        equal-size heads, not one per group; the coarse head adds its two
+        matmuls and its softmax's sum."""
         p, shallow, deep = _random_heads(taxonomy, 0, 8)
         assert len(p.fine_runs) == runs
 
@@ -294,8 +295,8 @@ class TestSegmentedSoftmax:
         monkeypatch.setattr(np, "matmul", matmul)
         monkeypatch.setattr(np, "add", add)
         M.heads_forward(p, shallow, deep)
-        assert matmul.calls == runs
-        assert add.calls == runs + 1   # and one for the coarse softmax
+        assert matmul.calls == runs + 2
+        assert add.calls == runs + 1
 
     @pytest.mark.parametrize("taxonomy, runs", [(_wide(24, 5), 1), (default_taxonomy(), 5)],
                              ids=["24x5", "6x31"])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -24,7 +25,7 @@ from hierfish.errors import (
 )
 from hierfish.taxonomy import Taxonomy
 
-from conftest import make_outputs, random_simplex
+from conftest import blas_kernel, make_outputs, random_simplex
 
 
 def test_config_validation():
@@ -611,7 +612,8 @@ def test_a_step_zeroes_the_fine_gradients_of_every_absent_group(mode):
         inputs = ((rng.normal(0, 1, (len(y2), params.d_in)),) if mode == M.MODE_TRUNK
                   else (rng.normal(0, 1, (len(y2), params.d1)),
                         rng.normal(0, 1, (len(y2), params.d2))))
-        T._loss_and_grads(params, grads, inputs, y1, y2, T.LOSS_ORDER)
+        ws = T._Workspace(params, grads, inputs, T.LOSS_ORDER)
+        T._loss_and_grads(ws, next(T._label_tables(ws, y1[None], y2[None])))
         return set(y1.tolist())
 
     # groups of one species always get a zero fine gradient, so the
@@ -623,3 +625,97 @@ def test_a_step_zeroes_the_fine_gradients_of_every_absent_group(mode):
     for g in absent:
         assert not grads.Wf[g].any() and not grads.bf[g].any(), g
     assert all(grads.Wf[g][k].any() for g in present for k in (1, 2))
+
+
+@pytest.mark.parametrize("B", [8, 7, 1])
+@pytest.mark.parametrize("losses", [T.LOSS_ORDER, ("baseline",), ("scheme3",),
+                                    ("scheme1", "scheme3")], ids="-".join)
+@pytest.mark.parametrize("mode", [M.MODE_TRUNK, M.MODE_PRECOMPUTED])
+def test_a_reused_workspace_steps_as_a_one_off_one(mode, losses, B):
+    """Step after step on one workspace, its label tables built for all
+    the batches at once as `train` builds an epoch's, every loss and
+    gradient byte equals a one-off workspace's on the same batch, and so
+    does each model rerun alone, as `_input_fault` and `_diverged` rerun
+    a failed step. Eight groups: a batch of 7 or 1 misses some, and the
+    first batch of each size holds group 0 only. The loss is the sum over the
+    batch divided by B, for B = 7 too, where a multiply by 1 / B is not
+    exact."""
+    rng = np.random.default_rng([B, len(losses), mode == M.MODE_TRUNK])
+    K = len(losses)
+    params = M.init_params(EIGHT_GROUPS, d_in=4, d1=3, hidden=3, d2=3, seed=4,
+                           mode=mode).tile(K)
+    grads = params.zeros_like()
+    widths = [params.d_in] if mode == M.MODE_TRUNK else [params.d1, params.d2]
+    inputs = [np.empty((B, width)) for width in widths]
+    ws = T._Workspace(params, grads, inputs, losses)
+    Y2 = rng.integers(0, EIGHT_GROUPS.S, (12, B))
+    Y2[0] = rng.integers(0, EIGHT_GROUPS.group_sizes[0], B)
+    Y1 = EIGHT_GROUPS.column_group[Y2]
+    assert set(Y1[0].tolist()) == {0}
+    tables = T._label_tables(ws, Y1, Y2)
+    with np.errstate(divide="ignore"):
+        for table, y1, y2 in zip(tables, Y1, Y2):
+            for buf in inputs:
+                buf[...] = rng.normal(0, 1, buf.shape)
+            loss = T._loss_and_grads(ws, table)
+            assert loss.tobytes() == (np.add.reduce(ws.out, axis=-1) / B).tobytes()
+            alone = T._one_off(params, [buf.copy() for buf in inputs], y1, y2, losses)
+            assert T._loss_and_grads(*alone).tobytes() == loss.tobytes()
+            assert alone[0].grads.vector.tobytes() == grads.vector.tobytes()
+            for k, row_loss in enumerate(losses):
+                rerun = T._one_off(params.rows(k, k + 1), inputs, y1, y2, (row_loss,))
+                assert T._loss_and_grads(*rerun).tobytes() == loss[k:k + 1].tobytes()
+                assert rerun[0].grads.vector.tobytes() == grads.vector[k].tobytes()
+            params.vector[...] -= 0.5 * grads.vector
+
+
+# The first 16 hex digits of the sha256 of a 3-epoch `train` (seed 5,
+# d1 = 4, hidden = 4, d2 = 3) of every scheme, in `SCHEMES` order: each
+# model's vector bytes, then its history's. Taken from the code before
+# the step workspace, which allocated every array of a step; one table
+# per OpenBLAS kernel, since each sums a GEMM in its own order
+_PINNED_CASES = [(name, data, batch_size) for name in ("toy", "eight-groups")
+                 for data in ("features", "precomputed") for batch_size in (7, 8)]
+PINNED = {   # kernel -> a digest per case of _PINNED_CASES
+    "SkylakeX": ("dfddeeec46044294", "b4f6affb056af150", "b8033ebdaa206665", "8f1b221fee965b92",
+                 "df96f3a3c2129ef3", "57cdb608ab5df596", "b3abffe4356ab9c3", "b96c90d4f694dbf5"),
+    "Haswell": ("dfddeeec46044294", "b4f6affb056af150", "b8033ebdaa206665", "8f1b221fee965b92",
+                "54d27bf0b14c4a29", "b8fbff8a1d08e3f9", "f3387c42715d7cf6", "b96c90d4f694dbf5"),
+    "Sandybridge": ("644b79b44c4b4947", "88d0074cabae7068", "b8e13eb9b2ff1e37", "38930857038fd914",
+                    "c5f97b2ebf9d58a0", "7b0142c2a7f90096", "a7f05b6d768185b3", "bce69937527e957b"),
+    "Nehalem": ("1c8e240784036985", "c2e37c8ce22c0175", "a49dda582db2a6ff", "abf09968d56f268a",
+                "8e9436daebf4cc68", "3bb9462aa0404247", "f4179f65efd06872", "17fe1fa270b91e08"),
+    "Katmai": ("644b79b44c4b4947", "88d0074cabae7068", "b8e13eb9b2ff1e37", "38930857038fd914",
+               "409560b622632a4a", "5f32564a0d2ac65f", "2aa1a69abb7643e2", "617955e92fd6b789"),
+}
+
+
+def _trained_digest(runs) -> str:
+    digest = hashlib.sha256()
+    for params, history in runs:
+        digest.update(params.vector.tobytes())
+        digest.update(np.array(history).tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("batch_size", [7, 8])
+@pytest.mark.parametrize("data", ["features", "precomputed"])
+@pytest.mark.parametrize("name", ["toy", "eight-groups"])
+def test_train_is_pinned(toy_taxonomy, name, data, batch_size):
+    """Every byte `train` writes, in lockstep and for each scheme alone, is
+    pinned: a change to the step that moves bits everywhere keeps the
+    models trained in lockstep equal to the solo ones, and fails here.
+    Batches of 7 leave a ragged last batch (of one row with eight
+    groups) and take the mean by division; batches of 8, a power of two,
+    by a multiply."""
+    kernel = blas_kernel()
+    if kernel not in PINNED:
+        pytest.skip(f"no trained bytes pinned for the {kernel} kernel")
+    taxonomy = toy_taxonomy if name == "toy" else EIGHT_GROUPS
+    ds = _dataset(taxonomy, data)
+    cfg = T.TrainConfig(epochs=3, batch_size=batch_size, seed=5, d1=4, hidden=4, d2=3)
+    lockstep = T.train(cfg, ds, taxonomy, list(T.SCHEMES))
+    solo = [T.train(dataclasses.replace(cfg, scheme=scheme), ds, taxonomy) for scheme in T.SCHEMES]
+    pinned = PINNED[kernel][_PINNED_CASES.index((name, data, batch_size))]
+    assert _trained_digest(lockstep[scheme] for scheme in T.SCHEMES) == pinned
+    assert _trained_digest(solo) == pinned
