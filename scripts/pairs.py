@@ -24,24 +24,28 @@ side that goes first alternating. The probes, by data:
 
 A step alternates two batches and ends each round on the first, so a
 gradient one batch leaves behind shows in the bytes. A side with a step
-workspace (`training._Workspace`) builds it, and each batch's label
-table, before the rounds, as `train` does once per call and per epoch,
-so its step probes and `forward` time calls on it; a side without one
-calls `_loss_and_grads` and `heads_forward` as they were. Prints, per
-probe, each side's min and median, the median per-round change/parent
-ratio, the rounds the change won and whether the outputs were the
-same. Exits 1 unless every probe gave byte-identical outputs on both
-sides.
+workspace (`training._Workspace`) builds it before the rounds, as
+`train` does once per call, so its step probes and `forward` time calls
+on it. Its step probes build the label tables of a round's steps in the
+round's first step, as `train` builds an epoch's at once, and run each
+step under `np.errstate`, as `compute_gradients` does (`train` enters it
+once per call): every step pays what the parent's step paid inside its
+kernel. A side without a workspace calls `_loss_and_grads` and
+`heads_forward` as they were. Prints, per probe, each side's min and
+median, the median per-round change/parent ratio, the rounds the change
+won and whether the outputs were the same. Exits 1 unless every probe
+gave byte-identical outputs on both sides.
 
 With --record PATH, also appends the run's record to the JSON list in
 PATH (the repository keeps BENCH_pairs.json, one record per change;
-nothing reads it): the sides' labels, the rounds, `env` (Python, numpy,
-OpenBLAS and the GEMM kernel of scripts/blas_kernel.py), and per probe
-each side's min and median in seconds, the median ratio, the rounds the
-change won and `same` or `DIFFER`.
+nothing reads it): the sides' labels (the commit of the git checkout
+that holds each side's src/, `-dirty` if src/ differs from it, or the
+path outside a checkout), the rounds, `env` (scripts/blas_kernel.py's
+`environment()`: Python, numpy, OpenBLAS and the GEMM kernel), and per
+probe each side's min and median in seconds, the median ratio, the
+rounds the change won and `same` or `DIFFER`.
 
-usage: python scripts/pairs.py PARENT_SRC [PROBE ...] [--rounds N]
-                               [--record PATH [--labels PARENT CHANGE]]
+usage: python scripts/pairs.py PARENT_SRC [PROBE ...] [--rounds N] [--record PATH]
 """
 
 import argparse
@@ -51,7 +55,6 @@ import importlib.util
 import io
 import itertools
 import json
-import platform
 import statistics
 import subprocess
 import sys
@@ -128,20 +131,29 @@ def batches(pkg, data, K):
 # `calls` times, timed, and out(the last result) is the round's bytes
 def step(K, data, pkg):
     """A step on each batch of the pair in turn. A side with a step
-    workspace builds one per batch, over the one gradient, and the
-    batch's label table once, so a round times steps only."""
+    workspace builds one per batch, over the one gradient; a round's
+    first step builds the label tables of its STEPS steps."""
     T = pkg.training
     params, pair = batches(pkg, data, K)
     grads, losses = params.zeros_like(), T.LOSS_ORDER[3 - K:]
-    if hasattr(T, "_Workspace"):
-        spaces = [T._Workspace(params, grads, inputs, losses) for inputs, _, _ in pair]
-        cycle = itertools.cycle([(ws, next(T._label_tables(ws, y1[None], y2[None])))
-                                 for ws, (_, y1, y2) in zip(spaces, pair)])
-        fn = lambda: T._loss_and_grads(*next(cycle))
-    else:   # a parent from before the step workspace
+    out = lambda loss: loss.tobytes() + grads.vector.tobytes()
+    if not hasattr(T, "_Workspace"):   # a parent from before the step workspace
         cycle = itertools.cycle(pair)
-        fn = lambda: T._loss_and_grads(params, grads, *next(cycle), losses)
-    return fn, lambda loss: loss.tobytes() + grads.vector.tobytes(), STEPS
+        return lambda: T._loss_and_grads(params, grads, *next(cycle), losses), out, STEPS
+    spaces = [T._Workspace(params, grads, inputs, losses) for inputs, _, _ in pair]
+    cycle = itertools.cycle(spaces)
+    Y1, Y2 = (np.stack([batch[k] for batch in pair] * (STEPS // 2)) for k in (1, 2))
+    tables = iter(())
+
+    def fn():
+        nonlocal tables
+        table = next(tables, None)
+        if table is None:   # a round's first step
+            tables = T._label_tables(spaces[0], Y1, Y2)
+            table = next(tables)
+        with np.errstate(divide="ignore"):
+            return T._loss_and_grads(next(cycle), table)
+    return fn, out, STEPS
 
 
 def train(pkg):
@@ -250,26 +262,23 @@ PROBES = {"k1": functools.partial(step, 1, ablation), "k3": functools.partial(st
           "save": save, "load": load_frames, "split": split, "files": chain}
 
 
-def environment() -> dict:
-    """The versions and the GEMM kernel that timed a run."""
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "openblas": f"{blas['name']} {blas['version']}", "kernel": blas_kernel.kernel()}
-
-
-def checkout_label() -> str:
-    """This checkout's commit, `-dirty` if its src/ differs from it."""
+def source_label(src: Path) -> str:
+    """The commit of the git checkout that holds the directory `src`,
+    `-dirty` if `src` differs from it; `src` itself outside a checkout."""
     def git(*args):
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout
-    return git("rev-parse", "--short", "HEAD").strip() + ("-dirty" if git("status", "--porcelain",
-                                                                          "--", "src") else "")
+        return subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+                              text=True).stdout
+    commit = git("rev-parse", "--short", "HEAD").strip()
+    if not commit:
+        return str(src)
+    return commit + ("-dirty" if git("status", "--porcelain", "--", ".") else "")
 
 
 def record(path: Path, labels, rounds: int, stats: dict) -> None:
     """Append one run's record to the JSON list in `path`."""
     records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
     records.append({"labels": dict(zip(("parent", "change"), labels)), "rounds": rounds,
-                    "env": environment(), "probes": stats})
+                    "env": blas_kernel.environment(), "probes": stats})
     path.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
 
 
@@ -280,9 +289,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--record", type=Path, metavar="PATH",
                         help="append the run's record to the JSON list in PATH")
-    parser.add_argument("--labels", nargs=2, metavar=("PARENT", "CHANGE"),
-                        help="the sides' labels in the record (default: PARENT_SRC as given "
-                             "and this checkout's commit)")
     args = parser.parse_args(argv)
     if set(args.probes) - set(PROBES):
         parser.error(f"unknown probe(s): {sorted(set(args.probes) - set(PROBES))}")
@@ -317,7 +323,7 @@ def main(argv=None) -> int:
               f"{stats[name]['outputs']}")
     print("outputs byte-identical" if all(same.values()) else "outputs DIFFER")
     if args.record:
-        record(args.record, args.labels or (str(args.parent_src), checkout_label()),
+        record(args.record, (source_label(args.parent_src), source_label(ROOT / "src")),
                args.rounds, stats)
     return 0 if all(same.values()) else 1
 

@@ -300,13 +300,13 @@ class Buffers:
     softmax's max and sum). heads_forward: zc1, Hc, coarse, coarse_top,
     coarse_total, fine, sums (each head's sum), fine_top (each head's
     max), fine_spread (a per-group value spread over its columns), and
-    deep_rows and fine_blocks, `fine_views` of fine, sums and the deep
-    array the step hands `heads_forward`, which reads them in its place.
+    fine_blocks, `fine_views` of fine and sums, which `heads_forward`
+    reads in its place.
     """
     z1 = A1 = z2 = A2 = None
     zl1 = Hl = flat = flat_top = flat_total = None
     zc1 = Hc = coarse = coarse_top = coarse_total = None
-    fine = sums = fine_top = fine_spread = deep_rows = fine_blocks = None
+    fine = sums = fine_top = fine_spread = fine_blocks = None
 
 
 FRESH = Buffers()
@@ -328,21 +328,20 @@ def trunk_features(params: ModelParams, X: np.ndarray, ws: Buffers = FRESH):
     return z1, A1, z2, A2
 
 
-def fine_views(params: ModelParams, deep: np.ndarray, fine: np.ndarray, sums: np.ndarray):
-    """The views `heads_forward` runs the fine heads through, for `deep`
-    (..., B, d2) and the arrays it fills, fine (..., B, S) and sums
-    (..., B, G); one example is a batch of one. Returns deep as (..., 1,
-    B, d2) and, per run of `params.fine_runs`, (W, the run's columns of
-    fine as (..., k, B, n), the same as (..., B, k, n), and their sums'
-    columns (..., B, k)): (..., 1, B, d2) @ (..., k, d2, n) lands in the
-    first."""
-    if deep.ndim == 1:
-        deep, fine, sums = deep[None], fine[None], sums[None]
+def fine_views(params: ModelParams, fine: np.ndarray, sums: np.ndarray):
+    """The views `heads_forward` runs the fine heads through, for the
+    arrays it fills, fine (..., B, S) and sums (..., B, G); one example
+    is a batch of one. Per run of `params.fine_runs`: (W, the run's
+    columns of fine as (..., k, B, n), the same as (..., B, k, n), and
+    their sums' columns (..., B, k)); the rows of deep as (..., 1, B, d2)
+    @ (..., k, d2, n) land in the first."""
+    if fine.ndim == 1:
+        fine, sums = fine[None], sums[None]
     lead, blocks = fine.shape[:-1], []
     for g, h, a, b, W in params.fine_runs:
         block = fine[..., a:b].reshape(lead + (h - g, W.shape[-1]))
         blocks.append((W, block.swapaxes(-2, -3), block, sums[..., g:h]))
-    return deep[..., None, :, :], tuple(blocks)
+    return tuple(blocks)
 
 
 def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray,
@@ -380,12 +379,11 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray,
     zc2 += params.bc2
     _check_finite("coarse head", zc2)
     coarse = _softmax(zc2, ws.coarse_top, ws.coarse_total)
-    t, fine, sums = params.taxonomy, ws.fine, ws.sums
+    t, fine, sums, blocks = params.taxonomy, ws.fine, ws.sums, ws.fine_blocks
     if fine is None:
         fine, sums = np.empty(deep.shape[:-1] + (params.S,)), np.empty(coarse.shape)
-        rows, blocks = fine_views(params, deep, fine, sums)
-    else:
-        rows, blocks = ws.deep_rows, ws.fine_blocks
+        blocks = fine_views(params, fine, sums)
+    rows = (deep if deep.ndim > 1 else deep[None])[..., None, :, :]
     for W, out, _, _ in blocks:
         np.matmul(rows, W, out=out)
     fine += params.fine_bias

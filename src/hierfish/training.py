@@ -290,7 +290,7 @@ class _Workspace(M.Buffers):
             self.coarse, self.sums, self.fine_top = arrays(3, Kh, B, G)
             self.coarse_top, self.coarse_total = arrays(2, Kh, B, 1)
             self.fine, self.fine_spread, self.Gf = arrays(3, Kh, B, S)
-            self.deep_rows, self.fine_blocks = M.fine_views(p, self.A2h, self.fine, self.sums)
+            self.fine_blocks = M.fine_views(p, self.fine, self.sums)
             self.coarse_ravel, self.fine_ravel = self.coarse.reshape(-1), self.fine.reshape(-1)
             self.coarse_at, self.fine_at, self.joint_at = arrays(3, Kh, B)
             # a batch's coarse and species label cells on every hierarchical

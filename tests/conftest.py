@@ -43,11 +43,11 @@ def random_simplex(rng, n):
     return v / v.sum()
 
 
-def blas_kernel() -> str | None:
-    """The GEMM kernel numpy's bundled OpenBLAS runs (scripts/blas_kernel.py),
-    or None without one."""
+def blas_environment() -> dict:
+    """What numpy computes with: scripts/blas_kernel.py's `environment()`,
+    the Python, numpy and OpenBLAS versions and the GEMM kernel."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "blas_kernel.py"
     spec = importlib.util.spec_from_file_location("blas_kernel", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.kernel()
+    return module.environment()

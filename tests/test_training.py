@@ -25,7 +25,7 @@ from hierfish.errors import (
 )
 from hierfish.taxonomy import Taxonomy
 
-from conftest import blas_kernel, make_outputs, random_simplex
+from conftest import blas_environment, make_outputs, random_simplex
 
 
 def test_config_validation():
@@ -669,24 +669,48 @@ def test_a_reused_workspace_steps_as_a_one_off_one(mode, losses, B):
             params.vector[...] -= 0.5 * grads.vector
 
 
+def test_heads_forward_on_a_workspace_reads_the_arrays_it_is_handed():
+    """A workspace holds where `heads_forward` writes, not what it reads:
+    handed arrays other than the workspace's inputs, it gives their
+    probabilities, the bytes it gives them with no workspace."""
+    rng = np.random.default_rng(3)
+    params = M.init_params(EIGHT_GROUPS, d_in=4, d1=3, hidden=3, d2=3, seed=4,
+                           mode=M.MODE_PRECOMPUTED).tile(2)
+    ws = T._Workspace(params, params.zeros_like(), [np.zeros((5, 3)), np.zeros((5, 3))],
+                      ("scheme1", "scheme3"))
+    shallow, deep = rng.normal(0, 1, (2, 2, 5, 3))
+    _, coarse, fine = M.heads_forward(params, shallow, deep, ws)
+    _, fresh_coarse, fresh_fine = M.heads_forward(params, shallow, deep)
+    assert coarse.tobytes() == fresh_coarse.tobytes()
+    assert fine.tobytes() == fresh_fine.tobytes()
+
+
 # The first 16 hex digits of the sha256 of a 3-epoch `train` (seed 5,
 # d1 = 4, hidden = 4, d2 = 3) of every scheme, in `SCHEMES` order: each
 # model's vector bytes, then its history's. Taken from the code before
-# the step workspace, which allocated every array of a step; one table
-# per OpenBLAS kernel, since each sums a GEMM in its own order
+# the step workspace, which allocated every array of a step. The bytes
+# hang on the GEMM kernel, which sums in its own order, and on the
+# OpenBLAS and numpy versions, so a table is kept per (kernel, OpenBLAS,
+# numpy) that computed it, and any other skips
 _PINNED_CASES = [(name, data, batch_size) for name in ("toy", "eight-groups")
                  for data in ("features", "precomputed") for batch_size in (7, 8)]
-PINNED = {   # kernel -> a digest per case of _PINNED_CASES
-    "SkylakeX": ("dfddeeec46044294", "b4f6affb056af150", "b8033ebdaa206665", "8f1b221fee965b92",
-                 "df96f3a3c2129ef3", "57cdb608ab5df596", "b3abffe4356ab9c3", "b96c90d4f694dbf5"),
-    "Haswell": ("dfddeeec46044294", "b4f6affb056af150", "b8033ebdaa206665", "8f1b221fee965b92",
-                "54d27bf0b14c4a29", "b8fbff8a1d08e3f9", "f3387c42715d7cf6", "b96c90d4f694dbf5"),
-    "Sandybridge": ("644b79b44c4b4947", "88d0074cabae7068", "b8e13eb9b2ff1e37", "38930857038fd914",
-                    "c5f97b2ebf9d58a0", "7b0142c2a7f90096", "a7f05b6d768185b3", "bce69937527e957b"),
-    "Nehalem": ("1c8e240784036985", "c2e37c8ce22c0175", "a49dda582db2a6ff", "abf09968d56f268a",
-                "8e9436daebf4cc68", "3bb9462aa0404247", "f4179f65efd06872", "17fe1fa270b91e08"),
-    "Katmai": ("644b79b44c4b4947", "88d0074cabae7068", "b8e13eb9b2ff1e37", "38930857038fd914",
-               "409560b622632a4a", "5f32564a0d2ac65f", "2aa1a69abb7643e2", "617955e92fd6b789"),
+_OPENBLAS_0_3_31, _NUMPY_2_4_6 = "scipy-openblas 0.3.31.188.0", "2.4.6"
+PINNED = {   # (kernel, OpenBLAS, numpy) -> a digest per case of _PINNED_CASES
+    ("SkylakeX", _OPENBLAS_0_3_31, _NUMPY_2_4_6): (
+        "dfddeeec46044294", "b4f6affb056af150", "b8033ebdaa206665", "8f1b221fee965b92",
+        "df96f3a3c2129ef3", "57cdb608ab5df596", "b3abffe4356ab9c3", "b96c90d4f694dbf5"),
+    ("Haswell", _OPENBLAS_0_3_31, _NUMPY_2_4_6): (
+        "dfddeeec46044294", "b4f6affb056af150", "b8033ebdaa206665", "8f1b221fee965b92",
+        "54d27bf0b14c4a29", "b8fbff8a1d08e3f9", "f3387c42715d7cf6", "b96c90d4f694dbf5"),
+    ("Sandybridge", _OPENBLAS_0_3_31, _NUMPY_2_4_6): (
+        "644b79b44c4b4947", "88d0074cabae7068", "b8e13eb9b2ff1e37", "38930857038fd914",
+        "c5f97b2ebf9d58a0", "7b0142c2a7f90096", "a7f05b6d768185b3", "bce69937527e957b"),
+    ("Nehalem", _OPENBLAS_0_3_31, _NUMPY_2_4_6): (
+        "1c8e240784036985", "c2e37c8ce22c0175", "a49dda582db2a6ff", "abf09968d56f268a",
+        "8e9436daebf4cc68", "3bb9462aa0404247", "f4179f65efd06872", "17fe1fa270b91e08"),
+    ("Katmai", _OPENBLAS_0_3_31, _NUMPY_2_4_6): (
+        "644b79b44c4b4947", "88d0074cabae7068", "b8e13eb9b2ff1e37", "38930857038fd914",
+        "409560b622632a4a", "5f32564a0d2ac65f", "2aa1a69abb7643e2", "617955e92fd6b789"),
 }
 
 
@@ -708,14 +732,15 @@ def test_train_is_pinned(toy_taxonomy, name, data, batch_size):
     Batches of 7 leave a ragged last batch (of one row with eight
     groups) and take the mean by division; batches of 8, a power of two,
     by a multiply."""
-    kernel = blas_kernel()
-    if kernel not in PINNED:
-        pytest.skip(f"no trained bytes pinned for the {kernel} kernel")
+    env = blas_environment()
+    key = (env["kernel"], env["openblas"], env["numpy"])
+    if key not in PINNED:
+        pytest.skip(f"no trained bytes pinned for the kernel, OpenBLAS and numpy {key}")
     taxonomy = toy_taxonomy if name == "toy" else EIGHT_GROUPS
     ds = _dataset(taxonomy, data)
     cfg = T.TrainConfig(epochs=3, batch_size=batch_size, seed=5, d1=4, hidden=4, d2=3)
     lockstep = T.train(cfg, ds, taxonomy, list(T.SCHEMES))
     solo = [T.train(dataclasses.replace(cfg, scheme=scheme), ds, taxonomy) for scheme in T.SCHEMES]
-    pinned = PINNED[kernel][_PINNED_CASES.index((name, data, batch_size))]
+    pinned = PINNED[key][_PINNED_CASES.index((name, data, batch_size))]
     assert _trained_digest(lockstep[scheme] for scheme in T.SCHEMES) == pinned
     assert _trained_digest(solo) == pinned
