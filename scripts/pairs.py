@@ -29,8 +29,8 @@ workspace (`training._Workspace`) builds it before the rounds, as
 on it. Its step probes build the label tables of a round's steps in the
 round's first step, as `train` builds an epoch's at once, and run each
 step under `np.errstate`, as `compute_gradients` does (`train` enters it
-once per call): every step pays what the parent's step paid inside its
-kernel. A side without a workspace calls `_loss_and_grads` and
+once per call): every step pays what `_loss_and_grads` paid inside it
+before the workspace. A side without a workspace calls `_loss_and_grads` and
 `heads_forward` as they were. Prints, per probe, each side's min and
 median, the median per-round change/parent ratio, the rounds the change
 won and whether the outputs were the same. Exits 1 unless every probe
