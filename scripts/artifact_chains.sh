@@ -18,7 +18,8 @@
 #              searched and inferred on the eval file and, into rev/, on its reversal
 #   pre/       a precomputed chain: the README split through a seeded trunk
 #   errors/    the errors `gen`, `train`, `ablation` and the scoring commands
-#              report on bad input
+#              report on bad input, and on a config, taxonomy or checkpoint
+#              that cannot be read
 # logs/ holds each command's stdout, stderr and, for a refused one, its
 # exit status. Every command runs inside OUT on relative paths, so two
 # runs compare with one `diff -r`. The script exits 1 with a line naming
@@ -289,3 +290,14 @@ refused errors-gen-negative-zero hierfish gen --config errors/negative-zero.json
   --out errors/negative-zero
 refused errors-gen-digits-taxonomy hierfish gen --taxonomy errors/digits-taxonomy.json \
   --out errors/digits-taxonomy
+# documents that cannot be read: each is refused naming its kind and path
+mkdir -p errors/directory-taxonomy.json
+printf '\xff{}' > errors/not-utf8.json
+head -c 1000 readme/scheme3/model.json > errors/truncated.json
+refused errors-gen-missing-config hierfish gen --config errors/missing-config.json \
+  --out errors/missing-config
+refused errors-gen-directory-taxonomy hierfish gen --taxonomy errors/directory-taxonomy.json \
+  --out errors/directory-taxonomy
+score missing-checkpoint eval errors/missing-checkpoint.json readme/splits/eval.jsonl
+score not-utf8-checkpoint eval errors/not-utf8.json readme/splits/eval.jsonl
+score truncated-checkpoint eval errors/truncated.json readme/splits/eval.jsonl

@@ -141,6 +141,14 @@ MUTANTS = [
            "REPR_BELOW, REPR_FROM = 1e-4, 1e16",
            "REPR_BELOW, REPR_FROM = 1e-5, 1e16",
            ("tests/test_data.py::test_writer_spells_records_as_json",)),
+    # a document that cannot be opened would reach `cli.main` as a bare
+    # OSError, whose message names neither the document nor its kind
+    Mutant("document-reader-lets-oserror-through", "errors.py",
+           "except (OSError, ValueError, RecursionError) as e:",
+           "except (ValueError, RecursionError) as e:",
+           tuple(f"tests/test_cli.py::test_a_document_that_cannot_be_read_is_one_error_naming_it"
+                 f"[{document}-{fault}]" for document in ("config", "taxonomy", "checkpoint")
+                 for fault in ("missing", "directory"))),
 ]
 
 

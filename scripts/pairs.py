@@ -177,7 +177,8 @@ def forward(pkg):
     else:
         _, shallow, _, deep = M.trunk_features(params, X)
         fn = lambda: M.heads_forward(params, shallow, deep)
-    return fn, lambda out: out[1].tobytes() + out[2].tobytes(), STEPS
+    # (coarse, fine) last: an older `heads_forward` returns a cache dict first
+    return fn, lambda out: out[-2].tobytes() + out[-1].tobytes(), STEPS
 
 
 def score(pkg):

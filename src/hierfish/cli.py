@@ -23,8 +23,8 @@ from . import evaluation as E
 from . import inference as I
 from . import model as M
 from . import training as T
-from .errors import ConfigError, HierfishError, MalformedDocument
-from .taxonomy import Taxonomy, default_taxonomy, load_taxonomy
+from .errors import ConfigError, HierfishError, MalformedDocument, read_json
+from .taxonomy import Taxonomy, default_taxonomy, taxonomy_from_document
 
 DEFAULT_SCHEMES = list(T.SCHEMES)
 DEFAULT_SPLIT_RATIO = 0.8
@@ -36,13 +36,7 @@ JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    except (ValueError, RecursionError) as e:   # invalid, nested too deep or not UTF-8
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    doc = read_json(path, ConfigError, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = set(doc) - set(CONFIG_KEYS)
@@ -54,11 +48,7 @@ def _load_config(path: str | None) -> dict:
 def _read_taxonomy(path: str | None) -> Taxonomy:
     if path is None:
         return default_taxonomy()
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return load_taxonomy(f.read())
-    except UnicodeDecodeError as e:
-        raise MalformedDocument(f"taxonomy {path} is not UTF-8: {e}") from e
+    return taxonomy_from_document(read_json(path, MalformedDocument, "taxonomy"))
 
 
 def _checked(key: str, value, type_name: str):

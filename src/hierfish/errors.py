@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `read_json`, the one
+reader of a JSON document at a path (a config, a taxonomy, a checkpoint).
+
+Every fault of such a read is the caller's error class, naming the
+document and its path once: `<what> <path>: <why>`, where `why` is the
+OS's reason (`No such file or directory`, `Is a directory`), `not
+UTF-8: …` or `invalid JSON: …` (invalid, nested too deep, or an integer
+past Python's digit limit). So `cli.main` prints each as one `error: `
+line. A frames file is no document: `data` reads it line by line, and
+names the line.
+"""
+
+import json
 
 
 class HierfishError(Exception):
@@ -89,3 +101,15 @@ class MalformedRecord(HierfishError):
 # cli
 class ConfigError(HierfishError):
     pass
+
+
+def read_json(path: str, error: type[HierfishError], what: str):
+    """The JSON document at `path`; any fault of its read raised as
+    `error`, named `what` (module docstring)."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError, RecursionError) as e:
+        why = (e.strerror if isinstance(e, OSError) else
+               f"not UTF-8: {e}" if isinstance(e, UnicodeDecodeError) else f"invalid JSON: {e}")
+        raise error(f"{what} {path}: {why}") from e

@@ -38,6 +38,7 @@ from .errors import (
     NonFiniteActivation,
     NonFiniteInput,
     TaxonomyMismatch,
+    read_json,
 )
 from .taxonomy import Taxonomy
 
@@ -346,7 +347,7 @@ def fine_views(params: ModelParams, fine: np.ndarray, sums: np.ndarray):
 
 def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray,
                   ws: Buffers = FRESH):
-    """Hierarchical heads. Returns (cache, coarse, fine).
+    """Hierarchical heads. Returns (coarse, fine).
 
     shallow: (B, d1), deep: (B, d2); probabilities are (B, G) and
     (B, S), where `fine` holds every group's local distribution in its
@@ -396,12 +397,11 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray,
     for _, _, block, out in blocks:
         np.add.reduce(block, axis=-1, out=out)
     fine /= sums.take(t.column_group, axis=-1, out=ws.fine_spread, mode="clip")
-    return {"zc1": zc1, "Hc": Hc}, coarse, fine
+    return coarse, fine
 
 
 def flat_forward(params: ModelParams, deep: np.ndarray, ws: Buffers = FRESH):
-    """Flat baseline head. Returns (cache, probs (B, S)); (S,) for one
-    example."""
+    """Flat baseline head. Returns probs (B, S); (S,) for one example."""
     if deep.shape[-1] != params.d2:
         raise DimensionMismatch(
             f"deep dim {deep.shape[-1]} != model d2 {params.d2}"
@@ -412,7 +412,7 @@ def flat_forward(params: ModelParams, deep: np.ndarray, ws: Buffers = FRESH):
     zl2 = np.matmul(Hl, params.Wl2, out=ws.flat)
     zl2 += params.bl2
     _check_finite("flat head", zl2)
-    return {"zl1": zl1, "Hl": Hl}, _softmax(zl2, ws.flat_top, ws.flat_total)
+    return _softmax(zl2, ws.flat_top, ws.flat_total)
 
 
 def _resolve_features(params: ModelParams, x):
@@ -441,7 +441,7 @@ def forward(params: ModelParams, x) -> HeadOutputs:
     heads' outputs.
     """
     shallow, deep = _resolve_features(params, x)
-    _, coarse, fine = heads_forward(params, shallow, deep)
+    coarse, fine = heads_forward(params, shallow, deep)
     return HeadOutputs(coarse=coarse, fine_local=FineLocal(fine, params.taxonomy.spans),
                        joint=coarse[..., params.taxonomy.column_group] * fine)
 
@@ -450,7 +450,7 @@ def forward_flat(params: ModelParams, x) -> np.ndarray:
     """Flat baseline pass over one example, a batch or a stack (as in
     `forward`); probabilities over all species."""
     _, deep = _resolve_features(params, x)
-    return flat_forward(params, deep)[1]
+    return flat_forward(params, deep)
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
@@ -489,11 +489,7 @@ def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
     made of JSON numbers and finite, and no name outside the table; then
     write each weight into its view. Nothing is allocated beyond the
     document's own weights and their model, whatever its dims claim."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except (ValueError, RecursionError) as e:   # invalid, nested too deep or not UTF-8
-            raise MalformedDocument(f"invalid checkpoint JSON: {e}") from e
+    doc = read_json(path, MalformedDocument, "checkpoint")
     if not isinstance(doc, dict):
         raise MalformedDocument("checkpoint must hold a JSON object")
     for key in ("taxonomy_digest", "mode", "dims", "weights"):

@@ -136,6 +136,11 @@ def load_taxonomy(text: str) -> Taxonomy:
     # invalid, nested too deep, or an integer past Python's digit limit
     except (ValueError, RecursionError) as e:
         raise MalformedDocument(f"invalid JSON: {e}") from e
+    return taxonomy_from_document(doc)
+
+
+def taxonomy_from_document(doc) -> Taxonomy:
+    """The taxonomy a parsed JSON document describes; order-preserving."""
     if not isinstance(doc, dict) or "groups" not in doc:
         raise MalformedDocument("expected top-level object with a 'groups' list")
     raw_groups = doc["groups"]

@@ -17,6 +17,7 @@ from hierfish import data as D
 from hierfish import inference as I
 from hierfish import model as M
 from hierfish import training as T
+from hierfish.errors import MalformedDocument
 from hierfish.taxonomy import Taxonomy, default_taxonomy, load_taxonomy
 
 SMALL_CONFIG = {
@@ -408,8 +409,10 @@ class TestErrors:
     ("gen", {"gen": {"seed": 4}}, "unknown gen config keys: ['seed']"),
     ("ablation", {"schemes": ["scheme1", "scheme3", "scheme1"]},
      "scheme 'scheme1' is listed twice"),
-    ("gen", b"\xff{}", "is not valid JSON"),
-    ("gen", "taxonomy", "is not UTF-8"),
+    pytest.param("gen", b"\xff{}", "config.json: not UTF-8: 'utf-8' codec",
+                 id="gen-\xff{}-is not valid JSON"),
+    pytest.param("gen", "taxonomy", "taxonomy.json: not UTF-8: 'utf-8' codec",
+                 id="gen-taxonomy-is not UTF-8"),
     # values of the right type but out of range
     ("gen", {"gen": {"tracks_total": 10**20}}, "tracks_total * frames_max * dim"),
     ("gen", {"gen": {"zipf_exponent": float("nan")}}, "zipf_exponent must be finite"),
@@ -966,10 +969,12 @@ DEEP = "[" * 200_000 + "]" * 200_000   # past any recursion limit of the JSON de
 
 
 @pytest.mark.parametrize("command, path, match", [
-    ("gen", "config.json", "is not valid JSON"),
+    pytest.param("gen", "config.json", "config.json: invalid JSON: maximum recursion",
+                 id="gen-config.json-is not valid JSON"),
     ("gen", "taxonomy.json", "invalid JSON"),
     ("split", "frames.jsonl", "line 2: invalid JSON"),
-    ("eval", "model.json", "invalid checkpoint JSON"),
+    pytest.param("eval", "model.json", "model.json: invalid JSON: maximum recursion",
+                 id="eval-model.json-invalid checkpoint JSON"),
 ])
 def test_deeply_nested_json_is_an_error(workspace, capsys, command, path, match):
     ws = workspace
@@ -988,3 +993,39 @@ def test_deeply_nested_json_is_an_error(workspace, capsys, command, path, match)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and match in err
     assert "Traceback" not in err
+
+
+# each document the commands read, as (command, option), and each fault of
+# its read, as (what it writes at the path, the reason the error gives)
+DOCUMENTS = {"config": ("gen", "--config"), "taxonomy": ("gen", "--taxonomy"),
+             "checkpoint": ("eval", "--model")}
+READ_FAULTS = {
+    "missing": (lambda path: None, "No such file or directory"),
+    "directory": (lambda path: path.mkdir(), "Is a directory"),
+    "not-utf8": (lambda path: path.write_bytes(b"\xff{}"), "not UTF-8: 'utf-8' codec"),
+    "invalid": (lambda path: path.write_text('{"groups": '), "invalid JSON: Expecting value"),
+    "deep": (lambda path: path.write_text(DEEP), "invalid JSON: maximum recursion"),
+    "digits": (lambda path: path.write_text("1" + "0" * 4999), "invalid JSON: Exceeds the limit"),
+}
+
+
+@pytest.mark.parametrize("fault", READ_FAULTS)
+@pytest.mark.parametrize("document", DOCUMENTS)
+def test_a_document_that_cannot_be_read_is_one_error_naming_it(tmp_path, capsys, document, fault):
+    """Every fault of reading a config, a taxonomy or a checkpoint exits 1
+    with one line `error: <document> <path>: <reason>`."""
+    command, option = DOCUMENTS[document]
+    write, reason = READ_FAULTS[fault]
+    path = tmp_path / "document.json"
+    write(path)
+    data = ["--data", tmp_path / "frames.jsonl"] if command == "eval" else []
+    assert run([command, option, path, *data, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {document} {path}: {reason}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_load_checkpoint_of_a_missing_path_is_a_malformed_document(tmp_path):
+    path = tmp_path / "model.json"
+    with pytest.raises(MalformedDocument, match=f"^checkpoint {re.escape(str(path))}: No such"):
+        M.load_checkpoint(str(path), TAXONOMY)

@@ -263,7 +263,7 @@ class TestSegmentedSoftmax:
     def test_bit_identical_to_per_group_heads(self, taxonomy, batch):
         for seed in range(6):
             p, shallow, deep = _random_heads(taxonomy, seed, batch)
-            _, coarse, fine = M.heads_forward(p, shallow, deep)
+            coarse, fine = M.heads_forward(p, shallow, deep)
             p.mode = M.MODE_PRECOMPUTED
             joint = M.forward(p, (shallow, deep)).joint
             ref_coarse, ref_fine, ref_joint = _per_group_heads(p, shallow, deep)
@@ -470,9 +470,9 @@ class TestParamsLayout:
         assert stacked.W1.shape == (3, 32, 24) and stacked.b1.shape == (3, 1, 24)
         X = rng.normal(size=(7, 32))
         _, shallow, _, deep = M.trunk_features(stacked, X)
-        _, coarse, fine = M.heads_forward(stacked, shallow, deep)
+        coarse, fine = M.heads_forward(stacked, shallow, deep)
         joint = M.forward(stacked, X).joint
-        _, flat = M.flat_forward(stacked, deep)
+        flat = M.flat_forward(stacked, deep)
         for k in range(3):
             row = stacked.row(k)
             assert np.shares_memory(row.vector, stacked.vector)
@@ -493,7 +493,7 @@ class TestParamsLayout:
         X = rng.normal(size=(7, 32))
         _, shallow, _, deep = M.trunk_features(stacked, X)
         assert deep.shape == (3, 7, 16)
-        _, coarse, fine = M.heads_forward(stacked, shallow, deep)
+        coarse, fine = M.heads_forward(stacked, shallow, deep)
         joint = M.forward(stacked, X).joint
         for k in range(3):
             out = M.forward(stacked.row(k), X)

@@ -679,8 +679,8 @@ def test_heads_forward_on_a_workspace_reads_the_arrays_it_is_handed():
     ws = T._Workspace(params, params.zeros_like(), [np.zeros((5, 3)), np.zeros((5, 3))],
                       ("scheme1", "scheme3"))
     shallow, deep = rng.normal(0, 1, (2, 2, 5, 3))
-    _, coarse, fine = M.heads_forward(params, shallow, deep, ws)
-    _, fresh_coarse, fresh_fine = M.heads_forward(params, shallow, deep)
+    coarse, fine = M.heads_forward(params, shallow, deep, ws)
+    fresh_coarse, fresh_fine = M.heads_forward(params, shallow, deep)
     assert coarse.tobytes() == fresh_coarse.tobytes()
     assert fine.tobytes() == fresh_fine.tobytes()
 
