@@ -113,8 +113,8 @@ MUTANTS = [
            "math.isfinite(sum(values))",
            ("tests/test_data.py::test_reader_follows_the_number_rule",)),
     Mutant("baseline-scored-by-hierarchical-heads", "evaluation.py",
-           'heads = flat_heads if scheme == "baseline" else None',
-           "heads = None",
+           'heads = flat_heads if loss_of(scheme) == "baseline" else None',
+           "heads = loss_of(scheme) and None",
            ("tests/test_evaluation.py::TestFlatBaseline::test_every_unit_matches_loop_oracle",)),
     # orjson 3.8.3 has no nesting limit: the deep line crashes the test
     # process, which counts as a failure
@@ -149,6 +149,44 @@ MUTANTS = [
            tuple(f"tests/test_cli.py::test_a_document_that_cannot_be_read_is_one_error_naming_it"
                  f"[{document}-{fault}]" for document in ("config", "taxonomy", "checkpoint")
                  for fault in ("missing", "directory"))),
+    # the one dense + ReLU layer of the trunk and of each MLP head: the
+    # biases are zero at init, so a perturbed model shows the skip
+    Mutant("dense-relu-skips-its-bias", "model.py",
+           "    z += b\n",
+           "",
+           ("tests/test_training.py::TestGradients::test_matches_finite_differences",)),
+    # the one MLP softmax head, the coarse and the flat head's
+    Mutant("mlp-head-skips-its-finiteness-check", "model.py",
+           "    _check_finite(name, logits)\n",
+           "",
+           ("tests/test_model.py::TestSegmentedSoftmax::test_first_non_finite_fine_head_is_named",)),
+    # a workspace head's hidden gradient in the array of its pre-activation:
+    # the ReLU mask then reads the gradient
+    Mutant("workspace-head-gradient-overwrites-its-preactivation", "training.py",
+           "z, H, dz = (np.empty(lead + (hidden,)) for _ in range(3))",
+           "z, H = (np.empty(lead + (hidden,)) for _ in range(2))\n    dz = z",
+           ("tests/test_training.py::TestGradients::test_matches_finite_differences",)),
+    Mutant("relu-backward-skips-its-mask", "training.py",
+           "    G *= np.greater(z, 0.0, out=relu)\n",
+           "    np.greater(z, 0.0, out=relu)\n",
+           ("tests/test_training.py::TestGradients::test_matches_finite_differences",)),
+    Mutant("head-backward-writes-layer-2-into-the-preactivation", "training.py",
+           "_dense_back(head.layer2, head.probs, head.dz)",
+           "_dense_back(head.layer2, head.probs, head.z)",
+           ("tests/test_training.py::TestGradients::test_matches_finite_differences",)),
+    Mutant("scheme-lookup-lets-an-unknown-scheme-through", "training.py",
+           "    if scheme not in LOSSES:\n",
+           "    if False:\n",
+           ("tests/test_training.py::test_an_unknown_scheme_is_refused_by_every_entry_point",)),
+    Mutant("document-shape-error-names-no-document", "errors.py",
+           'raise type(e)(f"{what} {path}: {e}") from e',
+           "raise",
+           tuple(f"tests/test_cli.py::test_a_document_that_cannot_be_read_is_one_error_naming_it"
+                 f"[{document}-wrong-shape]" for document in ("config", "taxonomy", "checkpoint"))),
+    Mutant("frames-line-missing-label-passes-python-text", "data.py",
+           "        if key not in rec:\n",
+           "        if False:\n",
+           ("tests/test_data.py::test_block_reads_as_the_per_line_loop",)),
 ]
 
 

@@ -33,22 +33,25 @@ CONFIG_KEYS = ("seed", "split_ratio", "schemes", "gen", "train")
 JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    doc = read_json(path, ConfigError, "config")
+def _config_keys(doc) -> dict:
+    """A parsed config document, an object of `CONFIG_KEYS` only; its
+    values are checked in `resolve`, as flags may override them."""
     if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ConfigError("must hold a JSON object")
     unknown = set(doc) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return doc
 
 
+def _load_config(path: str | None) -> dict:
+    return {} if path is None else read_json(path, ConfigError, "config", _config_keys)
+
+
 def _read_taxonomy(path: str | None) -> Taxonomy:
     if path is None:
         return default_taxonomy()
-    return taxonomy_from_document(read_json(path, MalformedDocument, "taxonomy"))
+    return read_json(path, MalformedDocument, "taxonomy", taxonomy_from_document)
 
 
 def _checked(key: str, value, type_name: str):

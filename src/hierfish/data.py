@@ -146,10 +146,6 @@ class Dataset:
     tracks: list[Track]
     mode: str = MODE_TRUNK   # raw feature vectors; MODE_PRECOMPUTED: (shallow, deep) pairs
 
-    def frames(self):
-        for t in self.tracks:
-            yield from t.frames
-
     @property
     def n_frames(self) -> int:
         return sum(len(t) for t in self.tracks)
@@ -382,22 +378,22 @@ def _fields(rec, lineno: int) -> tuple[str, list]:
     """The mode and vectors of `rec`, a parsed line, if it is a frame
     record: labels of their JSON types (`_LABEL_TYPES`), then the vector
     fields of one mode, each by `_vector`. Raises MalformedRecord."""
+    if type(rec) is not dict:
+        raise MalformedRecord(f"line {lineno}: expected a JSON object, not {type(rec).__name__}")
+    for key, (kind, name) in _LABEL_TYPES.items():
+        if key not in rec:
+            raise MalformedRecord(f"line {lineno}: no {key!r}")
+        if type(rec[key]) is not kind:   # a bool is no integer
+            raise MalformedRecord(f"line {lineno}: {key} must be {name}, not {rec[key]!r}")
+    if "features" in rec:
+        rec_mode = MODE_TRUNK
+    elif "shallow" in rec and "deep" in rec:
+        rec_mode = MODE_PRECOMPUTED
+    else:
+        raise MalformedRecord(f"line {lineno}: needs 'features' or 'shallow'+'deep'")
     try:
-        for key, (kind, name) in _LABEL_TYPES.items():
-            if type(rec[key]) is not kind:   # a bool is no integer
-                raise MalformedRecord(
-                    f"line {lineno}: {key} must be {name}, not {rec[key]!r}"
-                )
-        if "features" in rec:
-            rec_mode = MODE_TRUNK
-        elif "shallow" in rec and "deep" in rec:
-            rec_mode = MODE_PRECOMPUTED
-        else:
-            raise MalformedRecord(
-                f"line {lineno}: needs 'features' or 'shallow'+'deep'"
-            )
         return rec_mode, [_vector(rec, key, lineno) for key in VECTOR_FIELDS[rec_mode]]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (ValueError, OverflowError) as e:   # the number rule's message
         raise MalformedRecord(f"line {lineno}: {e}") from e
 
 

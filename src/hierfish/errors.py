@@ -5,9 +5,11 @@ Every fault of such a read is the caller's error class, naming the
 document and its path once: `<what> <path>: <why>`, where `why` is the
 OS's reason (`No such file or directory`, `Is a directory`), `not
 UTF-8: …` or `invalid JSON: …` (invalid, nested too deep, or an integer
-past Python's digit limit). So `cli.main` prints each as one `error: `
-line. A frames file is no document: `data` reads it line by line, and
-names the line.
+past Python's digit limit). A document that parses but has the wrong
+shape is named the same way: the error the caller's `build` raises
+keeps its class, and `why` is its message. So `cli.main` prints each as
+one `error: ` line. A frames file is no document: `data` reads it line by
+line, and names the line.
 """
 
 import json
@@ -103,13 +105,18 @@ class ConfigError(HierfishError):
     pass
 
 
-def read_json(path: str, error: type[HierfishError], what: str):
-    """The JSON document at `path`; any fault of its read raised as
-    `error`, named `what` (module docstring)."""
+def read_json(path: str, error: type[HierfishError], what: str, build):
+    """`build` of the JSON document at `path`; any fault of its read
+    raised as `error`, and any error of `build` as its own class, both
+    named `what` (module docstring)."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except (OSError, ValueError, RecursionError) as e:
         why = (e.strerror if isinstance(e, OSError) else
                f"not UTF-8: {e}" if isinstance(e, UnicodeDecodeError) else f"invalid JSON: {e}")
         raise error(f"{what} {path}: {why}") from e
+    try:
+        return build(doc)
+    except HierfishError as e:
+        raise type(e)(f"{what} {path}: {e}") from e

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as D
-from .errors import EmptyEvalSet, MalformedDocument
+from .errors import EmptyEvalSet
 from .inference import TAU_UNIT, UnitRows, best_threshold, check_threshold, score_split
 # not called here: perfbench's tracer wraps these names on this module too
 from .inference import aggregate_avg, aggregate_vote, score_track  # noqa: F401
 from .model import FineLocal, HeadOutputs, ModelParams, forward_flat
 from .taxonomy import Taxonomy
-from .training import SCHEMES
+from .training import loss_of
 
 
 @dataclass(kw_only=True)
@@ -117,14 +117,12 @@ def evaluate(params: ModelParams, eval_split: D.Dataset, taxonomy: Taxonomy,
     A unit stopped at the coarse level counts correct iff its coarse
     label is right; a proceeding unit iff its species label is right.
     """
-    if scheme not in SCHEMES:
-        raise MalformedDocument(f"unknown scheme {scheme!r}")
+    # None: `score_split` resolves the hierarchical `forward` when it runs
+    heads = flat_heads if loss_of(scheme) == "baseline" else None
     if len(eval_split.tracks) == 0:
         raise EmptyEvalSet("evaluation split has no tracks")
     if tau is not None:
         check_threshold(tau)
-    # None: `score_split` resolves the hierarchical `forward` when it runs
-    heads = flat_heads if scheme == "baseline" else None
     rows = score_split(params, eval_split.tracks, taxonomy, heads=heads)
     if tau is None:
         tau = best_threshold(rows[TAU_UNIT])

@@ -8,6 +8,11 @@ the joint vector is itself a probability distribution over all species.
 The flat head's softmax is one too; `evaluation.flat_heads` sums it per
 group for the baseline's coarse scores.
 
+The coarse head and the flat head are the same two-layer softmax head
+(`_mlp_head`) on different inputs: shallow features to G groups, deep
+features to S species. Its hidden layer and the trunk's two layers are
+one dense + ReLU layer (`_dense_relu`).
+
 The fine heads' cost grows with the number of groups, so consecutive
 heads of equal size run together: one stacked GEMM and one sum per run,
 bit-identical to one per head (see `heads_forward`).
@@ -24,6 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby, pairwise
@@ -288,29 +294,44 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NonFiniteActivation(f"non-finite values in {name}")
 
 
+# where `_mlp_head` writes, None for a fresh array: the hidden layer's
+# pre-activation and output, the logits (then the probabilities), and the
+# softmax's max and sum. A training workspace's head group has these
+# fields, then its backward's (`training._Head`)
+HeadBuffers = namedtuple("HeadBuffers", "z hidden probs top total", defaults=(None,) * 5)
+
+
 class Buffers:
     """Where the forward functions write: one attribute per array, None
-    for a fresh one. Scoring hands them `FRESH`, every attribute None, so
-    each ufunc allocates its result and `heads_forward` cuts its views.
-    A training step hands them its workspace (`training._Workspace`),
-    whose arrays and views are built once and written through `out=`,
-    with the same ufuncs on the same operands, so the bytes are the same.
+    for a fresh one. Scoring hands them `FRESH`, every attribute None
+    and each head's group a `HeadBuffers()`, so each ufunc allocates its
+    result and `heads_forward` cuts its views. A training step hands
+    them its workspace (`training._Workspace`), whose arrays and views
+    are built once and written through `out=`, with the same ufuncs on
+    the same operands, so the bytes are the same.
 
-    trunk_features: z1, A1, z2, A2. flat_forward: zl1, Hl, flat (the
-    logits, then the probabilities), flat_top and flat_total (the
-    softmax's max and sum). heads_forward: zc1, Hc, coarse, coarse_top,
-    coarse_total, fine, sums (each head's sum), fine_top (each head's
-    max), fine_spread (a per-group value spread over its columns), and
+    trunk_features: z1, A1, z2, A2. flat_forward: flat_head, an MLP
+    head's group (`HeadBuffers`). heads_forward: coarse_head, another,
+    then fine, sums (each head's sum), fine_top (each head's max),
+    fine_spread (a per-group value spread over its columns), and
     fine_blocks, `fine_views` of fine and sums, which `heads_forward`
     reads in its place.
     """
     z1 = A1 = z2 = A2 = None
-    zl1 = Hl = flat = flat_top = flat_total = None
-    zc1 = Hc = coarse = coarse_top = coarse_total = None
+    flat_head = coarse_head = HeadBuffers()
     fine = sums = fine_top = fine_spread = fine_blocks = None
 
 
 FRESH = Buffers()
+
+
+def _dense_relu(x: np.ndarray, W: np.ndarray, b: np.ndarray, z=None, out=None):
+    """A dense layer and its ReLU: (z, max(z, 0)), z = x @ W + b, written
+    into `z` and `out` if given. The trunk's two layers and each MLP
+    head's hidden layer."""
+    z = np.matmul(x, W, out=z)
+    z += b
+    return z, np.maximum(z, 0.0, out=out)
 
 
 def trunk_features(params: ModelParams, X: np.ndarray, ws: Buffers = FRESH):
@@ -319,14 +340,23 @@ def trunk_features(params: ModelParams, X: np.ndarray, ws: Buffers = FRESH):
         raise DimensionMismatch(
             f"input dim {X.shape[-1]} != model d_in {params.d_in}"
         )
-    z1 = np.matmul(X, params.W1, out=ws.z1)
-    z1 += params.b1
-    A1 = np.maximum(z1, 0.0, out=ws.A1)
-    z2 = np.matmul(A1, params.W2, out=ws.z2)
-    z2 += params.b2
-    A2 = np.maximum(z2, 0.0, out=ws.A2)
+    z1, A1 = _dense_relu(X, params.W1, params.b1, ws.z1, ws.A1)
+    z2, A2 = _dense_relu(A1, params.W2, params.b2, ws.z2, ws.A2)
     _check_finite("trunk", z2)
     return z1, A1, z2, A2
+
+
+def _mlp_head(name: str, x: np.ndarray, W1, b1, W2, b2, bufs: HeadBuffers) -> np.ndarray:
+    """A two-layer softmax head on x: dense, ReLU, dense, then the
+    softmax of the logits, checked finite first (`name` names the head
+    in the error), written into the head's group `bufs`. The coarse head
+    (shallow features to G groups) and the flat head (deep features to
+    S species)."""
+    _, hidden = _dense_relu(x, W1, b1, bufs.z, bufs.hidden)
+    logits = np.matmul(hidden, W2, out=bufs.probs)
+    logits += b2
+    _check_finite(name, logits)
+    return _softmax(logits, bufs.top, bufs.total)
 
 
 def fine_views(params: ModelParams, fine: np.ndarray, sums: np.ndarray):
@@ -373,13 +403,8 @@ def heads_forward(params: ModelParams, shallow: np.ndarray, deep: np.ndarray,
             f"feature dims ({shallow.shape[-1]}, {deep.shape[-1]}) != "
             f"model ({params.d1}, {params.d2})"
         )
-    zc1 = np.matmul(shallow, params.Wc1, out=ws.zc1)
-    zc1 += params.bc1
-    Hc = np.maximum(zc1, 0.0, out=ws.Hc)
-    zc2 = np.matmul(Hc, params.Wc2, out=ws.coarse)
-    zc2 += params.bc2
-    _check_finite("coarse head", zc2)
-    coarse = _softmax(zc2, ws.coarse_top, ws.coarse_total)
+    coarse = _mlp_head("coarse head", shallow, params.Wc1, params.bc1, params.Wc2, params.bc2,
+                       ws.coarse_head)
     t, fine, sums, blocks = params.taxonomy, ws.fine, ws.sums, ws.fine_blocks
     if fine is None:
         fine, sums = np.empty(deep.shape[:-1] + (params.S,)), np.empty(coarse.shape)
@@ -406,13 +431,8 @@ def flat_forward(params: ModelParams, deep: np.ndarray, ws: Buffers = FRESH):
         raise DimensionMismatch(
             f"deep dim {deep.shape[-1]} != model d2 {params.d2}"
         )
-    zl1 = np.matmul(deep, params.Wl1, out=ws.zl1)
-    zl1 += params.bl1
-    Hl = np.maximum(zl1, 0.0, out=ws.Hl)
-    zl2 = np.matmul(Hl, params.Wl2, out=ws.flat)
-    zl2 += params.bl2
-    _check_finite("flat head", zl2)
-    return _softmax(zl2, ws.flat_top, ws.flat_total)
+    return _mlp_head("flat head", deep, params.Wl1, params.bl1, params.Wl2, params.bl2,
+                     ws.flat_head)
 
 
 def _resolve_features(params: ModelParams, x):
@@ -483,51 +503,53 @@ def number_array(values, key: str, ndim: int = 1) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
-    """Read a checkpoint, checking it against the table its dims and the
-    taxonomy give (`weight_shapes`): every weight present, of its shape,
-    made of JSON numbers and finite, and no name outside the table; then
-    write each weight into its view. Nothing is allocated beyond the
-    document's own weights and their model, whatever its dims claim."""
-    doc = read_json(path, MalformedDocument, "checkpoint")
+def _checkpoint_params(taxonomy: Taxonomy, doc) -> ModelParams:
+    """The model a parsed checkpoint holds (`load_checkpoint`); each
+    fault's message leaves naming the document to `read_json`."""
     if not isinstance(doc, dict):
-        raise MalformedDocument("checkpoint must hold a JSON object")
+        raise MalformedDocument("must hold a JSON object")
     for key in ("taxonomy_digest", "mode", "dims", "weights"):
         if key not in doc:
-            raise MalformedDocument(f"checkpoint has no {key!r}")
+            raise MalformedDocument(f"no {key!r}")
     if doc["taxonomy_digest"] != taxonomy.digest():
-        raise TaxonomyMismatch("checkpoint was trained against a different taxonomy")
+        raise TaxonomyMismatch("trained against a different taxonomy")
     mode, dims, weights = doc["mode"], doc["dims"], doc["weights"]
     if not (isinstance(dims, dict) and sorted(dims) == sorted(DIM_KEYS)
             and all(type(v) is int and v > 0 for v in dims.values())):
-        raise MalformedDocument(
-            f"checkpoint 'dims' must map {', '.join(DIM_KEYS)} to positive integers"
-        )
+        raise MalformedDocument(f"'dims' must map {', '.join(DIM_KEYS)} to positive integers")
     if not isinstance(weights, dict):
-        raise MalformedDocument("checkpoint 'weights' must be an object")
+        raise MalformedDocument("'weights' must be an object")
     if mode not in (MODE_TRUNK, MODE_PRECOMPUTED):
         raise MalformedDocument(f"unknown mode {mode!r}")
     shapes = weight_shapes(taxonomy, **dims)
     for name in weights:
         if name not in shapes:
-            raise MalformedDocument(f"checkpoint has unknown weight {name!r}")
+            raise MalformedDocument(f"unknown weight {name!r}")
     arrays = {}
     for name, shape in shapes.items():
         if name not in weights:
-            raise MalformedDocument(f"checkpoint has no weight {name!r}")
+            raise MalformedDocument(f"no weight {name!r}")
         try:
             arr = number_array(weights[name], name, len(shape))
         except (ValueError, OverflowError) as e:
-            raise MalformedDocument(f"checkpoint weight {name!r}: {e}") from e
+            raise MalformedDocument(f"weight {name!r}: {e}") from e
         if arr.shape != shape:
-            raise MalformedDocument(
-                f"checkpoint weight {name!r} has shape {arr.shape}, expected {shape}"
-            )
+            raise MalformedDocument(f"weight {name!r} has shape {arr.shape}, expected {shape}")
         if not np.isfinite(arr).all():
-            raise MalformedDocument(f"checkpoint weight {name!r} has non-finite values")
+            raise MalformedDocument(f"weight {name!r} has non-finite values")
         arrays[name] = arr
     size = weight_layout(taxonomy, *map(dims.get, DIM_KEYS)).size
     params = ModelParams(mode, np.empty(size), taxonomy, dims)
     for name, arr in arrays.items():
         params.get(name)[...] = arr
     return params
+
+
+def load_checkpoint(path: str, taxonomy: Taxonomy) -> ModelParams:
+    """Read a checkpoint, checking it against the table its dims and the
+    taxonomy give (`weight_shapes`): every weight present, of its shape,
+    made of JSON numbers and finite, and no name outside the table; then
+    write each weight into its view. Nothing is allocated beyond the
+    document's own weights and their model, whatever its dims claim."""
+    return read_json(path, MalformedDocument, "checkpoint",
+                     functools.partial(_checkpoint_params, taxonomy))

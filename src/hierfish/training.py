@@ -14,7 +14,8 @@ Schemes:
 For one-hot labels scheme2's and scheme3's indexing pick the same
 element, so `LOSSES`, the one scheme -> loss table, maps scheme2 to
 scheme3's loss: the kernel dispatches on it, and `hierfish ablation`
-trains each distinct loss once.
+trains each distinct loss once. `loss_of` is its one lookup: every call
+that takes a scheme refuses an unknown one through it.
 
 One kernel, `_loss_and_grads`, computes the batch loss and its gradient
 for every scheme; `compute_gradients` (the finite-difference oracle's
@@ -27,37 +28,42 @@ group's gradient as a block of one by-group row gather.
 
 Parameter layout: one function, `model.weight_layout`, owns the format
 of a model's one float64 vector of P entries; every weight is a view
-into it, written in place. The kernel always sees K models stacked
-into a (K, P) array, one row per distinct loss in `LOSS_ORDER`: every
-matrix is a (K, a, b) view and every bias a (K, 1, n) view, so one call
-of the forward functions runs all K models by broadcasting. `train`
-trains all the losses of a run in lockstep: every model of one seed starts
-from the same weights and draws the same batches, so each step makes
-one gather, one stacked trunk pass, the flat head on the baseline row
-(row 0), the coarse and fine heads stacked on the hierarchical rows,
-and one momentum update over (K, P). What differs per loss stays per
-row: scheme1's row reads `fine` at the label, and scheme3's the joint
-there (coarse × fine, the product `model.forward` forms; no other joint
-entry is formed) and doubles its coarse-logit gradient. Every dense
-layer back-propagates through `_dense_back`, the per-group fine heads
-once per group on all the hierarchical rows. numpy runs a stacked
-matmul or reduction as the same 2-D operation per row, so each row is
-bit-identical to its model trained alone (tests/test_training.py
-checks this); a single model is the K = 1 case.
+into it, written in place. The kernel always sees K models stacked into
+a (K, P) array, one row per distinct loss in `LOSS_ORDER`: every matrix
+is a (K, a, b) view and every bias a (K, 1, n) view, so one call of the
+forward functions runs all K models by broadcasting. `train` trains all
+the losses of a run in lockstep: every model of one seed starts from the
+same weights and draws the same batches, so each step makes one gather,
+one stacked trunk pass, the flat head on the baseline row (row 0), the
+coarse and fine heads stacked on the hierarchical rows, and one momentum
+update over (K, P). What differs per loss stays per row: scheme1's row
+reads `fine` at the label, and scheme3's the joint there (coarse × fine,
+the product `model.forward` forms; no other joint entry is formed) and
+doubles its coarse-logit gradient. Every dense layer back-propagates
+through `_dense_back`, the per-group fine heads once per group on all
+the hierarchical rows; every ReLU layer (the trunk's two, each MLP
+head's hidden layer) through `_relu_back`, its mask, then `_dense_back`;
+and the coarse and flat heads, one MLP softmax head (`model._mlp_head`),
+through `_head_back`. numpy runs a stacked matmul or reduction as the
+same 2-D operation per row, so each row is bit-identical to its model
+trained alone (tests/test_training.py checks this); a single model is
+the K = 1 case.
 
 A step runs on a workspace (`_Workspace`), built once per batch size:
 `train` builds one for its full batches and one for the ragged last
 batch if there is one, and `compute_gradients`, `batch_loss` and the
-reruns of a failed step (`_input_fault`, `_diverged`) a one-off one.
-It holds every array a step writes (the input buffers its rows are
-gathered into; activations, probabilities, masks, label gathers and
-backward buffers) and every view it reads (weight and gradient views,
-transposes, the fine runs' blocks, each group's columns of the fine
-gradient). The model's forward functions write their arrays through
-`out=` (`model.Buffers`), so `model.py` keeps the only copy of the
-forward math; scoring hands them no workspace. The step runs the ufuncs
-the allocating code ran, on the same operands in the same order, so
-its bytes are that code's (`test_train_is_pinned`).
+reruns of a failed step (`_input_fault`, `_diverged`) a one-off one. It
+holds every array a step writes (the input buffers its rows are gathered
+into; activations, probabilities, masks, label gathers and backward
+buffers) and every view it reads (weight and gradient views, transposes,
+the fine runs' blocks, each group's columns of the fine gradient). One
+function, `_head`, builds each MLP head's arrays and layer operands: the
+flat head's on row 0 and the coarse head's on the hierarchical rows. The
+model's forward functions write their arrays through `out=`
+(`model.Buffers`), so `model.py` keeps the only copy of the forward
+math; scoring hands them no workspace. The step runs the ufuncs the
+allocating code ran, on the same operands in the same order, so its
+bytes are that code's (`test_train_is_pinned`).
 
 `train` builds each epoch's label tables at once for each workspace's
 batches (`_label_tables`): the label cells of the flat, coarse and fine
@@ -90,6 +96,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +129,14 @@ LOSS_ORDER = ("baseline", "scheme1", "scheme3")
 MAX_WEIGHTS = 10**8
 
 
+def loss_of(scheme: str) -> str:
+    """The loss `scheme` trains (`LOSSES`): the one lookup of a scheme,
+    which refuses an unknown one."""
+    if scheme not in LOSSES:
+        raise MalformedDocument(f"unknown scheme {scheme!r}")
+    return LOSSES[scheme]
+
+
 @dataclass
 class TrainConfig:
     scheme: str = "scheme3"
@@ -135,8 +150,7 @@ class TrainConfig:
     d2: int = 16
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise MalformedDocument(f"unknown scheme {self.scheme!r}")
+        loss_of(self.scheme)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise MalformedDocument(
                 f"learning_rate must be finite and > 0, not {self.learning_rate!r}")
@@ -173,15 +187,14 @@ def check_example(ex: LabeledExample, taxonomy: Taxonomy) -> tuple[int, int]:
 def compute_loss(scheme: str, outputs, example: LabeledExample, taxonomy: Taxonomy) -> float:
     """Per-example loss. `outputs` is HeadOutputs for the hierarchical
     schemes or a flat probability vector for the baseline."""
-    if scheme not in LOSSES:
-        raise MalformedDocument(f"unknown scheme {scheme!r}")
-    if LOSSES[scheme] == "baseline":
+    loss = loss_of(scheme)
+    if loss == "baseline":
         probs = np.asarray(outputs, dtype=np.float64)
         if not (0 <= example.fine_label < probs.shape[0]):
             raise LabelOutOfRange(f"fine label {example.fine_label}")
         return float(-np.log(probs[example.fine_label]))
     g, i = check_example(example, taxonomy)
-    fine = (outputs.fine_local[g][i] if LOSSES[scheme] == "scheme1"
+    fine = (outputs.fine_local[g][i] if loss == "scheme1"
             else outputs.joint[example.fine_label])
     return float(-np.log(outputs.coarse[g]) - np.log(fine))
 
@@ -202,6 +215,38 @@ def _dense_back(layer, G, out=None):
     np.add.reduce(G, axis=-2, keepdims=True, out=db)
     if WT is not None:
         np.matmul(G, WT, out=out)
+
+
+def _relu_back(layer, G, z, relu, out=None):
+    """Back-propagate the gradient G of a ReLU layer's output max(z, 0),
+    z being the output of the dense layer `layer`: G times the mask z >
+    0 (written into `relu`), in place, then `_dense_back`."""
+    G *= np.greater(z, 0.0, out=relu)
+    _dense_back(layer, G, out)
+
+
+# an MLP head's arrays in a workspace (`_head`): `model.HeadBuffers`'
+# fields, where its forward writes, then its backward's: the hidden
+# layer's gradient, its ReLU mask and its two layers' `_layer` operands
+_Head = namedtuple("_Head", (*M.HeadBuffers._fields, "dz", "relu", "layer1", "layer2"))
+
+
+def _head(x, W1, W2, dW1, db1, dW2, db2) -> _Head:
+    """The `_Head` of an MLP head on x, (K, B, d): weights W1 (None when
+    x takes no gradient) and W2, (K, hidden, n), and gradient views dW1,
+    db1, dW2 and db2."""
+    lead, (hidden, n) = x.shape[:-1], W2.shape[-2:]
+    z, H, dz = (np.empty(lead + (hidden,)) for _ in range(3))
+    return _Head(z, H, np.empty(lead + (n,)), np.empty(lead + (1,)), np.empty(lead + (1,)), dz,
+                 np.empty(z.shape, bool), _layer(x, W1, dW1, db1), _layer(H, W2, dW2, db2))
+
+
+def _head_back(head: _Head, out) -> None:
+    """Back-propagate an MLP head from the logit gradient in its `probs`:
+    its layer 2, then its ReLU layer 1, whose input gradient goes into
+    `out` unless layer 1 takes none."""
+    _dense_back(head.layer2, head.probs, head.dz)
+    _relu_back(head.layer1, head.dz, head.z, head.relu, out)
 
 
 @functools.cache
@@ -234,17 +279,19 @@ class _Workspace(M.Buffers):
     the (shallow, deep) pair in precomputed mode), which the caller fills
     before each step; `grads` has the layout of `params`; `losses[k]` is
     model k's loss, in `LOSS_ORDER`. The forward arrays are `M.Buffers`'
-    attributes, so the model's functions write them; the rest are the
-    step's label gathers, losses and gradients, and the views it reads:
-    Aᵀ, Wᵀ, dW and db of each dense layer (`_layer`), the labels' cells
-    of the probabilities, and each group's columns of the fine gradient.
+    attributes, so the model's functions write them; each MLP head's
+    group (`flat_head`, `coarse_head`) is a `_Head`, which also holds
+    its backward's arrays and layers. The rest are the step's label
+    gathers, losses and gradients, and the views it reads: Aᵀ, Wᵀ, dW
+    and db of each dense layer (`_layer`), the labels' cells of the
+    probabilities, and each group's columns of the fine gradient.
     """
 
     def __init__(self, params: ModelParams, grads: ModelParams, inputs, losses):
         K, B = len(losses), inputs[0].shape[0]
         h = int(losses[0] == "baseline")   # models h: are hierarchical
         trunk = params.mode == M.MODE_TRUNK
-        G, S, d1, d2, hidden = params.G, params.S, params.d1, params.d2, params.hidden
+        G, S, d1, d2 = params.G, params.S, params.d1, params.d2
 
         def arrays(n, *shape):
             return [np.empty(shape) for _ in range(n)]
@@ -274,24 +321,21 @@ class _Workspace(M.Buffers):
         if h:
             p, dp = params.rows(0, 1), grads.rows(0, 1)
             self.flat_params, self.flat_deep = p, A2[:1]
-            self.zl1, self.Hl, self.dzl1 = arrays(3, 1, B, hidden)
-            self.relu_l1, self.flat = np.empty((1, B, hidden), bool), np.empty((1, B, S))
-            self.flat_top, self.flat_total = arrays(2, 1, B, 1)
-            self.flat_ravel, self.flat_at = self.flat.reshape(-1), np.empty(B)
+            self.flat_head = _head(self.flat_deep, p.Wl1 if trunk else None, p.Wl2,
+                                   dp.Wl1, dp.bl1, dp.Wl2, dp.bl2)
+            self.flat_ravel, self.flat_at = self.flat_head.probs.reshape(-1), np.empty(B)
             self.flat_loss = self.out[0]
-            self.flat2 = _layer(self.Hl, p.Wl2, dp.Wl2, dp.bl2)
-            self.flat1 = _layer(A2[:1], p.Wl1 if trunk else None, dp.Wl1, dp.bl1)
             self.flat_dA2 = self.dA2[:1] if trunk else None
         if h < K:
             Kh, p, dp = K - h, params.rows(h, K), grads.rows(h, K)
             self.heads_params, self.A1h, self.A2h = p, A1[h:], A2[h:]
-            self.zc1, self.Hc, self.dzc1 = arrays(3, Kh, B, hidden)
-            self.relu_c1 = np.empty((Kh, B, hidden), bool)
-            self.coarse, self.sums, self.fine_top = arrays(3, Kh, B, G)
-            self.coarse_top, self.coarse_total = arrays(2, Kh, B, 1)
+            self.coarse_head = _head(self.A1h, p.Wc1 if trunk else None, p.Wc2,
+                                     dp.Wc1, dp.bc1, dp.Wc2, dp.bc2)
+            self.sums, self.fine_top = arrays(2, Kh, B, G)
             self.fine, self.fine_spread, self.Gf = arrays(3, Kh, B, S)
             self.fine_blocks = M.fine_views(p, self.fine, self.sums)
-            self.coarse_ravel, self.fine_ravel = self.coarse.reshape(-1), self.fine.reshape(-1)
+            self.coarse_ravel = self.coarse_head.probs.reshape(-1)
+            self.fine_ravel = self.fine.reshape(-1)
             self.coarse_at, self.fine_at, self.joint_at = arrays(3, Kh, B)
             # a batch's coarse and species label cells on every hierarchical
             # row: its (B,) cells on row 0, plus each row's offset
@@ -299,8 +343,6 @@ class _Workspace(M.Buffers):
             self.coarse_rows, self.species_rows = (_cells(Kh, 1, B * n) for n in (G, S))
             self.heads_loss = self.out[h:]
             self.reads_fine, self.coarse_scale = _hierarchical_rows(tuple(losses[h:]))
-            self.coarse2 = _layer(self.Hc, p.Wc2, dp.Wc2, dp.bc2)
-            self.coarse1 = _layer(self.A1h, p.Wc1 if trunk else None, dp.Wc1, dp.bc1)
             # the fine heads' backward reads the rows sorted by group: Gf
             # and A2_s, and writes dA2_s; group g reads its columns of Gf
             self.A2_s, self.dA2_s = np.empty((Kh, B, d2)), np.empty((Kh, B, d2)) if trunk else None
@@ -350,9 +392,7 @@ def _loss_and_grads(ws: _Workspace, table) -> np.ndarray:
         # the probabilities become the logit gradient in place
         at -= 1.0
         ws.flat_ravel[fine_cells] = at
-        _dense_back(ws.flat2, ws.flat, ws.dzl1)
-        ws.dzl1 *= np.greater(ws.zl1, 0.0, out=ws.relu_l1)
-        _dense_back(ws.flat1, ws.dzl1, ws.flat_dA2)
+        _head_back(ws.flat_head, ws.flat_dA2)
     if ws.heads:
         M.heads_forward(ws.heads_params, ws.A1h, ws.A2h, ws)
         # scheme1 scores the true species within its group's head, scheme3
@@ -370,10 +410,9 @@ def _loss_and_grads(ws: _Workspace, table) -> np.ndarray:
         loss -= np.log(read, out=read)
         coarse_at -= 1.0   # the loss terms are read; the probabilities become gradients
         ws.coarse_ravel[coarse_cells] = coarse_at
-        ws.coarse *= ws.coarse_scale
-        _dense_back(ws.coarse2, ws.coarse, ws.dzc1)
-        ws.dzc1 *= np.greater(ws.zc1, 0.0, out=ws.relu_c1)
-        _dense_back(ws.coarse1, ws.dzc1, ws.dA1h)
+        coarse = ws.coarse_head.probs
+        coarse *= ws.coarse_scale
+        _head_back(ws.coarse_head, ws.dA1h)
         # fine-logit gradient, in place: only the true group's block of a
         # row is nonzero. Rows sorted by group, ascending within a group;
         # group g owns the rows a:b of Gf and its columns spans[g], and
@@ -398,12 +437,10 @@ def _loss_and_grads(ws: _Workspace, table) -> np.ndarray:
             ws.dA2_s.take(from_group, axis=1, out=ws.dA2_heads, mode="clip")
 
     if ws.trunk:
-        ws.dA2 *= np.greater(ws.z2, 0.0, out=ws.relu2)
-        _dense_back(ws.trunk2, ws.dA2, ws.dA1)
+        _relu_back(ws.trunk2, ws.dA2, ws.z2, ws.relu2, ws.dA1)
         if ws.heads:
             ws.dA1_heads += ws.dA1h
-        ws.dA1 *= np.greater(ws.z1, 0.0, out=ws.relu1)
-        _dense_back(ws.trunk1, ws.dA1)
+        _relu_back(ws.trunk1, ws.dA1, ws.z1, ws.relu1)
 
     mean, by = ws.mean
     mean(ws.vector, by, out=ws.vector)
@@ -438,7 +475,7 @@ def compute_gradients(params: ModelParams, batch: list[LabeledExample],
                       scheme: str, taxonomy: Taxonomy) -> ModelParams:
     """Gradient of the mean batch loss, shaped like the parameters."""
     inputs, y1, y2 = _batch_arrays(batch, params, taxonomy)
-    ws, table = _one_off(params.tile(1), inputs, y1, y2, (LOSSES[scheme],))
+    ws, table = _one_off(params.tile(1), inputs, y1, y2, (loss_of(scheme),))
     with np.errstate(divide="ignore"):   # a zero probability: an inf loss, not a warning
         _loss_and_grads(ws, table)
     return ws.grads.row(0)
@@ -450,7 +487,7 @@ def batch_loss(params: ModelParams, batch: list[LabeledExample],
     inputs, y1, y2 = _batch_arrays(batch, params, taxonomy)
     with np.errstate(divide="ignore"):
         return float(_loss_and_grads(*_one_off(params.tile(1), inputs, y1, y2,
-                                               (LOSSES[scheme],)))[0])
+                                               (loss_of(scheme),)))[0])
 
 
 def _stage(dataset: D.Dataset, taxonomy: Taxonomy):
@@ -541,9 +578,7 @@ def train(config: TrainConfig, train_split: D.Dataset, taxonomy: Taxonomy, schem
         raise EmptyDataset("train split has no frames")
     names = {}   # loss -> the first scheme that trains it
     for scheme in [config.scheme] if schemes is None else schemes:
-        if scheme not in LOSSES:
-            raise MalformedDocument(f"unknown scheme {scheme!r}")
-        names.setdefault(LOSSES[scheme], scheme)
+        names.setdefault(loss_of(scheme), scheme)
     if not names:
         raise MalformedDocument("no scheme to train")
     losses = [loss for loss in LOSS_ORDER if loss in names]

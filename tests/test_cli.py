@@ -996,7 +996,8 @@ def test_deeply_nested_json_is_an_error(workspace, capsys, command, path, match)
 
 
 # each document the commands read, as (command, option), and each fault of
-# its read, as (what it writes at the path, the reason the error gives)
+# its read, as (what it writes at the path, the reason the error gives, or
+# the reason per document)
 DOCUMENTS = {"config": ("gen", "--config"), "taxonomy": ("gen", "--taxonomy"),
              "checkpoint": ("eval", "--model")}
 READ_FAULTS = {
@@ -1006,16 +1007,21 @@ READ_FAULTS = {
     "invalid": (lambda path: path.write_text('{"groups": '), "invalid JSON: Expecting value"),
     "deep": (lambda path: path.write_text(DEEP), "invalid JSON: maximum recursion"),
     "digits": (lambda path: path.write_text("1" + "0" * 4999), "invalid JSON: Exceeds the limit"),
+    "wrong-shape": (lambda path: path.write_text("[]"),
+                    {"config": "must hold a JSON object", "checkpoint": "must hold a JSON object",
+                     "taxonomy": "expected top-level object with a 'groups' list"}),
 }
 
 
 @pytest.mark.parametrize("fault", READ_FAULTS)
 @pytest.mark.parametrize("document", DOCUMENTS)
 def test_a_document_that_cannot_be_read_is_one_error_naming_it(tmp_path, capsys, document, fault):
-    """Every fault of reading a config, a taxonomy or a checkpoint exits 1
-    with one line `error: <document> <path>: <reason>`."""
+    """Every fault of reading a config, a taxonomy or a checkpoint, and a
+    document of the wrong shape, exits 1 with one line `error: <document>
+    <path>: <reason>`."""
     command, option = DOCUMENTS[document]
     write, reason = READ_FAULTS[fault]
+    reason = reason[document] if isinstance(reason, dict) else reason
     path = tmp_path / "document.json"
     write(path)
     data = ["--data", tmp_path / "frames.jsonl"] if command == "eval" else []

@@ -72,9 +72,10 @@ class TestGenerate:
         # group spread exceeds the species spread
         cfg = D.GenConfig(taxonomy=six31, seed=1)
         ds = D.generate(cfg)
-        X = np.stack([fr.features for fr in ds.frames()])
-        y1 = np.array([six31.group_index(fr.group) for fr in ds.frames()])
-        y2 = np.array([six31.species_index(fr.species) for fr in ds.frames()])
+        frames = [fr for t in ds.tracks for fr in t.frames]
+        X = np.stack([fr.features for fr in frames])
+        y1 = np.array([six31.group_index(fr.group) for fr in frames])
+        y2 = np.array([six31.species_index(fr.species) for fr in frames])
         gc = np.stack([X[y1 == g].mean(axis=0) for g in range(six31.G)])
         sc = np.stack([X[y2 == s].mean(axis=0) for s in range(six31.S)])
         gacc = np.mean(np.argmin(
@@ -579,6 +580,11 @@ BLOCK_CASES = {
              "line L6: could not convert True in 'features' to a number"),
     "string-frame": (G[:5] + [_frame(k='"5"')] + G[6:],
                      "line L6: frame_index must be an integer, not '5'"),
+    # a line that parses but is no record, or a record without a label
+    "number-line": (G[:5] + ["3"] + G[6:], "line L6: expected a JSON object, not int"),
+    "list-line": (G[:5] + ["[1]"] + G[6:], "line L6: expected a JSON object, not list"),
+    "no-species": (G[:5] + [_frame(k=5).replace('"species": "x1", ', "")] + G[6:],
+                   "line L6: no 'species'"),
 }
 
 

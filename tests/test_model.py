@@ -367,6 +367,9 @@ class TestSegmentedSoftmax:
         p.bc2[0] = np.nan   # the coarse head is checked first
         with pytest.raises(NonFiniteActivation, match="non-finite values in coarse head$"):
             M.heads_forward(p, shallow, deep)
+        p.bl2[0] = np.inf   # the flat head, the same MLP head, checks its own
+        with pytest.raises(NonFiniteActivation, match="non-finite values in flat head$"):
+            M.flat_forward(p, deep)
 
     def test_empty_batch(self, six31):
         p = M.init_params(six31, seed=0)

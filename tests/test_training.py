@@ -39,6 +39,27 @@ def test_config_validation():
         T.TrainConfig(batch_size=0)
 
 
+@pytest.mark.parametrize("call", ["TrainConfig", "compute_loss", "compute_gradients",
+                                  "batch_loss", "train"])
+def test_an_unknown_scheme_is_refused_by_every_entry_point(toy_taxonomy, call):
+    """Each library call that takes a scheme looks it up through the one
+    `loss_of`, so an unknown scheme is the same MalformedDocument, not a
+    bare KeyError."""
+    params = M.init_params(toy_taxonomy, d_in=5, d1=4, hidden=3, d2=3, seed=5)
+    batch = _random_batch(np.random.default_rng(0), toy_taxonomy, params)
+    calls = {
+        "TrainConfig": lambda: T.TrainConfig(scheme="bogus"),
+        "compute_loss": lambda: T.compute_loss("bogus", M.forward(params, batch[0].features),
+                                               batch[0], toy_taxonomy),
+        "compute_gradients": lambda: T.compute_gradients(params, batch, "bogus", toy_taxonomy),
+        "batch_loss": lambda: T.batch_loss(params, batch, "bogus", toy_taxonomy),
+        "train": lambda: T.train(T.TrainConfig(epochs=1), _tiny_dataset(toy_taxonomy),
+                                 toy_taxonomy, ["bogus"]),
+    }
+    with pytest.raises(MalformedDocument, match="^unknown scheme 'bogus'$"):
+        calls[call]()
+
+
 class TestComputeLoss:
     def test_degenerate_taxonomy_zero_loss(self):
         t = Taxonomy(groups=("A",), species_by_group=(("a",),))
@@ -477,7 +498,7 @@ def _reference_train(cfg, ds, taxonomy):
         T.LabeledExample(features=fr.model_input(),
                          coarse_label=taxonomy.group_index(fr.group),
                          fine_label=taxonomy.species_index(fr.species))
-        for fr in ds.frames()
+        for t in ds.tracks for fr in t.frames
     ]
     first = examples[0].features
     if ds.mode == M.MODE_PRECOMPUTED:
