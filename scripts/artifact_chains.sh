@@ -17,8 +17,8 @@
 #   neighbours/  300 tracks of 1-160 frames: scheme3 trained for 1 epoch,
 #              searched and inferred on the eval file and, into rev/, on its reversal
 #   pre/       a precomputed chain: the README split through a seeded trunk
-#   errors/    the errors `gen`, `train`, `ablation` and the scoring commands
-#              report on bad input, and on a config, taxonomy or checkpoint
+#   errors/    the errors `gen`, `split`, `train`, `ablation` and the scoring
+#              commands report on bad input, and on a config, taxonomy or checkpoint
 #              that cannot be read
 # logs/ holds each command's stdout, stderr and, for a refused one, its
 # exit status. Every command runs inside OUT on relative paths, so two
@@ -266,6 +266,9 @@ for case in overflow saturate mid-training species group no-features; do
   refused "errors-train-$case" hierfish train --config errors/config.json --seed 0 \
     --taxonomy readme/data/taxonomy.json --data "errors/$case.jsonl" --out "errors/$case"
 done
+# `split` reads --data twice, so a pipe is refused before it is read
+refused errors-split-pipe hierfish split --seed 0 --taxonomy readme/data/taxonomy.json \
+  --data <(cat readme/data/dataset.jsonl) --out errors/split-pipe
 
 # score CASE COMMAND MODEL DATA: a scoring COMMAND refused on MODEL and DATA
 score() {

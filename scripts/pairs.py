@@ -32,9 +32,10 @@ step under `np.errstate`, as `compute_gradients` does (`train` enters it
 once per call): every step pays what `_loss_and_grads` paid inside it
 before the workspace. A side without a workspace calls `_loss_and_grads` and
 `heads_forward` as they were. Prints, per probe, each side's min and
-median, the median per-round change/parent ratio, the rounds the change
-won and whether the outputs were the same. Exits 1 unless every probe
-gave byte-identical outputs on both sides.
+median, the median per-round change/parent ratio, the ratio of the
+sides' mins (change min / parent min), the rounds the change won and
+whether the outputs were the same. Exits 1 unless every probe gave
+byte-identical outputs on both sides.
 
 With --record PATH, also appends the run's record to the JSON list in
 PATH (the repository keeps BENCH_pairs.json, one record per change;
@@ -43,7 +44,8 @@ that holds each side's src/, `-dirty` if src/ differs from it, or the
 path outside a checkout), the rounds, `env` (scripts/blas_kernel.py's
 `environment()`: Python, numpy, OpenBLAS and the GEMM kernel), and per
 probe each side's min and median in seconds, the median ratio, the
-rounds the change won and `same` or `DIFFER`.
+ratio of the mins (`min_ratio`), the rounds the change won and `same`
+or `DIFFER`.
 
 usage: python scripts/pairs.py PARENT_SRC [PROBE ...] [--rounds N] [--record PATH]
 """
@@ -314,13 +316,15 @@ def main(argv=None) -> int:
         stats[name] = {"parent": {"min_s": min(p), "median_s": statistics.median(p)},
                        "change": {"min_s": min(c), "median_s": statistics.median(c)},
                        "ratio": statistics.median([b / a for a, b in zip(p, c)]),
+                       "min_ratio": min(c) / min(p),
                        "wins": sum(b < a for a, b in zip(p, c)),
                        "outputs": "same" if same[name] else "DIFFER"}
         scale, unit = (1e6, "us") if min(p) < 1e-3 else (1e3, "ms")
         print(f"{name:8s}", *(f"{side} min {stats[name][side]['min_s'] * scale:9.3f} median "
                               f"{stats[name][side]['median_s'] * scale:9.3f} {unit} "
                               for side in ("parent", "change")),
-              f"ratio {stats[name]['ratio']:.3f}  wins {stats[name]['wins']}/{len(p)}  "
+              f"ratio {stats[name]['ratio']:.3f}  min ratio {stats[name]['min_ratio']:.3f}  "
+              f"wins {stats[name]['wins']}/{len(p)}  "
               f"{stats[name]['outputs']}")
     print("outputs byte-identical" if all(same.values()) else "outputs DIFFER")
     if args.record:

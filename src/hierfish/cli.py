@@ -145,6 +145,9 @@ def cmd_gen(args) -> int:
 
 def cmd_split(args) -> int:
     s = resolve(args)
+    # `copy_lines` reads --data again, which a pipe cannot give
+    if os.path.exists(args.data) and not os.path.isfile(args.data):
+        raise ConfigError(f"--data {args.data} is not a regular file, and split reads it twice")
     lines = {}   # track id -> where its frames' lines lie in the file
     dataset = D.load_jsonl(args.data, lines)
     D.check_labels(dataset, s.taxonomy)

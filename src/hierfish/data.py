@@ -12,12 +12,12 @@ Species track counts follow a Zipf profile over species rank.
 A frames file (JSONL) holds one frame per line. `save_jsonl` spells
 each line as `json.dumps` does, printing each track's floats with one
 orjson call; `load_jsonl` reads the file in one streaming pass, a
-block of lines at a time, each block parsed by one orjson call and
-checked as a whole, and can note where each frame's line lies, so that
-`copy_lines` (what `hierfish split` writes) copies lines instead of
-printing their floats again. A block that any check doubts goes
-through a per-line loop, which alone names an error; there json stays
-the exact path, for the values and lines where it and orjson differ.
+block of lines at a time, and can note where each frame's line lies,
+so that `copy_lines` (what `hierfish split` writes) copies lines
+instead of printing their floats again. Each of its two parsers has
+one job: orjson parses a block as one document, which is stored as a
+whole if it passes every check, and json reads each line of any other
+block, in a per-line loop that alone names an error.
 """
 
 from __future__ import annotations
@@ -341,24 +341,10 @@ def save_jsonl(dataset: Dataset, path: str) -> None:
                         + b"\n")
 
 
-def _finite_numbers(values: list) -> bool:
-    """Whether `values` are all JSON numbers (`NUMBER_TYPES`) of finite
-    float sum, so each is finite: a sum is finite only if every term is."""
-    try:
-        return NUMBER_TYPES.issuperset(map(type, values)) and math.isfinite(sum(values, 0.0))
-    except OverflowError:   # an int too large for a float
-        return False
-
-
-def _vector(rec: dict, key: str, lineno: int) -> list:
-    """`rec[key]` by the one number rule (`number_array`), as a list: a
-    non-empty flat list of JSON numbers, all finite. A list that passes
-    `_finite_numbers` passes as it is; any other value takes the exact
-    path, which raises the rule's own message."""
-    vec = rec[key]
-    if type(vec) is list and vec and _finite_numbers(vec):
-        return vec
-    vec = number_array(vec, key)
+def _vector(rec: dict, key: str, lineno: int) -> np.ndarray:
+    """`rec[key]` by the one number rule (`number_array`), as a float64
+    array: a non-empty flat list of JSON numbers, all finite."""
+    vec = number_array(rec[key], key)
     if not vec.shape[0]:   # a model input needs at least one value
         raise MalformedRecord(f"line {lineno}: {key!r} is empty")
     if not np.isfinite(vec).all():
@@ -366,7 +352,7 @@ def _vector(rec: dict, key: str, lineno: int) -> list:
             f"track {rec['track_id']!r} frame {rec['frame_index']}: "
             f"non-finite values in {key} on line {lineno}"
         )
-    return vec.tolist()
+    return vec
 
 
 # the JSON type each label field of a frame record must have
@@ -398,9 +384,9 @@ def _fields(rec, lineno: int) -> tuple[str, list]:
 
 
 def _json_record(raw: bytes, lineno: int) -> tuple | None:
-    """The exact path: the record on the line `raw` as `json.loads`
-    reads its decoded, stripped text, with that text's byte offset in
-    `raw` and byte length; None for a blank line."""
+    """The record on the line `raw` as `json.loads` reads its decoded,
+    stripped text, with that text's byte offset in `raw` and byte
+    length; None for a blank line."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -416,12 +402,10 @@ def _json_record(raw: bytes, lineno: int) -> tuple | None:
     return rec, len(lead.encode()), len(line.encode())
 
 
-# the most `[` and `{` a line orjson parses alone may hold: orjson 3.8.3
-# has no nesting limit, and a line nested deep enough overflows the C stack
-MAX_ORJSON_BRACKETS = 16
 # the most bytes of lines `load_jsonl` parses as one document, a block.
-# The document nests at most one deeper than its lines hold bytes, so it
-# needs no bracket count: orjson 3.8.3 parsed documents nested 16,001
+# orjson 3.8.3 has no nesting limit, and a document nested deep enough
+# overflows the C stack; a document nests at most one deeper than its
+# lines hold bytes, and orjson 3.8.3 parsed documents nested 16,001
 # deep (a test pins it) and crashed between 48,000 and 56,000 deep on an
 # 8 MB stack. A block is read up to the line that passes BLOCK_HINT
 # bytes, so lines of up to 4,000 bytes make blocks within the bound
@@ -444,9 +428,12 @@ def _stored_block(block: list, start: int, keys: tuple, dims: tuple, rows_by_tra
     block passes every check as a whole. Each record holds exactly the
     `keys`, the label keys and one mode's vector keys, of their JSON
     types (`_LABEL_TYPES`) and vector widths `dims`; its vector entries
-    pass `_finite_numbers`. Each track id makes one run of lines, of one
-    label pair and ascending frames; a track the table holds has the
-    same labels, and frames in order (not in `shuffled`) below them."""
+    are JSON numbers (`NUMBER_TYPES`) of finite float sum, so each is
+    finite: a sum is finite only if every term is (orjson gives ints
+    only in [-2**63, 2**64), all within float range). Each track id
+    makes one run of lines, of one label pair and ascending frames; a
+    track the table holds has the same labels, and frames in order (not
+    in `shuffled`) below them."""
     if not (all(map(bytes.startswith, block, repeat(b"{")))
             and all(map(bytes.endswith, block, repeat(b"}\n")))):
         return False
@@ -473,7 +460,8 @@ def _stored_block(block: list, start: int, keys: tuple, dims: tuple, rows_by_tra
         for vecs, width in zip(vectors, dims):
             flat = list(chain.from_iterable(vecs))
             if (set(map(type, vecs)) != {list} or set(map(len, vecs)) != {width}
-                    or not _finite_numbers(flat)):
+                    or not NUMBER_TYPES.issuperset(map(type, flat))
+                    or not math.isfinite(sum(flat, 0.0))):
                 return False
             columns.append(memoryview(struct.pack(f"{len(flat)}d", *flat)))
     # a value that is no record, a key missing, a vector that is no list
@@ -514,17 +502,12 @@ def load_jsonl(path: str, lines: dict | None = None) -> Dataset:
     the track's block, for `copy_lines`.
 
     The file is read in blocks of lines, each stored as a whole by
-    `_stored_block` if it passes every check. A per-line loop reads the
-    rest: the first block, which sets the mode and vector widths, a
-    block of over `MAX_BLOCK_BYTES`, the first block `_stored_block`
-    refuses (it has left it unstored) and every block after that one.
-    The loop alone names an error, so the first bad line is named as it
-    always was. orjson parses each line there; `_json_record` (json)
-    reads a line again, and gives the record or the message, where
-    orjson might differ: a line orjson refuses (a blank one, NaN, 1e400,
-    a lone surrogate, a BOM), one of over `MAX_ORJSON_BRACKETS`
-    brackets, and a record whose checks fail on orjson's values (an int
-    outside [-2**63, 2**64) is a float to orjson)."""
+    `_stored_block` (orjson) if it passes every check. A per-line loop
+    reads the rest, each line by `_json_record` (json) and `_fields`:
+    the first block, which sets the mode and vector widths, a block of
+    over `MAX_BLOCK_BYTES`, the first block `_stored_block` refuses (it
+    has left it unstored) and every block after that one. The loop alone
+    names an error, so the first bad line is named, in json's terms."""
     # track id -> (group, species, frame indices, one array of doubles per
     # vector field, rows back to back: no object per frame, and the lines'
     # offset/length pairs), in first-seen order
@@ -548,24 +531,14 @@ def load_jsonl(path: str, lines: dict | None = None) -> Dataset:
             for raw in block:
                 lineno += 1
                 start, end = end, end + len(raw)
-                fields = span = None
-                if raw.count(b"[") + raw.count(b"{") <= MAX_ORJSON_BRACKETS:
-                    try:
-                        rec = orjson.loads(raw)
-                        fields = _fields(rec, lineno)
-                    except (orjson.JSONDecodeError, MalformedRecord):
-                        pass
-                if fields is None:
-                    got = _json_record(raw, lineno)
-                    if got is None:
-                        continue
-                    rec, *span = got
-                    fields = _fields(rec, lineno)
-                rec_mode, vectors = fields
+                got = _json_record(raw, lineno)
+                if got is None:
+                    continue
+                rec, lead, size = got
+                rec_mode, vectors = _fields(rec, lineno)
                 rec_dims = tuple(map(len, vectors))
                 if mode is None:
                     mode, dims = rec_mode, rec_dims
-                    packs = [struct.Struct(f"{width}d").pack for width in dims]
                     keys = (*_LABEL_TYPES, *VECTOR_FIELDS[mode])
                 elif rec_mode != mode or rec_dims != dims:
                     raise DimensionMismatch(
@@ -589,11 +562,9 @@ def load_jsonl(path: str, lines: dict | None = None) -> Dataset:
                         raise MalformedRecord(f"line {lineno}: track {tid!r} repeats frame {k}")
                     shuffled.add(tid)
                 indices.append(k)
-                for column, pack, vec in zip(columns, packs, vectors):
-                    column.frombytes(pack(*vec))
+                for column, vec in zip(columns, vectors):
+                    column.frombytes(vec.tobytes())
                 if spans is not None:
-                    # a line orjson read has only JSON blanks around its record
-                    lead, size = span or (len(raw) - len(raw.lstrip()), len(raw.strip()))
                     spans.extend((start + lead, size))
     tracks = []
     for tid, (group, species, indices, columns, spans) in rows_by_track.items():

@@ -950,6 +950,31 @@ class TestSplit:
         assert _split_files(ws / "out") == _split_files(ws / "want")
         assert sorted(os.listdir(ws / "out")) == ["eval.jsonl", "train.jsonl"]
 
+    @pytest.mark.parametrize("stdin", ["pipe", "file"])
+    def test_a_pipe_is_refused_before_it_is_read(self, workspace, stdin):
+        """`split` reads --data twice, so a pipe is refused, named, before
+        it is read and with nothing written; /dev/stdin redirected from a
+        file splits as the file does."""
+        ws = workspace
+        common = ["--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json"]
+        assert run(["gen", *common, "--out", ws / "data"]) == 0
+        frames = ws / "data" / "dataset.jsonl"
+        assert run(["split", *common, "--data", frames, "--out", ws / "want"]) == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        with open(frames, "rb") as f:
+            feed = {"input": f.read()} if stdin == "pipe" else {"stdin": f}
+            proc = subprocess.run([sys.executable, "-m", "hierfish.cli", "split",
+                                   *map(str, common), "--data", "/dev/stdin", "--out",
+                                   str(ws / "out")], **feed, capture_output=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": src})
+        if stdin == "pipe":
+            assert (proc.returncode, proc.stderr.decode()) == (
+                1, "error: --data /dev/stdin is not a regular file, and split reads it twice\n")
+            assert not (ws / "out").exists()
+        else:
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert _split_files(ws / "out") == _split_files(ws / "want")
+
     def test_a_file_in_the_way_is_an_error_and_kept(self, workspace, capsys):
         ws = workspace
         common = ["--config", ws / "config.json", "--taxonomy", ws / "taxonomy.json"]
